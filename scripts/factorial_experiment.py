@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Run the factorial recursion at a chosen truncation and show the chains.
 
-Iterates the recursive setup from the complete relation down to its
-greatest fixed point (the truncated factorial graph) and from the empty
-relation up (which stays empty), printing the size of every iterate.
+Prunes the recursive setup's transition graph down to its greatest fixed
+point (the truncated factorial graph): each round drops the states no
+surviving state leads to, and there are about ``limit`` rounds.  The least
+fixed point is empty.  For each mode the script prints the round count
+and the sizes of the first and last few iterates.
 """
 
 import argparse
 
 from wiring.recursion import factorial_fixture, fixed_point, is_fixed_point
+
+SHOWN = 4  # iterate sizes printed at each end of a chain
 
 
 def main() -> None:
@@ -21,8 +25,11 @@ def main() -> None:
 
     for mode in ("greatest", "least"):
         result = fixed_point(fixture.setup, mode)
-        sizes = " -> ".join(str(len(r)) for r in result.trace)
-        print(f"\n{mode} fixed point in {result.iterations} iterations: {sizes}")
+        sizes = [str(len(r)) for r in result.trace]
+        if len(sizes) > 2 * SHOWN:
+            sizes = sizes[:SHOWN] + ["..."] + sizes[-SHOWN:]
+        rounds = result.iterations - 1
+        print(f"\n{mode} fixed point after {rounds} pruning rounds: {' -> '.join(sizes)}")
         print(f"is_fixed_point: {is_fixed_point(fixture.setup, result.relation)}")
         if mode == "greatest":
             print("tuples:")

@@ -9,7 +9,6 @@ front end), and :mod:`wiring.laws` (random law checks).
 """
 
 from .errors import (
-    BudgetExceededError,
     CsvFormatError,
     EnumerationLimitError,
     InterfaceError,

@@ -1,9 +1,10 @@
 """Reading relations from CSV files and writing results back out.
 
 Dialect: comma separator, first line is the header, values are atomic
-tokens with no quoting.  Integer-shaped tokens are read as integers,
-everything else as text.  The header must name exactly the star's wires,
-in any order; duplicate data rows collapse.
+tokens with no quoting.  Tokens of ASCII digits, with an optional leading
+minus sign, are read as integers, everything else as text.  The header
+must name exactly the star's wires, in any order; duplicate data rows
+collapse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .typed import TypedStar, Value
 
 def _parse_token(token: str) -> Value:
     token = token.strip()
-    if token and (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
+    # str.isdigit also accepts non-ASCII digits such as '²', which int rejects
+    if (token.isdigit() or token[:1] == "-" and token[1:].isdigit()) and token.isascii():
         return int(token)
     return token
 
@@ -29,8 +31,13 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     Rows are checked against the wire domains; errors carry the 1-based
     data row number and the offending column.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.rstrip("\n") for line in handle]
+    except OSError as exc:
+        raise CsvFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     lines = [line for line in lines if line.strip()]
     if not lines:
         raise CsvFormatError(f"{path}: missing header row")

@@ -427,7 +427,8 @@ class _Parser:
                         f"unknown cable {cable!r}", cable_tok.line, cable_tok.column
                     )
                 self.expect("punct", ";")
-                solder_decls.append((".".join(parts), cable))
+                endpoint = ".".join(parts)
+                solder_decls.append((endpoint, cable))
                 if head == "out":
                     if wire not in outer.star:
                         raise ScriptError(
@@ -435,7 +436,7 @@ class _Parser:
                             head_tok.line,
                             head_tok.column,
                         )
-                    outer_map[wire] = cable
+                    endpoints, key = outer_map, wire
                 else:
                     m = re.fullmatch(r"inner([0-9]+)", head)
                     if m is None:
@@ -457,7 +458,14 @@ class _Parser:
                             head_tok.line,
                             head_tok.column,
                         )
-                    inner_map[(index, wire)] = cable
+                    endpoints, key = inner_map, (index, wire)
+                if key in endpoints:
+                    raise ScriptError(
+                        f"{endpoint} is already soldered to cable {endpoints[key]!r}",
+                        head_tok.line,
+                        head_tok.column,
+                    )
+                endpoints[key] = cable
             else:
                 raise self.fail("expected 'cable' or 'solder'")
         self.expect("punct", "}")

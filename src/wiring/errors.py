@@ -23,10 +23,6 @@ class EnumerationLimitError(WiringError):
     """A brute-force enumeration would exceed its configured size bound."""
 
 
-class BudgetExceededError(WiringError):
-    """An iteration exhausted its step budget without converging."""
-
-
 class ScriptError(WiringError):
     """A script failed to lex, parse, or resolve.
 

@@ -4,18 +4,20 @@ A recursive setup is a relation on the hom star ``[Z => Z]``, usually
 obtained by feeding chosen relations through a diagram whose codomain is
 that hom star.  Applying the setup relation to a candidate (via
 :func:`wiring.closed.apply_hom`) gives a monotone step function on
-relations over ``Z``; its extreme fixed points are found by iterating from
-the empty and from the complete relation.
+relations over ``Z``: the image of the candidate under the setup's
+transition relation.  Its least fixed point is therefore empty, and its
+greatest is the set of states reachable from a cycle of the transition
+graph, found by pruning states of in-degree 0.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .closed import HomStar, internal_hom
-from .errors import BudgetExceededError, InterfaceError, ValidationError
+from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
 from .stars import WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, ValueDomain
@@ -32,7 +34,6 @@ class RecursiveSetup:
     z: TypedStar
     hom: HomStar
     relation: Relation
-    max_steps: int | None = None
     transition: dict[tuple, frozenset[tuple]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -48,14 +49,6 @@ class RecursiveSetup:
             self, "transition", {k: frozenset(v) for k, v in index.items()}
         )
 
-    @property
-    def state_count(self) -> int:
-        """Size of the complete relation on ``z``."""
-        return math.prod(len(self.z.domain(w)) for w in self.z.wires)
-
-    def budget(self) -> int:
-        return self.max_steps if self.max_steps is not None else self.state_count + 1
-
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -69,25 +62,20 @@ class FixedPointResult:
 
 
 def build_setup(
-    z: TypedStar,
-    phi: TypedWiringDiagram,
-    rels: Sequence[Relation],
-    max_steps: int | None = None,
+    z: TypedStar, phi: TypedWiringDiagram, rels: Sequence[Relation]
 ) -> RecursiveSetup:
     """Feed ``rels`` through ``phi : (X1..Xn) -> [z => z]`` into a setup."""
     hom = internal_hom([z], z)
     if phi.outer != hom.star:
         raise InterfaceError("diagram's codomain is not the recursive star [z => z]")
     relation = evaluate(phi, rels)
-    return RecursiveSetup(z=z, hom=hom, relation=relation, max_steps=max_steps)
+    return RecursiveSetup(z=z, hom=hom, relation=relation)
 
 
-def setup_from_relation(
-    z: TypedStar, relation: Relation, max_steps: int | None = None
-) -> RecursiveSetup:
+def setup_from_relation(z: TypedStar, relation: Relation) -> RecursiveSetup:
     """Wrap an already-computed relation on ``[z => z]`` as a setup."""
     hom = internal_hom([z], z)
-    return RecursiveSetup(z=z, hom=hom, relation=relation, max_steps=max_steps)
+    return RecursiveSetup(z=z, hom=hom, relation=relation)
 
 
 def step(setup: RecursiveSetup, rel: Relation) -> Relation:
@@ -104,51 +92,40 @@ def is_fixed_point(setup: RecursiveSetup, rel: Relation) -> bool:
     return step(setup, rel) == rel
 
 
-def _image(power: dict[tuple, frozenset[tuple]], states: frozenset[tuple]) -> frozenset:
-    out: set[tuple] = set()
-    for s in states:
-        out.update(power.get(s, ()))
-    return frozenset(out)
-
-
-def _square(power: dict[tuple, frozenset[tuple]]) -> dict[tuple, frozenset[tuple]]:
-    return {src: _image(power, targets) for src, targets in power.items()}
-
-
 def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResult:
-    """Iterate the step function to its extreme fixed point.
+    """The extreme fixed point of the step function, with its chain.
 
-    ``mode="least"`` iterates from the empty relation, ``mode="greatest"``
-    from the complete one.  Both chains are monotone by step-monotonicity.
-    Iteration is accelerated by repeated squaring of the transition
-    relation, so the k-th trace entry is the step function applied
-    ``2**(k-1)`` times; once two consecutive iterates coincide the chain is
-    constant in between, hence a fixed point.  Convergence therefore takes
-    logarithmically many iterations in the size of the complete relation;
-    running out of budget means the step function is not the one this
-    module constructs.
+    ``mode="least"`` returns the empty relation at once, since the step of
+    the empty relation is empty; its trace is ``(empty, empty)``.
+
+    ``mode="greatest"`` starts from the targets of the transition relation,
+    which are the step of the complete relation, and counts each target's
+    in-degree from targets only.  Each round drops the states whose
+    in-degree is 0 and lowers the in-degree of their successors, so the
+    states left after ``r`` rounds are the step applied ``r + 1`` times to
+    the complete relation; ``trace[r]`` is that set.  When no state has
+    in-degree 0 the rest is the greatest fixed point: every state on it is
+    reachable from a cycle.  The trace ends with that entry repeated, so
+    ``iterations`` counts the pruning rounds plus one.
     """
     if mode not in ("least", "greatest"):
         raise ValidationError(f"unknown mode {mode!r}, expected 'least' or 'greatest'")
-    wires = setup.z.wires
-    start = (
-        Relation.empty(setup.z) if mode == "least" else Relation.complete(setup.z)
-    )
-    current = start.aligned_tuples(wires)
-    trace = [current]
-    power = dict(setup.transition)
-    for k in range(setup.budget()):
-        nxt = _image(power, current)
-        trace.append(nxt)
-        if nxt == current:
-            relations = tuple(Relation(setup.z, t) for t in trace)
-            return FixedPointResult(relation=relations[-1], trace=relations, mode=mode)
-        current = nxt
-        if k >= 1:
-            power = _square(power)
-    raise BudgetExceededError(
-        f"no fixed point within {setup.budget()} iterations (mode={mode})"
-    )
+    if mode == "least":
+        empty = Relation.empty(setup.z)
+        return FixedPointResult(relation=empty, trace=(empty, empty), mode=mode)
+    transition = setup.transition
+    live = {t for targets in transition.values() for t in targets}
+    indegree = Counter(t for s in live for t in transition.get(s, ()))
+    dropped = {s for s in live if not indegree[s]}
+    trace = [Relation(setup.z, live)]
+    while dropped:
+        live.difference_update(dropped)
+        trace.append(Relation(setup.z, live))
+        successors = [t for s in dropped for t in transition.get(s, ())]
+        indegree.subtract(successors)
+        dropped = {t for t in successors if not indegree[t]}
+    trace.append(trace[-1])
+    return FixedPointResult(relation=trace[-1], trace=tuple(trace), mode=mode)
 
 
 @dataclass(frozen=True)

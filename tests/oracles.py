@@ -10,6 +10,8 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from wiring.query import ConjunctiveQuery
+from wiring.recursion import RecursiveSetup, step
+from wiring.relations import Relation
 from wiring.stars import WiringDiagram
 
 
@@ -75,3 +77,14 @@ def factorial_graph(limit: int) -> set[tuple[int, int]]:
         n += 1
         f *= n
     return out
+
+
+def kleene_fixed_point(setup: RecursiveSetup, mode: str) -> Relation:
+    """Iterate ``step`` literally from the empty relation (least) or the
+    complete one (greatest) until two consecutive iterates coincide."""
+    current = Relation.empty(setup.z) if mode == "least" else Relation.complete(setup.z)
+    while True:
+        following = step(setup, current)
+        if following == current:
+            return current
+        current = following

@@ -100,6 +100,28 @@ def test_bad_csv_value_is_user_error(project, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_missing_csv_is_user_error(project, capsys):
+    (project / "nand.csv").unlink()
+    assert run_cli(["check", str(project / "circuits.wd")]) == 1
+    err = capsys.readouterr().err
+    assert "nand.csv" in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_non_ascii_digit_cell_is_user_error(project, capsys):
+    (project / "nand.csv").write_text("A,B,out\nTrue,True,²\n", encoding="utf-8")
+    assert run_cli(["check", str(project / "circuits.wd")]) == 1
+    assert "row 1, column 'out'" in capsys.readouterr().err
+
+
+def test_wire_soldered_twice_is_user_error(project, capsys):
+    script = project / "circuits.wd"
+    twice = "solder inner1.A -> ca;\n  solder inner1.A -> co;"
+    script.write_text(SCRIPT.replace("solder inner1.A -> ca;", twice))
+    assert run_cli(["check", str(script)]) == 1
+    assert "already soldered" in capsys.readouterr().err
+
+
 def test_fixpoint_round_trip(tmp_path, capsys, fixtures_dir):
     import shutil
 

@@ -64,6 +64,24 @@ class TestCsvLoad:
         path.write_text("n\n3\n-2\n")
         assert load_csv_relation(path, star).tuples == frozenset({(3,), (-2,)})
 
+    def test_non_ascii_digits_are_text(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("n\n²\n", encoding="utf-8")
+        text = TypedStar.uniform(["n"], ValueDomain("T", ("²", "2")))
+        assert load_csv_relation(path, text).tuples == frozenset({("²",)})
+        numbers = TypedStar.uniform(["n"], ValueDomain.int_range("N", 0, 9))
+        with pytest.raises(CsvFormatError, match="row 1, column 'n'"):
+            load_csv_relation(path, numbers)
+
+    def test_unreadable_file_names_path(self, tmp_path, bool_domain):
+        star = TypedStar.uniform(["x"], bool_domain)
+        with pytest.raises(CsvFormatError, match="absent.csv: cannot read"):
+            load_csv_relation(tmp_path / "absent.csv", star)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"x\nTr\xfce\n")
+        with pytest.raises(CsvFormatError, match="latin1.csv: not UTF-8"):
+            load_csv_relation(latin1, star)
+
 
 class TestCsvWrite:
     def test_sorted_deterministic_output(self, bool_domain):

@@ -130,6 +130,22 @@ class TestErrors:
                 "diagram d(S) -> S { cable c : T;\n solder inner7.w -> c;\n }\n"
             )
 
+    @pytest.mark.parametrize(
+        "solders, endpoint",
+        [
+            ("solder inner1.w -> c;\n  solder inner1.w -> e;\n solder out.w -> c;", "inner1.w"),
+            ("solder out.w -> c;\n  solder out.w -> e;\n solder inner1.w -> c;", "out.w"),
+        ],
+        ids=["inner", "outer"],
+    )
+    def test_wire_soldered_twice(self, solders, endpoint):
+        with pytest.raises(ScriptError, match=f"{endpoint} is already soldered") as err:
+            parse_script(
+                "type T = {a};\nstar S(w:T);\n"
+                f"diagram d(S) -> S {{ cable c : T;\n cable e : T;\n {solders}\n }}\n"
+            )
+        assert (err.value.line, err.value.column) == (6, 10)
+
     def test_const_outside_domain(self):
         with pytest.raises(ScriptError, match="outside type"):
             parse_script("type T = {a};\nconst k : T = b;\n")

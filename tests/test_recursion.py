@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from oracles import factorial_graph
+from oracles import factorial_graph, kleene_fixed_point
 from wiring.closed import apply_hom, internal_hom
 from wiring.errors import InterfaceError, ValidationError
 from wiring.recursion import (
@@ -180,3 +182,38 @@ class TestToyEnumeration:
             assert least in fixed and greatest in fixed
             for rel in fixed:
                 assert least <= rel <= greatest
+
+
+def random_sparse_setup(rng: random.Random):
+    """A setup on ``{p, q}`` whose transition graph has few edges per
+    state, so it mixes long chains, dead ends and several cycles."""
+    dp = ValueDomain.int_range("P", 0, rng.randint(0, 6))
+    dq = ValueDomain("Q", [f"v{i}" for i in range(rng.randint(1, 7))])
+    z = TypedStar(["p", "q"], {"p": dp, "q": dq})
+    hom = internal_hom([z], z)
+    states = [(a, b) for a in dp.values for b in dq.values]
+    edges = []
+    for source in states:
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            target = rng.choice(states)
+            edges.append(
+                {"arg1.p": source[0], "arg1.q": source[1], "ret.p": target[0], "ret.q": target[1]}
+            )
+    return z, setup_from_relation(z, Relation.from_maps(hom.star, edges))
+
+
+class TestAgainstKleeneIteration:
+    def test_random_sparse_setups(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            z, setup = random_sparse_setup(rng)
+            assert fixed_point(setup, "least").relation == kleene_fixed_point(setup, "least")
+            greatest = fixed_point(setup, "greatest")
+            assert greatest.relation == kleene_fixed_point(setup, "greatest")
+            trace = greatest.trace
+            iterate = Relation.complete(z)
+            for entry in trace:
+                iterate = step(setup, iterate)
+                assert entry == iterate
+            assert trace[-1] is trace[-2]
+            assert all(a != b for a, b in zip(trace[:-2], trace[1:-1]))
