@@ -31,7 +31,6 @@ from .typed import (
     TypedWiringDiagram,
     ValueDomain,
     canonicalize_typed,
-    forget_types,
     lift_uniform,
     typed_compose,
     typed_diagrams_equal,

@@ -4,7 +4,8 @@ Dialect: comma separator, first line is the header, values are atomic
 tokens with no quoting.  Tokens of ASCII digits, with an optional leading
 minus sign, are read as integers, everything else as text.  The header
 must name exactly the star's wires, in any order; duplicate data rows
-collapse.
+collapse.  :func:`survives_csv` tells whether a value is written as a token
+that reads back as the same value; script types admit no other values.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ def _parse_token(token: str) -> Value:
     if (token.isdigit() or token[:1] == "-" and token[1:].isdigit()) and token.isascii():
         return int(token)
     return token
+
+
+def survives_csv(value: Value) -> bool:
+    """True when a cell written as ``str(value)`` reads back as ``value``."""
+    text = str(value)
+    if not text or any(ch in text for ch in ",\r\n"):
+        return False
+    return _parse_token(text) == value
 
 
 def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:

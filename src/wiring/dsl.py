@@ -3,7 +3,9 @@
 A script is an ordered sequence of declarations, resolved as they are
 parsed (declaration before use, names unique per kind):
 
-* ``type NAME = {v, ...};`` or ``type NAME = range LO..HI;``
+* ``type NAME = {v, ...};`` or ``type NAME = range LO..HI;``; a text value
+  must read back from a CSV cell unchanged, so it is nonempty, has no comma,
+  line break or surrounding space, and does not look like an integer
 * ``star NAME(wire:TYPE, ...);``
 * ``rel NAME : STAR from "file.csv";`` CSV-backed relation, loaded later
 * ``const NAME : TYPE = literal;`` a one-tuple relation on wire ``value``
@@ -27,8 +29,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .closed import HomStar, internal_hom
+from .csvio import survives_csv
 from .errors import ScriptError
-from .query import AttrRef, Condition, ConjunctiveQuery
+from .query import AttrRef, Condition, ConjunctiveQuery, result_star, validate_query
 from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
@@ -167,6 +170,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.script = Script()
+        # the typed star of each query and union result, by name
+        self.shapes: dict[str, TypedStar] = {}
 
     # -- token plumbing
 
@@ -274,7 +279,15 @@ class _Parser:
             while not (self.peek().kind == "punct" and self.peek().text == "}"):
                 if values:
                     self.expect("punct", ",")
+                value_tok = self.peek()
                 values.append(self.literal())
+                if not survives_csv(values[-1]):
+                    raise ScriptError(
+                        f"type {name!r}: value {values[-1]!r} would not read back "
+                        "from CSV unchanged",
+                        value_tok.line,
+                        value_tok.column,
+                    )
             self.expect("punct", "}")
             if len(set(values)) != len(values):
                 raise self.fail(f"type {name!r} repeats a value")
@@ -507,10 +520,8 @@ class _Parser:
         self.expect("punct", "=")
         query = self.parse_select()
         self.expect("punct", ";")
-        from .query import validate_query
-
         try:
-            validate_query(query, self.script)
+            self.shapes[name] = result_star(query, self.script)
         except ScriptError as exc:
             raise ScriptError(f"query {name!r}: {exc}", tok.line, tok.column) from exc
         self.script.queries[name] = query
@@ -555,9 +566,11 @@ class _Parser:
         self.fresh(self.script.unions, name, "union", tok)
         self.fresh(self.script.queries, name, "union", tok)
         self.expect("punct", "=")
+        part_toks = [self.peek()]
         parts = [self.ident("result name")]
         while self.peek().kind == "punct" and self.peek().text == "|":
             self.next()
+            part_toks.append(self.peek())
             parts.append(self.ident("result name"))
         self.expect("punct", ";")
         if len(parts) < 2:
@@ -569,6 +582,16 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
+        first = self.shapes[parts[0]]
+        for part, part_tok in zip(parts[1:], part_toks[1:]):
+            if self.shapes[part] != first:
+                raise ScriptError(
+                    f"union {name!r}: {part!r} gives {_columns(self.shapes[part])} "
+                    f"but {parts[0]!r} gives {_columns(first)}",
+                    part_tok.line,
+                    part_tok.column,
+                )
+        self.shapes[name] = first
         decl = UnionDecl(name, tuple(parts))
         self.script.unions[name] = decl
         self.script.decls += (decl,)
@@ -632,6 +655,10 @@ class _Parser:
         self.script.decls += (setup,)
 
 
+def _columns(star: TypedStar) -> str:
+    return "(" + ", ".join(f"{w}:{star.domain(w).name}" for w in star.wires) + ")"
+
+
 def parse_script(text: str) -> Script:
     """Parse and resolve a script; raise :class:`ScriptError` with position
     information on the first problem."""
@@ -640,8 +667,6 @@ def parse_script(text: str) -> Script:
 
 def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     """Parse a standalone SELECT expression against an existing script."""
-    from .query import validate_query
-
     parser = _Parser(tokenize(text))
     parser.script = script
     query = parser.parse_select()

@@ -7,6 +7,11 @@ results for algebra morphisms out of the relational algebra.  All of these
 encode theorems: a failure indicates an implementation bug, and each
 failure is greedily shrunk to a minimal case that still fails.
 
+Nested cases are :class:`Stack` values of any depth (a diagram with a stack
+substituted into each inner star), drawn level by level by
+:func:`gen_stack`; one enumerator, :func:`_stack_variants`, shrinks them at
+every depth.
+
 Checks call :mod:`wiring.stars` and :mod:`wiring.relations` through their
 modules, so tests can corrupt an operation to confirm the harness notices.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -164,36 +169,33 @@ def gen_partition(rng: random.Random, star: Star) -> Partition:
 
 
 @dataclass(frozen=True)
-class TwoLevelStack:
-    """A diagram of diagrams: ``outer`` with one filler per inner star."""
+class Stack:
+    """A diagram with a stack substituted into each of its inner stars.
 
-    outer: WiringDiagram
-    fillers: tuple[WiringDiagram, ...]
+    ``fillers`` is empty at the bottom level; otherwise ``fillers[i]`` has
+    ``diagram.inner[i]`` as its outer star.
+    """
+
+    diagram: WiringDiagram
+    fillers: tuple["Stack", ...] = ()
 
     def compose(self) -> WiringDiagram:
-        return stars_mod.compose(self.outer, self.fillers)
+        """Substitute the fillers' top diagrams into ``diagram``."""
+        return stars_mod.compose(self.diagram, [f.diagram for f in self.fillers])
 
 
-@dataclass(frozen=True)
-class ThreeLevelStack:
-    top: WiringDiagram
-    mids: tuple[WiringDiagram, ...]
-    bottoms: tuple[tuple[WiringDiagram, ...], ...]
-
-
-def gen_two_level(rng: random.Random, cfg: GeneratorConfig) -> TwoLevelStack:
-    outer = gen_diagram(rng, cfg)
-    fillers = tuple(gen_diagram(rng, cfg, outer=y) for y in outer.inner)
-    return TwoLevelStack(outer, fillers)
-
-
-def gen_three_level(rng: random.Random, cfg: GeneratorConfig) -> ThreeLevelStack:
-    top = gen_diagram(rng, cfg)
-    mids = tuple(gen_diagram(rng, cfg, outer=y) for y in top.inner)
-    bottoms = tuple(
-        tuple(gen_diagram(rng, cfg, outer=x) for x in mid.inner) for mid in mids
-    )
-    return ThreeLevelStack(top, mids, bottoms)
+def gen_stack(rng: random.Random, cfg: GeneratorConfig, depth: int) -> Stack:
+    """A stack ``depth`` levels deep, drawn level by level from the top."""
+    levels = [[gen_diagram(rng, cfg)]]
+    for _ in range(depth - 1):
+        levels.append(
+            [gen_diagram(rng, cfg, outer=y) for wd in levels[-1] for y in wd.inner]
+        )
+    below = [Stack(wd) for wd in levels.pop()]
+    for level in reversed(levels):
+        rest = iter(below)
+        below = [Stack(wd, tuple(next(rest) for _ in wd.inner)) for wd in level]
+    return below[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,88 +220,41 @@ def _drop_outer_wire(wd: WiringDiagram, wire: str) -> WiringDiagram:
     return WiringDiagram(wd.inner, outer, wd.cables, wd.inner_map, outer_map)
 
 
-def _diagram_variants(wd: WiringDiagram) -> Iterator[WiringDiagram]:
-    for i in range(wd.arity):
-        yield _drop_inner_star(wd, i)
-    for c in wd.floating_cables():
-        yield _drop_floating(wd, c)
-    for w in wd.outer.wires:
-        yield _drop_outer_wire(wd, w)
+def _replace(stack: Stack, path: tuple[int, ...], node: Stack) -> Stack:
+    """``stack`` with the filler reached by following ``path`` set to ``node``."""
+    if not path:
+        return node
+    i = path[0]
+    fillers = stack.fillers
+    child = _replace(fillers[i], path[1:], node)
+    return Stack(stack.diagram, fillers[:i] + (child,) + fillers[i + 1 :])
 
 
-def _two_level_variants(stack: TwoLevelStack) -> Iterator[TwoLevelStack]:
-    for i in range(stack.outer.arity):
-        yield TwoLevelStack(
-            _drop_inner_star(stack.outer, i),
-            stack.fillers[:i] + stack.fillers[i + 1 :],
-        )
-    for c in stack.outer.floating_cables():
-        yield TwoLevelStack(_drop_floating(stack.outer, c), stack.fillers)
-    for w in stack.outer.outer.wires:
-        yield TwoLevelStack(_drop_outer_wire(stack.outer, w), stack.fillers)
-    for i, filler in enumerate(stack.fillers):
-        for variant in _diagram_variants(filler):
-            if variant.outer != filler.outer:
-                continue
-            yield TwoLevelStack(
-                stack.outer,
-                stack.fillers[:i] + (variant,) + stack.fillers[i + 1 :],
-            )
+def _stack_variants(stack: Stack) -> Iterator[Stack]:
+    """One-step-smaller stacks, level by level from the top.
 
-
-def _three_level_variants(stack: ThreeLevelStack) -> Iterator[ThreeLevelStack]:
-    for i in range(stack.top.arity):
-        yield ThreeLevelStack(
-            _drop_inner_star(stack.top, i),
-            stack.mids[:i] + stack.mids[i + 1 :],
-            stack.bottoms[:i] + stack.bottoms[i + 1 :],
-        )
-    for c in stack.top.floating_cables():
-        yield ThreeLevelStack(_drop_floating(stack.top, c), stack.mids, stack.bottoms)
-    for w in stack.top.outer.wires:
-        yield ThreeLevelStack(_drop_outer_wire(stack.top, w), stack.mids, stack.bottoms)
-    for i, mid in enumerate(stack.mids):
-        for j in range(mid.arity):
-            yield ThreeLevelStack(
-                stack.top,
-                stack.mids[:i] + (_drop_inner_star(mid, j),) + stack.mids[i + 1 :],
-                stack.bottoms[:i]
-                + (stack.bottoms[i][:j] + stack.bottoms[i][j + 1 :],)
-                + stack.bottoms[i + 1 :],
-            )
-        for c in mid.floating_cables():
-            yield ThreeLevelStack(
-                stack.top,
-                stack.mids[:i] + (_drop_floating(mid, c),) + stack.mids[i + 1 :],
-                stack.bottoms,
-            )
-    for i, row in enumerate(stack.bottoms):
-        for j, bottom in enumerate(row):
-            for variant in _diagram_variants(bottom):
-                if variant.outer != bottom.outer:
-                    continue
-                yield ThreeLevelStack(
-                    stack.top,
-                    stack.mids,
-                    stack.bottoms[:i]
-                    + (row[:j] + (variant,) + row[j + 1 :],)
-                    + stack.bottoms[i + 1 :],
-                )
-
-
-def _equivariance_variants(case) -> Iterator[tuple[TwoLevelStack, tuple[int, ...]]]:
-    stack, perm = case
-    for i in range(stack.outer.arity):
-        smaller = TwoLevelStack(
-            _drop_inner_star(stack.outer, i),
-            stack.fillers[:i] + stack.fillers[i + 1 :],
-        )
-        new_perm = tuple(p - (p > i) for p in perm if p != i)
-        yield smaller, new_perm
-    for c in stack.outer.floating_cables():
-        yield TwoLevelStack(_drop_floating(stack.outer, c), stack.fillers), perm
-    for w in stack.outer.outer.wires:
-        yield TwoLevelStack(_drop_outer_wire(stack.outer, w), stack.fillers), perm
+    At every node: drop an inner star together with its filler, then drop a
+    floating cable.  Outer wires are dropped at the top only, since below it
+    they are fixed by the inner star they fill.  The first
+    ``stack.diagram.arity`` variants drop the top inner stars in order.
+    """
+    level = [((), stack)]
+    while level:
+        for path, node in level:
+            wd, fillers = node.diagram, node.fillers
+            for i in range(wd.arity):
+                smaller = Stack(_drop_inner_star(wd, i), fillers[:i] + fillers[i + 1 :])
+                yield _replace(stack, path, smaller)
+            for c in wd.floating_cables():
+                yield _replace(stack, path, Stack(_drop_floating(wd, c), fillers))
+            if not path:
+                for w in wd.outer.wires:
+                    yield Stack(_drop_outer_wire(wd, w), fillers)
+        level = [
+            (path + (i,), filler)
+            for path, node in level
+            for i, filler in enumerate(node.fillers)
+        ]
 
 
 def shrink(case, variants: Callable, still_fails: Callable) -> object:
@@ -330,58 +285,63 @@ def check_operad_laws(cfg: GeneratorConfig) -> list[SuiteReport]:
     assoc_failures: list[LawFailure] = []
     equiv_failures: list[LawFailure] = []
 
-    def identity_fails(wd: WiringDiagram) -> bool:
+    def identity_fails(stack: Stack) -> bool:
+        wd = stack.diagram
         left = stars_mod.compose(stars_mod.identity_diagram(wd.outer), [wd])
         right = stars_mod.compose(wd, [stars_mod.identity_diagram(s) for s in wd.inner])
         return not (
             stars_mod.diagrams_equal(left, wd) and stars_mod.diagrams_equal(right, wd)
         )
 
-    def assoc_fails(stack: ThreeLevelStack) -> bool:
-        top_first = stars_mod.compose(stack.top, stack.mids)
-        flat_bottoms = [b for row in stack.bottoms for b in row]
-        left = stars_mod.compose(top_first, flat_bottoms)
-        mids_first = [
-            stars_mod.compose(mid, row) for mid, row in zip(stack.mids, stack.bottoms)
-        ]
-        right = stars_mod.compose(stack.top, mids_first)
+    def assoc_fails(stack: Stack) -> bool:
+        bottoms = [b.diagram for mid in stack.fillers for b in mid.fillers]
+        left = stars_mod.compose(stack.compose(), bottoms)
+        right = stars_mod.compose(stack.diagram, [mid.compose() for mid in stack.fillers])
         return not stars_mod.diagrams_equal(left, right)
 
-    def equivariance_fails(case: tuple[TwoLevelStack, tuple[int, ...]]) -> bool:
+    def equivariance_fails(case: tuple[Stack, tuple[int, ...]]) -> bool:
         stack, perm = case
-        if sorted(perm) != list(range(stack.outer.arity)):
+        if sorted(perm) != list(range(stack.diagram.arity)):
             raise WiringError("stale permutation")
+        fillers = [f.diagram for f in stack.fillers]
         plain = stack.compose()
         permuted = stars_mod.compose(
-            stars_mod.reindex_inner(stack.outer, perm),
-            [stack.fillers[p] for p in perm],
+            stars_mod.reindex_inner(stack.diagram, perm),
+            [fillers[p] for p in perm],
         )
-        block_sizes = [f.arity for f in stack.fillers]
+        block_sizes = [f.arity for f in fillers]
         starts = [sum(block_sizes[:i]) for i in range(len(block_sizes))]
         flat_perm = [starts[p] + j for p in perm for j in range(block_sizes[p])]
         return not stars_mod.diagrams_equal(
             permuted, stars_mod.reindex_inner(plain, flat_perm)
         )
 
-    for case_index in range(cfg.cases):
-        wd = gen_diagram(rng, cfg)
-        if identity_fails(wd):
-            small = shrink(wd, _diagram_variants, identity_fails)
-            identity_failures.append(
-                LawFailure("identity", case_index, repr(small))
-            )
+    def equivariance_variants(case: tuple[Stack, tuple[int, ...]]):
+        # the first variants drop the top inner stars in order
+        stack, perm = case
+        for k, smaller in enumerate(_stack_variants(stack)):
+            if k < stack.diagram.arity:
+                yield smaller, tuple(p - (p > k) for p in perm if p != k)
+            else:
+                yield smaller, perm
 
-        stack3 = gen_three_level(rng, cfg)
+    for case_index in range(cfg.cases):
+        stack1 = gen_stack(rng, cfg, 1)
+        if identity_fails(stack1):
+            small = shrink(stack1, _stack_variants, identity_fails)
+            identity_failures.append(LawFailure("identity", case_index, repr(small)))
+
+        stack3 = gen_stack(rng, cfg, 3)
         if assoc_fails(stack3):
-            small = shrink(stack3, _three_level_variants, assoc_fails)
+            small = shrink(stack3, _stack_variants, assoc_fails)
             assoc_failures.append(LawFailure("associativity", case_index, repr(small)))
 
-        stack2 = gen_two_level(rng, cfg)
-        perm = list(range(stack2.outer.arity))
+        stack2 = gen_stack(rng, cfg, 2)
+        perm = list(range(stack2.diagram.arity))
         rng.shuffle(perm)
         case = (stack2, tuple(perm))
         if equivariance_fails(case):
-            small = shrink(case, _equivariance_variants, equivariance_fails)
+            small = shrink(case, equivariance_variants, equivariance_fails)
             equiv_failures.append(LawFailure("equivariance", case_index, repr(small)))
 
     return [
@@ -395,18 +355,16 @@ def check_pushout_oracle(cfg: GeneratorConfig) -> SuiteReport:
     """Composition agrees with brute-force quotient enumeration."""
     rng = cfg.rng()
     failures: list[LawFailure] = []
-    for case_index in range(cfg.cases):
-        stack = gen_two_level(rng, cfg)
+
+    def pushout_fails(stack: Stack) -> bool:
         fast = stack.compose()
-        slow = compose_by_closure(stack.outer, stack.fillers)
-        if not stars_mod.diagrams_equal(fast, slow):
-            small = shrink(
-                stack,
-                _two_level_variants,
-                lambda s: not stars_mod.diagrams_equal(
-                    s.compose(), compose_by_closure(s.outer, s.fillers)
-                ),
-            )
+        slow = compose_by_closure(stack.diagram, [f.diagram for f in stack.fillers])
+        return not stars_mod.diagrams_equal(fast, slow)
+
+    for case_index in range(cfg.cases):
+        stack = gen_stack(rng, cfg, 2)
+        if pushout_fails(stack):
+            small = shrink(stack, _stack_variants, pushout_fails)
             failures.append(LawFailure("pushout-oracle", case_index, repr(small)))
     return SuiteReport("pushout-oracle", cfg.cases, tuple(failures))
 
@@ -537,19 +495,15 @@ def check_algebra_naturality(cfg: GeneratorConfig, algebra: str = "rel") -> Suit
                     LawFailure("rel-naturality", case_index, repr((top, fillers, rels)))
                 )
         else:
-            stack = gen_two_level(rng, cfg)
-            parts = [
-                [gen_partition(rng, s) for s in f.inner] for f in stack.fillers
-            ]
+            stack = gen_stack(rng, cfg, 2)
+            fillers = [f.diagram for f in stack.fillers]
+            parts = [[gen_partition(rng, s) for s in f.inner] for f in fillers]
             composite = stack.compose()
             flat = [p for row in parts for p in row]
             direct = partitions_mod.evaluate(composite, flat)
             staged = partitions_mod.evaluate(
-                stack.outer,
-                [
-                    partitions_mod.evaluate(f, row)
-                    for f, row in zip(stack.fillers, parts)
-                ],
+                stack.diagram,
+                [partitions_mod.evaluate(f, row) for f, row in zip(fillers, parts)],
             )
             if direct != staged:
                 failures.append(

@@ -3,8 +3,7 @@
 A partition of a star's wires is wired through a diagram by merging, for
 each block of each inner partition, the cables those wires are soldered to;
 two outer wires end up in the same block exactly when their cables land in
-the same merged class.  :func:`connectivity_oracle` recomputes the same
-answer by reachability in the wire-cable graph.
+the same merged class.
 """
 
 from __future__ import annotations
@@ -93,46 +92,4 @@ def evaluate(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:
     groups: dict = {}
     for y in wd.outer.wires:
         groups.setdefault(uf.find(wd.outer_map[y]), []).append(y)
-    return Partition(wd.outer, groups.values())
-
-
-def connectivity_oracle(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:
-    """Group outer wires by reachability in the wire-cable graph.
-
-    Nodes are wires and cables; every wire touches its cable, and wires
-    sharing an inner block are linked.  Independent of the union-find path.
-    """
-    parts = tuple(parts)
-    _check_parts(wd, parts)
-    adjacency: dict = {("c", c): set() for c in wd.cables}
-
-    def link(a, b):
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-
-    for (i, w), c in wd.inner_map.items():
-        link(("w", i, w), ("c", c))
-    for y, c in wd.outer_map.items():
-        link(("y", y), ("c", c))
-    for i, part in enumerate(parts):
-        for block in part.blocks:
-            for w in block[1:]:
-                link(("w", i, block[0]), ("w", i, w))
-
-    component: dict = {}
-    for start in adjacency:
-        if start in component:
-            continue
-        stack = [start]
-        component[start] = start
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency[node]:
-                if nxt not in component:
-                    component[nxt] = start
-                    stack.append(nxt)
-
-    groups: dict = {}
-    for y in wd.outer.wires:
-        groups.setdefault(component[("y", y)], []).append(y)
     return Partition(wd.outer, groups.values())

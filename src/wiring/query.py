@@ -124,7 +124,11 @@ def validate_query(query: ConjunctiveQuery, script: "Script") -> dict[str, Typed
     return by_alias
 
 
-def _output_names(select: Sequence[AttrRef]) -> list[str]:
+def _result_star(
+    select: Sequence[AttrRef], by_alias: Mapping[str, TypedStar]
+) -> TypedStar:
+    """One wire per SELECT column, named by its attribute (prefixed with the
+    alias when two columns share an attribute name)."""
     counts: dict[str, int] = {}
     for ref in select:
         counts[ref.attr] = counts.get(ref.attr, 0) + 1
@@ -134,7 +138,15 @@ def _output_names(select: Sequence[AttrRef]) -> list[str]:
     ]
     if len(set(names)) != len(names):
         raise ScriptError("SELECT list repeats a column")
-    return names
+    return TypedStar(
+        Star(names),
+        {name: by_alias[ref.alias].domain(ref.attr) for name, ref in zip(names, select)},
+    )
+
+
+def result_star(query: ConjunctiveQuery, script: "Script") -> TypedStar:
+    """The typed star the query's result relation lives on."""
+    return _result_star(query.select, validate_query(query, script))
 
 
 def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
@@ -183,15 +195,10 @@ def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
         inner_map[(i, CONST_WIRE)] = cable_of(("lit", value, dom.name), dom)
         literal_relations.append(Relation(const_star, [(value,)]))
 
-    names = _output_names(query.select)
-    outer_types = {
-        name: by_alias[ref.alias].domain(ref.attr)
-        for name, ref in zip(names, query.select)
-    }
-    outer = TypedStar(Star(names), outer_types)
+    outer = _result_star(query.select, by_alias)
     outer_map = {
-        name: cable_of((ref.alias, ref.attr), outer_types[name])
-        for name, ref in zip(names, query.select)
+        name: cable_of((ref.alias, ref.attr), outer.domain(name))
+        for name, ref in zip(outer.wires, query.select)
     }
 
     diagram = WiringDiagram(

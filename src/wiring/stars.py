@@ -15,7 +15,7 @@ implemented with union-find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InterfaceError, ValidationError
 
@@ -259,39 +259,45 @@ def compose(outer_wd: WiringDiagram, inner_wds: Sequence[WiringDiagram]) -> Wiri
     return composite
 
 
-def _attachment_keys(wd: WiringDiagram) -> dict[Cable, tuple]:
-    """Key each attached cable by the sorted list of wires soldered to it."""
+def canonicalize_with_renaming(
+    wd: WiringDiagram, floating_key: Callable[[Cable], Any] | None = None
+) -> tuple[WiringDiagram, dict[Cable, int]]:
+    """As :func:`canonicalize`, also returning the cable renaming.
+
+    ``floating_key``, when given, orders the floating cables; otherwise they
+    keep their order in ``wd.cables``.
+    """
     points: dict[Cable, list[tuple[int, int, str]]] = {}
     for (i, w), c in wd.inner_map.items():
         points.setdefault(c, []).append((0, i, w))
     for w, c in wd.outer_map.items():
         points.setdefault(c, []).append((1, 0, w))
-    return {c: tuple(sorted(ps)) for c, ps in points.items()}
-
-
-def canonicalize(wd: WiringDiagram) -> WiringDiagram:
-    """Rename cables deterministically so equal morphisms coincide on the nose.
-
-    Attached cables are sorted by their attachment key and numbered from 1;
-    floating cables are indistinguishable and receive the remaining indices,
-    so only their count matters.
-    """
-    keys = _attachment_keys(wd)
-    renamed: dict[Cable, int] = {}
-    for rank, cable in enumerate(sorted(keys, key=keys.__getitem__), start=1):
-        renamed[cable] = rank
-    next_id = len(renamed) + 1
-    for c in wd.cables:
-        if c not in renamed:
-            renamed[c] = next_id
-            next_id += 1
-    return WiringDiagram(
+    keys = {c: tuple(sorted(ps)) for c, ps in points.items()}
+    attached = sorted(keys, key=keys.__getitem__)
+    floating = [c for c in wd.cables if c not in keys]
+    if floating_key is not None:
+        floating.sort(key=floating_key)
+    renamed = {c: k for k, c in enumerate(attached + floating, start=1)}
+    canonical = WiringDiagram(
         inner=wd.inner,
         outer=wd.outer,
         cables=tuple(range(1, len(wd.cables) + 1)),
         inner_map={k: renamed[c] for k, c in wd.inner_map.items()},
         outer_map={w: renamed[c] for w, c in wd.outer_map.items()},
     )
+    return canonical, renamed
+
+
+def canonicalize(wd: WiringDiagram) -> WiringDiagram:
+    """Rename cables deterministically so equal morphisms coincide on the nose.
+
+    Attached cables are keyed by the sorted list of wires soldered to them,
+    sorted by that key and numbered from 1; floating cables are
+    indistinguishable and receive the remaining indices, so only their count
+    matters.
+    """
+    canonical, _ = canonicalize_with_renaming(wd)
+    return canonical
 
 
 def diagrams_equal(a: WiringDiagram, b: WiringDiagram) -> bool:

@@ -5,9 +5,9 @@ respect the typing: a wire's domain equals the domain of the cable it is
 soldered to.  Domains are nominal: two domains with the same values but
 different names are distinct types.
 
-:func:`lift_uniform` types every wire of a plain diagram with one domain;
-:func:`forget_types` strips the typing.  The two are mutually inverse in one
-direction: forgetting a uniform lift returns the original diagram.
+:func:`lift_uniform` types every wire of a plain diagram with one domain,
+and ``.diagram`` strips the typing again: the diagram under a uniform lift
+is the original one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .stars import (
     Cable,
     Star,
     WiringDiagram,
+    canonicalize_with_renaming,
     compose_with_classes,
-    diagrams_equal,
     identity_diagram,
 )
 
@@ -37,10 +37,12 @@ class ValueDomain:
 
     def __init__(self, name: str, values: Iterable[Value] = ()):
         values = tuple(values)
-        if len(set(values)) != len(values):
+        members = frozenset(values)
+        if len(members) != len(values):
             raise ValidationError(f"domain {name!r} has duplicate values")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_members", members)
 
     @classmethod
     def int_range(cls, name: str, lo: int, hi: int) -> "ValueDomain":
@@ -50,7 +52,7 @@ class ValueDomain:
         return cls(name, tuple(range(lo, hi + 1)))
 
     def __contains__(self, value) -> bool:
-        return value in self.values
+        return value in self._members
 
     def __len__(self) -> int:
         return len(self.values)
@@ -172,11 +174,6 @@ class TypedWiringDiagram:
         return f"TypedWiringDiagram([{inner}] -> {self.outer!r})"
 
 
-def forget_types(twd: TypedWiringDiagram) -> WiringDiagram:
-    """The underlying untyped diagram."""
-    return twd.diagram
-
-
 def lift_uniform(wd: WiringDiagram, domain: ValueDomain) -> TypedWiringDiagram:
     """Type every wire and cable of ``wd`` with ``domain``."""
     return TypedWiringDiagram(
@@ -239,33 +236,27 @@ def canonicalize_typed(twd: TypedWiringDiagram) -> TypedWiringDiagram:
     floating cables, invisible to the untyped key, are ordered by domain so
     that typed equality is well defined.
     """
-    from .stars import _attachment_keys
-
-    keys = _attachment_keys(twd.diagram)
-    attached = sorted(keys, key=keys.__getitem__)
-    floating = [c for c in twd.diagram.cables if c not in keys]
-    floating.sort(key=lambda c: (twd.cable_types[c].name, str(twd.cable_types[c].values)))
-    renamed = {c: k for k, c in enumerate(attached + floating, start=1)}
-    diagram = WiringDiagram(
-        inner=twd.diagram.inner,
-        outer=twd.diagram.outer,
-        cables=tuple(range(1, len(twd.diagram.cables) + 1)),
-        inner_map={k: renamed[c] for k, c in twd.diagram.inner_map.items()},
-        outer_map={w: renamed[c] for w, c in twd.diagram.outer_map.items()},
+    types = twd.cable_types
+    diagram, renamed = canonicalize_with_renaming(
+        twd.diagram, lambda c: (types[c].name, str(types[c].values))
     )
     return TypedWiringDiagram(
         diagram=diagram,
         inner=twd.inner,
         outer=twd.outer,
-        cable_types={renamed[c]: d for c, d in twd.cable_types.items()},
+        cable_types={renamed[c]: d for c, d in types.items()},
     )
 
 
 def typed_diagrams_equal(a: TypedWiringDiagram, b: TypedWiringDiagram) -> bool:
     """Canonical morphism equality, typings included."""
-    if not diagrams_equal(a.diagram, b.diagram):
+    if a.arity != b.arity or len(a.diagram.cables) != len(b.diagram.cables):
         return False
-    if any(x != y for x, y in zip(a.inner, b.inner)) or a.outer != b.outer:
+    if a.outer != b.outer or any(x != y for x, y in zip(a.inner, b.inner)):
         return False
     ca, cb = canonicalize_typed(a), canonicalize_typed(b)
-    return ca.cable_types == cb.cable_types
+    return (
+        ca.diagram.inner_map == cb.diagram.inner_map
+        and ca.diagram.outer_map == cb.diagram.outer_map
+        and ca.cable_types == cb.cable_types
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
+from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
 from wiring.recursion import RecursiveSetup, step
 from wiring.relations import Relation
@@ -88,3 +89,43 @@ def kleene_fixed_point(setup: RecursiveSetup, mode: str) -> Relation:
         if following == current:
             return current
         current = following
+
+
+def connectivity_oracle(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:
+    """Group outer wires by reachability in the wire-cable graph.
+
+    Nodes are wires and cables; every wire touches its cable, and wires
+    sharing an inner block are linked.  Independent of the union-find path.
+    """
+    adjacency: dict = {("c", c): set() for c in wd.cables}
+
+    def link(a, b):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+
+    for (i, w), c in wd.inner_map.items():
+        link(("w", i, w), ("c", c))
+    for y, c in wd.outer_map.items():
+        link(("y", y), ("c", c))
+    for i, part in enumerate(parts):
+        for block in part.blocks:
+            for w in block[1:]:
+                link(("w", i, block[0]), ("w", i, w))
+
+    component: dict = {}
+    for start in adjacency:
+        if start in component:
+            continue
+        stack = [start]
+        component[start] = start
+        while stack:
+            node = stack.pop()
+            for nxt in adjacency[node]:
+                if nxt not in component:
+                    component[nxt] = start
+                    stack.append(nxt)
+
+    groups: dict = {}
+    for y in wd.outer.wires:
+        groups.setdefault(component[("y", y)], []).append(y)
+    return Partition(wd.outer, groups.values())

@@ -11,7 +11,6 @@ rel nand : NAND from "nand.csv";
 query notq = SELECT n.A, n.out FROM nand n WHERE n.A = n.B;
 query andq = SELECT n1.A, n1.B, n2.out FROM nand n1, nand n2
   WHERE n1.out = n2.A AND n1.out = n2.B;
-union gates = notq | andq;
 diagram copy(NAND) -> NAND {
   cable ca : Bool;
   cable cb : Bool;
@@ -55,9 +54,18 @@ def test_eval_out_file(project, tmp_path):
 
 
 def test_eval_union(project, capsys):
+    (project / "circuits.wd").write_text(SCRIPT + "union gates = notq | andq;\n")
     assert run_cli(["eval", str(project / "circuits.wd"), "gates"]) == 1
     # differently-shaped results cannot be unioned
     assert "error" in capsys.readouterr().err
+
+
+def test_union_of_different_shapes_fails_check(project, capsys):
+    script = project / "circuits.wd"
+    script.write_text(SCRIPT + "union gates = notq | andq;\n")
+    assert run_cli(["check", str(script)]) == 1
+    line = SCRIPT.count("\n") + 1
+    assert f"error: {line}:22: union 'gates': 'andq' gives" in capsys.readouterr().err
 
 
 def test_inline_query(project, capsys):

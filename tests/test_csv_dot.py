@@ -1,12 +1,14 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strategies import typed_and_relations
 from wiring.csvio import load_csv_relation, write_relation_csv
 from wiring.dot import emit_dot
-from wiring.errors import CsvFormatError
+from wiring.dsl import parse_script
+from wiring.errors import CsvFormatError, ScriptError
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram, canonicalize, identity_diagram
 from wiring.typed import TypedStar, ValueDomain
@@ -107,6 +109,46 @@ class TestCsvWrite:
             with open(path, "w", encoding="utf-8") as fh:
                 write_relation_csv(rel, fh)
             assert load_csv_relation(path, rel.star) == rel
+
+
+def _literal(value) -> str:
+    return str(value) if isinstance(value, int) else f"'{value}'"
+
+
+def _dsl_accepts(value) -> bool:
+    try:
+        parse_script(f"type T = {{{_literal(value)}}};\n")
+    except ScriptError:
+        return False
+    return True
+
+
+class TestCsvRoundTripOfScriptDomains:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-20, 20), st.text(alphabet="ab1- ,\t\r", max_size=3)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_written_relation_loads_back(self, values, data, tmp_path_factory):
+        accepted = [v for v in values if _dsl_accepts(v)]
+        assume(accepted)
+        wires = ["x", "y"][: data.draw(st.integers(1, 2))]
+        script = parse_script(
+            f"type T = {{{', '.join(map(_literal, accepted))}}};\n"
+            f"star S({', '.join(f'{w}:T' for w in wires)});\n"
+        )
+        star = script.stars["S"]
+        column = st.sampled_from(script.domains["T"].values)
+        rel = Relation(star, data.draw(st.lists(st.tuples(*(column for _ in wires)))))
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_relation_csv(rel, fh)
+        assert load_csv_relation(path, star) == rel
 
 
 class TestDot:

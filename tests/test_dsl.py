@@ -22,7 +22,9 @@ diagram notgate(NAND) -> IO {
 query notq = SELECT n.A, n.out FROM nand n WHERE n.A = n.B;
 query andq = SELECT n1.A, n1.B, n2.out FROM nand n1, nand n2
   WHERE n1.out = n2.A AND n1.out = n2.B;
-union gates = notq | andq;
+query buf = SELECT n1.A, n2.out FROM nand n1, nand n2
+  WHERE n1.A = n1.B AND n1.out = n2.A AND n1.out = n2.B;
+union gates = notq | buf;
 """
 
 FACTORIAL_SCRIPT = """
@@ -74,7 +76,7 @@ class TestParsing:
         script = parse_script(NAND_SCRIPT)
         assert set(script.stars) == {"NAND", "IO"}
         assert script.diagrams["notgate"].typed.arity == 1
-        assert script.unions["gates"].parts == ("notq", "andq")
+        assert script.unions["gates"].parts == ("notq", "buf")
 
     def test_primes_in_identifiers(self):
         script = parse_script(FACTORIAL_SCRIPT)
@@ -163,6 +165,23 @@ class TestErrors:
                 "type T = {a};\nstar S(w:T);\nrel r : S from \"x.csv\";\n"
                 "query q = SELECT s.w FROM r s;\nunion u = q | ghost;\n"
             )
+
+    def test_union_parts_must_share_shape(self):
+        message = r"'q2' gives \(y:N\) but 'q1' gives \(x:T\)"
+        with pytest.raises(ScriptError, match=message) as err:
+            parse_script(
+                "type T = {a};\ntype N = range 0..3;\nstar R(x:T);\nstar S(y:N);\n"
+                "rel r : R from \"r.csv\";\nrel s : S from \"s.csv\";\n"
+                "query q1 = SELECT a.x FROM r a;\nquery q2 = SELECT b.y FROM s b;\n"
+                "union u = q1 | q2;\n"
+            )
+        assert (err.value.line, err.value.column) == (9, 16)
+
+    @pytest.mark.parametrize("literal", ["'1'", "'a,b'", "''", "' a'"])
+    def test_type_value_must_read_back_from_csv(self, literal):
+        with pytest.raises(ScriptError, match="read back") as err:
+            parse_script(f"type T = {{a, {literal}}};\n")
+        assert (err.value.line, err.value.column) == (1, 14)
 
     def test_setup_requires_recursive_codomain(self):
         with pytest.raises(ScriptError, match="Z => Z"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import connectivity_oracle
 from strategies import diagrams, partitions as partition_strategy, stars
 from wiring import partitions
 from wiring.errors import InterfaceError, ValidationError
@@ -66,7 +67,7 @@ class TestEvaluate:
             wd, [Partition(s1, [["r", "s"]]), Partition.discrete(s2)]
         )
         assert linked == Partition(outer, [["a", "b"], ["c"]])
-        assert linked == partitions.connectivity_oracle(
+        assert linked == connectivity_oracle(
             wd, [Partition(s1, [["r", "s"]]), Partition.discrete(s2)]
         )
         separate = partitions.evaluate(
@@ -98,7 +99,7 @@ class TestOracleAgreement:
     def test_matches_reachability(self, data):
         wd = data.draw(diagrams())
         parts = [data.draw(partition_strategy(s)) for s in wd.inner]
-        assert partitions.evaluate(wd, parts) == partitions.connectivity_oracle(
+        assert partitions.evaluate(wd, parts) == connectivity_oracle(
             wd, parts
         )
 
@@ -110,7 +111,7 @@ class TestOracleAgreement:
         for _ in range(1000):
             wd = gen_diagram(rng, cfg)
             parts = [gen_partition(rng, s) for s in wd.inner]
-            assert partitions.evaluate(wd, parts) == partitions.connectivity_oracle(
+            assert partitions.evaluate(wd, parts) == connectivity_oracle(
                 wd, parts
             )
 

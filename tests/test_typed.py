@@ -9,7 +9,6 @@ from wiring.typed import (
     TypedStar,
     TypedWiringDiagram,
     ValueDomain,
-    forget_types,
     lift_uniform,
     typed_compose,
     typed_diagrams_equal,
@@ -100,7 +99,7 @@ class TestFunctors:
         dom = ValueDomain("D", (0, 1))
         for _ in range(100):
             wd = gen_diagram(rng, cfg)
-            assert forget_types(lift_uniform(wd, dom)) is wd
+            assert lift_uniform(wd, dom).diagram is wd
 
     def test_lift_of_identity_is_typed_identity(self, bool_domain):
         star = Star(["a", "b"])
@@ -119,7 +118,7 @@ class TestFunctors:
                 lift_uniform(outer, bool_domain),
                 [lift_uniform(f, bool_domain) for f in fillers],
             )
-            assert diagrams_equal(forget_types(lifted), compose(outer, fillers))
+            assert diagrams_equal(lifted.diagram, compose(outer, fillers))
 
     def test_lift_preserves_composition(self, bool_domain):
         rng = random.Random(13)
