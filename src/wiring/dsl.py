@@ -682,7 +682,10 @@ def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
 # pretty printer
 
 def _format_value(v: Value) -> str:
-    return str(v) if isinstance(v, int) else f"'{v}'"
+    if isinstance(v, int):
+        return str(v)
+    # The lexer reads no value holding both quotes, so one of them fits.
+    return f'"{v}"' if "'" in v else f"'{v}'"
 
 
 def format_script(script: Script) -> str:

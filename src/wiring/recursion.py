@@ -85,7 +85,7 @@ def step(setup: RecursiveSetup, rel: Relation) -> Relation:
     out: set[tuple] = set()
     for arg in rel.aligned_tuples(setup.z.wires):
         out.update(setup.transition.get(arg, ()))
-    return Relation(setup.z, out)
+    return Relation._trusted(setup.z, frozenset(out))
 
 
 def is_fixed_point(setup: RecursiveSetup, rel: Relation) -> bool:
@@ -117,10 +117,10 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     live = {t for targets in transition.values() for t in targets}
     indegree = Counter(t for s in live for t in transition.get(s, ()))
     dropped = {s for s in live if not indegree[s]}
-    trace = [Relation(setup.z, live)]
+    trace = [Relation._trusted(setup.z, frozenset(live))]
     while dropped:
         live.difference_update(dropped)
-        trace.append(Relation(setup.z, live))
+        trace.append(Relation._trusted(setup.z, frozenset(live)))
         successors = [t for s in dropped for t in transition.get(s, ())]
         indegree.subtract(successors)
         dropped = {t for t in successors if not indegree[t]}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from wiring.cli import run_cli
@@ -142,6 +144,38 @@ def test_fixpoint_round_trip(tmp_path, capsys, fixtures_dir):
     assert "4,24" in captured.out
     assert "iterations=" in captured.err
     assert run_cli(["fixpoint", str(tmp_path / "factorial.wd"), "fact", "--mode", "lfp"]) == 0
+
+
+FREE_CABLES_SCRIPT = """
+type N = range 0..99;
+star F(A:N, B:N);
+star U(A:N);
+rel u : U from "u.csv";
+diagram d(U) -> [F => F] {
+  cable x : N;
+  cable p : N;
+  cable q : N;
+  cable r : N;
+  cable t : N;
+  solder inner1.A -> x;
+  solder out.ret.A -> p;
+  solder out.ret.B -> q;
+  solder out.arg1.A -> r;
+  solder out.arg1.B -> t;
+}
+setup s = d(u);
+"""
+
+
+def test_fixpoint_refuses_huge_free_cable_expansion(tmp_path, capsys):
+    # four outer cables no inner wire touches: 10^8 assignments
+    (tmp_path / "free.wd").write_text(FREE_CABLES_SCRIPT)
+    (tmp_path / "u.csv").write_text("A\n3\n")
+    start = time.perf_counter()
+    assert run_cli(["fixpoint", str(tmp_path / "free.wd"), "s"]) == 1
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert "error:" in err and "bound is 10000000" in err
 
 
 def test_laws_subcommand(tmp_path, capsys):

@@ -1,5 +1,10 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wiring.csvio import survives_csv
 from wiring.dsl import format_script, parse_query_text, parse_script
 from wiring.errors import ScriptError
 from wiring.recursion import factorial_fixture
@@ -211,6 +216,81 @@ class TestRoundTrip:
                 assert typed_diagrams_equal(
                     reparsed.diagrams[name].typed, decl.typed
                 )
+
+
+    def test_value_with_apostrophe_round_trips(self):
+        script = parse_script('type T = {"it\'s", b};\n')
+        printed = format_script(script)
+        assert printed == 'type T = {"it\'s", \'b\'};\n'
+        assert parse_script(printed).domains["T"].values == ("it's", "b")
+
+
+# Text values the DSL accepts: they read back from CSV, and hold at most one
+# kind of quote, since a quoted literal cannot contain its own quote.
+_texts = st.text(alphabet="ab1_-' \"", min_size=1, max_size=4).filter(
+    lambda v: survives_csv(v) and not ("'" in v and '"' in v)
+)
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
+
+
+@st.composite
+def _literals(draw, value):
+    """One way to write ``value`` in a script."""
+    if isinstance(value, int):
+        return str(value)
+    quotes = [q for q in "'\"" if q not in value]
+    if _IDENT.fullmatch(value):
+        quotes.append("")
+    quote = draw(st.sampled_from(quotes))
+    return f"{quote}{value}{quote}"
+
+
+@st.composite
+def _scripts(draw):
+    """Script text of random ``type``, ``star`` and ``const`` declarations."""
+    lines: list[str] = []
+    domains: list[tuple] = []
+    for k in range(draw(st.integers(0, 6))):
+        filled = [d for d in domains if d[1]]
+        kind = draw(
+            st.sampled_from(["type"] + ["star"] * bool(domains) + ["const"] * bool(filled))
+        )
+        if kind == "type":
+            if draw(st.booleans()):
+                lo = draw(st.integers(-3, 3))
+                hi = lo + draw(st.integers(0, 3))
+                lines.append(f"type T{k} = range {lo}..{hi};")
+                values = tuple(range(lo, hi + 1))
+            else:
+                values = tuple(
+                    draw(
+                        st.lists(
+                            st.one_of(st.integers(-9, 9), _texts),
+                            max_size=4,
+                            unique=True,
+                        )
+                    )
+                )
+                body = ", ".join(draw(_literals(v)) for v in values)
+                lines.append(f"type T{k} = {{{body}}};")
+            domains.append((f"T{k}", values))
+        elif kind == "star":
+            types = draw(st.lists(st.sampled_from(domains), max_size=3))
+            body = ", ".join(f"w{j}:{name}" for j, (name, _v) in enumerate(types))
+            lines.append(f"star S{k}({body});")
+        else:
+            name, values = draw(st.sampled_from(filled))
+            value = draw(st.sampled_from(values))
+            lines.append(f"const c{k} : {name} = {draw(_literals(value))};")
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(_scripts())
+    def test_format_parse_format_is_stable(self, text):
+        printed = format_script(parse_script(text))
+        assert format_script(parse_script(printed)) == printed
 
 
 class TestInlineQuery:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from wiring.laws import (
     gen_relation,
     gen_typed,
 )
-from wiring.relations import Relation, evaluate, evaluate_naive, union
+from wiring.relations import Relation, evaluate, evaluate_naive, plan_join, union
 from wiring.stars import Star, WiringDiagram, identity_diagram
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain, lift_uniform
 
@@ -301,3 +302,165 @@ class TestMonotonicityAndOracle:
 def test_rel_naturality_suite_passes():
     report = check_algebra_naturality(GeneratorConfig(seed=8, cases=120), "rel")
     assert report.ok, report.format()
+
+
+def _path(rng, dom, sizes):
+    """A path query R0(a,b), R1(b,c), ... with relations of the given sizes."""
+    n = len(sizes)
+    cables = tuple(f"c{k}" for k in range(n + 1))
+    stars = [TypedStar.uniform(["x", "y"], dom) for _ in range(n)]
+    outer = TypedStar.uniform(["first", "last"], dom)
+    inner_map = {}
+    for i in range(n):
+        inner_map[(i, "x")] = cables[i]
+        inner_map[(i, "y")] = cables[i + 1]
+    wd = WiringDiagram(
+        inner=tuple(s.star for s in stars),
+        outer=outer.star,
+        cables=cables,
+        inner_map=inner_map,
+        outer_map={"first": cables[0], "last": cables[-1]},
+    )
+    twd = TypedWiringDiagram(wd, stars, outer, {c: dom for c in cables})
+    space = [(x, y) for x in dom.values for y in dom.values]
+    rels = [Relation(s, rng.sample(space, k)) for s, k in zip(stars, sizes)]
+    return twd, rels
+
+
+class TestJoinPlan:
+    def test_path_order_follows_shared_cables(self):
+        # The two smallest relations, the ends of the path, share no cable.
+        dom = ValueDomain.int_range("N", 0, 7)
+        twd, rels = _path(random.Random(3), dom, [5, 40, 30, 6])
+        plan = plan_join(twd, [len(r) for r in rels])
+        assert [step.star for step in plan.steps] == [0, 1, 2, 3]
+        for step in plan.steps[1:]:
+            assert step.key_slots
+        assert plan.steps[-1].cables == ("c0", "c4")
+        assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+
+    def test_disconnected_stars_fall_back_to_smallest(self, bool_domain):
+        a = TypedStar.uniform(["p"], bool_domain)
+        wd = WiringDiagram(
+            inner=(a.star, a.star, a.star),
+            outer=Star(["p", "q"]),
+            cables=("x", "y"),
+            inner_map={(0, "p"): "x", (1, "p"): "y", (2, "p"): "x"},
+            outer_map={"p": "x", "q": "y"},
+        )
+        outer = TypedStar.uniform(["p", "q"], bool_domain)
+        twd = TypedWiringDiagram(wd, (a, a, a), outer, {"x": bool_domain, "y": bool_domain})
+        plan = plan_join(twd, [1, 2, 2])
+        # star 2 shares cable x with star 0; star 1 is a cross product
+        assert [step.star for step in plan.steps] == [0, 2, 1]
+        assert plan.steps[2].key_slots == ()
+
+    def test_cable_on_two_wires_of_one_star(self, nand_star):
+        io = TypedStar.uniform(["in", "out"], nand_star.domain("A"))
+        wd = WiringDiagram(
+            inner=(nand_star.star,),
+            outer=io.star,
+            cables=("i", "o"),
+            inner_map={(0, "A"): "i", (0, "B"): "i", (0, "out"): "o"},
+            outer_map={"in": "i", "out": "o"},
+        )
+        twd = TypedWiringDiagram(wd, (nand_star,), io, {c: nand_star.domain("A") for c in "io"})
+        (step,) = plan_join(twd, [4]).steps
+        assert step.equal_pairs == ((0, 1),)
+        assert step.cables == ("i", "o")
+
+
+def _random_instance(rng):
+    """2-4 stars over 2-5 cables with up to 60 tuples per relation, small
+    enough for evaluate_naive; some outer cables may touch no inner wire."""
+    dom = ValueDomain.int_range("D", 0, rng.randint(2, 5))
+    n_cables = rng.randint(2, 4 if len(dom) > 4 else 5)
+    cables = tuple(f"k{c}" for c in range(n_cables))
+    stars, inner_map, rels = [], {}, []
+    for i in range(rng.randint(2, 4)):
+        wires = [f"w{j}" for j in range(rng.randint(1, 3))]
+        star = TypedStar.uniform(wires, dom)
+        for w in wires:
+            inner_map[(i, w)] = rng.choice(cables)
+        stars.append(star)
+        space = list(product(dom.values, repeat=len(wires)))
+        size = rng.choice([0, 1, 2, rng.randint(0, 60)])
+        rels.append(Relation(star, rng.sample(space, min(size, len(space)))))
+    outer_wires = [f"o{j}" for j in range(rng.randint(0, 3))]
+    outer = TypedStar.uniform(outer_wires, dom)
+    wd = WiringDiagram(
+        inner=tuple(s.star for s in stars),
+        outer=outer.star,
+        cables=cables,
+        inner_map=inner_map,
+        outer_map={w: rng.choice(cables) for w in outer_wires},
+    )
+    twd = TypedWiringDiagram(wd, stars, outer, {c: dom for c in cables})
+    return twd, rels
+
+
+def test_plan_matches_naive_on_seeded_instances(monkeypatch):
+    import wiring.relations as relations_mod
+
+    indexed = set()
+    group = relations_mod._group
+
+    def spy(items, key):
+        indexed.add("partials" if isinstance(items, set) else "rows")
+        return group(items, key)
+
+    monkeypatch.setattr(relations_mod, "_group", spy)
+    seen = {"cross": 0, "equal": 0, "free": 0, "emptied": 0}
+    rng = random.Random(71)
+    for _ in range(300):
+        twd, rels = _random_instance(rng)
+        plan = plan_join(twd, [len(r) for r in rels])
+        got = evaluate(twd, rels)
+        assert got == evaluate_naive(twd, rels)
+        seen["cross"] += any(not s.key_slots for s in plan.steps[1:])
+        seen["equal"] += any(s.equal_pairs for s in plan.steps)
+        seen["free"] += bool(plan.free)
+        seen["emptied"] += got.is_empty and all(rels)
+    assert indexed == {"partials", "rows"}
+    assert all(seen.values()), seen
+
+    # A path whose first join is empty: the partials empty in mid-plan.
+    dom = ValueDomain.int_range("N", 0, 3)
+    twd, rels = _path(random.Random(5), dom, [2, 3, 4])
+    star = rels[1].star
+    rels[0] = Relation(star, [(0, 0), (1, 0)])
+    rels[1] = Relation(star, [(1, 2), (2, 2), (3, 3)])
+    assert evaluate(twd, rels).is_empty
+    assert evaluate_naive(twd, rels).is_empty
+
+
+class TestFreeCableBound:
+    def _diagram(self, dom, n_free):
+        u = TypedStar.uniform(["a"], dom)
+        wires = [f"f{k}" for k in range(n_free)]
+        outer = TypedStar.uniform(["a", *wires], dom)
+        wd = WiringDiagram(
+            inner=(u.star,),
+            outer=outer.star,
+            cables=("a", *wires),
+            inner_map={(0, "a"): "a"},
+            outer_map={w: w for w in outer.wires},
+        )
+        twd = TypedWiringDiagram(wd, (u,), outer, {c: dom for c in wd.cables})
+        return u, twd
+
+    def test_expansion_above_the_bound_is_refused(self):
+        dom = ValueDomain.int_range("N", 0, 99)
+        u, twd = self._diagram(dom, 4)
+        with pytest.raises(EnumerationLimitError, match="100000000"):
+            evaluate(twd, [Relation(u, [(3,)])])
+
+    def test_bound_counts_partial_tuples(self, monkeypatch):
+        import wiring.relations as relations_mod
+
+        monkeypatch.setattr(relations_mod, "ENUMERATION_LIMIT", 20)
+        dom = ValueDomain.int_range("N", 0, 9)
+        u, twd = self._diagram(dom, 1)
+        assert len(evaluate(twd, [Relation(u, [(1,), (2,)])])) == 20
+        with pytest.raises(EnumerationLimitError):
+            evaluate(twd, [Relation(u, [(1,), (2,), (3,)])])
