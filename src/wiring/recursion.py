@@ -43,7 +43,7 @@ class RecursiveSetup:
             raise InterfaceError("setup relation does not live on [z => z]")
         n = len(self.z.wires)
         index: dict[tuple, set[tuple]] = {}
-        for t in self.relation.tuples:
+        for t in self.relation.aligned_tuples(self.hom.star.wires):
             index.setdefault(t[:n], set()).add(t[n:])
         object.__setattr__(
             self, "transition", {k: frozenset(v) for k, v in index.items()}

@@ -80,9 +80,10 @@ class Relation:
 
     @classmethod
     def _trusted(cls, star: TypedStar, tuples: frozenset[tuple[Value, ...]]) -> "Relation":
-        """A relation on tuples known to fit ``star``, without the checks of
-        ``__init__``: for tuples taken from validated relations or from the
-        cable domains of a validated typed diagram."""
+        """A relation on tuples known to fit ``star`` in the order of its
+        wires, without the checks of ``__init__``: for tuples taken from
+        validated relations or from the cable domains of a validated typed
+        diagram."""
         rel = object.__new__(cls)
         object.__setattr__(rel, "star", star)
         object.__setattr__(rel, "tuples", tuples)
@@ -272,7 +273,8 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     plan = plan_join(twd, [len(rel) for rel in rels])
     partials: set[tuple] = {()}
     for step in plan.steps:
-        partials = _join_step(partials, rels[step.star].tuples, step)
+        rows = rels[step.star].aligned_tuples(twd.inner[step.star].wires)
+        partials = _join_step(partials, rows, step)
         if not partials:
             return Relation.empty(twd.outer)
 

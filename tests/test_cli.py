@@ -178,6 +178,38 @@ def test_fixpoint_refuses_huge_free_cable_expansion(tmp_path, capsys):
     assert "error:" in err and "bound is 10000000" in err
 
 
+REORDERED_STAR_SCRIPT = """
+type N = range 0..2;
+type T = {x, y};
+star F(A:N, B:T);
+star U(A:N, B:T);
+star V(B:T, A:N);
+rel v : V from "v.csv";
+diagram d(U) -> [F => F] {
+  cable a : N;
+  cable b : T;
+  solder inner1.A -> a;
+  solder inner1.B -> b;
+  solder out.ret.A -> a;
+  solder out.ret.B -> b;
+  solder out.arg1.A -> a;
+  solder out.arg1.B -> b;
+}
+setup s = d(v);
+"""
+
+
+def test_fixpoint_reads_a_reordered_input_by_wire_name(tmp_path, capsys):
+    # v's star lists U's wires in the other order: the identity setup must
+    # still send v's A column to F's A wire.
+    (tmp_path / "reordered.wd").write_text(REORDERED_STAR_SCRIPT)
+    (tmp_path / "v.csv").write_text("B,A\nx,2\ny,0\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["fixpoint", str(tmp_path / "reordered.wd"), "s", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "A,B"
+    assert sorted(lines[1:]) == ["0,y", "2,x"]
+
 def test_laws_subcommand(tmp_path, capsys):
     summary = tmp_path / "summary.tsv"
     code = run_cli(["laws", "--cases", "20", "--seed", "4", "--summary", str(summary)])

@@ -101,6 +101,23 @@ class TestStep:
             step(small_fixture.setup, Relation.empty(TypedStar.uniform(["a", "b"], bool_domain)))
 
 
+def test_setup_relation_is_read_by_wire_name_not_position():
+    # The setup relation lives on a reordered copy of the hom star, with a
+    # different domain on each wire of z.
+    n = ValueDomain.int_range("N", 0, 2)
+    t = ValueDomain("T", ["x", "y"])
+    z = TypedStar(["a", "b"], {"a": n, "b": t})
+    hom = internal_hom([z], z).star
+    reordered = TypedStar(list(reversed(hom.wires)), hom.types)
+    # (ret.b, ret.a, arg1.b, arg1.a): 0x -> 1y -> 0x and 2x -> 0x
+    relation = Relation(
+        reordered, [("y", 1, "x", 0), ("x", 0, "y", 1), ("x", 0, "x", 2)]
+    )
+    setup = setup_from_relation(z, relation)
+    assert step(setup, Relation(z, [(0, "x")])) == Relation(z, [(1, "y")])
+    assert step(setup, Relation(z, [(2, "x")])) == Relation(z, [(0, "x")])
+    assert fixed_point(setup).relation == Relation(z, [(0, "x"), (1, "y")])
+
 class TestFixedPoint:
     def test_greatest_is_truncated_factorial(self, small_fixture):
         result = fixed_point(small_fixture.setup, "greatest")

@@ -434,6 +434,34 @@ def test_plan_matches_naive_on_seeded_instances(monkeypatch):
     assert evaluate_naive(twd, rels).is_empty
 
 
+def test_inputs_are_read_by_wire_name_not_position():
+    # The second input lives on a reordered copy of its inner star, with a
+    # different domain on each wire: its columns must still meet the right
+    # cables, whether the plan joins it first or second.
+    n = ValueDomain.int_range("N", 0, 2)
+    t = ValueDomain("T", ["x", "y"])
+    u = TypedStar(["A", "B"], {"A": n, "B": t})
+    v = TypedStar(["B", "A"], {"A": n, "B": t})
+    outer = TypedStar(["a", "b", "c"], {"a": n, "b": t, "c": n})
+    wd = WiringDiagram(
+        inner=(u.star, u.star),
+        outer=outer.star,
+        cables=("a", "b", "c"),
+        inner_map={(0, "A"): "a", (0, "B"): "b", (1, "A"): "c", (1, "B"): "b"},
+        outer_map={"a": "a", "b": "b", "c": "c"},
+    )
+    twd = TypedWiringDiagram(wd, (u, u), outer, {"a": n, "b": t, "c": n})
+    first = Relation(u, [(0, "x"), (1, "y")])
+    expected = {(0, "x", 2), (1, "y", 0), (1, "y", 1)}
+    for second in (
+        Relation(v, [("x", 2), ("y", 0), ("y", 1)]),
+        Relation(v, [("y", 0), ("y", 1)]),
+    ):
+        got = evaluate(twd, [first, second])
+        assert got == evaluate_naive(twd, [first, second])
+        want = {r for r in expected if (r[1], r[2]) in second}
+        assert got.aligned_tuples(("a", "b", "c")) == want
+
 class TestFreeCableBound:
     def _diagram(self, dom, n_free):
         u = TypedStar.uniform(["a"], dom)
