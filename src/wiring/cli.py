@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Mapping
+from contextlib import contextmanager
+from typing import IO, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .errors import WiringError
@@ -60,17 +61,18 @@ def _resolve_result(
     raise WiringError(f"no query or union named {name!r}")
 
 
-def _open_out(path: str | None) -> IO[str]:
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
-def _write_result(result: Relation, out: str | None) -> None:
-    handle = _open_out(out)
+@contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The file at ``path``, or standard output when there is none; a
+    file that cannot be written is a user error."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        csvio.write_relation_csv(result, handle)
-    finally:
-        if out:
-            handle.close()
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise WiringError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -93,7 +95,8 @@ def cmd_eval(args) -> int:
     script, base_dir = _load_script(args.script)
     rels = _load_relations(script, base_dir)
     result = _resolve_result(script, rels, args.name)
-    _write_result(result, args.out)
+    with _output(args.out) as handle:
+        csvio.write_relation_csv(result, handle)
     return 0
 
 
@@ -102,7 +105,8 @@ def cmd_query(args) -> int:
     rels = _load_relations(script, base_dir)
     query = dsl.parse_query_text(args.text, script)
     result = evaluate_query(compile_query(query, script), rels)
-    _write_result(result, args.out)
+    with _output(args.out) as handle:
+        csvio.write_relation_csv(result, handle)
     return 0
 
 
@@ -117,12 +121,8 @@ def cmd_dot(args) -> int:
     else:
         raise WiringError(f"no diagram or query named {args.name!r}")
     text = emit_dot(diagram, name=args.name)
-    handle = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         handle.write(text)
-    finally:
-        if args.out:
-            handle.close()
     return 0
 
 
@@ -136,7 +136,8 @@ def cmd_fixpoint(args) -> int:
     setup = build_setup(decl.z, phi, [rels[r] for r in decl.rel_names])
     mode = {"gfp": "greatest", "lfp": "least"}[args.mode]
     result = fixed_point(setup, mode)
-    _write_result(result.relation, args.out)
+    with _output(args.out) as handle:
+        csvio.write_relation_csv(result.relation, handle)
     print(
         f"{args.name}: mode={args.mode} tuples={len(result.relation)} "
         f"iterations={result.iterations}",
@@ -151,7 +152,7 @@ def cmd_laws(args) -> int:
     for report in reports:
         print(report.format())
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
+        with _output(args.summary) as handle:
             for report in reports:
                 handle.write(
                     f"{report.name}\t{report.cases}\t{len(report.failures)}\n"

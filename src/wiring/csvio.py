@@ -81,7 +81,8 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
                 )
             values.append(v)
         tuples.append(tuple(values))
-    return Relation(star, tuples)
+    # every cell was checked above, and each tuple is in the order of star.wires
+    return Relation._trusted(star, frozenset(tuples))
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

@@ -1,7 +1,8 @@
 """The ``.wd`` script language.
 
 A script is an ordered sequence of declarations, resolved as they are
-parsed (declaration before use, names unique per kind):
+parsed (declaration before use, names unique per kind; ``rel`` and
+``const`` share one name space, as do ``query`` and ``union``):
 
 * ``type NAME = {v, ...};`` or ``type NAME = range LO..HI;``; a text value
   must read back from a CSV cell unchanged, so it is nonempty, has no comma,
@@ -18,25 +19,24 @@ parsed (declaration before use, names unique per kind):
   codomain must be ``[Z => Z]``
 
 Comments run from ``#`` to end of line.  Wire and cable identifiers may
-carry trailing primes (``A'``).  The pretty printer emits a canonical form
-that parses back to the same script.
+carry trailing primes (``A'``).  Tokens carry their offset in the text; a
+line and column are computed only when an error is raised.  The pretty
+printer emits a canonical form that parses back to the same script.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, NamedTuple, TypeVar
 
 from .closed import HomStar, internal_hom
 from .csvio import survives_csv
-from .errors import ScriptError
+from .errors import ScriptError, WiringError
 from .query import AttrRef, Condition, ConjunctiveQuery, result_star, validate_query
 from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
-
-KEYWORDS_QUERY = ("select", "from", "where", "and")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -49,39 +49,37 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
   | (?P<string>'[^'\n]*'|"[^"\n]*")
   | (?P<punct>[(){}\[\],:;.=|])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+_Item = TypeVar("_Item")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # index of the token's first character in the script text
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[offset]``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ScriptError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ScriptError(
+                f"unexpected character {m.group()!r}", *_position(text, m.start())
+            )
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -161,13 +159,11 @@ class Script:
     unions: dict[str, UnionDecl] = field(default_factory=dict)
     setups: dict[str, SetupDecl] = field(default_factory=dict)
 
-    def evaluable_names(self) -> list[str]:
-        return list(self.queries) + list(self.unions)
-
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.script = Script()
         # the typed star of each query and union result, by name
@@ -184,86 +180,117 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: Token | None = None) -> ScriptError:
-        tok = tok or self.peek()
-        return ScriptError(message, tok.line, tok.column)
+        """The error ``message`` at ``tok``, by default at the next token."""
+        offset = (self.peek() if tok is None else tok).offset
+        return ScriptError(message, *_position(self.text, offset))
+
+    def unexpected(self, want: str) -> ScriptError:
+        return self.fail(f"expected {want}, found {self.peek().text or 'end of file'!r}")
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise self.fail(f"expected {want!r}, found {tok.text or 'end of file'!r}")
+            raise self.unexpected(repr(text or kind))
         return self.next()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text.lower() != word:
-            raise self.fail(f"expected {word!r}, found {tok.text or 'end of file'!r}")
+        if not self.at_keyword(word):
+            raise self.unexpected(repr(word))
         return self.next()
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text.lower() == word
 
-    def ident(self, what: str = "name") -> str:
+    def at_punct(self, text: str) -> bool:
         tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of file'!r}")
-        return self.next().text
+        return tok.kind == "punct" and tok.text == text
+
+    def ident(self, what: str) -> Token:
+        if self.peek().kind != "ident":
+            raise self.unexpected(what)
+        return self.next()
 
     def literal(self) -> Value:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "int":
-            return int(self.next().text)
+            return int(tok.text)
         if tok.kind == "string":
-            return self.next().text[1:-1]
+            return tok.text[1:-1]
         if tok.kind == "ident":
-            return self.next().text
-        raise self.fail(f"expected a literal value, found {tok.text!r}")
+            return tok.text
+        raise self.fail(f"expected a literal value, found {tok.text!r}", tok)
+
+    def items(
+        self, item: Callable[[], _Item], sep: str = ",", close: str | None = None
+    ) -> list[_Item]:
+        """``item``s separated by the punctuation ``sep``: with ``close``, any
+        number of them up to ``close``, which is consumed; without, one or
+        more, for as long as ``sep`` follows."""
+        if close is None:
+            found = [item()]
+            while self.at_punct(sep):
+                self.next()
+                found.append(item())
+            return found
+        found = []
+        while not self.at_punct(close):
+            if found:
+                self.expect("punct", sep)
+            found.append(item())
+        self.next()
+        return found
 
     # -- name resolution helpers
 
-    def fresh(self, table: dict, name: str, kind: str, tok: Token) -> None:
-        if name in table:
-            raise ScriptError(f"duplicate {kind} name {name!r}", tok.line, tok.column)
+    def new_name(self, what: str, kind: str, *tables: dict) -> Token:
+        """The name being declared, which none of ``tables`` may hold."""
+        tok = self.ident(what)
+        if any(tok.text in table for table in tables):
+            raise self.fail(f"duplicate {kind} name {tok.text!r}", tok)
+        return tok
 
-    def domain(self, name: str, tok: Token) -> ValueDomain:
-        if name not in self.script.domains:
-            raise ScriptError(f"unknown type {name!r}", tok.line, tok.column)
-        return self.script.domains[name]
+    def ref(self, what: str, kind: str, *tables: dict) -> str:
+        """A name that one of ``tables`` declares."""
+        tok = self.ident(what)
+        if not any(tok.text in table for table in tables):
+            raise self.fail(f"unknown {kind} {tok.text!r}", tok)
+        return tok.text
 
-    def star(self, name: str, tok: Token) -> TypedStar:
-        if name not in self.script.stars:
-            raise ScriptError(f"unknown star {name!r}", tok.line, tok.column)
-        return self.script.stars[name]
+    def type_ref(self) -> str:
+        return self.ref("type name", "type", self.script.domains)
+
+    def star_ref(self) -> str:
+        return self.ref("star name", "star", self.script.stars)
 
     # -- declarations
 
     def parse(self) -> Script:
+        handlers = {
+            "type": self.parse_type,
+            "star": self.parse_star,
+            "rel": self.parse_rel,
+            "const": self.parse_const,
+            "diagram": self.parse_diagram,
+            "query": self.parse_query,
+            "union": self.parse_union,
+            "setup": self.parse_setup,
+        }
+        decls = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident":
                 raise self.fail("expected a declaration")
-            keyword = tok.text.lower()
-            handler = {
-                "type": self.parse_type,
-                "star": self.parse_star,
-                "rel": self.parse_rel,
-                "const": self.parse_const,
-                "diagram": self.parse_diagram,
-                "query": self.parse_query,
-                "union": self.parse_union,
-                "setup": self.parse_setup,
-            }.get(keyword)
+            handler = handlers.get(tok.text.lower())
             if handler is None:
                 raise self.fail(f"unknown declaration {tok.text!r}")
             self.next()
-            handler()
+            decls.append(handler())
+        self.script.decls = tuple(decls)
         return self.script
 
-    def parse_type(self) -> None:
-        tok = self.peek()
-        name = self.ident("type name")
-        self.fresh(self.script.domains, name, "type", tok)
+    def parse_type(self) -> TypeDecl:
+        name = self.new_name("type name", "type", self.script.domains).text
         self.expect("punct", "=")
         if self.at_keyword("range"):
             self.next()
@@ -274,128 +301,92 @@ class _Parser:
                 raise self.fail(f"empty range {lo}..{hi}")
             decl = TypeDecl(name, tuple(range(lo, hi + 1)), (lo, hi))
         else:
-            self.expect("punct", "{")
-            values: list[Value] = []
-            while not (self.peek().kind == "punct" and self.peek().text == "}"):
-                if values:
-                    self.expect("punct", ",")
-                value_tok = self.peek()
-                values.append(self.literal())
-                if not survives_csv(values[-1]):
-                    raise ScriptError(
-                        f"type {name!r}: value {values[-1]!r} would not read back "
-                        "from CSV unchanged",
-                        value_tok.line,
-                        value_tok.column,
+
+            def value() -> Value:
+                tok = self.peek()
+                v = self.literal()
+                if not survives_csv(v):
+                    raise self.fail(
+                        f"type {name!r}: value {v!r} would not read back from CSV unchanged",
+                        tok,
                     )
-            self.expect("punct", "}")
+                return v
+
+            self.expect("punct", "{")
+            values = self.items(value, close="}")
             if len(set(values)) != len(values):
                 raise self.fail(f"type {name!r} repeats a value")
             decl = TypeDecl(name, tuple(values))
         self.expect("punct", ";")
         self.script.domains[name] = ValueDomain(name, decl.values)
-        self.script.decls += (decl,)
+        return decl
 
-    def parse_star(self) -> None:
-        tok = self.peek()
-        name = self.ident("star name")
-        self.fresh(self.script.stars, name, "star", tok)
+    def _wire(self) -> tuple[str, str]:
+        wire = self.ident("wire name").text
+        self.expect("punct", ":")
+        return wire, self.type_ref()
+
+    def parse_star(self) -> StarDecl:
+        tok = self.new_name("star name", "star", self.script.stars)
         self.expect("punct", "(")
-        wires: list[tuple[str, str]] = []
-        while not (self.peek().kind == "punct" and self.peek().text == ")"):
-            if wires:
-                self.expect("punct", ",")
-            wire = self.ident("wire name")
-            self.expect("punct", ":")
-            type_tok = self.peek()
-            type_name = self.ident("type name")
-            self.domain(type_name, type_tok)
-            wires.append((wire, type_name))
-        self.expect("punct", ")")
+        wires = self.items(self._wire, close=")")
         self.expect("punct", ";")
         try:
             tstar = TypedStar(
                 Star(w for w, _t in wires),
                 {w: self.script.domains[t] for w, t in wires},
             )
-        except Exception as exc:
-            raise ScriptError(str(exc), tok.line, tok.column) from exc
-        self.script.stars[name] = tstar
-        self.script.decls += (StarDecl(name, tuple(wires)),)
+        except WiringError as exc:
+            raise self.fail(str(exc), tok) from exc
+        self.script.stars[tok.text] = tstar
+        return StarDecl(tok.text, tuple(wires))
 
-    def parse_rel(self) -> None:
-        tok = self.peek()
-        name = self.ident("relation name")
-        self.fresh(self.script.relations, name, "rel", tok)
+    def parse_rel(self) -> RelDecl:
+        tables = (self.script.relations, self.script.consts)
+        name = self.new_name("relation name", "rel/const", *tables).text
         self.expect("punct", ":")
-        star_tok = self.peek()
-        star_name = self.ident("star name")
-        star = self.star(star_name, star_tok)
+        star_name = self.star_ref()
         self.expect_keyword("from")
-        path_tok = self.expect("string")
+        path = self.expect("string").text[1:-1]
         self.expect("punct", ";")
-        decl = RelDecl(name, star_name, path_tok.text[1:-1], star)
+        decl = RelDecl(name, star_name, path, self.script.stars[star_name])
         self.script.relations[name] = decl
-        self.script.decls += (decl,)
+        return decl
 
-    def parse_const(self) -> None:
-        tok = self.peek()
-        name = self.ident("constant name")
-        self.fresh(self.script.consts, name, "const", tok)
+    def parse_const(self) -> ConstDecl:
+        tables = (self.script.relations, self.script.consts)
+        name = self.new_name("constant name", "rel/const", *tables).text
         self.expect("punct", ":")
-        type_tok = self.peek()
-        type_name = self.ident("type name")
-        dom = self.domain(type_name, type_tok)
+        type_name = self.type_ref()
+        dom = self.script.domains[type_name]
         self.expect("punct", "=")
         value_tok = self.peek()
         value = self.literal()
         self.expect("punct", ";")
         if value not in dom:
-            raise ScriptError(
-                f"constant {value!r} is outside type {type_name!r}",
-                value_tok.line,
-                value_tok.column,
-            )
+            raise self.fail(f"constant {value!r} is outside type {type_name!r}", value_tok)
         star = TypedStar(Star(("value",)), {"value": dom})
         self.script.consts[name] = Relation(star, [(value,)])
-        self.script.decls += (ConstDecl(name, type_name, value),)
+        return ConstDecl(name, type_name, value)
 
     def _parse_codomain(self) -> tuple[str | tuple[tuple[str, ...], str], TypedStar, HomStar | None]:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "[":
+        if self.at_punct("["):
             self.next()
-            arg_names: list[str] = []
-            while True:
-                star_tok = self.peek()
-                arg_names.append(self.ident("star name"))
-                self.star(arg_names[-1], star_tok)
-                if self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+            arg_names = self.items(self.star_ref)
             self.expect("darrow")
-            ret_tok = self.peek()
-            ret_name = self.ident("star name")
-            ret = self.star(ret_name, ret_tok)
+            ret_name = self.star_ref()
             self.expect("punct", "]")
-            hom = internal_hom([self.script.stars[n] for n in arg_names], ret)
+            stars = self.script.stars
+            hom = internal_hom([stars[n] for n in arg_names], stars[ret_name])
             return (tuple(arg_names), ret_name), hom.star, hom
-        name = self.ident("star name")
-        return name, self.star(name, tok), None
+        name = self.star_ref()
+        return name, self.script.stars[name], None
 
-    def parse_diagram(self) -> None:
-        tok = self.peek()
-        name = self.ident("diagram name")
-        self.fresh(self.script.diagrams, name, "diagram", tok)
+    def parse_diagram(self) -> DiagramDecl:
+        tok = self.new_name("diagram name", "diagram", self.script.diagrams)
+        name = tok.text
         self.expect("punct", "(")
-        inner_names: list[str] = []
-        while not (self.peek().kind == "punct" and self.peek().text == ")"):
-            if inner_names:
-                self.expect("punct", ",")
-            star_tok = self.peek()
-            inner_names.append(self.ident("star name"))
-            self.star(inner_names[-1], star_tok)
-        self.expect("punct", ")")
+        inner_names = self.items(self.star_ref, close=")")
         self.expect("arrow")
         codomain, outer, hom = self._parse_codomain()
         self.expect("punct", "{")
@@ -406,77 +397,59 @@ class _Parser:
         cable_types: dict[str, ValueDomain] = {}
         inner_map: dict = {}
         outer_map: dict = {}
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
+        while not self.at_punct("}"):
             if self.at_keyword("cable"):
                 self.next()
-                cable_tok = self.peek()
-                cable = self.ident("cable name")
+                cable_tok = self.ident("cable name")
+                cable = cable_tok.text
                 if cable in cable_types:
-                    raise ScriptError(
-                        f"duplicate cable {cable!r}", cable_tok.line, cable_tok.column
-                    )
+                    raise self.fail(f"duplicate cable {cable!r}", cable_tok)
                 self.expect("punct", ":")
-                type_tok = self.peek()
-                type_name = self.ident("type name")
-                cable_types[cable] = self.domain(type_name, type_tok)
+                type_name = self.type_ref()
+                cable_types[cable] = self.script.domains[type_name]
                 self.expect("punct", ";")
                 cable_decls.append((cable, type_name))
             elif self.at_keyword("solder"):
                 self.next()
-                head_tok = self.peek()
-                head = self.ident("solder endpoint")
+                head_tok = self.ident("solder endpoint")
+                head = head_tok.text
                 parts = [head]
-                while self.peek().kind == "punct" and self.peek().text == ".":
+                while self.at_punct("."):
                     self.next()
-                    parts.append(self.ident("wire name"))
+                    parts.append(self.ident("wire name").text)
                 if len(parts) < 2:
                     raise self.fail("solder endpoint needs a wire, like inner1.w or out.w")
                 wire = ".".join(parts[1:])
                 self.expect("arrow")
-                cable_tok = self.peek()
-                cable = self.ident("cable name")
-                if cable not in cable_types:
-                    raise ScriptError(
-                        f"unknown cable {cable!r}", cable_tok.line, cable_tok.column
-                    )
+                cable = self.ref("cable name", "cable", cable_types)
                 self.expect("punct", ";")
                 endpoint = ".".join(parts)
                 solder_decls.append((endpoint, cable))
                 if head == "out":
                     if wire not in outer.star:
-                        raise ScriptError(
-                            f"outer star has no wire {wire!r}",
-                            head_tok.line,
-                            head_tok.column,
-                        )
+                        raise self.fail(f"outer star has no wire {wire!r}", head_tok)
                     endpoints, key = outer_map, wire
                 else:
                     m = re.fullmatch(r"inner([0-9]+)", head)
                     if m is None:
-                        raise ScriptError(
+                        raise self.fail(
                             f"endpoint must start with 'out' or 'inner<k>', got {head!r}",
-                            head_tok.line,
-                            head_tok.column,
+                            head_tok,
                         )
                     index = int(m.group(1)) - 1
                     if not 0 <= index < len(inner):
-                        raise ScriptError(
-                            f"no inner star {head!r} (diagram has {len(inner)})",
-                            head_tok.line,
-                            head_tok.column,
+                        raise self.fail(
+                            f"no inner star {head!r} (diagram has {len(inner)})", head_tok
                         )
                     if wire not in inner[index].star:
-                        raise ScriptError(
-                            f"inner star {index + 1} has no wire {wire!r}",
-                            head_tok.line,
-                            head_tok.column,
+                        raise self.fail(
+                            f"inner star {index + 1} has no wire {wire!r}", head_tok
                         )
                     endpoints, key = inner_map, (index, wire)
                 if key in endpoints:
-                    raise ScriptError(
+                    raise self.fail(
                         f"{endpoint} is already soldered to cable {endpoints[key]!r}",
-                        head_tok.line,
-                        head_tok.column,
+                        head_tok,
                     )
                 endpoints[key] = cable
             else:
@@ -492,8 +465,8 @@ class _Parser:
                 outer_map=outer_map,
             )
             typed = TypedWiringDiagram(wd, inner, outer, cable_types)
-        except Exception as exc:
-            raise ScriptError(f"diagram {name!r}: {exc}", tok.line, tok.column) from exc
+        except WiringError as exc:
+            raise self.fail(f"diagram {name!r}: {exc}", tok) from exc
         decl = DiagramDecl(
             name,
             tuple(inner_names),
@@ -504,155 +477,109 @@ class _Parser:
             hom,
         )
         self.script.diagrams[name] = decl
-        self.script.decls += (decl,)
+        return decl
 
     def _attr_ref(self) -> AttrRef:
-        alias = self.ident("alias")
+        alias = self.ident("alias").text
         self.expect("punct", ".")
-        attr = self.ident("attribute")
-        return AttrRef(alias, attr)
+        return AttrRef(alias, self.ident("attribute").text)
 
-    def parse_query(self) -> None:
-        tok = self.peek()
-        name = self.ident("query name")
-        self.fresh(self.script.queries, name, "query", tok)
-        self.fresh(self.script.unions, name, "query", tok)
+    def _table(self) -> tuple[str, str]:
+        return self.ident("predicate name").text, self.ident("alias").text
+
+    def _condition(self) -> Condition:
+        left = self._attr_ref()
+        self.expect("punct", "=")
+        if self.peek().kind == "ident" and self.tokens[self.pos + 1].text == ".":
+            return Condition(left, right=self._attr_ref())
+        return Condition(left, literal=self.literal())
+
+    def parse_query(self) -> QueryDecl:
+        tok = self.new_name("query name", "query", self.script.queries, self.script.unions)
+        name = tok.text
         self.expect("punct", "=")
         query = self.parse_select()
         self.expect("punct", ";")
         try:
             self.shapes[name] = result_star(query, self.script)
         except ScriptError as exc:
-            raise ScriptError(f"query {name!r}: {exc}", tok.line, tok.column) from exc
+            raise self.fail(f"query {name!r}: {exc}", tok) from exc
         self.script.queries[name] = query
-        self.script.decls += (QueryDecl(name, query),)
+        return QueryDecl(name, query)
 
     def parse_select(self) -> ConjunctiveQuery:
         self.expect_keyword("select")
-        select = [self._attr_ref()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
-            select.append(self._attr_ref())
+        select = self.items(self._attr_ref)
         self.expect_keyword("from")
-        tables: list[tuple[str, str]] = []
-        while True:
-            pred = self.ident("predicate name")
-            alias = self.ident("alias")
-            tables.append((pred, alias))
-            if self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                continue
-            break
+        tables = self.items(self._table)
         conditions: list[Condition] = []
         if self.at_keyword("where"):
             self.next()
-            while True:
-                left = self._attr_ref()
-                self.expect("punct", "=")
-                tok = self.peek()
-                if tok.kind == "ident" and self.tokens[self.pos + 1].text == ".":
-                    conditions.append(Condition(left, right=self._attr_ref()))
-                else:
-                    conditions.append(Condition(left, literal=self.literal()))
-                if self.at_keyword("and"):
-                    self.next()
-                    continue
-                break
+            conditions.append(self._condition())
+            while self.at_keyword("and"):
+                self.next()
+                conditions.append(self._condition())
         return ConjunctiveQuery(tuple(select), tuple(tables), tuple(conditions))
 
-    def parse_union(self) -> None:
-        tok = self.peek()
-        name = self.ident("union name")
-        self.fresh(self.script.unions, name, "union", tok)
-        self.fresh(self.script.queries, name, "union", tok)
+    def parse_union(self) -> UnionDecl:
+        tok = self.new_name("union name", "union", self.script.unions, self.script.queries)
+        name = tok.text
         self.expect("punct", "=")
-        part_toks = [self.peek()]
-        parts = [self.ident("result name")]
-        while self.peek().kind == "punct" and self.peek().text == "|":
-            self.next()
-            part_toks.append(self.peek())
-            parts.append(self.ident("result name"))
+        part_toks = self.items(lambda: self.ident("result name"), sep="|")
+        parts = tuple(t.text for t in part_toks)
         self.expect("punct", ";")
         if len(parts) < 2:
             raise self.fail("a union needs at least two results")
         for part in parts:
-            if part not in self.script.queries and part not in self.script.unions:
-                raise ScriptError(
-                    f"union {name!r} references unknown result {part!r}",
-                    tok.line,
-                    tok.column,
-                )
+            if part not in self.shapes:
+                raise self.fail(f"union {name!r} references unknown result {part!r}", tok)
         first = self.shapes[parts[0]]
-        for part, part_tok in zip(parts[1:], part_toks[1:]):
-            if self.shapes[part] != first:
-                raise ScriptError(
-                    f"union {name!r}: {part!r} gives {_columns(self.shapes[part])} "
+        for part_tok in part_toks[1:]:
+            shape = self.shapes[part_tok.text]
+            if shape != first:
+                raise self.fail(
+                    f"union {name!r}: {part_tok.text!r} gives {_columns(shape)} "
                     f"but {parts[0]!r} gives {_columns(first)}",
-                    part_tok.line,
-                    part_tok.column,
+                    part_tok,
                 )
         self.shapes[name] = first
-        decl = UnionDecl(name, tuple(parts))
+        decl = UnionDecl(name, parts)
         self.script.unions[name] = decl
-        self.script.decls += (decl,)
+        return decl
 
-    def parse_setup(self) -> None:
-        tok = self.peek()
-        name = self.ident("setup name")
-        self.fresh(self.script.setups, name, "setup", tok)
+    def parse_setup(self) -> SetupDecl:
+        tok = self.new_name("setup name", "setup", self.script.setups)
+        name = tok.text
         self.expect("punct", "=")
-        diagram_tok = self.peek()
-        diagram_name = self.ident("diagram name")
-        if diagram_name not in self.script.diagrams:
-            raise ScriptError(
-                f"unknown diagram {diagram_name!r}", diagram_tok.line, diagram_tok.column
-            )
+        diagram_name = self.ref("diagram name", "diagram", self.script.diagrams)
         decl = self.script.diagrams[diagram_name]
         self.expect("punct", "(")
-        rel_names: list[str] = []
-        while not (self.peek().kind == "punct" and self.peek().text == ")"):
-            if rel_names:
-                self.expect("punct", ",")
-            rel_tok = self.peek()
-            rel_name = self.ident("relation name")
-            if rel_name not in self.script.relations and rel_name not in self.script.consts:
-                raise ScriptError(
-                    f"unknown relation {rel_name!r}", rel_tok.line, rel_tok.column
-                )
-            rel_names.append(rel_name)
-        self.expect("punct", ")")
+        relations, consts = self.script.relations, self.script.consts
+        rel_names = self.items(
+            lambda: self.ref("relation name", "relation", relations, consts), close=")"
+        )
         self.expect("punct", ";")
 
         hom = decl.hom
         if hom is None or len(hom.args) != 1 or hom.args[0] != hom.ret:
-            raise ScriptError(
-                f"setup {name!r}: diagram codomain must be [Z => Z]",
-                tok.line,
-                tok.column,
-            )
+            raise self.fail(f"setup {name!r}: diagram codomain must be [Z => Z]", tok)
         if len(rel_names) != decl.typed.arity:
-            raise ScriptError(
+            raise self.fail(
                 f"setup {name!r}: diagram has {decl.typed.arity} inner stars, "
                 f"got {len(rel_names)} relations",
-                tok.line,
-                tok.column,
+                tok,
             )
         for i, rel_name in enumerate(rel_names):
-            star = (
-                self.script.relations[rel_name].star
-                if rel_name in self.script.relations
-                else self.script.consts[rel_name].star
-            )
-            if star != decl.typed.inner[i]:
-                raise ScriptError(
+            rel = relations[rel_name] if rel_name in relations else consts[rel_name]
+            if rel.star != decl.typed.inner[i]:
+                raise self.fail(
                     f"setup {name!r}: relation {rel_name!r} does not match "
                     f"inner star {i + 1}",
-                    tok.line,
-                    tok.column,
+                    tok,
                 )
         setup = SetupDecl(name, diagram_name, tuple(rel_names), hom.ret)
         self.script.setups[name] = setup
-        self.script.decls += (setup,)
+        return setup
 
 
 def _columns(star: TypedStar) -> str:
@@ -662,15 +589,15 @@ def _columns(star: TypedStar) -> str:
 def parse_script(text: str) -> Script:
     """Parse and resolve a script; raise :class:`ScriptError` with position
     information on the first problem."""
-    return _Parser(tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     """Parse a standalone SELECT expression against an existing script."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     parser.script = script
     query = parser.parse_select()
-    if parser.peek().kind == "punct" and parser.peek().text == ";":
+    if parser.at_punct(";"):
         parser.next()
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input after query")

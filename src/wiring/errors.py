@@ -5,9 +5,10 @@ class WiringError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(WiringError):
+class ValidationError(WiringError, ValueError):
     """A value violates a structural invariant (duplicate wires, dangling
-    cable references, unsoldered wires, malformed permutations, ...)."""
+    cable references, unsoldered wires, malformed permutations, negative
+    generator bounds, ...)."""
 
 
 class InterfaceError(WiringError):

@@ -28,11 +28,16 @@ from . import partitions as partitions_mod
 from . import relations as relations_mod
 from . import stars as stars_mod
 from . import typed as typed_mod
-from .errors import WiringError
+from .errors import ValidationError, WiringError
 from .partitions import Partition
 from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, ValueDomain
+
+DOMAIN_COUNT = 3  # domains drawn by gen_domains
+RELATION_DENSITY = 0.4  # chance that gen_relation keeps a tuple of a small space
+# the domains run_all checks the witness computations over
+PROP_WITNESS_DOMAINS = (ValueDomain("A2", (0, 1)), ValueDomain("A3", (0, 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("max_stars", "max_wires", "max_cables", "max_domain", "cases"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ValidationError(f"{name} must be nonnegative")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -88,8 +93,8 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # generators
 
-def gen_star(rng: random.Random, cfg: GeneratorConfig, min_wires: int = 0) -> Star:
-    k = rng.randint(min_wires, cfg.max_wires)
+def gen_star(rng: random.Random, cfg: GeneratorConfig) -> Star:
+    k = rng.randint(0, cfg.max_wires)
     return Star(rng.sample(string.ascii_lowercase, k))
 
 
@@ -113,10 +118,10 @@ def gen_diagram(
     return WiringDiagram(tuple(inner), outer, cables, inner_map, outer_map)
 
 
-def gen_domains(rng: random.Random, cfg: GeneratorConfig, count: int = 3) -> list[ValueDomain]:
+def gen_domains(rng: random.Random, cfg: GeneratorConfig) -> list[ValueDomain]:
     return [
         ValueDomain(f"D{i}", tuple(range(rng.randint(1, max(1, cfg.max_domain)))))
-        for i in range(count)
+        for i in range(DOMAIN_COUNT)
     ]
 
 
@@ -140,7 +145,7 @@ def gen_typed(
     return TypedWiringDiagram(wd, inner, outer, cable_types)
 
 
-def gen_relation(rng: random.Random, tstar: TypedStar, density: float = 0.4) -> Relation:
+def gen_relation(rng: random.Random, tstar: TypedStar) -> Relation:
     space = 1
     for w in tstar.wires:
         space *= len(tstar.domain(w))
@@ -148,7 +153,7 @@ def gen_relation(rng: random.Random, tstar: TypedStar, density: float = 0.4) -> 
         tuples = [
             t
             for t in product(*(tstar.domain(w).values for w in tstar.wires))
-            if rng.random() < density
+            if rng.random() < RELATION_DENSITY
         ]
     else:
         tuples = [
@@ -642,17 +647,12 @@ def is_connected(wd: WiringDiagram) -> bool:
     return seen == nodes
 
 
-def run_all(cfg: GeneratorConfig, domains: Sequence[ValueDomain] | None = None) -> list[SuiteReport]:
+def run_all(cfg: GeneratorConfig) -> list[SuiteReport]:
     """Every suite at one configuration, for the command line."""
-    if domains is None:
-        domains = [
-            ValueDomain("A2", (0, 1)),
-            ValueDomain("A3", (0, 1, 2)),
-        ]
     reports = check_operad_laws(cfg)
     reports.append(check_pushout_oracle(cfg))
     reports.append(check_algebra_naturality(cfg, "rel"))
     reports.append(check_algebra_naturality(cfg, "eq"))
-    for dom in domains:
+    for dom in PROP_WITNESS_DOMAINS:
         reports.append(check_prop_witnesses(dom, seed=cfg.seed))
     return reports

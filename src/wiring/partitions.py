@@ -51,12 +51,6 @@ class Partition:
         blocks = (tuple(sorted(star.wires)),) if len(star) else ()
         return cls(star, blocks)
 
-    def same_block(self, a: str, b: str) -> bool:
-        for block in self.blocks:
-            if a in block:
-                return b in block
-        raise ValidationError(f"wire {a!r} is not in the star")
-
     def refines(self, other: "Partition") -> bool:
         """True when every block of ``self`` sits inside a block of ``other``."""
         if self.star != other.star:

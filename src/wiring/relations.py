@@ -89,9 +89,6 @@ class Relation:
         object.__setattr__(rel, "tuples", tuples)
         return rel
 
-    def assignments(self) -> list[dict[str, Value]]:
-        return [dict(zip(self.star.wires, t)) for t in self.tuples]
-
     def aligned_tuples(self, wire_order: Sequence[str]) -> frozenset[tuple[Value, ...]]:
         """The tuple set re-expressed in the given wire order."""
         if tuple(wire_order) == self.star.wires:

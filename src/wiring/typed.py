@@ -144,8 +144,9 @@ class TypedWiringDiagram:
         for c in diagram.cables:
             if c not in cable_types:
                 raise TypeMismatchError(f"cable {c!r} has no declared domain")
+        cables = set(diagram.cables)
         for c in cable_types:
-            if c not in set(diagram.cables):
+            if c not in cables:
                 raise TypeMismatchError(f"cable typing mentions unknown cable {c!r}")
         for (i, w), c in diagram.inner_map.items():
             if inner[i].domain(w) != cable_types[c]:

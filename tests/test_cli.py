@@ -232,3 +232,59 @@ def test_wiki_fixture_result(fixtures_dir, capsys):
     assert out[0] == "student,address"
     students = {line.split(",")[0] for line in out[1:]}
     assert students == {"bob", "dave", "frank", "jack"}
+
+
+def test_rel_and_const_of_one_name_fail_check(tmp_path, capsys):
+    # the query would read the const, not x.csv: the script is refused instead
+    (tmp_path / "s.wd").write_text(
+        'type T = {a, b};\nstar S(value:T);\nrel x : S from "x.csv";\n'
+        "const x : T = a;\nquery q = SELECT s.value FROM x s;\n"
+    )
+    (tmp_path / "x.csv").write_text("value\nb\n")
+    assert run_cli(["check", str(tmp_path / "s.wd")]) == 1
+    assert "error: 4:7: duplicate rel/const name 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "circuits.wd", "notq"],
+        ["query", "circuits.wd", "SELECT n.out FROM nand n"],
+        ["dot", "circuits.wd", "copy"],
+        ["fixpoint", "reordered.wd", "s"],
+    ],
+    ids=["eval", "query", "dot", "fixpoint"],
+)
+def test_unwritable_out_is_user_error(project, capsys, argv):
+    (project / "reordered.wd").write_text(REORDERED_STAR_SCRIPT)
+    (project / "v.csv").write_text("B,A\nx,2\ny,0\n")
+    target = project / "absent" / "out.txt"
+    command, script, *rest = argv
+    assert run_cli([command, str(project / script), *rest, "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target}" in err
+    assert "internal error" not in err
+
+
+def test_unwritable_laws_summary_is_user_error(tmp_path, capsys):
+    target = tmp_path / "absent" / "summary.tsv"
+    assert run_cli(["laws", "--cases", "1", "--summary", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target}" in err
+    assert "internal error" not in err
+
+
+def test_negative_law_cases_is_user_error(capsys):
+    assert run_cli(["laws", "--cases", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: cases must be nonnegative" in err
+    assert "internal error" not in err
+
+
+def test_internal_error_while_building_a_diagram_exits_2(project, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("wiring.dsl.TypedWiringDiagram", broken)
+    assert run_cli(["check", str(project / "circuits.wd")]) == 2
+    assert "internal error: RuntimeError: broken invariant" in capsys.readouterr().err

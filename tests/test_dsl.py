@@ -202,6 +202,174 @@ class TestErrors:
             parse_script("type T = {a};\n$\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "first, second, position",
+        [
+            ('rel x : S from "x.csv";', "const x : T = a;", (4, 7)),
+            ("const x : T = a;", 'rel x : S from "x.csv";', (4, 5)),
+        ],
+        ids=["rel-then-const", "const-then-rel"],
+    )
+    def test_rel_and_const_share_one_name_space(self, first, second, position):
+        with pytest.raises(ScriptError, match="duplicate rel/const name 'x'") as err:
+            parse_script(f"type T = {{a, b}};\nstar S(value:T);\n{first}\n{second}\n")
+        assert (err.value.line, err.value.column) == position
+
+
+# Script prefixes for the malformed scripts below.
+_STAR = "type T = {a, b};\nstar S(w:T);\n"
+_REL = _STAR + 'rel r : S from "r.csv";\n'
+_OPEN_DIAGRAM = _REL + "diagram d(S) -> S {\n cable c : T;\n"
+_TWO_SHAPES = (
+    'type T = {a};\ntype N = range 0..3;\nstar A(x:T);\nstar B(y:N);\n'
+    'rel ra : A from "a.csv";\nrel rb : B from "b.csv";\n'
+    "query q1 = SELECT s.x FROM ra s;\nquery q2 = SELECT s.y FROM rb s;\n"
+)
+_HOM_DIAGRAM = _REL + (
+    "diagram h(S) -> [S => S] {\n cable c : T;\n cable e : T;\n solder inner1.w -> c;\n"
+    " solder out.arg1.w -> c;\n solder out.ret.w -> e;\n}\n"
+)
+ERROR_SCRIPTS = [
+    ("bad-character", "type T = {a};\n  $\n", "2:3: unexpected character '$'"),
+    ("unterminated-string", _STAR + 'rel r : S from "r.csv;\n',
+     '3:16: unexpected character \'"\''),
+    ("missing-semicolon-at-eof", "type T = {a}\n", "2:1: expected ';', found 'end of file'"),
+    ("expect-punct", "type T {a};\n", "1:8: expected '=', found '{'"),
+    ("expect-keyword", _STAR + 'rel r : S form "r.csv";\n', "3:11: expected 'from', found 'form'"),
+    ("expect-string", _STAR + "rel r : S from r.csv;\n", "3:16: expected 'string', found 'r'"),
+    ("ident", "type = {a};\n", "1:6: expected type name, found '='"),
+    ("ident-at-eof", "star", "1:5: expected star name, found 'end of file'"),
+    ("literal", "type T = {a, ;};\n", "1:14: expected a literal value, found ';'"),
+    ("literal-at-eof", "type T = {a,", "1:13: expected a literal value, found ''"),
+    ("duplicate-type", "type T = {a};\ntype T = {b};\n", "2:6: duplicate type name 'T'"),
+    ("unknown-type", "star S(w:U);\n", "1:10: unknown type 'U'"),
+    ("unknown-star", 'type T = {a};\nrel r : GHOST from "r.csv";\n', "2:9: unknown star 'GHOST'"),
+    ("not-a-declaration", "type T = {a};\n;\n", '2:1: expected a declaration'),
+    ("unknown-declaration", "table T = {a};\n", "1:1: unknown declaration 'table'"),
+    ("empty-range", "type N = range 3..1;\n", '1:20: empty range 3..1'),
+    ("range-needs-int", "type N = range a..1;\n", "1:16: expected 'int', found 'a'"),
+    ("value-not-csv-safe", "type T = {a, '1'};\n",
+     "1:14: type 'T': value '1' would not read back from CSV unchanged"),
+    ("repeated-value", "type T = {a, b, a};\n", "1:19: type 'T' repeats a value"),
+    ("missing-comma-in-type", "type T = {a b};\n", "1:13: expected ',', found 'b'"),
+    ("duplicate-wire", "type T = {a};\nstar S(w:T, w:T);\n", "2:6: duplicate wire name 'w'"),
+    ("missing-colon-in-star", "type T = {a};\nstar S(w T);\n", "2:10: expected ':', found 'T'"),
+    ("const-outside-type", "type T = {a};\nconst k : T = b;\n",
+     "2:15: constant 'b' is outside type 'T'"),
+    ("const-unknown-type", "const k : T = b;\n", "1:11: unknown type 'T'"),
+    ("duplicate-cable", _OPEN_DIAGRAM + " cable c : T;\n}\n", "6:8: duplicate cable 'c'"),
+    ("endpoint-needs-wire", _OPEN_DIAGRAM + " solder out -> c;\n}\n",
+     '6:13: solder endpoint needs a wire, like inner1.w or out.w'),
+    ("unknown-cable", _OPEN_DIAGRAM + " solder out.w -> ghost;\n}\n",
+     "6:18: unknown cable 'ghost'"),
+    ("outer-wire-unknown", _OPEN_DIAGRAM + " solder out.v -> c;\n}\n",
+     "6:9: outer star has no wire 'v'"),
+    ("endpoint-head", _OPEN_DIAGRAM + " solder foo.w -> c;\n}\n",
+     "6:9: endpoint must start with 'out' or 'inner<k>', got 'foo'"),
+    ("inner-index", _OPEN_DIAGRAM + " solder inner7.w -> c;\n}\n",
+     "6:9: no inner star 'inner7' (diagram has 1)"),
+    ("inner-wire-unknown", _OPEN_DIAGRAM + " solder inner1.v -> c;\n}\n",
+     "6:9: inner star 1 has no wire 'v'"),
+    ("soldered-twice",
+     _OPEN_DIAGRAM + " cable e : T;\n solder out.w -> c;\n\tsolder out.w -> e;\n}\n",
+     "8:9: out.w is already soldered to cable 'c'"),
+    ("cable-or-solder", _OPEN_DIAGRAM + " wire e : T;\n}\n", "6:2: expected 'cable' or 'solder'"),
+    ("cable-or-solder-at-eof", _OPEN_DIAGRAM, "6:1: expected 'cable' or 'solder'"),
+    ("unsoldered-wire", _OPEN_DIAGRAM + " solder out.w -> c;\n}\n",
+     "4:9: diagram 'd': inner wire 'w' of star 0 is not soldered"),
+    ("cable-type-mismatch",
+     _REL + "type U = {x};\ndiagram d(S) -> S {\n cable c : U;\n"
+     " solder inner1.w -> c;\n solder out.w -> c;\n}\n",
+     "5:9: diagram 'd': wire 'w' of inner star 0 has domain 'T' but its cable 'c' has 'U'"),
+    ("codomain-unknown-star", _REL + "diagram d(S) -> GHOST {}\n", "4:17: unknown star 'GHOST'"),
+    ("codomain-unknown-argument", _REL + "diagram d(S) -> [S, GHOST => S] {}\n",
+     "4:21: unknown star 'GHOST'"),
+    ("codomain-needs-darrow", _REL + "diagram d(S) -> [S, S S] {}\n",
+     "4:23: expected 'darrow', found 'S'"),
+    ("codomain-needs-bracket", _REL + "diagram d(S) -> [S => S {}\n",
+     "4:25: expected ']', found '{'"),
+    ("inner-unknown-star", _REL + "diagram d(S, GHOST) -> S {}\n", "4:14: unknown star 'GHOST'"),
+    ("diagram-needs-arrow", _REL + "diagram d(S) S {}\n", "4:14: expected 'arrow', found 'S'"),
+    ("query-unknown-alias", _REL + "query q = SELECT z.w FROM r s;\n",
+     "4:7: query 'q': reference z.w names unknown alias 'z'"),
+    ("query-unknown-predicate", _REL + "query q = SELECT s.w FROM ghost s;\n",
+     "4:7: query 'q': FROM references unknown predicate 'ghost'"),
+    ("query-needs-select", _REL + "query q = s.w FROM r s;\n",
+     "4:11: expected 'select', found 's'"),
+    ("query-needs-alias", _REL + "query q = SELECT s.w FROM r;\n",
+     "4:28: expected alias, found ';'"),
+    ("query-needs-attribute", _REL + "query q = SELECT s. FROM r s;\n",
+     "4:26: expected 'from', found 'r'"),
+    ("query-where-literal", _REL + "query q = SELECT s.w FROM r s WHERE s.w = ;\n",
+     "4:43: expected a literal value, found ';'"),
+    ("query-where-outside-domain", _REL + "query q = SELECT s.w FROM r s WHERE s.w = c;\n",
+     "4:7: query 'q': constant 'c' is outside domain 'T' of s.w"),
+    ("query-name-taken-by-union",
+     _REL + "query q = SELECT s.w FROM r s;\nunion u = q | q;\nquery u = SELECT s.w FROM r s;\n",
+     "6:7: duplicate query name 'u'"),
+    ("union-name-taken-by-query", _REL + "query q = SELECT s.w FROM r s;\nunion q = q | q;\n",
+     "5:7: duplicate union name 'q'"),
+    ("union-one-part", _REL + "query q = SELECT s.w FROM r s;\nunion u = q;\n",
+     '6:1: a union needs at least two results'),
+    ("union-unknown-part", _REL + "query q = SELECT s.w FROM r s;\nunion u = q | ghost;\n",
+     "5:7: union 'u' references unknown result 'ghost'"),
+    ("union-shapes-differ", _TWO_SHAPES + "union u = q1 | q1 | q2;\n",
+     "9:21: union 'u': 'q2' gives (y:N) but 'q1' gives (x:T)"),
+    ("setup-unknown-diagram", _HOM_DIAGRAM + "setup s = ghost(r);\n",
+     "11:11: unknown diagram 'ghost'"),
+    ("setup-unknown-relation", _HOM_DIAGRAM + "setup s = h(ghost);\n",
+     "11:13: unknown relation 'ghost'"),
+    ("setup-needs-hom-codomain",
+     _OPEN_DIAGRAM + " solder inner1.w -> c;\n solder out.w -> c;\n}\nsetup s = d(r);\n",
+     "9:7: setup 's': diagram codomain must be [Z => Z]"),
+    ("setup-arity", _HOM_DIAGRAM + "setup s = h(r, r);\n",
+     "11:7: setup 's': diagram has 1 inner stars, got 2 relations"),
+    ("setup-star-mismatch",
+     _HOM_DIAGRAM + 'star V(w:T, v:T);\nrel v : V from "v.csv";\nsetup s = h(v);\n',
+     "13:7: setup 's': relation 'v' does not match inner star 1"),
+    ("setup-missing-comma", _HOM_DIAGRAM + "setup s = h(r r);\n",
+     "11:15: expected ',', found 'r'"),
+    ("crlf-line-endings", "type T = {a};\r\nstar S(w:T)\r\n",
+     "3:1: expected ';', found 'end of file'"),
+    ("comment-before-eof", "# head\ntype T = {a};\n\n   star S(w:T) # tail\n",
+     "5:1: expected ';', found 'end of file'"),
+]
+ERROR_QUERIES = [
+    ("query-trailing-input", "SELECT n.w FROM r n extra",
+     '1:21: unexpected trailing input after query'),
+    ("query-trailing-after-semicolon", "SELECT n.w FROM r n; more",
+     '1:22: unexpected trailing input after query'),
+    ("query-unknown-alias", "SELECT z.w FROM r n", "reference z.w names unknown alias 'z'"),
+    ("query-bad-character", "SELECT n.w FROM r n WHERE n.w = $", "1:33: unexpected character '$'"),
+    ("query-ends-early", "SELECT n.w FROM", "1:16: expected predicate name, found 'end of file'"),
+    ("query-needs-select", "n.w FROM r n", "1:1: expected 'select', found 'n'"),
+    ("query-condition-needs-equals", "SELECT n.w FROM r n WHERE n.w 'a'",
+     '1:31: expected \'=\', found "\'a\'"'),
+    ("query-second-line", "SELECT n.w\nFROM r n\nWHERE n.w = 'z'",
+     "constant 'z' is outside domain 'T' of n.w"),
+]
+
+
+
+class TestErrorMessages:
+    """Every parser error, with its exact message and position."""
+
+    @pytest.mark.parametrize(
+        "text, message", [c[1:] for c in ERROR_SCRIPTS], ids=[c[0] for c in ERROR_SCRIPTS]
+    )
+    def test_script(self, text, message):
+        with pytest.raises(ScriptError) as err:
+            parse_script(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message", [c[1:] for c in ERROR_QUERIES], ids=[c[0] for c in ERROR_QUERIES]
+    )
+    def test_query(self, text, message):
+        with pytest.raises(ScriptError) as err:
+            parse_query_text(text, parse_script(_REL))
+        assert str(err.value) == message
+
 
 class TestRoundTrip:
     def test_print_then_parse_is_stable(self):
