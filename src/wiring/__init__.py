@@ -57,6 +57,6 @@ from .recursion import (
     setup_from_relation,
     step,
 )
-from .laws import GeneratorConfig, SuiteReport, is_connected
+from .laws import GeneratorConfig, SuiteReport
 
 __version__ = "0.1.0"

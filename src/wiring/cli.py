@@ -5,6 +5,9 @@ named query or union, ``query`` runs an inline SELECT expression, ``dot``
 renders a diagram or compiled query, ``fixpoint`` runs a recursion setup,
 ``laws`` runs the random law suites.
 
+Run it as ``wd`` once the package is installed, or as ``python -m
+wiring.cli`` with ``src`` on the path.
+
 Exit status: 0 on success, 1 for user errors (bad scripts, missing files,
 unknown names), 2 for internal invariant violations (law failures or
 unexpected exceptions).
@@ -224,3 +227,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,17 +10,19 @@ re-routings are mutually inverse.
 :func:`apply_hom` is the relational reading of a hom star: a relation on
 ``[Y => Z]`` acts as a function from relations on the ``Yi`` to a relation
 on ``Z``, computed by feeding everything through the evaluation diagram.
+That diagram is no new construction: it is the externalization of the
+identity on ``[Y => Z]``, ``ev = externalize(id, hom)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
 from .stars import Star, WiringDiagram
-from .typed import TypedStar, TypedWiringDiagram
+from .typed import TypedStar, TypedWiringDiagram, typed_identity
 
 TAG_SEPARATOR = "."
 
@@ -33,22 +35,14 @@ def _ret_tag(wire: str) -> str:
     return f"ret{TAG_SEPARATOR}{wire}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HomStar:
     """The typed star of diagrams from ``args`` to ``ret``, with its
-    decomposition remembered."""
+    decomposition remembered; ``args`` and ``ret`` determine it."""
 
     args: tuple[TypedStar, ...]
     ret: TypedStar
-    star: TypedStar
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HomStar):
-            return NotImplemented
-        return self.args == other.args and self.ret == other.ret
-
-    def __hash__(self) -> int:
-        return hash((self.args, self.ret))
+    star: TypedStar = field(compare=False)
 
     def arg_wires(self, i: int) -> list[tuple[str, str]]:
         """Pairs (tagged hom wire, original wire) for the i-th argument star."""
@@ -82,36 +76,11 @@ def internal_hom(args: Sequence[TypedStar], ret: TypedStar) -> HomStar:
 
 
 def evaluation_diagram(args: Sequence[TypedStar], ret: TypedStar) -> TypedWiringDiagram:
-    """The diagram that plugs argument stars into a hom star.
-
-    Inner stars are ``([args => ret], Y1, ..., Yn)`` and the outer star is
-    ``ret``.  Each tagged hom wire shares a cable with the wire it stands
-    for: argument copies fold onto the actual argument wires, result copies
-    fold onto the outer wires.
-    """
+    """The diagram ``([args => ret], Y1, ..., Yn) -> ret`` that plugs argument
+    stars into a hom star: the externalization of the identity on the hom
+    star, so its cables are the hom tags."""
     hom = internal_hom(args, ret)
-    cables = tuple(hom.star.wires)
-    cable_types = dict(hom.star.types)
-    inner_map: dict = {}
-    for tag in hom.star.wires:
-        inner_map[(0, tag)] = tag
-    for i, tstar in enumerate(hom.args):
-        for tag, w in hom.arg_wires(i):
-            inner_map[(i + 1, w)] = tag
-    outer_map = {w: tag for tag, w in hom.ret_wires()}
-    diagram = WiringDiagram(
-        inner=(hom.star.star, *(t.star for t in hom.args)),
-        outer=hom.ret.star,
-        cables=cables,
-        inner_map=inner_map,
-        outer_map=outer_map,
-    )
-    return TypedWiringDiagram(
-        diagram=diagram,
-        inner=(hom.star, *hom.args),
-        outer=hom.ret,
-        cable_types=cable_types,
-    )
+    return externalize(typed_identity(hom.star), hom)
 
 
 def externalize(phi: TypedWiringDiagram, hom: HomStar) -> TypedWiringDiagram:

@@ -56,6 +56,9 @@ _TOKEN_RE = re.compile(
 
 _Item = TypeVar("_Item")
 
+# reserved inside a query: never read as an alias, attribute or predicate
+_QUERY_KEYWORDS = frozenset({"select", "from", "where", "and"})
+
 
 class Token(NamedTuple):
     kind: str
@@ -294,13 +297,15 @@ class _Parser:
         self.expect("punct", "=")
         if self.at_keyword("range"):
             self.next()
-            lo = int(self.expect("int").text)
+            lo_tok = self.expect("int")
+            lo = int(lo_tok.text)
             self.expect("range")
             hi = int(self.expect("int").text)
             if hi < lo:
-                raise self.fail(f"empty range {lo}..{hi}")
+                raise self.fail(f"empty range {lo}..{hi}", lo_tok)
             decl = TypeDecl(name, tuple(range(lo, hi + 1)), (lo, hi))
         else:
+            seen: set[Value] = set()
 
             def value() -> Value:
                 tok = self.peek()
@@ -310,12 +315,13 @@ class _Parser:
                         f"type {name!r}: value {v!r} would not read back from CSV unchanged",
                         tok,
                     )
+                if v in seen:
+                    raise self.fail(f"type {name!r} repeats a value", tok)
+                seen.add(v)
                 return v
 
             self.expect("punct", "{")
             values = self.items(value, close="}")
-            if len(set(values)) != len(values):
-                raise self.fail(f"type {name!r} repeats a value")
             decl = TypeDecl(name, tuple(values))
         self.expect("punct", ";")
         self.script.domains[name] = ValueDomain(name, decl.values)
@@ -479,13 +485,19 @@ class _Parser:
         self.script.diagrams[name] = decl
         return decl
 
+    def _query_name(self, what: str) -> str:
+        """An identifier in a query, which may not be a query keyword."""
+        if self.peek().text.lower() in _QUERY_KEYWORDS:
+            raise self.unexpected(what)
+        return self.ident(what).text
+
     def _attr_ref(self) -> AttrRef:
-        alias = self.ident("alias").text
+        alias = self._query_name("alias")
         self.expect("punct", ".")
-        return AttrRef(alias, self.ident("attribute").text)
+        return AttrRef(alias, self._query_name("attribute"))
 
     def _table(self) -> tuple[str, str]:
-        return self.ident("predicate name").text, self.ident("alias").text
+        return self._query_name("predicate name"), self._query_name("alias")
 
     def _condition(self) -> Condition:
         left = self._attr_ref()
@@ -529,7 +541,7 @@ class _Parser:
         parts = tuple(t.text for t in part_toks)
         self.expect("punct", ";")
         if len(parts) < 2:
-            raise self.fail("a union needs at least two results")
+            raise self.fail("a union needs at least two results", tok)
         for part in parts:
             if part not in self.shapes:
                 raise self.fail(f"union {name!r} references unknown result {part!r}", tok)

@@ -2,12 +2,12 @@
 
 A recursive setup is a relation on the hom star ``[Z => Z]``, usually
 obtained by feeding chosen relations through a diagram whose codomain is
-that hom star.  Applying the setup relation to a candidate (via
-:func:`wiring.closed.apply_hom`) gives a monotone step function on
-relations over ``Z``: the image of the candidate under the setup's
-transition relation.  Its least fixed point is therefore empty, and its
-greatest is the set of states reachable from a cycle of the transition
-graph, found by pruning states of in-degree 0.
+that hom star.  One step applies the setup relation to a candidate
+relation on ``Z`` through the evaluation diagram: ``step`` is
+:func:`wiring.closed.apply_hom`.  The step is monotone; its least fixed
+point is therefore empty, and its greatest is the set of states reachable
+from a cycle of the transition graph, found by pruning states of
+in-degree 0.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .closed import HomStar, internal_hom
+from .closed import HomStar, apply_hom, internal_hom
 from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
 from .stars import WiringDiagram
@@ -25,29 +25,16 @@ from .typed import TypedStar, TypedWiringDiagram, ValueDomain
 
 @dataclass(frozen=True, eq=False)
 class RecursiveSetup:
-    """A step function on relations over ``z``, packaged with its source.
-
-    ``transition`` indexes the setup relation by its argument-copy readout,
-    so repeated stepping does not re-join the setup relation each time.
-    """
+    """A relation on the hom star ``[z => z]``, which ``hom`` names."""
 
     z: TypedStar
-    hom: HomStar
     relation: Relation
-    transition: dict[tuple, frozenset[tuple]] = field(init=False, repr=False)
+    hom: HomStar = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.hom != internal_hom([self.z], self.z):
-            raise InterfaceError("hom star is not [z => z] for the stated z")
+        object.__setattr__(self, "hom", internal_hom([self.z], self.z))
         if self.relation.star != self.hom.star:
             raise InterfaceError("setup relation does not live on [z => z]")
-        n = len(self.z.wires)
-        index: dict[tuple, set[tuple]] = {}
-        for t in self.relation.aligned_tuples(self.hom.star.wires):
-            index.setdefault(t[:n], set()).add(t[n:])
-        object.__setattr__(
-            self, "transition", {k: frozenset(v) for k, v in index.items()}
-        )
 
 
 @dataclass(frozen=True)
@@ -65,27 +52,19 @@ def build_setup(
     z: TypedStar, phi: TypedWiringDiagram, rels: Sequence[Relation]
 ) -> RecursiveSetup:
     """Feed ``rels`` through ``phi : (X1..Xn) -> [z => z]`` into a setup."""
-    hom = internal_hom([z], z)
-    if phi.outer != hom.star:
+    if phi.outer != internal_hom([z], z).star:
         raise InterfaceError("diagram's codomain is not the recursive star [z => z]")
-    relation = evaluate(phi, rels)
-    return RecursiveSetup(z=z, hom=hom, relation=relation)
+    return RecursiveSetup(z, evaluate(phi, rels))
 
 
 def setup_from_relation(z: TypedStar, relation: Relation) -> RecursiveSetup:
     """Wrap an already-computed relation on ``[z => z]`` as a setup."""
-    hom = internal_hom([z], z)
-    return RecursiveSetup(z=z, hom=hom, relation=relation)
+    return RecursiveSetup(z, relation)
 
 
 def step(setup: RecursiveSetup, rel: Relation) -> Relation:
     """One application of the setup to a candidate relation on ``z``."""
-    if rel.star != setup.z:
-        raise InterfaceError("candidate relation does not live on z")
-    out: set[tuple] = set()
-    for arg in rel.aligned_tuples(setup.z.wires):
-        out.update(setup.transition.get(arg, ()))
-    return Relation._trusted(setup.z, frozenset(out))
+    return apply_hom(setup.hom, setup.relation, [rel])
 
 
 def is_fixed_point(setup: RecursiveSetup, rel: Relation) -> bool:
@@ -98,8 +77,9 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     ``mode="least"`` returns the empty relation at once, since the step of
     the empty relation is empty; its trace is ``(empty, empty)``.
 
-    ``mode="greatest"`` starts from the targets of the transition relation,
-    which are the step of the complete relation, and counts each target's
+    ``mode="greatest"`` indexes the setup relation by its argument-copy
+    readout, starts from the targets of that transition relation, which
+    are the step of the complete relation, and counts each target's
     in-degree from targets only.  Each round drops the states whose
     in-degree is 0 and lowers the in-degree of their successors, so the
     states left after ``r`` rounds are the step applied ``r + 1`` times to
@@ -113,7 +93,10 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     if mode == "least":
         empty = Relation.empty(setup.z)
         return FixedPointResult(relation=empty, trace=(empty, empty), mode=mode)
-    transition = setup.transition
+    n = len(setup.z.wires)
+    transition: dict[tuple, list[tuple]] = {}
+    for t in setup.relation.aligned_tuples(setup.hom.star.wires):
+        transition.setdefault(t[:n], []).append(t[n:])
     live = {t for targets in transition.values() for t in targets}
     indegree = Counter(t for s in live for t in transition.get(s, ()))
     dropped = {s for s in live if not indegree[s]}

@@ -28,6 +28,7 @@ class Star:
     """A finite set of distinct wire names; the order is presentational only."""
 
     wires: tuple[str, ...]
+    wire_set: frozenset[str]
 
     def __init__(self, wires: Iterable[str] = ()):
         wires = tuple(wires)
@@ -39,10 +40,7 @@ class Star:
                 raise ValidationError(f"duplicate wire name {w!r}")
             seen.add(w)
         object.__setattr__(self, "wires", wires)
-
-    @property
-    def wire_set(self) -> frozenset[str]:
-        return frozenset(self.wires)
+        object.__setattr__(self, "wire_set", frozenset(seen))
 
     def __contains__(self, wire: str) -> bool:
         return wire in self.wire_set

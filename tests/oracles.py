@@ -129,3 +129,28 @@ def connectivity_oracle(wd: WiringDiagram, parts: Sequence[Partition]) -> Partit
     for y in wd.outer.wires:
         groups.setdefault(component[("y", y)], []).append(y)
     return Partition(wd.outer, groups.values())
+
+
+def is_connected(wd: WiringDiagram) -> bool:
+    """Exactly one connected component in the star-cable incidence graph.
+
+    Inner stars and cables are the nodes; every soldered inner wire is an
+    edge.  The empty diagram has no components, hence is not connected.
+    """
+    nodes: set = {("c", c) for c in wd.cables} | {("s", i) for i in range(wd.arity)}
+    if not nodes:
+        return False
+    adjacency: dict = {n: set() for n in nodes}
+    for (i, _w), c in wd.inner_map.items():
+        adjacency[("s", i)].add(("c", c))
+        adjacency[("c", c)].add(("s", i))
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for nxt in adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen == nodes

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import wiring
 from wiring.cli import run_cli
 
 NAND_CSV = "A,B,out\nTrue,True,False\nTrue,False,True\nFalse,True,True\nFalse,False,True\n"
@@ -288,3 +292,14 @@ def test_internal_error_while_building_a_diagram_exits_2(project, capsys, monkey
     monkeypatch.setattr("wiring.dsl.TypedWiringDiagram", broken)
     assert run_cli(["check", str(project / "circuits.wd")]) == 2
     assert "internal error: RuntimeError: broken invariant" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wiring.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "wiring.cli", "check", "missing.wd"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "error: cannot read missing.wd" in done.stderr

@@ -246,11 +246,11 @@ ERROR_SCRIPTS = [
     ("unknown-star", 'type T = {a};\nrel r : GHOST from "r.csv";\n', "2:9: unknown star 'GHOST'"),
     ("not-a-declaration", "type T = {a};\n;\n", '2:1: expected a declaration'),
     ("unknown-declaration", "table T = {a};\n", "1:1: unknown declaration 'table'"),
-    ("empty-range", "type N = range 3..1;\n", '1:20: empty range 3..1'),
+    ("empty-range", "type N = range 3..1;\n", '1:16: empty range 3..1'),
     ("range-needs-int", "type N = range a..1;\n", "1:16: expected 'int', found 'a'"),
     ("value-not-csv-safe", "type T = {a, '1'};\n",
      "1:14: type 'T': value '1' would not read back from CSV unchanged"),
-    ("repeated-value", "type T = {a, b, a};\n", "1:19: type 'T' repeats a value"),
+    ("repeated-value", "type T = {a, b, a};\n", "1:17: type 'T' repeats a value"),
     ("missing-comma-in-type", "type T = {a b};\n", "1:13: expected ',', found 'b'"),
     ("duplicate-wire", "type T = {a};\nstar S(w:T, w:T);\n", "2:6: duplicate wire name 'w'"),
     ("missing-colon-in-star", "type T = {a};\nstar S(w T);\n", "2:10: expected ':', found 'T'"),
@@ -299,7 +299,11 @@ ERROR_SCRIPTS = [
     ("query-needs-alias", _REL + "query q = SELECT s.w FROM r;\n",
      "4:28: expected alias, found ';'"),
     ("query-needs-attribute", _REL + "query q = SELECT s. FROM r s;\n",
-     "4:26: expected 'from', found 'r'"),
+     "4:21: expected attribute, found 'FROM'"),
+    ("query-keyword-is-no-alias", _REL + "query q = SELECT s.w FROM r WHERE s.w = a;\n",
+     "4:29: expected alias, found 'WHERE'"),
+    ("query-keyword-is-no-predicate", _REL + "query q = SELECT s.w FROM and s;\n",
+     "4:27: expected predicate name, found 'and'"),
     ("query-where-literal", _REL + "query q = SELECT s.w FROM r s WHERE s.w = ;\n",
      "4:43: expected a literal value, found ';'"),
     ("query-where-outside-domain", _REL + "query q = SELECT s.w FROM r s WHERE s.w = c;\n",
@@ -310,7 +314,7 @@ ERROR_SCRIPTS = [
     ("union-name-taken-by-query", _REL + "query q = SELECT s.w FROM r s;\nunion q = q | q;\n",
      "5:7: duplicate union name 'q'"),
     ("union-one-part", _REL + "query q = SELECT s.w FROM r s;\nunion u = q;\n",
-     '6:1: a union needs at least two results'),
+     '5:7: a union needs at least two results'),
     ("union-unknown-part", _REL + "query q = SELECT s.w FROM r s;\nunion u = q | ghost;\n",
      "5:7: union 'u' references unknown result 'ghost'"),
     ("union-shapes-differ", _TWO_SHAPES + "union u = q1 | q1 | q2;\n",
@@ -343,6 +347,8 @@ ERROR_QUERIES = [
     ("query-bad-character", "SELECT n.w FROM r n WHERE n.w = $", "1:33: unexpected character '$'"),
     ("query-ends-early", "SELECT n.w FROM", "1:16: expected predicate name, found 'end of file'"),
     ("query-needs-select", "n.w FROM r n", "1:1: expected 'select', found 'n'"),
+    ("query-keyword-is-no-attribute", "SELECT n.Select FROM r n",
+     "1:10: expected attribute, found 'Select'"),
     ("query-condition-needs-equals", "SELECT n.w FROM r n WHERE n.w 'a'",
      '1:31: expected \'=\', found "\'a\'"'),
     ("query-second-line", "SELECT n.w\nFROM r n\nWHERE n.w = 'z'",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import is_connected
 import wiring.relations as relations_mod
 import wiring.stars as stars_mod
 from wiring.laws import (
@@ -15,7 +16,6 @@ from wiring.laws import (
     gen_relation,
     gen_stack,
     gen_typed,
-    is_connected,
     run_all,
 )
 from wiring.stars import Star, WiringDiagram, compose, identity_diagram
