@@ -40,8 +40,6 @@ def main() -> None:
             inner_map={(0, "A"): "i", (0, "B"): "i", (0, "out"): "o"},
             outer_map={"in": "i", "out": "o"},
         ),
-        (gate,),
-        io,
         {"i": BOOL, "o": BOOL},
     )
     notrel = evaluate(tie, [nand])
@@ -62,8 +60,6 @@ def main() -> None:
             },
             outer_map={"A": "a", "B": "b", "out": "o"},
         ),
-        (gate, io),
-        gate,
         {c: BOOL for c in ("a", "b", "m", "o")},
     )
     stagewise = evaluate(chain, [nand, notrel])

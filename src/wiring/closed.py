@@ -17,6 +17,7 @@ identity on ``[Y => Z]``, ``ev = externalize(id, hom)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InterfaceError, ValidationError
@@ -51,6 +52,13 @@ class HomStar:
     def ret_wires(self) -> list[tuple[str, str]]:
         return [(_ret_tag(w), w) for w in self.ret.wires]
 
+    @cached_property
+    def evaluation(self) -> TypedWiringDiagram:
+        """The diagram ``([args => ret], Y1, ..., Yn) -> ret`` that plugs
+        argument stars into this hom star: the externalization of the
+        identity on the hom star, so its cables are the hom tags."""
+        return externalize(typed_identity(self.star), self)
+
 
 def internal_hom(args: Sequence[TypedStar], ret: TypedStar) -> HomStar:
     """Tagged disjoint union of the argument and result stars."""
@@ -76,11 +84,8 @@ def internal_hom(args: Sequence[TypedStar], ret: TypedStar) -> HomStar:
 
 
 def evaluation_diagram(args: Sequence[TypedStar], ret: TypedStar) -> TypedWiringDiagram:
-    """The diagram ``([args => ret], Y1, ..., Yn) -> ret`` that plugs argument
-    stars into a hom star: the externalization of the identity on the hom
-    star, so its cables are the hom tags."""
-    hom = internal_hom(args, ret)
-    return externalize(typed_identity(hom.star), hom)
+    """The evaluation diagram of the hom star ``[args => ret]``."""
+    return internal_hom(args, ret).evaluation
 
 
 def externalize(phi: TypedWiringDiagram, hom: HomStar) -> TypedWiringDiagram:
@@ -106,12 +111,7 @@ def externalize(phi: TypedWiringDiagram, hom: HomStar) -> TypedWiringDiagram:
         inner_map=inner_map,
         outer_map=outer_map,
     )
-    return TypedWiringDiagram(
-        diagram=diagram,
-        inner=(*phi.inner, *hom.args),
-        outer=hom.ret,
-        cable_types=dict(phi.cable_types),
-    )
+    return TypedWiringDiagram(diagram, phi.cable_types)
 
 
 def internalize(psi: TypedWiringDiagram, arg_count: int) -> TypedWiringDiagram:
@@ -142,12 +142,7 @@ def internalize(psi: TypedWiringDiagram, arg_count: int) -> TypedWiringDiagram:
         inner_map=inner_map,
         outer_map=outer_map,
     )
-    return TypedWiringDiagram(
-        diagram=diagram,
-        inner=psi.inner[:m],
-        outer=hom.star,
-        cable_types=dict(psi.cable_types),
-    )
+    return TypedWiringDiagram(diagram, psi.cable_types)
 
 
 def apply_hom(hom: HomStar, rel: Relation, args: Sequence[Relation]) -> Relation:
@@ -164,4 +159,4 @@ def apply_hom(hom: HomStar, rel: Relation, args: Sequence[Relation]) -> Relation
     for i, r in enumerate(args):
         if r.star != hom.args[i]:
             raise InterfaceError(f"argument relation {i} does not match its star")
-    return evaluate(evaluation_diagram(hom.args, hom.ret), [rel, *args])
+    return evaluate(hom.evaluation, [rel, *args])

@@ -18,6 +18,8 @@ parsed (declaration before use, names unique per kind; ``rel`` and
 * ``setup NAME = DIAGRAM(rel, ...);`` a recursion setup; the diagram's
   codomain must be ``[Z => Z]``
 
+The query keywords ``select``, ``from``, ``where`` and ``and`` (in any case)
+cannot name a wire, rel or const, which a query could then not refer to.
 Comments run from ``#`` to end of line.  Wire and cable identifiers may
 carry trailing primes (``A'``).  Tokens carry their offset in the text; a
 line and column are computed only when an error is raised.  The pretty
@@ -56,7 +58,8 @@ _TOKEN_RE = re.compile(
 
 _Item = TypeVar("_Item")
 
-# reserved inside a query: never read as an alias, attribute or predicate
+# reserved inside a query: never read as an alias, attribute or predicate,
+# so no wire, rel or const may be declared under one of these names
 _QUERY_KEYWORDS = frozenset({"select", "from", "where", "and"})
 
 
@@ -328,7 +331,7 @@ class _Parser:
         return decl
 
     def _wire(self) -> tuple[str, str]:
-        wire = self.ident("wire name").text
+        wire = self._query_name("wire name")
         self.expect("punct", ":")
         return wire, self.type_ref()
 
@@ -347,9 +350,13 @@ class _Parser:
         self.script.stars[tok.text] = tstar
         return StarDecl(tok.text, tuple(wires))
 
+    def _predicate_name(self, what: str) -> str:
+        """A new rel or const name, which a query's FROM must be able to name."""
+        self._reject_query_keyword(what)
+        return self.new_name(what, "rel/const", self.script.relations, self.script.consts).text
+
     def parse_rel(self) -> RelDecl:
-        tables = (self.script.relations, self.script.consts)
-        name = self.new_name("relation name", "rel/const", *tables).text
+        name = self._predicate_name("relation name")
         self.expect("punct", ":")
         star_name = self.star_ref()
         self.expect_keyword("from")
@@ -360,8 +367,7 @@ class _Parser:
         return decl
 
     def parse_const(self) -> ConstDecl:
-        tables = (self.script.relations, self.script.consts)
-        name = self.new_name("constant name", "rel/const", *tables).text
+        name = self._predicate_name("constant name")
         self.expect("punct", ":")
         type_name = self.type_ref()
         dom = self.script.domains[type_name]
@@ -470,9 +476,22 @@ class _Parser:
                 inner_map=inner_map,
                 outer_map=outer_map,
             )
-            typed = TypedWiringDiagram(wd, inner, outer, cable_types)
+            typed = TypedWiringDiagram(wd, cable_types)
         except WiringError as exc:
             raise self.fail(f"diagram {name!r}: {exc}", tok) from exc
+        # A wire's type is its cable's; the star declarations must agree.
+        soldered = [
+            (f"wire {w!r} of inner star {i}", inner[i].domain(w), c)
+            for (i, w), c in inner_map.items()
+        ]
+        soldered += [(f"outer wire {w!r}", outer.domain(w), c) for w, c in outer_map.items()]
+        for wire, declared, c in soldered:
+            if declared != cable_types[c]:
+                raise self.fail(
+                    f"diagram {name!r}: {wire} has domain {declared.name!r} "
+                    f"but its cable {c!r} has {cable_types[c].name!r}",
+                    tok,
+                )
         decl = DiagramDecl(
             name,
             tuple(inner_names),
@@ -485,10 +504,13 @@ class _Parser:
         self.script.diagrams[name] = decl
         return decl
 
-    def _query_name(self, what: str) -> str:
-        """An identifier in a query, which may not be a query keyword."""
+    def _reject_query_keyword(self, what: str) -> None:
         if self.peek().text.lower() in _QUERY_KEYWORDS:
             raise self.unexpected(what)
+
+    def _query_name(self, what: str) -> str:
+        """An identifier a query reads, which may not be a query keyword."""
+        self._reject_query_keyword(what)
         return self.ident(what).text
 
     def _attr_ref(self) -> AttrRef:

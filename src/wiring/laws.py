@@ -136,13 +136,7 @@ def gen_typed(
         wd = gen_diagram(rng, cfg)
     if domains is None:
         domains = gen_domains(rng, cfg)
-    cable_types = {c: rng.choice(list(domains)) for c in wd.cables}
-    inner = tuple(
-        TypedStar(s, {w: cable_types[wd.inner_map[(i, w)]] for w in s.wires})
-        for i, s in enumerate(wd.inner)
-    )
-    outer = TypedStar(wd.outer, {w: cable_types[wd.outer_map[w]] for w in wd.outer.wires})
-    return TypedWiringDiagram(wd, inner, outer, cable_types)
+    return TypedWiringDiagram(wd, {c: rng.choice(list(domains)) for c in wd.cables})
 
 
 def gen_relation(rng: random.Random, tstar: TypedStar) -> Relation:
@@ -458,12 +452,8 @@ def gen_typed_filler(
         for i, s in enumerate(inner_stars)
         for w in s.wires
     }
-    inner = tuple(
-        TypedStar(s, {w: cable_types[inner_map[(i, w)]] for w in s.wires})
-        for i, s in enumerate(inner_stars)
-    )
     wd = WiringDiagram(tuple(inner_stars), tstar.star, cables, inner_map, outer_map)
-    return TypedWiringDiagram(wd, inner, tstar, cable_types)
+    return TypedWiringDiagram(wd, cable_types)
 
 
 def _typed_stack(rng: random.Random, cfg: GeneratorConfig):
@@ -548,7 +538,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
     for index, wires in enumerate((["y"], ["y1", "y2"])):
         y = TypedStar.uniform(wires, domain)
         wd = WiringDiagram((), y.star, tuple(wires), {}, {w: w for w in wires})
-        twd = TypedWiringDiagram(wd, (), y, {w: domain for w in wires})
+        twd = TypedWiringDiagram(wd, {w: domain for w in wires})
         got = relations_mod.evaluate_naive(twd, [])
         if got != Relation.complete(y):
             record("witness-complete", index, f"outer {wires}: got {sorted(got.tuples)}")
@@ -564,7 +554,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         {(0, "x1"): "cx1", (0, "x2"): "cx2"},
         {"y1": "cy1", "y2": "cy2"},
     )
-    twd = TypedWiringDiagram(wd, (x1,), y, {c: domain for c in cables})
+    twd = TypedWiringDiagram(wd, {c: domain for c in cables})
     for index in range(3):
         rel = gen_relation(rng, x1)
         got = relations_mod.evaluate_naive(twd, [rel])
@@ -583,7 +573,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         {(0, "p"): "c", (1, "p"): "c"},
         {"p": "c"},
     )
-    twd = TypedWiringDiagram(wd, (pt, pt), pt, {"c": domain})
+    twd = TypedWiringDiagram(wd, {"c": domain})
     a1, a2 = domain.values[0], domain.values[1]
     got = relations_mod.evaluate_naive(twd, [Relation(pt, [(a1,)]), Relation(pt, [(a2,)])])
     if not got.is_empty:
@@ -604,7 +594,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         },
         {"w1": "c1", "w2": "cshared"},
     )
-    twd = TypedWiringDiagram(wd, (two, two), two, {c: domain for c in cables})
+    twd = TypedWiringDiagram(wd, {c: domain for c in cables})
     complete = Relation.complete(two)
     for index in range(3):
         rel = gen_relation(rng, two)

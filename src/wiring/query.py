@@ -69,20 +69,20 @@ class CompiledQuery:
 
     query: ConjunctiveQuery
     diagram: TypedWiringDiagram
-    inputs: tuple[tuple[str, str], ...]  # (kind, name), kind in {"rel", "const"}
+    inputs: tuple[str, ...]
     literal_relations: tuple[Relation, ...]
 
     def input_relations(self, relations: Mapping[str, Relation]) -> list[Relation]:
-        rels = [relations[name] for _kind, name in self.inputs]
+        rels = [relations[name] for name in self.inputs]
         rels.extend(self.literal_relations)
         return rels
 
 
-def _predicate_star(script: "Script", name: str) -> tuple[str, TypedStar]:
+def _predicate_star(script: "Script", name: str) -> TypedStar:
     if name in script.relations:
-        return "rel", script.relations[name].star
+        return script.relations[name].star
     if name in script.consts:
-        return "const", script.consts[name].star
+        return script.consts[name].star
     raise ScriptError(f"FROM references unknown predicate {name!r}")
 
 
@@ -92,8 +92,7 @@ def validate_query(query: ConjunctiveQuery, script: "Script") -> dict[str, Typed
     for pred, alias in query.tables:
         if alias in by_alias:
             raise ScriptError(f"duplicate FROM alias {alias!r}")
-        _kind, star = _predicate_star(script, pred)
-        by_alias[alias] = star
+        by_alias[alias] = _predicate_star(script, pred)
 
     def domain_of(ref: AttrRef) -> ValueDomain:
         if ref.alias not in by_alias:
@@ -181,7 +180,7 @@ def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
             cable_domains[cable_ids[root]] = domain
         return cable_ids[root]
 
-    inner_stars: list[TypedStar] = [by_alias[a] for a in aliases]
+    inner_stars: list[Star] = [by_alias[a].star for a in aliases]
     inner_map: dict = {}
     for i, alias in enumerate(aliases):
         star = by_alias[alias]
@@ -191,7 +190,7 @@ def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
     for value, dom in literals:
         i = len(inner_stars)
         const_star = TypedStar(Star((CONST_WIRE,)), {CONST_WIRE: dom})
-        inner_stars.append(const_star)
+        inner_stars.append(const_star.star)
         inner_map[(i, CONST_WIRE)] = cable_of(("lit", value, dom.name), dom)
         literal_relations.append(Relation(const_star, [(value,)]))
 
@@ -202,20 +201,16 @@ def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
     }
 
     diagram = WiringDiagram(
-        inner=tuple(t.star for t in inner_stars),
+        inner=tuple(inner_stars),
         outer=outer.star,
         cables=tuple(range(len(cable_ids))),
         inner_map=inner_map,
         outer_map=outer_map,
     )
-    twd = TypedWiringDiagram(diagram, tuple(inner_stars), outer, cable_domains)
-    inputs = tuple(
-        (_predicate_star(script, pred)[0], pred) for pred, _alias in query.tables
-    )
     return CompiledQuery(
         query=query,
-        diagram=twd,
-        inputs=inputs,
+        diagram=TypedWiringDiagram(diagram, cable_domains),
+        inputs=tuple(pred for pred, _alias in query.tables),
         literal_relations=tuple(literal_relations),
     )
 

@@ -184,8 +184,6 @@ def factorial_fixture(limit: int) -> FactorialFixture:
             inner_map=diagram_inner_map,
             outer_map=outer_map,
         ),
-        inner=(x1, x2, x3),
-        outer=hom.star,
         cable_types={c: dom for c in cables},
     )
     setup = build_setup(z, phi, [decrement, multiplication, conditional])

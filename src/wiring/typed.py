@@ -1,9 +1,9 @@
 """Typed stars and typed wiring diagrams.
 
-Every wire and cable carries a finite value domain, and the solder maps must
-respect the typing: a wire's domain equals the domain of the cable it is
-soldered to.  Domains are nominal: two domains with the same values but
-different names are distinct types.
+Every cable carries a finite value domain, and a wire's type is its cable's
+type: a typed diagram is a cospan over the set of types, a diagram sliced
+over its cable typing.  Domains are nominal: two domains with the same
+values but different names are distinct types.
 
 :func:`lift_uniform` types every wire of a plain diagram with one domain,
 and ``.diagram`` strips the typing again: the diagram under a uniform lift
@@ -13,6 +13,7 @@ is the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InterfaceError, TypeMismatchError, ValidationError
@@ -112,35 +113,18 @@ class TypedStar:
 
 @dataclass(frozen=True, eq=False)
 class TypedWiringDiagram:
-    """A wiring diagram whose cables carry domains agreeing with every wire.
+    """A wiring diagram whose cables carry domains.
 
-    Construction validates the commuting condition and reports the first
-    wire whose domain disagrees with its cable's.
+    The cable typing is the only typing: each inner and outer wire has the
+    domain of the cable it is soldered to, so ``inner`` and ``outer`` are
+    read off the cables, when first asked for, and cannot disagree with them.
     """
 
-    inner: tuple[TypedStar, ...]
-    outer: TypedStar
     diagram: WiringDiagram
     cable_types: dict[Cable, ValueDomain]
 
-    def __init__(
-        self,
-        diagram: WiringDiagram,
-        inner: Sequence[TypedStar],
-        outer: TypedStar,
-        cable_types: Mapping[Cable, ValueDomain],
-    ):
-        inner = tuple(inner)
+    def __init__(self, diagram: WiringDiagram, cable_types: Mapping[Cable, ValueDomain]):
         cable_types = dict(cable_types)
-        if len(inner) != diagram.arity:
-            raise InterfaceError(
-                f"expected {diagram.arity} inner typings, got {len(inner)}"
-            )
-        for i, tstar in enumerate(inner):
-            if tstar.star != diagram.inner[i]:
-                raise InterfaceError(f"typing of inner star {i} names different wires")
-        if outer.star != diagram.outer:
-            raise InterfaceError("outer typing names different wires")
         for c in diagram.cables:
             if c not in cable_types:
                 raise TypeMismatchError(f"cable {c!r} has no declared domain")
@@ -148,27 +132,25 @@ class TypedWiringDiagram:
         for c in cable_types:
             if c not in cables:
                 raise TypeMismatchError(f"cable typing mentions unknown cable {c!r}")
-        for (i, w), c in diagram.inner_map.items():
-            if inner[i].domain(w) != cable_types[c]:
-                raise TypeMismatchError(
-                    f"wire {w!r} of inner star {i} has domain "
-                    f"{inner[i].domain(w).name!r} but its cable {c!r} has "
-                    f"{cable_types[c].name!r}"
-                )
-        for w, c in diagram.outer_map.items():
-            if outer.domain(w) != cable_types[c]:
-                raise TypeMismatchError(
-                    f"outer wire {w!r} has domain {outer.domain(w).name!r} "
-                    f"but its cable {c!r} has {cable_types[c].name!r}"
-                )
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "cable_types", cable_types)
 
+    @cached_property
+    def inner(self) -> tuple[TypedStar, ...]:
+        wd, types = self.diagram, self.cable_types
+        return tuple(
+            TypedStar(s, {w: types[wd.inner_map[i, w]] for w in s.wires})
+            for i, s in enumerate(wd.inner)
+        )
+
+    @cached_property
+    def outer(self) -> TypedStar:
+        wd, types = self.diagram, self.cable_types
+        return TypedStar(wd.outer, {w: types[wd.outer_map[w]] for w in wd.outer.wires})
+
     @property
     def arity(self) -> int:
-        return len(self.inner)
+        return self.diagram.arity
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(s) for s in self.inner)
@@ -177,21 +159,11 @@ class TypedWiringDiagram:
 
 def lift_uniform(wd: WiringDiagram, domain: ValueDomain) -> TypedWiringDiagram:
     """Type every wire and cable of ``wd`` with ``domain``."""
-    return TypedWiringDiagram(
-        diagram=wd,
-        inner=tuple(TypedStar.uniform(s, domain) for s in wd.inner),
-        outer=TypedStar.uniform(wd.outer, domain),
-        cable_types={c: domain for c in wd.cables},
-    )
+    return TypedWiringDiagram(wd, {c: domain for c in wd.cables})
 
 
 def typed_identity(tstar: TypedStar) -> TypedWiringDiagram:
-    return TypedWiringDiagram(
-        diagram=identity_diagram(tstar.star),
-        inner=(tstar,),
-        outer=tstar,
-        cable_types={w: tstar.domain(w) for w in tstar.wires},
-    )
+    return TypedWiringDiagram(identity_diagram(tstar.star), tstar.types)
 
 
 def typed_compose(
@@ -218,16 +190,7 @@ def typed_compose(
             cable_types.setdefault(class_of[("i", i, c)], dom)
     for c, dom in outer_twd.cable_types.items():
         cable_types.setdefault(class_of[("o", c)], dom)
-
-    flat_inner: list[TypedStar] = []
-    for twd in inner_twds:
-        flat_inner.extend(twd.inner)
-    return TypedWiringDiagram(
-        diagram=composite,
-        inner=tuple(flat_inner),
-        outer=outer_twd.outer,
-        cable_types=cable_types,
-    )
+    return TypedWiringDiagram(composite, cable_types)
 
 
 def canonicalize_typed(twd: TypedWiringDiagram) -> TypedWiringDiagram:
@@ -241,12 +204,7 @@ def canonicalize_typed(twd: TypedWiringDiagram) -> TypedWiringDiagram:
     diagram, renamed = canonicalize_with_renaming(
         twd.diagram, lambda c: (types[c].name, str(types[c].values))
     )
-    return TypedWiringDiagram(
-        diagram=diagram,
-        inner=twd.inner,
-        outer=twd.outer,
-        cable_types={renamed[c]: d for c, d in types.items()},
-    )
+    return TypedWiringDiagram(diagram, {renamed[c]: d for c, d in types.items()})
 
 
 def typed_diagrams_equal(a: TypedWiringDiagram, b: TypedWiringDiagram) -> bool:

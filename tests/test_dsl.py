@@ -254,6 +254,12 @@ ERROR_SCRIPTS = [
     ("missing-comma-in-type", "type T = {a b};\n", "1:13: expected ',', found 'b'"),
     ("duplicate-wire", "type T = {a};\nstar S(w:T, w:T);\n", "2:6: duplicate wire name 'w'"),
     ("missing-colon-in-star", "type T = {a};\nstar S(w T);\n", "2:10: expected ':', found 'T'"),
+    ("query-keyword-is-no-wire", "type T = {a};\nstar E(v:T, From:T);\n",
+     "2:13: expected wire name, found 'From'"),
+    ("query-keyword-is-no-rel", _STAR + 'rel select : S from "r.csv";\n',
+     "3:5: expected relation name, found 'select'"),
+    ("query-keyword-is-no-const", "type T = {a};\nconst AND : T = a;\n",
+     "2:7: expected constant name, found 'AND'"),
     ("const-outside-type", "type T = {a};\nconst k : T = b;\n",
      "2:15: constant 'b' is outside type 'T'"),
     ("const-unknown-type", "const k : T = b;\n", "1:11: unknown type 'T'"),
@@ -281,6 +287,10 @@ ERROR_SCRIPTS = [
      _REL + "type U = {x};\ndiagram d(S) -> S {\n cable c : U;\n"
      " solder inner1.w -> c;\n solder out.w -> c;\n}\n",
      "5:9: diagram 'd': wire 'w' of inner star 0 has domain 'T' but its cable 'c' has 'U'"),
+    ("outer-cable-type-mismatch",
+     _REL + "type U = {x};\ndiagram d(S) -> S {\n cable c : T;\n cable e : U;\n"
+     " solder inner1.w -> c;\n solder out.w -> e;\n}\n",
+     "5:9: diagram 'd': outer wire 'w' has domain 'T' but its cable 'e' has 'U'"),
     ("codomain-unknown-star", _REL + "diagram d(S) -> GHOST {}\n", "4:17: unknown star 'GHOST'"),
     ("codomain-unknown-argument", _REL + "diagram d(S) -> [S, GHOST => S] {}\n",
      "4:21: unknown star 'GHOST'"),

@@ -15,7 +15,7 @@ from wiring.query import (
 )
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram
-from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain, typed_diagrams_equal
+from wiring.typed import TypedWiringDiagram, ValueDomain, typed_diagrams_equal
 
 WIKI_SCRIPT = """
 type STUDENT = {ann, ben, cleo, dan};
@@ -74,13 +74,7 @@ class TestWikiQuery:
         twd = compiled.diagram
         assert twd.arity == 7  # five tables plus two constants
         assert len(twd.diagram.cables) == 6
-        assert compiled.inputs == (
-            ("rel", "attends"),
-            ("rel", "gender"),
-            ("rel", "attends"),
-            ("rel", "gender"),
-            ("rel", "lives"),
-        )
+        assert compiled.inputs == ("attends", "gender", "attends", "gender", "lives")
         assert [sorted(r.tuples) for r in compiled.literal_relations] == [
             [("male",)],
             [("female",)],
@@ -94,10 +88,7 @@ class TestWikiQuery:
         attends = script.stars["ATTENDS"]
         genders = script.stars["GENDERS"]
         lives = script.stars["LIVES"]
-        const = TypedStar(Star((CONST_WIRE,)), {CONST_WIRE: gender})
-        outer = TypedStar(
-            Star(("student", "address")), {"student": student, "address": address}
-        )
+        const = Star((CONST_WIRE,))
         cable_types = {
             "s1": student,  # a1.student ~ g1.student ~ L.student
             "crs": course,  # a1.course ~ a2.course
@@ -108,8 +99,8 @@ class TestWikiQuery:
         }
         wd = WiringDiagram(
             inner=(attends.star, genders.star, attends.star, genders.star,
-                   lives.star, const.star, const.star),
-            outer=outer.star,
+                   lives.star, const, const),
+            outer=Star(("student", "address")),
             cables=tuple(cable_types),
             inner_map={
                 (0, "student"): "s1",
@@ -127,12 +118,7 @@ class TestWikiQuery:
             },
             outer_map={"student": "s1", "address": "addr"},
         )
-        expected = TypedWiringDiagram(
-            wd,
-            (attends, genders, attends, genders, lives, const, const),
-            outer,
-            cable_types,
-        )
+        expected = TypedWiringDiagram(wd, cable_types)
         assert typed_diagrams_equal(twd, expected)
 
     def test_matches_nested_loop_oracle(self, wiki):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import factorial_graph, kleene_fixed_point
+from wiring import closed
 from wiring.closed import apply_hom, internal_hom
 from wiring.errors import InterfaceError, ValidationError
 from wiring.recursion import (
@@ -36,9 +37,7 @@ def identity_setup(domain):
         inner_map={},
         outer_map={f"arg1.{w}": w for w in z.wires} | {f"ret.{w}": w for w in z.wires},
     )
-    phi = TypedWiringDiagram(
-        wd, (), hom.star, {c: domain for c in cables}
-    )
+    phi = TypedWiringDiagram(wd, {c: domain for c in cables})
     return z, build_setup(z, phi, [])
 
 
@@ -65,8 +64,6 @@ class TestBuildSetup:
         z = TypedStar.uniform(["a"], bool_domain)
         phi = TypedWiringDiagram(
             WiringDiagram((), z.star, ("a",), {}, {"a": "a"}),
-            (),
-            z,
             {"a": bool_domain},
         )
         with pytest.raises(InterfaceError, match="recursive star"):
@@ -95,6 +92,22 @@ class TestStep:
         assert step(fx.setup, candidate) == apply_hom(
             fx.setup.hom, fx.setup.relation, [candidate]
         )
+
+    def test_steps_share_one_evaluation_diagram(self, small_fixture, monkeypatch):
+        fx = small_fixture
+        diagrams = []
+
+        def recording_evaluate(twd, rels):
+            diagrams.append(twd)
+            return evaluate(twd, rels)
+
+        monkeypatch.setattr(closed, "evaluate", recording_evaluate)
+        step(fx.setup, Relation.empty(fx.z))
+        step(fx.setup, Relation(fx.z, factorial_graph(24)))
+        assert len(diagrams) == 2 and diagrams[0] is diagrams[1]
+        # the cached diagram takes no part in the hom star's identity
+        fresh = internal_hom([fx.z], fx.z)
+        assert fresh == fx.setup.hom and hash(fresh) == hash(fx.setup.hom)
 
     def test_star_mismatch_rejected(self, small_fixture, bool_domain):
         with pytest.raises(InterfaceError):

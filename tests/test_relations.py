@@ -58,7 +58,7 @@ class TestNandExamples:
             inner_map={(0, "A"): "i", (0, "B"): "i", (0, "out"): "o"},
             outer_map={"in": "i", "out": "o"},
         )
-        twd = TypedWiringDiagram(wd, (nand_star,), io, {"i": bool_domain, "o": bool_domain})
+        twd = TypedWiringDiagram(wd, {"i": bool_domain, "o": bool_domain})
         got = evaluate(twd, [nand_relation])
         assert got.aligned_tuples(("in", "out")) == frozenset(
             {("True", "False"), ("False", "True")}
@@ -91,7 +91,7 @@ class TestThreeQueries:
             inner_map={(0, "X"): "cx", (0, "Y"): "cy", (0, "Z"): "cz", (1, "Z"): "cz"},
             outer_map={"X": "cx", "Y": "cy"},
         )
-        twd = TypedWiringDiagram(wd, (b1, b2), outer, {c: dom for c in wd.cables})
+        twd = TypedWiringDiagram(wd, {c: dom for c in wd.cables})
         got = evaluate(twd, [r1, r2])
         assert got.aligned_tuples(("X", "Y")) == frozenset({(1, 9), (3, 3), (9, 1)})
         # brute pair loop as an independent check
@@ -110,7 +110,7 @@ class TestThreeQueries:
             inner_map={(0, "X"): "cx", (0, "Y"): "cy", (0, "Z"): "cz"},
             outer_map={"X": "cx", "Z": "cz"},
         )
-        twd = TypedWiringDiagram(wd, (b1,), outer, {c: dom for c in wd.cables})
+        twd = TypedWiringDiagram(wd, {c: dom for c in wd.cables})
         got = evaluate(twd, [r1])
         assert got.aligned_tuples(("X", "Z")) == frozenset(
             {(x, z) for (x, y, z) in r1.tuples}
@@ -126,7 +126,7 @@ class TestThreeQueries:
             inner_map={(0, "X"): "cxy", (0, "Y"): "cxy", (0, "Z"): "cz"},
             outer_map={"Z": "cz"},
         )
-        twd = TypedWiringDiagram(wd, (b1,), outer, {"cxy": dom, "cz": dom})
+        twd = TypedWiringDiagram(wd, {"cxy": dom, "cz": dom})
         got = evaluate(twd, [r1])
         assert got.aligned_tuples(("Z",)) == frozenset(
             {(x * x,) for x in range(10)}
@@ -145,7 +145,7 @@ def exists_diagram():
         inner_map={(0, "x"): "cx"},
         outer_map={"y": "cy"},
     )
-    return dom, x, y, TypedWiringDiagram(wd, (x,), y, {"cx": dom, "cy": dom})
+    return dom, x, y, TypedWiringDiagram(wd, {"cx": dom, "cy": dom})
 
 
 class TestExistentialExample:
@@ -165,7 +165,7 @@ class TestZeroAryAndEdgeCases:
     def test_zero_ary_identity_leg_gives_complete(self, bool_domain):
         y = TypedStar.uniform(["a", "b"], bool_domain)
         wd = WiringDiagram((), y.star, ("a", "b"), {}, {"a": "a", "b": "b"})
-        twd = TypedWiringDiagram(wd, (), y, {"a": bool_domain, "b": bool_domain})
+        twd = TypedWiringDiagram(wd, {"a": bool_domain, "b": bool_domain})
         assert evaluate(twd, []) == Relation.complete(y)
 
     def test_identity_diagram_returns_input(self, nand_star, nand_relation):
@@ -177,7 +177,7 @@ class TestZeroAryAndEdgeCases:
         none = ValueDomain("none", ())
         y = TypedStar(Star(["a"]), {"a": none})
         wd = WiringDiagram((), y.star, ("a", "f"), {}, {"a": "a"})
-        twd = TypedWiringDiagram(wd, (), y, {"a": none, "f": none})
+        twd = TypedWiringDiagram(wd, {"a": none, "f": none})
         assert evaluate(twd, []).is_empty
         assert evaluate_naive(twd, []).is_empty
 
@@ -185,7 +185,7 @@ class TestZeroAryAndEdgeCases:
         none = ValueDomain("none", ())
         y = TypedStar.uniform(["a"], bool_domain)
         wd = WiringDiagram((), y.star, ("a", "f"), {}, {"a": "a"})
-        twd = TypedWiringDiagram(wd, (), y, {"a": bool_domain, "f": none})
+        twd = TypedWiringDiagram(wd, {"a": bool_domain, "f": none})
         assert evaluate(twd, []).is_empty
 
     def test_star_mismatch_rejected(self, bool_domain, nand_relation):
@@ -212,7 +212,7 @@ class TestAbsorption:
             inner_map={(0, "x"): "cx"},
             outer_map={"y": "cy"},
         )
-        twd = TypedWiringDiagram(wd, (x,), y, {"cx": bool_domain, "cy": bool_domain})
+        twd = TypedWiringDiagram(wd, {"cx": bool_domain, "cy": bool_domain})
         assert evaluate(twd, [Relation.empty(x)]).is_empty
 
     def test_random_instances(self):
@@ -321,7 +321,7 @@ def _path(rng, dom, sizes):
         inner_map=inner_map,
         outer_map={"first": cables[0], "last": cables[-1]},
     )
-    twd = TypedWiringDiagram(wd, stars, outer, {c: dom for c in cables})
+    twd = TypedWiringDiagram(wd, {c: dom for c in cables})
     space = [(x, y) for x in dom.values for y in dom.values]
     rels = [Relation(s, rng.sample(space, k)) for s, k in zip(stars, sizes)]
     return twd, rels
@@ -348,8 +348,7 @@ class TestJoinPlan:
             inner_map={(0, "p"): "x", (1, "p"): "y", (2, "p"): "x"},
             outer_map={"p": "x", "q": "y"},
         )
-        outer = TypedStar.uniform(["p", "q"], bool_domain)
-        twd = TypedWiringDiagram(wd, (a, a, a), outer, {"x": bool_domain, "y": bool_domain})
+        twd = TypedWiringDiagram(wd, {"x": bool_domain, "y": bool_domain})
         plan = plan_join(twd, [1, 2, 2])
         # star 2 shares cable x with star 0; star 1 is a cross product
         assert [step.star for step in plan.steps] == [0, 2, 1]
@@ -364,7 +363,7 @@ class TestJoinPlan:
             inner_map={(0, "A"): "i", (0, "B"): "i", (0, "out"): "o"},
             outer_map={"in": "i", "out": "o"},
         )
-        twd = TypedWiringDiagram(wd, (nand_star,), io, {c: nand_star.domain("A") for c in "io"})
+        twd = TypedWiringDiagram(wd, {c: nand_star.domain("A") for c in "io"})
         (step,) = plan_join(twd, [4]).steps
         assert step.equal_pairs == ((0, 1),)
         assert step.cables == ("i", "o")
@@ -395,7 +394,7 @@ def _random_instance(rng):
         inner_map=inner_map,
         outer_map={w: rng.choice(cables) for w in outer_wires},
     )
-    twd = TypedWiringDiagram(wd, stars, outer, {c: dom for c in cables})
+    twd = TypedWiringDiagram(wd, {c: dom for c in cables})
     return twd, rels
 
 
@@ -450,7 +449,7 @@ def test_inputs_are_read_by_wire_name_not_position():
         inner_map={(0, "A"): "a", (0, "B"): "b", (1, "A"): "c", (1, "B"): "b"},
         outer_map={"a": "a", "b": "b", "c": "c"},
     )
-    twd = TypedWiringDiagram(wd, (u, u), outer, {"a": n, "b": t, "c": n})
+    twd = TypedWiringDiagram(wd, {"a": n, "b": t, "c": n})
     first = Relation(u, [(0, "x"), (1, "y")])
     expected = {(0, "x", 2), (1, "y", 0), (1, "y", 1)}
     for second in (
@@ -474,7 +473,7 @@ class TestFreeCableBound:
             inner_map={(0, "a"): "a"},
             outer_map={w: w for w in outer.wires},
         )
-        twd = TypedWiringDiagram(wd, (u,), outer, {c: dom for c in wd.cables})
+        twd = TypedWiringDiagram(wd, {c: dom for c in wd.cables})
         return u, twd
 
     def test_expansion_above_the_bound_is_refused(self):

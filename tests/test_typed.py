@@ -57,39 +57,33 @@ class TestTypecheck:
             inner_map={(0, "A"): "i", (0, "B"): "i", (0, "out"): "o"},
             outer_map={"in": "i", "out": "o"},
         )
-        twd = TypedWiringDiagram(
-            wd,
-            (nand_star,),
-            TypedStar.uniform(["in", "out"], bool_domain),
-            {"i": bool_domain, "o": bool_domain},
-        )
+        twd = TypedWiringDiagram(wd, {"i": bool_domain, "o": bool_domain})
         assert twd.arity == 1
 
-    def test_mismatched_wire_rejected_naming_the_wire(self, bool_domain):
+    def test_wire_domains_are_read_off_cable_types(self, bool_domain):
         digits = ValueDomain.int_range("N0_9", 0, 9)
-        wd = identity_diagram(Star(["x"]))
-        with pytest.raises(TypeMismatchError, match="'x'"):
-            TypedWiringDiagram(
-                wd,
-                (TypedStar(Star(["x"]), {"x": digits}),),
-                TypedStar(Star(["x"]), {"x": digits}),
-                {"x": bool_domain},
-            )
+        wd = WiringDiagram(
+            inner=(Star(["x", "y"]),),
+            outer=Star(["u", "v"]),
+            cables=("b", "d"),
+            inner_map={(0, "x"): "b", (0, "y"): "d"},
+            outer_map={"u": "d", "v": "b"},
+        )
+        twd = TypedWiringDiagram(wd, {"b": bool_domain, "d": digits})
+        assert twd.inner[0].domain("x") == bool_domain
+        assert twd.inner[0].domain("y") == digits
+        assert twd.outer.domain("u") == digits
+        assert twd.outer.domain("v") == bool_domain
 
     def test_empty_diagram_accepted(self):
         wd = WiringDiagram((), Star([]), (), {}, {})
-        twd = TypedWiringDiagram(wd, (), TypedStar(Star([]), {}), {})
+        twd = TypedWiringDiagram(wd, {})
         assert twd.arity == 0
 
-    def test_missing_cable_typing_rejected(self, bool_domain):
+    def test_missing_cable_typing_rejected(self):
         wd = identity_diagram(Star(["x"]))
         with pytest.raises(TypeMismatchError, match="no declared domain"):
-            TypedWiringDiagram(
-                wd,
-                (TypedStar.uniform(["x"], bool_domain),),
-                TypedStar.uniform(["x"], bool_domain),
-                {},
-            )
+            TypedWiringDiagram(wd, {})
 
 
 class TestFunctors:
@@ -143,12 +137,7 @@ class TestTypedCompose:
             inner_map={(0, "A"): "c", (0, "B"): "c", (0, "out"): "o"},
             outer_map={"o": "o"},
         )
-        twd = TypedWiringDiagram(
-            wd,
-            (nand_star,),
-            TypedStar.uniform(["o"], bool_domain),
-            {"c": bool_domain, "o": bool_domain},
-        )
+        twd = TypedWiringDiagram(wd, {"c": bool_domain, "o": bool_domain})
         assert typed_diagrams_equal(
             typed_compose(typed_identity(twd.outer), [twd]), twd
         )
@@ -163,16 +152,12 @@ class TestTypedCompose:
             WiringDiagram(
                 (Star(["a"]),), mid.star, ("c",), {(0, "a"): "c"}, {"m": "c"}
             ),
-            (TypedStar.uniform(["a"], dom),),
-            mid,
             {"c": dom},
         )
         outer = TypedWiringDiagram(
             WiringDiagram(
                 (mid.star,), Star(["z"]), ("d",), {(0, "m"): "d"}, {"z": "d"}
             ),
-            (mid,),
-            TypedStar.uniform(["z"], dom),
             {"d": dom},
         )
         composite = typed_compose(outer, [inner])
@@ -187,8 +172,6 @@ class TestTypedCompose:
             WiringDiagram(
                 (mid_bool.star,), Star([]), ("d",), {(0, "m"): "d"}, {}
             ),
-            (mid_bool,),
-            TypedStar(Star([]), {}),
             {"d": bool_domain},
         )
         with pytest.raises(InterfaceError, match="interface star 0"):
@@ -208,12 +191,7 @@ class TestTypedCanonicalEquality:
                 base.inner_map,
                 base.outer_map,
             )
-            return TypedWiringDiagram(
-                wd,
-                (TypedStar.uniform(["a"], bool_domain),),
-                TypedStar.uniform(["a"], bool_domain),
-                {"a": bool_domain, "f1": first, "f2": second},
-            )
+            return TypedWiringDiagram(wd, {"a": bool_domain, "f1": first, "f2": second})
 
         assert typed_diagrams_equal(
             with_floats(bool_domain, digits), with_floats(digits, bool_domain)
