@@ -81,13 +81,10 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 def cmd_check(args) -> int:
     script, base_dir = _load_script(args.script)
     rels = _load_relations(script, base_dir)
-    compiled = {
-        name: compile_query(q, script) for name, q in script.queries.items()
-    }
     counts = (
         f"{len(script.domains)} types, {len(script.stars)} stars, "
         f"{len(rels)} relations, {len(script.diagrams)} diagrams, "
-        f"{len(compiled)} queries, {len(script.unions)} unions, "
+        f"{len(script.queries)} queries, {len(script.unions)} unions, "
         f"{len(script.setups)} setups"
     )
     print(f"{args.script}: ok ({counts})")

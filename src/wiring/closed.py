@@ -149,14 +149,8 @@ def apply_hom(hom: HomStar, rel: Relation, args: Sequence[Relation]) -> Relation
     """Apply a relation on ``[Y => Z]`` to relations on the ``Yi``.
 
     Equivalent to keeping the result-copy readout of every hom tuple whose
-    argument copies lie in the given relations.
+    argument copies lie in the given relations.  ``evaluate`` checks the
+    relations against the evaluation diagram's inner stars, ``(hom.star,
+    *hom.args)``.
     """
-    args = tuple(args)
-    if rel.star != hom.star:
-        raise InterfaceError("relation does not live on the stated hom star")
-    if len(args) != len(hom.args):
-        raise InterfaceError(f"expected {len(hom.args)} argument relations")
-    for i, r in enumerate(args):
-        if r.star != hom.args[i]:
-            raise InterfaceError(f"argument relation {i} does not match its star")
     return evaluate(hom.evaluation, [rel, *args])

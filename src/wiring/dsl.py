@@ -35,7 +35,14 @@ from typing import Callable, NamedTuple, TypeVar
 from .closed import HomStar, internal_hom
 from .csvio import survives_csv
 from .errors import ScriptError, WiringError
-from .query import AttrRef, Condition, ConjunctiveQuery, result_star, validate_query
+from .query import (
+    AttrRef,
+    Condition,
+    ConjunctiveQuery,
+    const_relation,
+    result_star,
+    validate_query,
+)
 from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
@@ -377,8 +384,7 @@ class _Parser:
         self.expect("punct", ";")
         if value not in dom:
             raise self.fail(f"constant {value!r} is outside type {type_name!r}", value_tok)
-        star = TypedStar(Star(("value",)), {"value": dom})
-        self.script.consts[name] = Relation(star, [(value,)])
+        self.script.consts[name] = const_relation(value, dom)
         return ConstDecl(name, type_name, value)
 
     def _parse_codomain(self) -> tuple[str | tuple[tuple[str, ...], str], TypedStar, HomStar | None]:

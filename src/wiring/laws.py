@@ -538,7 +538,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
     for index, wires in enumerate((["y"], ["y1", "y2"])):
         y = TypedStar.uniform(wires, domain)
         wd = WiringDiagram((), y.star, tuple(wires), {}, {w: w for w in wires})
-        twd = TypedWiringDiagram(wd, {w: domain for w in wires})
+        twd = typed_mod.lift_uniform(wd, domain)
         got = relations_mod.evaluate_naive(twd, [])
         if got != Relation.complete(y):
             record("witness-complete", index, f"outer {wires}: got {sorted(got.tuples)}")
@@ -554,7 +554,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         {(0, "x1"): "cx1", (0, "x2"): "cx2"},
         {"y1": "cy1", "y2": "cy2"},
     )
-    twd = TypedWiringDiagram(wd, {c: domain for c in cables})
+    twd = typed_mod.lift_uniform(wd, domain)
     for index in range(3):
         rel = gen_relation(rng, x1)
         got = relations_mod.evaluate_naive(twd, [rel])
@@ -573,7 +573,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         {(0, "p"): "c", (1, "p"): "c"},
         {"p": "c"},
     )
-    twd = TypedWiringDiagram(wd, {"c": domain})
+    twd = typed_mod.lift_uniform(wd, domain)
     a1, a2 = domain.values[0], domain.values[1]
     got = relations_mod.evaluate_naive(twd, [Relation(pt, [(a1,)]), Relation(pt, [(a2,)])])
     if not got.is_empty:
@@ -594,7 +594,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         },
         {"w1": "c1", "w2": "cshared"},
     )
-    twd = TypedWiringDiagram(wd, {c: domain for c in cables})
+    twd = typed_mod.lift_uniform(wd, domain)
     complete = Relation.complete(two)
     for index in range(3):
         rel = gen_relation(rng, two)

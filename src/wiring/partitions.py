@@ -3,7 +3,7 @@
 A partition of a star's wires is wired through a diagram by merging, for
 each block of each inner partition, the cables those wires are soldered to;
 two outer wires end up in the same block exactly when their cables land in
-the same merged class.
+the same class of that cable quotient (:func:`wiring.stars.quotient`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InterfaceError, ValidationError
-from .stars import Star, WiringDiagram, _UnionFind
+from .stars import Star, WiringDiagram, quotient
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,16 @@ def evaluate(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:
     """Merge cables along inner blocks; group outer wires by cable class."""
     parts = tuple(parts)
     _check_parts(wd, parts)
-    uf = _UnionFind()
-    for c in wd.cables:
-        uf.add(c)
-    for i, part in enumerate(parts):
-        for block in part.blocks:
-            first = wd.inner_map[(i, block[0])]
-            for w in block[1:]:
-                uf.union(first, wd.inner_map[(i, w)])
-    groups: dict = {}
+    class_of = quotient(
+        wd.cables,
+        (
+            (wd.inner_map[i, block[0]], wd.inner_map[i, w])
+            for i, part in enumerate(parts)
+            for block in part.blocks
+            for w in block[1:]
+        ),
+    )
+    groups: dict[int, list[str]] = {}
     for y in wd.outer.wires:
-        groups.setdefault(uf.find(wd.outer_map[y]), []).append(y)
+        groups.setdefault(class_of[wd.outer_map[y]], []).append(y)
     return Partition(wd.outer, groups.values())

@@ -2,10 +2,10 @@
 
 A query's FROM aliases become inner stars, one per occurrence; every
 attribute occurrence becomes a solder point, and the WHERE equalities
-quotient the occurrences into cables (union-find).  Constants appearing in
-the WHERE clause are materialized as single-tuple inner relations on fresh
-one-wire stars soldered into their equality class.  The SELECT list becomes
-the outer star.
+quotient the occurrences into cables (:func:`wiring.stars.quotient`).
+Constants appearing in the WHERE clause are materialized as single-tuple
+inner relations (:func:`const_relation`) on fresh one-wire stars soldered
+into their equality class.  The SELECT list becomes the outer star.
 
 Evaluating the compiled diagram against the predicate relations is exactly
 the product-filter-project reading of the query.
@@ -18,13 +18,18 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ScriptError
 from .relations import Relation, evaluate
-from .stars import Star, WiringDiagram, _UnionFind
+from .stars import Star, WiringDiagram, quotient
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dsl import Script
 
 CONST_WIRE = "value"
+
+
+def const_relation(value: Value, domain: ValueDomain) -> Relation:
+    """The one-tuple relation holding ``value`` on the one-wire star ``CONST_WIRE``."""
+    return Relation(TypedStar(Star((CONST_WIRE,)), {CONST_WIRE: domain}), [(value,)])
 
 
 @dataclass(frozen=True)
@@ -153,65 +158,45 @@ def compile_query(query: ConjunctiveQuery, script: "Script") -> CompiledQuery:
     by_alias = validate_query(query, script)
     aliases = [alias for _pred, alias in query.tables]
 
-    uf = _UnionFind()
-    for alias in aliases:
-        for attr in by_alias[alias].wires:
-            uf.add((alias, attr))
-    literals: list[tuple[Value, ValueDomain]] = []
+    nodes = [(alias, attr) for alias in aliases for attr in by_alias[alias].wires]
+    literals: dict[tuple, Relation] = {}
+    pairs = []
     for cond in query.conditions:
         left = (cond.left.alias, cond.left.attr)
         if cond.right is not None:
-            uf.union(left, (cond.right.alias, cond.right.attr))
+            pairs.append((left, (cond.right.alias, cond.right.attr)))
         else:
             dom = by_alias[cond.left.alias].domain(cond.left.attr)
             node = ("lit", cond.literal, dom.name)
-            if (cond.literal, dom) not in literals:
-                literals.append((cond.literal, dom))
-            uf.add(node)
-            uf.union(left, node)
+            if node not in literals:
+                literals[node] = const_relation(cond.literal, dom)
+            pairs.append((left, node))
+    class_of = quotient([*nodes, *literals], pairs)
+    # Every literal is equated with an attribute, so the attributes meet every class.
+    cable_domains = {class_of[a, w]: by_alias[a].domain(w) for a, w in nodes}
 
-    cable_ids: dict = {}
-    cable_domains: dict = {}
-
-    def cable_of(node, domain: ValueDomain):
-        root = uf.find(node)
-        if root not in cable_ids:
-            cable_ids[root] = len(cable_ids)
-            cable_domains[cable_ids[root]] = domain
-        return cable_ids[root]
-
-    inner_stars: list[Star] = [by_alias[a].star for a in aliases]
-    inner_map: dict = {}
-    for i, alias in enumerate(aliases):
-        star = by_alias[alias]
-        for attr in star.wires:
-            inner_map[(i, attr)] = cable_of((alias, attr), star.domain(attr))
-    literal_relations: list[Relation] = []
-    for value, dom in literals:
-        i = len(inner_stars)
-        const_star = TypedStar(Star((CONST_WIRE,)), {CONST_WIRE: dom})
-        inner_stars.append(const_star.star)
-        inner_map[(i, CONST_WIRE)] = cable_of(("lit", value, dom.name), dom)
-        literal_relations.append(Relation(const_star, [(value,)]))
-
-    outer = _result_star(query.select, by_alias)
-    outer_map = {
-        name: cable_of((ref.alias, ref.attr), outer.domain(name))
-        for name, ref in zip(outer.wires, query.select)
+    inner_stars = [by_alias[a].star for a in aliases]
+    inner_stars += [rel.star.star for rel in literals.values()]
+    inner_map = {
+        (i, w): class_of[a, w] for i, a in enumerate(aliases) for w in by_alias[a].wires
     }
-
+    for i, node in enumerate(literals, start=len(aliases)):
+        inner_map[(i, CONST_WIRE)] = class_of[node]
+    outer = _result_star(query.select, by_alias)
     diagram = WiringDiagram(
         inner=tuple(inner_stars),
         outer=outer.star,
-        cables=tuple(range(len(cable_ids))),
+        cables=tuple(range(len(cable_domains))),
         inner_map=inner_map,
-        outer_map=outer_map,
+        outer_map={
+            name: class_of[ref.alias, ref.attr] for name, ref in zip(outer.wires, query.select)
+        },
     )
     return CompiledQuery(
         query=query,
         diagram=TypedWiringDiagram(diagram, cable_domains),
         inputs=tuple(pred for pred, _alias in query.tables),
-        literal_relations=tuple(literal_relations),
+        literal_relations=tuple(literals.values()),
     )
 
 

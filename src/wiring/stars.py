@@ -8,8 +8,9 @@ by a renaming of cables, so semantic equality always goes through
 :func:`canonicalize`.
 
 Composition substitutes a diagram into each inner star of another and is
-computed as a quotient of the union of the cable sets (a pushout),
-implemented with union-find.
+computed as a quotient of the union of the cable sets (a pushout).
+:func:`quotient` is that one cable quotient; query compilation and the
+partition algebra divide cables with it too.
 """
 
 from __future__ import annotations
@@ -156,27 +157,31 @@ def identity_diagram(star: Star) -> WiringDiagram:
     )
 
 
-class _UnionFind:
-    """Union-find with path compression over arbitrary hashable keys."""
+def quotient(
+    nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
+) -> dict[Hashable, int]:
+    """Number the classes of the equivalence on ``nodes`` that ``pairs`` generate.
 
-    def __init__(self):
-        self.parent: dict = {}
+    Classes are numbered 0, 1, ... in the order of each class's first node.
+    Both nodes of every pair must be among ``nodes``.  Union-find with path
+    compression.
+    """
+    parent = {x: x for x in nodes}
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
+    def find(x):
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
-            self.parent[rb] = ra
+            parent[rb] = ra
+    class_ids: dict = {}
+    return {x: class_ids.setdefault(find(x), len(class_ids)) for x in parent}
 
 
 def compose_with_classes(
@@ -200,23 +205,16 @@ def compose_with_classes(
                 f"expected {sorted(outer_wd.inner[i].wire_set)}"
             )
 
-    uf = _UnionFind()
-    for i, wd in enumerate(inner_wds):
-        for c in wd.cables:
-            uf.add(("i", i, c))
-    for c in outer_wd.cables:
-        uf.add(("o", c))
-    for i, wd in enumerate(inner_wds):
-        for y in wd.outer.wires:
-            uf.union(("i", i, wd.outer_map[y]), ("o", outer_wd.inner_map[(i, y)]))
-
-    cable_ids: dict = {}
-
-    def cable_of(node) -> int:
-        root = uf.find(node)
-        if root not in cable_ids:
-            cable_ids[root] = len(cable_ids)
-        return cable_ids[root]
+    nodes = [("i", i, c) for i, wd in enumerate(inner_wds) for c in wd.cables]
+    nodes += [("o", c) for c in outer_wd.cables]
+    class_of = quotient(
+        nodes,
+        (
+            (("i", i, wd.outer_map[y]), ("o", outer_wd.inner_map[(i, y)]))
+            for i, wd in enumerate(inner_wds)
+            for y in wd.outer.wires
+        ),
+    )
 
     new_inner: list[Star] = []
     new_inner_map: dict[InnerWire, Cable] = {}
@@ -224,22 +222,13 @@ def compose_with_classes(
         offset = len(new_inner)
         new_inner.extend(wd.inner)
         for (j, w), c in wd.inner_map.items():
-            new_inner_map[(offset + j, w)] = cable_of(("i", i, c))
-    new_outer_map = {y: cable_of(("o", outer_wd.outer_map[y])) for y in outer_wd.outer.wires}
-
-    class_of: dict[tuple, int] = {}
-    for i, wd in enumerate(inner_wds):
-        for c in wd.cables:
-            class_of[("i", i, c)] = cable_of(("i", i, c))
-    for c in outer_wd.cables:
-        class_of[("o", c)] = cable_of(("o", c))
-
+            new_inner_map[(offset + j, w)] = class_of[("i", i, c)]
     composite = WiringDiagram(
         inner=new_inner,
         outer=outer_wd.outer,
-        cables=tuple(range(len(cable_ids))),
+        cables=tuple(range(len(set(class_of.values())))),
         inner_map=new_inner_map,
-        outer_map=new_outer_map,
+        outer_map={y: class_of[("o", outer_wd.outer_map[y])] for y in outer_wd.outer.wires},
     )
     return composite, class_of
 

@@ -171,12 +171,8 @@ def typed_compose(
 ) -> TypedWiringDiagram:
     """Compose underlying diagrams; merged cables keep their common domain."""
     inner_twds = tuple(inner_twds)
-    if len(inner_twds) != outer_twd.arity:
-        raise InterfaceError(
-            f"expected {outer_twd.arity} inner diagrams, got {len(inner_twds)}"
-        )
-    for i, twd in enumerate(inner_twds):
-        if twd.outer != outer_twd.inner[i]:
+    for i, (twd, star) in enumerate(zip(inner_twds, outer_twd.inner)):
+        if twd.outer != star:
             raise InterfaceError(f"typing mismatch at interface star {i}")
 
     composite, class_of = compose_with_classes(
@@ -184,12 +180,12 @@ def typed_compose(
     )
     # Any source cable in a class determines its domain: cables are only
     # identified through shared interface wires, which both sides type alike.
-    cable_types: dict[Cable, ValueDomain] = {}
-    for i, twd in enumerate(inner_twds):
-        for c, dom in twd.cable_types.items():
-            cable_types.setdefault(class_of[("i", i, c)], dom)
-    for c, dom in outer_twd.cable_types.items():
-        cable_types.setdefault(class_of[("o", c)], dom)
+    cable_types = {
+        class_of[("i", i, c)]: dom
+        for i, twd in enumerate(inner_twds)
+        for c, dom in twd.cable_types.items()
+    }
+    cable_types.update((class_of[("o", c)], dom) for c, dom in outer_twd.cable_types.items())
     return TypedWiringDiagram(composite, cable_types)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wiring.partitions import Partition
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram
-from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain
+from wiring.typed import ValueDomain
 
 WIRE_NAMES = tuple("abcdef")
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from wiring.closed import (
-    HomStar,
     apply_hom,
     evaluation_diagram,
     externalize,
@@ -12,7 +11,7 @@ from wiring.closed import (
 )
 from wiring.errors import InterfaceError, ValidationError
 from wiring.laws import GeneratorConfig, gen_domains, gen_relation, gen_star, gen_typed_filler
-from wiring.relations import Relation, evaluate, union
+from wiring.relations import Relation, union
 from wiring.stars import Star, identity_diagram
 from wiring.typed import (
     TypedStar,

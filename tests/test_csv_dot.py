@@ -100,7 +100,7 @@ class TestCsvWrite:
     @settings(max_examples=30, deadline=None)
     @given(case=typed_and_relations())
     def test_round_trips_through_files(self, case, tmp_path_factory):
-        twd, rels = case
+        _twd, rels = case
         tmp = tmp_path_factory.mktemp("csv")
         for i, rel in enumerate(rels):
             if not rel.star.wires:

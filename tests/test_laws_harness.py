@@ -8,7 +8,6 @@ import wiring.relations as relations_mod
 import wiring.stars as stars_mod
 from wiring.laws import (
     GeneratorConfig,
-    check_algebra_naturality,
     check_operad_laws,
     check_prop_witnesses,
     check_pushout_oracle,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import connectivity_oracle
-from strategies import diagrams, partitions as partition_strategy, stars
+from strategies import diagrams, partitions as partition_strategy
 from wiring import partitions
 from wiring.errors import InterfaceError, ValidationError
 from wiring.laws import GeneratorConfig, check_algebra_naturality, gen_partition

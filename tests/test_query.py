@@ -15,7 +15,7 @@ from wiring.query import (
 )
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram
-from wiring.typed import TypedWiringDiagram, ValueDomain, typed_diagrams_equal
+from wiring.typed import TypedWiringDiagram, typed_diagrams_equal
 
 WIKI_SCRIPT = """
 type STUDENT = {ann, ben, cleo, dan};

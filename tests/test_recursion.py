@@ -15,7 +15,7 @@ from wiring.recursion import (
     step,
 )
 from wiring.relations import Relation, evaluate
-from wiring.stars import Star, WiringDiagram
+from wiring.stars import WiringDiagram
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain
 
 

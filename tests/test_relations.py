@@ -113,7 +113,7 @@ class TestThreeQueries:
         twd = TypedWiringDiagram(wd, {c: dom for c in wd.cables})
         got = evaluate(twd, [r1])
         assert got.aligned_tuples(("X", "Z")) == frozenset(
-            {(x, z) for (x, y, z) in r1.tuples}
+            {(x, z) for (x, _y, z) in r1.tuples}
         )
 
     def test_tying_x_and_y_keeps_squares(self, setup):
@@ -151,7 +151,7 @@ def exists_diagram():
 class TestExistentialExample:
 
     def test_nonempty_input_saturates(self, exists_diagram):
-        dom, x, y, twd = exists_diagram
+        _dom, x, y, twd = exists_diagram
         got = evaluate(twd, [Relation(x, [(2,)])])
         assert got == Relation.complete(y)
         assert got == evaluate_naive(twd, [Relation(x, [(2,)])])
@@ -238,7 +238,7 @@ class TestUnion:
     @settings(max_examples=40, deadline=None)
     @given(typed_and_relations())
     def test_union_unit_and_idempotence(self, case):
-        twd, rels = case
+        _twd, rels = case
         for rel in rels:
             assert union(rel, Relation.empty(rel.star)) == rel
             assert union(rel, rel) == rel

@@ -1,5 +1,8 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiring.errors import InterfaceError, ValidationError
 from wiring.laws import GeneratorConfig, check_operad_laws, compose_by_closure
@@ -10,6 +13,7 @@ from wiring.stars import (
     compose,
     diagrams_equal,
     identity_diagram,
+    quotient,
     reindex_inner,
 )
 
@@ -217,6 +221,63 @@ class TestCanonicalize:
             outer_map={"b": "q"},
         )
         assert not diagrams_equal(a, b)
+
+
+@st.composite
+def nodes_and_pairs(draw):
+    nodes = draw(st.lists(st.integers(0, 40), unique=True, max_size=20))
+    if not nodes:
+        return nodes, []
+    node = st.sampled_from(nodes)
+    return nodes, draw(st.lists(st.tuples(node, node), max_size=25))
+
+
+def components_by_search(nodes, pairs):
+    """Each node's component, named by its first node: breadth-first search
+    over the pairs read as undirected edges."""
+    neighbours = {x: [] for x in nodes}
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    component = {}
+    for start in nodes:
+        if start in component:
+            continue
+        component[start] = start
+        queue = deque([start])
+        while queue:
+            for y in neighbours[queue.popleft()]:
+                if y not in component:
+                    component[y] = start
+                    queue.append(y)
+    return component
+
+
+class TestQuotient:
+    def test_small_example(self):
+        assert quotient("abcde", [("c", "a"), ("e", "d")]) == {
+            "a": 0, "b": 1, "c": 0, "d": 2, "e": 2,
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes_and_pairs())
+    def test_same_number_exactly_when_connected(self, case):
+        nodes, pairs = case
+        class_of = quotient(nodes, pairs)
+        component = components_by_search(nodes, pairs)
+        assert set(class_of) == set(nodes)
+        for a in nodes:
+            for b in nodes:
+                assert (class_of[a] == class_of[b]) == (component[a] == component[b])
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes_and_pairs())
+    def test_numbers_follow_first_nodes(self, case):
+        nodes, pairs = case
+        class_of = quotient(nodes, pairs)
+        first_seen = list(dict.fromkeys(class_of[x] for x in nodes))
+        assert first_seen == list(range(len(first_seen)))
+        assert sorted(set(class_of.values())) == first_seen
 
 
 class TestReindex:
