@@ -41,7 +41,6 @@ from .query import (
     ConjunctiveQuery,
     const_relation,
     result_star,
-    validate_query,
 )
 from .relations import Relation
 from .stars import Star, WiringDiagram
@@ -636,12 +635,16 @@ def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     """Parse a standalone SELECT expression against an existing script."""
     parser = _Parser(text)
     parser.script = script
+    select = parser.peek()
     query = parser.parse_select()
     if parser.at_punct(";"):
         parser.next()
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input after query")
-    validate_query(query, script)
+    try:
+        result_star(query, script)
+    except ScriptError as exc:
+        raise parser.fail(str(exc), select) from exc
     return query
 
 

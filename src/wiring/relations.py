@@ -6,15 +6,31 @@ relation on the outer star consisting of every outer readout ``c . g`` of a
 cable assignment ``c`` whose restriction ``c . f_i`` lies in the i-th input
 relation.
 
-:func:`evaluate` computes this as a conjunctive query.  :func:`plan_join`
-fixes the join order from the input sizes: the smallest relation first,
-then always the smallest relation that shares a cable with those already
-joined, so a cross product happens only between disconnected parts of the
-diagram.  Partial results are tuples with one slot per cable still needed;
-each step indexes whichever side is smaller, the partial tuples or the
-relation's tuples, on the shared cables.  Outer cables that no inner wire
-touches are filled in last with every value of their domain, and the size
-of that expansion is checked against ``ENUMERATION_LIMIT`` first.
+:func:`evaluate` computes this as a conjunctive query, by one of two
+executors that :func:`plan_join` chooses from the shape of the diagram.
+When GYO ear removal empties the hypergraph whose edges are the stars'
+cable sets, the diagram is acyclic and gets binary joins: the smallest
+relation first, then always the smallest relation that shares a cable with
+those already joined, so a cross product happens only between disconnected
+parts of the diagram.  Partial results are tuples with one slot per cable
+still needed; each step indexes whichever side is smaller, the partial
+tuples or the relation's tuples, on the shared cables.
+
+On a cyclic diagram every binary plan can build intermediate results far
+larger than the answer: a triangle query joins all 2-paths before it
+closes a single cycle.  Such a diagram gets the generic join, whose work
+stays within the largest output that inputs of the given sizes can have
+(Ngo, Porat, Re and Rudra, "Worst-case optimal join algorithms", PODS
+2012; Veldhuizen, "Leapfrog Triejoin", ICDT 2014).  It binds one cable at a time: first the
+cable that touches the most stars, then always one that shares a star
+with a bound cable.  Each cable's values are the intersection of the
+input tries' key sets at that cable.  Either way the partial results keep
+only the cables still needed: a cable is dropped once neither the output
+nor a relation not yet fully joined reads it.
+
+Outer cables that no inner wire touches are filled in last with every
+value of their domain, and the size of that expansion is checked against
+``ENUMERATION_LIMIT`` first.
 
 :func:`evaluate_naive` transcribes the definition literally, enumerating
 every cable assignment, and serves as the oracle the fast path must agree
@@ -25,9 +41,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from operator import and_, itemgetter
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    KeysView,
+    Literal,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import EnumerationLimitError, InterfaceError, ValidationError
 from .stars import Cable
@@ -163,7 +189,21 @@ class JoinStep(NamedTuple):
 class JoinPlan(NamedTuple):
     """How :func:`evaluate` joins the inputs of one typed diagram.
 
-    The steps run in order, starting from the one empty partial tuple.
+    ``executor`` is ``"binary"`` when GYO ear removal shows the diagram's
+    star-cable hypergraph acyclic, and ``"generic"`` otherwise, because on
+    a cyclic diagram every binary plan can build partial results far
+    larger than the answer and the generic join cannot (Ngo, Porat, Re and
+    Rudra, PODS 2012; Veldhuizen, ICDT 2014).
+
+    A binary plan runs ``steps`` in order, starting from the one empty
+    partial tuple; each step keeps only the cables that a later step or
+    the output needs, and ``cable_order`` is empty.  A generic plan has
+    no steps: it binds the cables in ``cable_order``, which starts with
+    the cable that touches the most stars and then always takes one that
+    shares a star with a bound cable.  A bound cable is dropped once it
+    is not an output cable and no partly bound relation touches it, so
+    its partial tuples end up holding the output cables in that order.
+
     ``free`` lists the outer cables that no inner wire touches; the output
     tuple is ``partial + combo`` read at ``output``, where ``combo`` is one
     assignment of the free cables.
@@ -172,16 +212,32 @@ class JoinPlan(NamedTuple):
     steps: tuple[JoinStep, ...]
     free: tuple[Cable, ...]
     output: tuple[int, ...]
+    executor: Literal["binary", "generic"]
+    cable_order: tuple[Cable, ...]
 
 
 def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
     """The join plan for inputs of the given sizes.
 
-    The first step takes the smallest relation.  Each next step takes the
-    smallest relation that shares a cable with the steps before it, and
-    falls back to the smallest remaining one only when none does: then the
-    diagram is disconnected and the step is a cross product.  Ties go to
-    the lower star index.
+    The executor follows from the GYO ear-removal test on the stars' cable
+    sets.  A cyclic diagram gets the generic join, since there every
+    binary plan can build partial results far larger than the answer
+    (Ngo, Porat, Re and Rudra, PODS 2012; Veldhuizen, ICDT 2014).
+
+    An acyclic diagram gets binary steps.  The first step takes the
+    smallest relation.  Each next step takes the smallest relation that
+    shares a cable with the steps before it, and falls back to the
+    smallest remaining one only when none does: then the diagram is
+    disconnected and the step is a cross product.  Ties go to the lower
+    star index.  Each step keeps the cables a later step or the output
+    needs.
+
+    The generic join's cable order starts with the cable that touches the
+    most stars, ties going to the one whose smallest relation is
+    smallest, then to the one met first in star order.  Each next cable is the best by
+    the same rule among those that share a star with a bound cable, or
+    among all when none does.  A bound cable is dropped once it is not an
+    output cable and no partly bound relation touches it.
     """
     wd = twd.diagram
     star_cables = [
@@ -190,8 +246,52 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
     ]
     out_cables = tuple([wd.outer_map[y] for y in twd.outer.wires])
 
+    if _is_acyclic(star_cables):
+        executor, order = "binary", ()
+        steps, slots = _binary_steps(star_cables, out_cables, sizes)
+    else:
+        executor, steps = "generic", ()
+        order = _cable_order(star_cables, sizes)
+        outputs = set(out_cables)
+        slots = tuple([c for c in order if c in outputs])
+
+    bound = {c for cables in star_cables for c in cables}
+    free = tuple(dict.fromkeys([c for c in out_cables if c not in bound]))
+    position = {c: k for k, c in enumerate(slots + free)}
+    return JoinPlan(
+        steps=steps,
+        free=free,
+        output=tuple([position[c] for c in out_cables]),
+        executor=executor,
+        cable_order=order,
+    )
+
+
+def _is_acyclic(star_cables: Sequence[tuple[Cable, ...]]) -> bool:
+    """Whether GYO ear removal empties the hypergraph whose edges are the
+    stars' cable sets.  An edge is an ear when the cables it shares with
+    the other edges all lie in one of them; of two edges, either is one."""
+    edges = [frozenset(cables) for cables in star_cables]
+    while len(edges) > 2:
+        for k, edge in enumerate(edges):
+            others = edges[:k] + edges[k + 1 :]
+            shared = edge & frozenset().union(*others)
+            if any(shared <= other for other in others):
+                del edges[k]
+                break
+        else:
+            return False
+    return True
+
+
+def _binary_steps(
+    star_cables: Sequence[tuple[Cable, ...]],
+    out_cables: tuple[Cable, ...],
+    sizes: Sequence[int],
+) -> tuple[tuple[JoinStep, ...], tuple[Cable, ...]]:
+    """The binary join steps, and the cables of the last partial tuple."""
     order: list[int] = []
-    remaining = sorted(range(twd.arity), key=sizes.__getitem__)
+    remaining = sorted(range(len(star_cables)), key=sizes.__getitem__)
     bound: set[Cable] = set()
     while remaining:
         linked = (i for i in remaining if not bound.isdisjoint(star_cables[i]))
@@ -212,13 +312,7 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
     slots: tuple[Cable, ...] = ()
     for i, later in zip(order, needed_after):
         cables = star_cables[i]
-        first: dict[Cable, int] = {}
-        pairs = []
-        for j, c in enumerate(cables):
-            if c in first:
-                pairs.append((first[c], j))
-            else:
-                first[c] = j
+        first, pairs = _first_positions(cables)
         key_slots, key_positions, keep = [], [], []
         for k, c in enumerate(slots):
             if c in first:
@@ -239,28 +333,54 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
                 cables=slots,
             )
         )
+    return tuple(steps), slots
 
-    free = tuple(dict.fromkeys([c for c in out_cables if c not in bound]))
-    position = {c: k for k, c in enumerate(slots + free)}
-    return JoinPlan(
-        steps=tuple(steps),
-        free=free,
-        output=tuple([position[c] for c in out_cables]),
+
+def _cable_order(
+    star_cables: Sequence[tuple[Cable, ...]], sizes: Sequence[int]
+) -> tuple[Cable, ...]:
+    """The generic join's cable order; see :func:`plan_join`."""
+    touching: dict[Cable, set[int]] = {}
+    for i, cables in enumerate(star_cables):
+        for c in cables:
+            touching.setdefault(c, set()).add(i)
+    remaining = sorted(
+        touching,
+        key=lambda c: (-len(touching[c]), min([sizes[i] for i in touching[c]])),
     )
+    order: list[Cable] = []
+    linked: set[Cable] = set()
+    while remaining:
+        nxt = next((c for c in remaining if c in linked), remaining[0])
+        remaining.remove(nxt)
+        order.append(nxt)
+        for i in touching[nxt]:
+            linked.update(star_cables[i])
+    return tuple(order)
 
 
 def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Feed ``rels`` through ``twd`` and collect the outer relation.
 
-    Runs the :func:`plan_join` plan over positional tuples: smallest
-    relation first, then always the smallest one sharing a cable with
-    those joined.  Each step drops the relation's tuples that give one
-    cable two values, indexes the smaller side, partial tuples or rows, on
-    the shared cables, and probes the index with the larger.  The partial
-    tuples are then extended over the free cables, after checking that
-    the expansion stays within ``ENUMERATION_LIMIT`` tuples; above it,
-    :class:`EnumerationLimitError` is raised.  Agrees with
-    :func:`evaluate_naive` everywhere.
+    Runs the :func:`plan_join` plan.  An acyclic diagram is joined by
+    binary steps over positional tuples: smallest relation first, then
+    always the smallest one sharing a cable with those joined.  Each step
+    drops the relation's tuples that give one cable two values, indexes
+    the smaller side, partial tuples or rows, on the shared cables, probes
+    the index with the larger, and keeps the cables still needed.
+
+    A cyclic diagram, where binary steps can build partial results far
+    larger than the answer, is joined by the generic join (Ngo, Porat, Re
+    and Rudra, PODS 2012; Veldhuizen, ICDT 2014): it binds one cable at a
+    time, from the cable touching the most stars on through cables that
+    share a star with a bound one, and drops a bound cable once neither
+    the output nor a partly bound relation reads it (see
+    :func:`_generic_join`).
+
+    Either way the partial tuples are then extended over the free cables,
+    after checking that the expansion stays within ``ENUMERATION_LIMIT``
+    tuples; above it, :class:`EnumerationLimitError` is raised.  Agrees
+    with :func:`evaluate_naive` everywhere.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -268,12 +388,17 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
         return Relation.empty(twd.outer)
 
     plan = plan_join(twd, [len(rel) for rel in rels])
-    partials: set[tuple] = {()}
-    for step in plan.steps:
-        rows = rels[step.star].aligned_tuples(twd.inner[step.star].wires)
-        partials = _join_step(partials, rows, step)
-        if not partials:
-            return Relation.empty(twd.outer)
+    if plan.executor == "generic":
+        partials: Collection[tuple] = _generic_join(twd, rels, plan.cable_order)
+    else:
+        partials = {()}
+        for step in plan.steps:
+            rows = rels[step.star].aligned_tuples(twd.inner[step.star].wires)
+            partials = _join_step(partials, rows, step)
+            if not partials:
+                break
+    if not partials:
+        return Relation.empty(twd.outer)
 
     pick = _getter(plan.output)
     if not plan.free:
@@ -294,11 +419,7 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
 def _join_step(
     partials: set[tuple], tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
-    rows: Collection[tuple] = tuples
-    if step.equal_pairs:
-        left = _getter(tuple([a for a, _b in step.equal_pairs]))
-        right = _getter(tuple([b for _a, b in step.equal_pairs]))
-        rows = [t for t in tuples if left(t) == right(t)]
+    rows = _agreeing(tuples, step.equal_pairs)
     partial_key = _getter(step.key_slots)
     row_key = _getter(step.key_positions)
     pick = _getter(step.keep)
@@ -314,6 +435,141 @@ def _join_step(
             for t in index.get(partial_key(p), ()):
                 joined.add(pick(p + t))
     return joined
+
+
+def _generic_join(
+    twd: TypedWiringDiagram, rels: Sequence[Relation], order: tuple[Cable, ...]
+) -> Collection[tuple]:
+    """The bound output cables, in ``order``, of every assignment of the
+    cables in ``order`` that every input admits.
+
+    Each input becomes a hash trie (:func:`_trie`) with one level per
+    cable it touches, in ``order``; its rows that give one cable two values
+    are dropped first.  A breadth-first frontier maps the values of the
+    bound cables it still needs to the trie nodes reached in the partly
+    bound inputs.  Binding a cable intersects the key sets of the nodes
+    of the inputs that touch it, smallest first, and steps each node one
+    level down.  A bound cable leaves the frontier key once it is not an
+    output cable and no partly bound input touches it; entries that then
+    coincide merge.
+    """
+    wd = twd.diagram
+    rank = {c: k for k, c in enumerate(order)}
+    levels: list[tuple[Cable, ...]] = []
+    tries: list[KeysView | set] = []
+    for i, rel in enumerate(rels):
+        wires = twd.inner[i].wires
+        first, pairs = _first_positions([wd.inner_map[i, w] for w in wires])
+        rows = _agreeing(rel.aligned_tuples(wires), pairs)
+        if not rows:
+            return ()
+        if first:
+            own = tuple(sorted(first, key=rank.__getitem__))
+            levels.append(own)
+            tries.append(_trie(rows, [first[c] for c in own]))
+
+    outputs = {wd.outer_map[y] for y in twd.outer.wires}
+    frontier: dict[tuple, tuple] = {(): ()}
+    active: list[int] = []  # the partly bound tries, one node each per entry
+    kept: list[Cable] = []  # the cables of the frontier key
+    for c in order:
+        touching = [t for t, own in enumerate(levels) if c in own]
+        fresh = [t for t in touching if levels[t][0] == c]
+        ext = active + fresh  # an entry's nodes, then the fresh tries' roots
+        roots = tuple([tries[t] for t in fresh])
+        probe = _getter(tuple([ext.index(t) for t in touching]))
+        carried = [t for t in active if t not in touching]
+        stepped = [t for t in touching if levels[t][-1] != c]
+        carry = _getter(tuple([active.index(t) for t in carried]))
+        step = _getter(tuple([ext.index(t) for t in stepped]))
+        active = carried + stepped
+        wide = len(touching) > 2
+        still = {b for t in active for b in levels[t]} | outputs
+        pick = _getter(tuple([k for k, b in enumerate(kept) if b in still]))
+        kept = [b for b in kept if b in still]
+        keep_c = c in still
+        if keep_c:
+            kept.append(c)
+
+        grown: dict[tuple, tuple] = {}
+        for key, nodes in frontier.items():
+            every = nodes + roots
+            probed = probe(every)
+            if wide:
+                probed = sorted(probed, key=len)
+            candidates = reduce(and_, probed)
+            prefix = pick(key)
+            base = carry(nodes)
+            below = step(every)
+            if not keep_c:
+                if candidates:
+                    grown[prefix] = base
+            elif len(below) == 1:
+                (node,) = below
+                for v in candidates:
+                    grown[prefix + (v,)] = base + (node.mapping[v],)
+            elif below:
+                for v in candidates:
+                    grown[prefix + (v,)] = base + tuple([node.mapping[v] for node in below])
+            else:
+                for v in candidates:
+                    grown[prefix + (v,)] = base
+        frontier = grown
+        if not frontier:
+            return ()
+    return frontier.keys()
+
+
+def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:
+    """The rows' entries at ``positions`` as a hash trie.
+
+    A node is the set of values at its level: a ``set`` at the last level,
+    above it the keys view of a dict whose ``mapping`` takes each value to
+    the node of the rows that have it.  Nodes of either kind intersect
+    with ``&``, which iterates the smaller side."""
+    head, *rest = positions
+    if not rest:
+        return {t[head] for t in rows}
+    if len(rest) > 1:
+        groups: dict[Value, list[tuple]] = {}
+        for t in rows:
+            groups.setdefault(t[head], []).append(t)
+        return {v: _trie(group, rest) for v, group in groups.items()}.keys()
+    (last,) = rest
+    root: dict[Value, set] = {}
+    for t in rows:
+        values = root.get(t[head])
+        if values is None:
+            root[t[head]] = {t[last]}
+        else:
+            values.add(t[last])
+    return root.keys()
+
+
+def _first_positions(
+    cables: Sequence[Cable],
+) -> tuple[dict[Cable, int], list[tuple[int, int]]]:
+    """Each cable's first position in ``cables``, and the position pairs
+    that repeat a cable (one cable soldered to two wires of a star)."""
+    first: dict[Cable, int] = {}
+    pairs = []
+    for j, c in enumerate(cables):
+        if c in first:
+            pairs.append((first[c], j))
+        else:
+            first[c] = j
+    return first, pairs
+
+
+def _agreeing(
+    rows: Collection[tuple], pairs: Sequence[tuple[int, int]]
+) -> Collection[tuple]:
+    """The rows whose entries agree at each of the position ``pairs``."""
+    if not pairs:
+        return rows
+    left = _getter(tuple([a for a, _b in pairs]))
+    right = _getter(tuple([b for _a, b in pairs]))
+    return [t for t in rows if left(t) == right(t)]
 
 
 def _group(items: Iterable[tuple], key: Callable[[tuple], tuple]) -> dict[tuple, list]:

@@ -303,3 +303,23 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     )
     assert done.returncode == 1
     assert "error: cannot read missing.wd" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("SELECT n.nosuch FROM nand n", "1:1: alias 'n' has no attribute 'nosuch'"),
+        ("SELECT n.out FROM ghost n", "1:1: FROM references unknown predicate 'ghost'"),
+        (
+            "SELECT n.out FROM nand n\n WHERE n.A = 'maybe'",
+            "1:1: constant 'maybe' is outside domain 'Bool' of n.A",
+        ),
+        ("  SELECT n.out, n.out FROM nand n", "1:3: SELECT list repeats a column"),
+    ],
+    ids=["unknown-attribute", "unknown-predicate", "constant-outside-domain", "repeated-column"],
+)
+def test_inline_query_errors_carry_a_position(project, capsys, text, message):
+    assert run_cli(["query", str(project / "circuits.wd"), text]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "internal error" not in err

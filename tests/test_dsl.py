@@ -353,7 +353,8 @@ ERROR_QUERIES = [
      '1:21: unexpected trailing input after query'),
     ("query-trailing-after-semicolon", "SELECT n.w FROM r n; more",
      '1:22: unexpected trailing input after query'),
-    ("query-unknown-alias", "SELECT z.w FROM r n", "reference z.w names unknown alias 'z'"),
+    ("query-unknown-alias", "SELECT z.w FROM r n",
+     "1:1: reference z.w names unknown alias 'z'"),
     ("query-bad-character", "SELECT n.w FROM r n WHERE n.w = $", "1:33: unexpected character '$'"),
     ("query-ends-early", "SELECT n.w FROM", "1:16: expected predicate name, found 'end of file'"),
     ("query-needs-select", "n.w FROM r n", "1:1: expected 'select', found 'n'"),
@@ -362,7 +363,10 @@ ERROR_QUERIES = [
     ("query-condition-needs-equals", "SELECT n.w FROM r n WHERE n.w 'a'",
      '1:31: expected \'=\', found "\'a\'"'),
     ("query-second-line", "SELECT n.w\nFROM r n\nWHERE n.w = 'z'",
-     "constant 'z' is outside domain 'T' of n.w"),
+     "1:1: constant 'z' is outside domain 'T' of n.w"),
+    ("query-unknown-predicate", "  SELECT n.w FROM ghost n",
+     "1:3: FROM references unknown predicate 'ghost'"),
+    ("query-repeated-column", "SELECT n.w, n.w FROM r n", "1:1: SELECT list repeats a column"),
 ]
 
 

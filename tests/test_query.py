@@ -1,9 +1,11 @@
+import csv
 import random
 
 import pytest
 
 from oracles import sql_oracle
-from wiring.dsl import parse_script
+from wiring.csvio import load_csv_relation
+from wiring.dsl import parse_query_text, parse_script
 from wiring.errors import ScriptError
 from wiring.query import (
     AttrRef,
@@ -13,7 +15,7 @@ from wiring.query import (
     compile_query,
     evaluate_query,
 )
-from wiring.relations import Relation
+from wiring.relations import Relation, plan_join
 from wiring.stars import Star, WiringDiagram
 from wiring.typed import TypedWiringDiagram, typed_diagrams_equal
 
@@ -262,3 +264,55 @@ class TestRandomQueriesAgainstOracle:
             expected = sql_oracle(query, rows)
             key = tuple(compiled.diagram.outer.wires)
             assert got.aligned_tuples(key) == frozenset(expected), query
+
+
+def _executor(compiled, relations):
+    inputs = compiled.input_relations(relations)
+    return plan_join(compiled.diagram, [len(r) for r in inputs]).executor
+
+
+class TestCyclicQueriesAgainstOracle:
+    def test_random_triangles(self):
+        rng = random.Random(29)
+        script = parse_script(
+            "type V = range 0..5;\n"
+            "star E(x:V, y:V);\n"
+            + "".join(f'rel {name} : E from "{name}.csv";\n' for name in "rst")
+            + "query tri = SELECT a.x, b.x, c.x FROM r a, s b, t c "
+            "WHERE a.y = b.x AND b.y = c.x AND c.y = a.x;\n"
+        )
+        query = script.queries["tri"]
+        compiled = compile_query(query, script)
+        star = script.stars["E"]
+        for _ in range(30):
+            tables, rows = {}, {}
+            for name in "rst":
+                data = {(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(0, 20))}
+                tables[name] = Relation(star, data)
+                rows[name] = [{"x": x, "y": y} for x, y in data]
+            assert _executor(compiled, tables) == "generic"
+            got = evaluate_query(compiled, tables)
+            key = tuple(compiled.diagram.outer.wires)
+            assert got.aligned_tuples(key) == frozenset(sql_oracle(query, rows))
+
+    def test_four_cycle_on_the_wiki_fixture(self, fixtures_dir):
+        base = fixtures_dir / "wiki"
+        script = parse_script((base / "wiki.wd").read_text())
+        relations, rows = {}, {}
+        for name, decl in script.relations.items():
+            relations[name] = load_csv_relation(str(base / decl.path), decl.star)
+            with open(base / decl.path, newline="") as handle:
+                rows[name] = list(csv.DictReader(handle))
+        query = parse_query_text(
+            "SELECT a1.student, a3.student "
+            "FROM attends a1, attends a2, attends a3, attends a4 "
+            "WHERE a1.course = a2.course AND a2.student = a3.student "
+            "AND a3.course = a4.course AND a4.student = a1.student",
+            script,
+        )
+        compiled = compile_query(query, script)
+        assert _executor(compiled, relations) == "generic"
+        got = evaluate_query(compiled, relations)
+        expected = sql_oracle(query, rows)
+        assert got.aligned_tuples(("a1_student", "a3_student")) == frozenset(expected)
+        assert len(expected) == 62

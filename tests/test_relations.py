@@ -491,3 +491,156 @@ class TestFreeCableBound:
         assert len(evaluate(twd, [Relation(u, [(1,), (2,)])])) == 20
         with pytest.raises(EnumerationLimitError):
             evaluate(twd, [Relation(u, [(1,), (2,), (3,)])])
+
+
+def _wired(dom, stars, outer):
+    """A typed diagram over ``dom``: wire ``w<j>`` of star ``i`` is soldered
+    to cable ``stars[i][j]`` and outer wire ``o<j>`` to ``outer[j]``."""
+    inner = [TypedStar.uniform([f"w{j}" for j in range(len(s))], dom) for s in stars]
+    out = TypedStar.uniform([f"o{j}" for j in range(len(outer))], dom)
+    cables = tuple(dict.fromkeys([c for s in stars for c in s] + list(outer)))
+    wd = WiringDiagram(
+        inner=tuple(s.star for s in inner),
+        outer=out.star,
+        cables=cables,
+        inner_map={(i, f"w{j}"): c for i, s in enumerate(stars) for j, c in enumerate(s)},
+        outer_map={f"o{j}": c for j, c in enumerate(outer)},
+    )
+    return TypedWiringDiagram(wd, {c: dom for c in cables}), inner
+
+
+def _draw(rng, star, size, hubs=()):
+    """``size`` draws of tuples on ``star``; with hubs, half of all entries
+    come from them."""
+    values = star.domain(star.wires[0]).values if star.wires else ()
+
+    def entry():
+        return rng.choice(hubs) if hubs and rng.random() < 0.5 else rng.choice(values)
+
+    return Relation(star, [tuple(entry() for _ in star.wires) for _ in range(size)])
+
+
+TRIANGLE = [("a", "b"), ("b", "c"), ("c", "a")]
+SQUARE = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+CYCLIC_CASES = {
+    "triangle": (TRIANGLE, ("a", "b", "c")),
+    "square-opposite-corners": (SQUARE, ("a", "c")),
+    "square-with-chord": (SQUARE + [("a", "c")], ("b", "d", "a")),
+    "cable-on-two-wires": ([("a", "a", "b"), ("b", "c"), ("c", "a")], ("c", "a")),
+    "free-outer-cables": (TRIANGLE, ("f", "a", "f", "g")),
+    "cycle-beside-a-path": (TRIANGLE + [("x", "y"), ("y", "z")], ("a", "x", "z")),
+    "projected-to-nothing": (TRIANGLE, ()),
+}
+
+
+class TestGenericJoin:
+    """Cyclic diagrams run the generic join and agree with evaluate_naive."""
+
+    @pytest.mark.parametrize("name", list(CYCLIC_CASES))
+    def test_seeded_instances(self, name):
+        stars, outer = CYCLIC_CASES[name]
+        rng = random.Random(97)
+        dom = ValueDomain.int_range("D", 0, 5)
+        twd, inner = _wired(dom, stars, outer)
+        for _ in range(12):
+            hubs = (0, 1) if rng.random() < 0.5 else ()
+            rels = [_draw(rng, s, rng.randint(1, 40), hubs) for s in inner]
+            assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
+            assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+
+    def test_hub_skewed_triangle(self):
+        # Half the entries sit on two hub values: many partial tuples meet
+        # at the hubs, few close the cycle elsewhere.
+        rng = random.Random(5)
+        dom = ValueDomain.int_range("D", 0, 11)
+        twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        rels = [_draw(rng, s, 60, hubs=(0, 1)) for s in inner]
+        plan = plan_join(twd, [len(r) for r in rels])
+        assert plan.executor == "generic" and plan.steps == ()
+        got = evaluate(twd, rels)
+        assert got == evaluate_naive(twd, rels)
+        assert {(0, 0, 0), (1, 1, 1)} & got.tuples
+
+    @pytest.mark.parametrize("nullary", [[], [()]], ids=["empty", "unit"])
+    def test_nullary_star_beside_a_cycle(self, nullary):
+        rng = random.Random(11)
+        dom = ValueDomain.int_range("D", 0, 3)
+        twd, inner = _wired(dom, TRIANGLE + [()], ("a", "c"))
+        rels = [_draw(rng, s, 10) for s in inner[:3]] + [Relation(inner[3], nullary)]
+        assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
+        got = evaluate(twd, rels)
+        assert got == evaluate_naive(twd, rels)
+        assert got.is_empty == (not nullary)
+
+    def test_input_on_a_reordered_copy_of_its_star(self):
+        n = ValueDomain.int_range("N", 0, 2)
+        t = ValueDomain("T", ["x", "y"])
+        # a: N, b: T, c: N; star 0 carries (a, b), star 1 (b, c), star 2 (c, a)
+        u = TypedStar(["w0", "w1"], {"w0": n, "w1": t})
+        v = TypedStar(["w0", "w1"], {"w0": t, "w1": n})
+        w = TypedStar.uniform(["w0", "w1"], n)
+        outer = TypedStar(["o0", "o1", "o2"], {"o0": n, "o1": t, "o2": n})
+        wd = WiringDiagram(
+            inner=(u.star, v.star, w.star),
+            outer=outer.star,
+            cables=("a", "b", "c"),
+            inner_map={
+                (0, "w0"): "a", (0, "w1"): "b", (1, "w0"): "b", (1, "w1"): "c",
+                (2, "w0"): "c", (2, "w1"): "a",
+            },
+            outer_map={"o0": "a", "o1": "b", "o2": "c"},
+        )
+        twd = TypedWiringDiagram(wd, {"a": n, "b": t, "c": n})
+        flipped = TypedStar(["w1", "w0"], {"w0": n, "w1": t})
+        first = Relation(flipped, [("x", 0), ("y", 1), ("y", 2)])
+        rels = [first, Relation(v, [("x", 1), ("y", 2)]), Relation(w, [(1, 0), (2, 1)])]
+        assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
+        got = evaluate(twd, rels)
+        assert got == evaluate_naive(twd, rels)
+        assert got.aligned_tuples(("o0", "o1", "o2")) == {(0, "x", 1), (1, "y", 2)}
+
+    def test_frontier_empties_midway(self):
+        dom = ValueDomain.int_range("D", 0, 5)
+        twd, (r, s, t) = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        plan = plan_join(twd, [1, 1, 1])
+        assert plan.executor == "generic" and plan.cable_order == ("a", "b", "c")
+        # a = 0 survives the first cable; no b follows it in s.
+        rels = [Relation(r, [(0, 1)]), Relation(s, [(5, 5)]), Relation(t, [(2, 0)])]
+        assert evaluate(twd, rels).is_empty
+        assert evaluate_naive(twd, rels).is_empty
+
+    def test_cable_order_follows_shared_stars(self):
+        dom = ValueDomain.int_range("D", 0, 2)
+        # c touches the most stars.  Of the cables on two stars, d has the
+        # smallest relation; e, on one star, comes last though it is linked
+        # once d is bound.
+        twd, _inner = _wired(dom, TRIANGLE + [("c", "d"), ("d", "e")], ("a",))
+        plan = plan_join(twd, [9, 9, 9, 2, 9])
+        assert plan.cable_order == ("c", "d", "a", "b", "e")
+        # x ranks above c, but comes only when no linked cable is left.
+        twd, _inner = _wired(dom, TRIANGLE + [("x",), ("x",)], ("x",))
+        plan = plan_join(twd, [1, 9, 9, 5, 5])
+        assert plan.cable_order == ("a", "b", "c", "x")
+
+    @pytest.mark.parametrize(
+        "stars",
+        [
+            [("a", "b"), ("b", "c"), ("c", "d")],
+            [("a", "b"), ("a", "c"), ("a", "d")],
+            [("a", "a", "b")],
+            TRIANGLE + [("a", "b", "c")],
+            [("a", "b"), (), ("c",), ("x", "y")],
+        ],
+        ids=["path", "star", "one-star", "triangle-under-a-cover", "disconnected"],
+    )
+    def test_acyclic_diagrams_keep_the_binary_plan(self, stars):
+        rng = random.Random(13)
+        dom = ValueDomain.int_range("D", 0, 3)
+        outer = tuple(dict.fromkeys(c for s in stars for c in s))[:3]
+        twd, inner = _wired(dom, stars, outer)
+        rels = [_draw(rng, s, 8) if s.wires else Relation(s, [()]) for s in inner]
+        plan = plan_join(twd, [len(r) for r in rels])
+        assert plan.executor == "binary" and plan.cable_order == ()
+        assert len(plan.steps) == len(stars)
+        assert evaluate(twd, rels) == evaluate_naive(twd, rels)
