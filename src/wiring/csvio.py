@@ -6,11 +6,18 @@ minus sign, are read as integers, everything else as text.  The header
 must name exactly the star's wires, in any order; duplicate data rows
 collapse.  :func:`survives_csv` tells whether a value is written as a token
 that reads back as the same value; script types admit no other values.
+
+Cells are checked a column at a time: one pass for the cell counts, then
+one subset test of each wire's parsed column against its domain.  Only
+when a test fails are the rows walked one by one, so an error names the
+first misfit in file order, as a row-by-row check would.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .errors import CsvFormatError
@@ -63,15 +70,33 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
             detail.append(f"unexpected columns {extra}")
         raise CsvFormatError(f"{path}: {'; '.join(detail)}")
 
+    rows = [line.split(",") for line in islice(lines, 1, None)]
+    del lines  # only the cells are read from here on
+    columns = []
+    if set(map(len, rows)) <= {len(header)}:
+        for w in star.wires:
+            column = list(map(_parse_token, map(itemgetter(header.index(w)), rows)))
+            if not star.domain(w).contains_all(column):
+                break
+            columns.append(column)
+    if len(columns) != len(star.wires):
+        _raise_first_misfit(path, star, header, rows)
+    del rows  # before the tuples are built, to keep the peak low
+    # every cell was checked above, and the columns are in the order of star.wires
+    return Relation._trusted(star, frozenset(zip(*columns)))
+
+
+def _raise_first_misfit(
+    path: str | os.PathLike, star: TypedStar, header: list[str], rows: list[list[str]]
+) -> None:
+    """Raise the error for the first row, in file order, with the wrong
+    number of cells or a value outside its wire's domain."""
     column_of = {w: header.index(w) for w in star.wires}
-    tuples = []
-    for row_number, line in enumerate(lines[1:], start=1):
-        cells = [c for c in line.split(",")]
+    for row_number, cells in enumerate(rows, start=1):
         if len(cells) != len(header):
             raise CsvFormatError(
                 f"{path}: row {row_number} has {len(cells)} cells, expected {len(header)}"
             )
-        values = []
         for w in star.wires:
             v = _parse_token(cells[column_of[w]])
             if v not in star.domain(w):
@@ -79,10 +104,6 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
                     f"{path}: row {row_number}, column {w!r}: value {v!r} is "
                     f"outside domain {star.domain(w).name!r}"
                 )
-            values.append(v)
-        tuples.append(tuple(values))
-    # every cell was checked above, and each tuple is in the order of star.wires
-    return Relation._trusted(star, frozenset(tuples))
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

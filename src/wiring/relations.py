@@ -69,25 +69,20 @@ class Relation:
     Tuples are stored aligned with ``star.wires``; the empty star carries
     exactly two relations, the empty one and ``{()}``, so relations on it
     are boolean valued.
+
+    A relation is a subset of the product of its wires' domains, so the
+    constructor checks a column at a time: one pass for the widths, then
+    one subset test per wire.  Only when a test fails does it walk the
+    tuples one by one, and the error names the first misfit it meets.
     """
 
     star: TypedStar
     tuples: frozenset[tuple[Value, ...]]
 
     def __init__(self, star: TypedStar, tuples: Iterable[tuple[Value, ...]] = ()):
-        tuples = frozenset(tuple(t) for t in tuples)
-        width = len(star.wires)
-        for t in tuples:
-            if len(t) != width:
-                raise ValidationError(
-                    f"tuple {t!r} has {len(t)} entries, star has {width} wires"
-                )
-            for w, v in zip(star.wires, t):
-                if v not in star.domain(w):
-                    raise ValidationError(
-                        f"value {v!r} is outside domain {star.domain(w).name!r} "
-                        f"of wire {w!r}"
-                    )
+        tuples = frozenset(map(tuple, tuples))
+        if tuples and not _fits(star, tuples):
+            _raise_first_misfit(star, tuples)
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "tuples", tuples)
 
@@ -150,6 +145,34 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.star!r}, {len(self.tuples)} tuples)"
+
+
+def _fits(star: TypedStar, tuples: frozenset[tuple[Value, ...]]) -> bool:
+    """True when every tuple of the non-empty ``tuples`` has one entry per
+    wire, each in its wire's domain."""
+    if set(map(len, tuples)) != {len(star.wires)}:
+        return False
+    return all(
+        star.domain(w).contains_all(map(itemgetter(j), tuples))
+        for j, w in enumerate(star.wires)
+    )
+
+
+def _raise_first_misfit(star: TypedStar, tuples: Iterable[tuple[Value, ...]]) -> None:
+    """Raise the error for the first tuple, in iteration order, that does
+    not fit ``star``."""
+    width = len(star.wires)
+    for t in tuples:
+        if len(t) != width:
+            raise ValidationError(
+                f"tuple {t!r} has {len(t)} entries, star has {width} wires"
+            )
+        for w, v in zip(star.wires, t):
+            if v not in star.domain(w):
+                raise ValidationError(
+                    f"value {v!r} is outside domain {star.domain(w).name!r} "
+                    f"of wire {w!r}"
+                )
 
 
 def union(a: Relation, b: Relation) -> Relation:

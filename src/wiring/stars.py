@@ -127,6 +127,26 @@ class WiringDiagram:
         object.__setattr__(self, "inner_map", inner_map)
         object.__setattr__(self, "outer_map", outer_map)
 
+    @classmethod
+    def _trusted(
+        cls,
+        inner: tuple[Star, ...],
+        outer: Star,
+        cables: tuple[Cable, ...],
+        inner_map: dict[InnerWire, Cable],
+        outer_map: dict[str, Cable],
+    ) -> "WiringDiagram":
+        """A diagram known to be well formed, without the checks of
+        ``__init__``: for diagrams built from validated ones, with fresh
+        cables and solder maps that are total by construction."""
+        wd = object.__new__(cls)
+        object.__setattr__(wd, "inner", inner)
+        object.__setattr__(wd, "outer", outer)
+        object.__setattr__(wd, "cables", cables)
+        object.__setattr__(wd, "inner_map", inner_map)
+        object.__setattr__(wd, "outer_map", outer_map)
+        return wd
+
     @property
     def arity(self) -> int:
         return len(self.inner)
@@ -223,8 +243,10 @@ def compose_with_classes(
         new_inner.extend(wd.inner)
         for (j, w), c in wd.inner_map.items():
             new_inner_map[(offset + j, w)] = class_of[("i", i, c)]
-    composite = WiringDiagram(
-        inner=new_inner,
+    # the quotient numbers classes 0, 1, ..., and every wire of the inner
+    # diagrams' inner stars and of the outer star is soldered to one
+    composite = WiringDiagram._trusted(
+        inner=tuple(new_inner),
         outer=outer_wd.outer,
         cables=tuple(range(len(set(class_of.values())))),
         inner_map=new_inner_map,
@@ -265,7 +287,8 @@ def canonicalize_with_renaming(
     if floating_key is not None:
         floating.sort(key=floating_key)
     renamed = {c: k for k, c in enumerate(attached + floating, start=1)}
-    canonical = WiringDiagram(
+    # the same stars and solder maps as ``wd``, with its cables renamed
+    canonical = WiringDiagram._trusted(
         inner=wd.inner,
         outer=wd.outer,
         cables=tuple(range(1, len(wd.cables) + 1)),

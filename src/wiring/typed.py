@@ -55,6 +55,11 @@ class ValueDomain:
     def __contains__(self, value) -> bool:
         return value in self._members
 
+    def contains_all(self, values: Iterable) -> bool:
+        """True when every one of ``values`` is in the domain: one subset
+        test, where ``in`` would be one test per value."""
+        return self._members.issuperset(values)
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -6,14 +6,16 @@ literal enumeration, nested loops, or closed forms.
 
 from __future__ import annotations
 
+import re
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
 from wiring.recursion import RecursiveSetup, step
 from wiring.relations import Relation
 from wiring.stars import WiringDiagram
+from wiring.typed import TypedStar
 
 
 def eval_singly(
@@ -154,3 +156,45 @@ def is_connected(wd: WiringDiagram) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen == nodes
+
+
+def relation_misfit(star: TypedStar, tuples: Iterable[Sequence]) -> str | None:
+    """The message ``Relation(star, tuples)`` must raise, or None when it
+    must accept: tuple by tuple, in the order of the tuple set, with a
+    linear scan of each domain's values."""
+    width = len(star.wires)
+    for t in frozenset(map(tuple, tuples)):
+        if len(t) != width:
+            return f"tuple {t!r} has {len(t)} entries, star has {width} wires"
+        for w, v in zip(star.wires, t):
+            domain = star.domain(w)
+            if not any(v == member for member in domain.values):
+                return f"value {v!r} is outside domain {domain.name!r} of wire {w!r}"
+    return None
+
+
+def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:
+    """The tuples ``load_csv_relation`` must return for a file at ``path``
+    holding ``text`` with a valid header, or the message it must raise:
+    data row by data row in file order, each row's cells in the order of
+    ``star.wires``."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    header = [h.strip() for h in lines[0].split(",")]
+    tuples = set()
+    for row_number, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"{path}: row {row_number} has {len(cells)} cells, expected {len(header)}"
+        row = []
+        for w in star.wires:
+            token = cells[header.index(w)].strip()
+            v = int(token) if re.fullmatch(r"-?[0-9]+", token) else token
+            domain = star.domain(w)
+            if not any(v == member for member in domain.values):
+                return (
+                    f"{path}: row {row_number}, column {w!r}: value {v!r} is "
+                    f"outside domain {domain.name!r}"
+                )
+            row.append(v)
+        tuples.add(tuple(row))
+    return frozenset(tuples)

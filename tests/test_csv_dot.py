@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import csv_oracle
 from strategies import typed_and_relations
 from wiring.csvio import load_csv_relation, write_relation_csv
 from wiring.dot import emit_dot
@@ -40,12 +41,70 @@ class TestCsvLoad:
         path.write_text("x\n")
         assert load_csv_relation(path, star).is_empty
 
+    def _error(self, path, text, star) -> str:
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv_relation(path, star)
+        return str(err.value)
+
     def test_value_outside_domain_reports_row(self, tmp_path, bool_domain):
         star = TypedStar.uniform(["x"], bool_domain)
         path = tmp_path / "r.csv"
-        path.write_text("x\nTrue\nFalse\nmaybe\n")
-        with pytest.raises(CsvFormatError, match="row 3"):
-            load_csv_relation(path, star)
+        assert self._error(path, "x\nTrue\nFalse\nmaybe\n", star) == (
+            f"{path}: row 3, column 'x': value 'maybe' is outside domain 'Bool'"
+        )
+
+    def test_cell_count_error_before_later_domain_error(self, tmp_path, bool_domain):
+        star = TypedStar.uniform(["x"], bool_domain)
+        path = tmp_path / "r.csv"
+        assert self._error(path, "x\nTrue\nTrue,False\nmaybe\n", star) == (
+            f"{path}: row 2 has 2 cells, expected 1"
+        )
+
+    def test_domain_error_before_later_cell_count_error(self, tmp_path, bool_domain):
+        star = TypedStar.uniform(["x"], bool_domain)
+        path = tmp_path / "r.csv"
+        assert self._error(path, "x\nTrue\nmaybe\nTrue,False\n", star) == (
+            f"{path}: row 2, column 'x': value 'maybe' is outside domain 'Bool'"
+        )
+
+    def test_domain_error_names_the_star_wire_in_a_reordered_file(
+        self, tmp_path, nand_star
+    ):
+        # 'out' comes first in the file, but a row's cells are checked in
+        # the order of the star's wires, so 'B' is reported
+        path = tmp_path / "r.csv"
+        text = "out,B,A\nFalse,True,True\nmaybe,maybe,False\n"
+        assert self._error(path, text, nand_star) == (
+            f"{path}: row 2, column 'B': value 'maybe' is outside domain 'Bool'"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_accepts_and_rejects_as_the_row_oracle(self, data, tmp_path_factory):
+        domains = [
+            ValueDomain("Bit", (0, 1)),
+            ValueDomain("Mixed", (1, "a")),
+            ValueDomain("Text", ("a", "b", "True")),
+        ]
+        wires = data.draw(st.lists(st.sampled_from("xyz"), unique=True, min_size=1, max_size=3))
+        star = TypedStar(Star(wires), {w: data.draw(st.sampled_from(domains)) for w in wires})
+        header = data.draw(st.permutations(wires))
+        cell = st.sampled_from(["0", "1", " 1", "-1", "01", "2", "a", "b", "True", ""])
+        width = st.one_of(st.just(len(wires)), st.integers(1, 4))
+        rows = data.draw(
+            st.lists(width.flatmap(lambda n: st.lists(cell, min_size=n, max_size=n)), max_size=6)
+        )
+        text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = csv_oracle(path, text, star)
+        if isinstance(expected, frozenset):
+            assert load_csv_relation(path, star).tuples == expected
+        else:
+            with pytest.raises(CsvFormatError) as err:
+                load_csv_relation(path, star)
+            assert str(err.value) == expected
 
     def test_missing_column_rejected(self, tmp_path, nand_star):
         path = tmp_path / "r.csv"

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eval_singly
+from oracles import eval_singly, relation_misfit
 from strategies import typed_and_relations
 from wiring.errors import EnumerationLimitError, InterfaceError, ValidationError
 from wiring.laws import (
@@ -24,12 +25,39 @@ def uniform_diagram(wd, domain):
 
 class TestRelation:
     def test_tuples_must_be_well_typed(self, nand_star):
-        with pytest.raises(ValidationError, match="outside domain"):
-            Relation(nand_star, [("True", "True", "maybe")])
+        with pytest.raises(ValidationError) as err:
+            Relation(nand_star, [("True", "False", "True"), ("True", "maybe", "False")])
+        assert str(err.value) == "value 'maybe' is outside domain 'Bool' of wire 'B'"
 
     def test_wrong_width_rejected(self, nand_star):
-        with pytest.raises(ValidationError, match="entries"):
-            Relation(nand_star, [("True", "True")])
+        with pytest.raises(ValidationError) as err:
+            Relation(nand_star, [("True", "False", "True"), ("True", "True")])
+        assert str(err.value) == "tuple ('True', 'True') has 2 entries, star has 3 wires"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepts_and_rejects_as_the_row_oracle(self, data):
+        domains = [
+            ValueDomain("Bit", (0, 1)),
+            ValueDomain("Mixed", (1, "a")),
+            ValueDomain("Text", ("a", "b", "1")),
+        ]
+        wires = data.draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+        star = TypedStar(Star(wires), {w: data.draw(st.sampled_from(domains)) for w in wires})
+        # True and 1, False and 0 are equal and hash alike: they must pass
+        # or fail together, as in the row oracle
+        value = st.sampled_from([0, 1, 2, True, False, "a", "b", "1", -1])
+        width = st.one_of(st.just(len(wires)), st.integers(0, 4))
+        tuples = data.draw(
+            st.lists(width.flatmap(lambda n: st.tuples(*[value] * n)), max_size=6)
+        )
+        expected = relation_misfit(star, tuples)
+        if expected is None:
+            assert Relation(star, tuples).tuples == frozenset(tuples)
+        else:
+            with pytest.raises(ValidationError) as err:
+                Relation(star, tuples)
+            assert str(err.value) == expected
 
     def test_empty_star_is_boolean_valued(self):
         empty = TypedStar(Star([]), {})
