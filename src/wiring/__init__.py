@@ -41,7 +41,6 @@ from .partitions import Partition
 from .closed import (
     HomStar,
     apply_hom,
-    evaluation_diagram,
     externalize,
     internal_hom,
     internalize,
@@ -54,7 +53,6 @@ from .recursion import (
     factorial_fixture,
     fixed_point,
     is_fixed_point,
-    setup_from_relation,
     step,
 )
 from .laws import GeneratorConfig, SuiteReport

@@ -83,11 +83,6 @@ def internal_hom(args: Sequence[TypedStar], ret: TypedStar) -> HomStar:
     return HomStar(args=args, ret=ret, star=TypedStar(Star(wires), types))
 
 
-def evaluation_diagram(args: Sequence[TypedStar], ret: TypedStar) -> TypedWiringDiagram:
-    """The evaluation diagram of the hom star ``[args => ret]``."""
-    return internal_hom(args, ret).evaluation
-
-
 def externalize(phi: TypedWiringDiagram, hom: HomStar) -> TypedWiringDiagram:
     """Turn ``phi : (X1..Xm) -> [Y => Z]`` into ``(X1..Xm, Y1..Yn) -> Z``.
 

@@ -22,8 +22,7 @@ The query keywords ``select``, ``from``, ``where`` and ``and`` (in any case)
 cannot name a wire, rel or const, which a query could then not refer to.
 Comments run from ``#`` to end of line.  Wire and cable identifiers may
 carry trailing primes (``A'``).  Tokens carry their offset in the text; a
-line and column are computed only when an error is raised.  The pretty
-printer emits a canonical form that parses back to the same script.
+line and column are computed only when an error is raised.
 """
 
 from __future__ import annotations
@@ -68,6 +67,11 @@ _Item = TypeVar("_Item")
 # so no wire, rel or const may be declared under one of these names
 _QUERY_KEYWORDS = frozenset({"select", "from", "where", "and"})
 
+# A range type is stored value by value, in a tuple and a set, at about 80
+# bytes a value; a wider range is refused before anything is allocated, so a
+# typo in a bound gives an error instead of exhausting memory.
+MAX_RANGE_VALUES = 1_000_000
+
 
 class Token(NamedTuple):
     kind: str
@@ -96,51 +100,20 @@ def tokenize(text: str) -> list[Token]:
 
 
 # --------------------------------------------------------------------------
-# declaration records kept for pretty-printing
-
-@dataclass(frozen=True)
-class TypeDecl:
-    name: str
-    values: tuple[Value, ...]
-    range_bounds: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class StarDecl:
-    name: str
-    wires: tuple[tuple[str, str], ...]  # (wire, type name)
-
+# declarations that are more than the object they declare
 
 @dataclass(frozen=True)
 class RelDecl:
     name: str
-    star_name: str
     path: str
     star: TypedStar
 
 
 @dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    type_name: str
-    value: Value
-
-
-@dataclass(frozen=True)
 class DiagramDecl:
     name: str
-    inner_names: tuple[str, ...]
-    codomain: str | tuple[tuple[str, ...], str]  # star name, or ([args], ret)
-    cable_decls: tuple[tuple[str, str], ...]  # (cable, type name)
-    solder_decls: tuple[tuple[str, str], ...]  # (endpoint text, cable)
     typed: TypedWiringDiagram
     hom: HomStar | None
-
-
-@dataclass(frozen=True)
-class QueryDecl:
-    name: str
-    query: ConjunctiveQuery
 
 
 @dataclass(frozen=True)
@@ -159,7 +132,8 @@ class SetupDecl:
 
 @dataclass
 class Script:
-    """A parsed, name-resolved script."""
+    """A parsed, name-resolved script; ``decls`` holds the declared objects,
+    in order."""
 
     decls: tuple = ()
     domains: dict[str, ValueDomain] = field(default_factory=dict)
@@ -301,7 +275,7 @@ class _Parser:
         self.script.decls = tuple(decls)
         return self.script
 
-    def parse_type(self) -> TypeDecl:
+    def parse_type(self) -> ValueDomain:
         name = self.new_name("type name", "type", self.script.domains).text
         self.expect("punct", "=")
         if self.at_keyword("range"):
@@ -312,7 +286,12 @@ class _Parser:
             hi = int(self.expect("int").text)
             if hi < lo:
                 raise self.fail(f"empty range {lo}..{hi}", lo_tok)
-            decl = TypeDecl(name, tuple(range(lo, hi + 1)), (lo, hi))
+            if hi - lo + 1 > MAX_RANGE_VALUES:
+                raise self.fail(
+                    f"range {lo}..{hi} has {hi - lo + 1} values, bound is {MAX_RANGE_VALUES}",
+                    lo_tok,
+                )
+            values = range(lo, hi + 1)
         else:
             seen: set[Value] = set()
 
@@ -331,17 +310,17 @@ class _Parser:
 
             self.expect("punct", "{")
             values = self.items(value, close="}")
-            decl = TypeDecl(name, tuple(values))
         self.expect("punct", ";")
-        self.script.domains[name] = ValueDomain(name, decl.values)
-        return decl
+        domain = ValueDomain(name, tuple(values))
+        self.script.domains[name] = domain
+        return domain
 
     def _wire(self) -> tuple[str, str]:
         wire = self._query_name("wire name")
         self.expect("punct", ":")
         return wire, self.type_ref()
 
-    def parse_star(self) -> StarDecl:
+    def parse_star(self) -> TypedStar:
         tok = self.new_name("star name", "star", self.script.stars)
         self.expect("punct", "(")
         wires = self.items(self._wire, close=")")
@@ -354,7 +333,7 @@ class _Parser:
         except WiringError as exc:
             raise self.fail(str(exc), tok) from exc
         self.script.stars[tok.text] = tstar
-        return StarDecl(tok.text, tuple(wires))
+        return tstar
 
     def _predicate_name(self, what: str) -> str:
         """A new rel or const name, which a query's FROM must be able to name."""
@@ -368,11 +347,11 @@ class _Parser:
         self.expect_keyword("from")
         path = self.expect("string").text[1:-1]
         self.expect("punct", ";")
-        decl = RelDecl(name, star_name, path, self.script.stars[star_name])
+        decl = RelDecl(name, path, self.script.stars[star_name])
         self.script.relations[name] = decl
         return decl
 
-    def parse_const(self) -> ConstDecl:
+    def parse_const(self) -> Relation:
         name = self._predicate_name("constant name")
         self.expect("punct", ":")
         type_name = self.type_ref()
@@ -383,10 +362,11 @@ class _Parser:
         self.expect("punct", ";")
         if value not in dom:
             raise self.fail(f"constant {value!r} is outside type {type_name!r}", value_tok)
-        self.script.consts[name] = const_relation(value, dom)
-        return ConstDecl(name, type_name, value)
+        rel = const_relation(value, dom)
+        self.script.consts[name] = rel
+        return rel
 
-    def _parse_codomain(self) -> tuple[str | tuple[tuple[str, ...], str], TypedStar, HomStar | None]:
+    def _parse_codomain(self) -> tuple[TypedStar, HomStar | None]:
         if self.at_punct("["):
             self.next()
             arg_names = self.items(self.star_ref)
@@ -395,9 +375,8 @@ class _Parser:
             self.expect("punct", "]")
             stars = self.script.stars
             hom = internal_hom([stars[n] for n in arg_names], stars[ret_name])
-            return (tuple(arg_names), ret_name), hom.star, hom
-        name = self.star_ref()
-        return name, self.script.stars[name], None
+            return hom.star, hom
+        return self.script.stars[self.star_ref()], None
 
     def parse_diagram(self) -> DiagramDecl:
         tok = self.new_name("diagram name", "diagram", self.script.diagrams)
@@ -405,12 +384,10 @@ class _Parser:
         self.expect("punct", "(")
         inner_names = self.items(self.star_ref, close=")")
         self.expect("arrow")
-        codomain, outer, hom = self._parse_codomain()
+        outer, hom = self._parse_codomain()
         self.expect("punct", "{")
 
         inner = tuple(self.script.stars[n] for n in inner_names)
-        cable_decls: list[tuple[str, str]] = []
-        solder_decls: list[tuple[str, str]] = []
         cable_types: dict[str, ValueDomain] = {}
         inner_map: dict = {}
         outer_map: dict = {}
@@ -422,10 +399,8 @@ class _Parser:
                 if cable in cable_types:
                     raise self.fail(f"duplicate cable {cable!r}", cable_tok)
                 self.expect("punct", ":")
-                type_name = self.type_ref()
-                cable_types[cable] = self.script.domains[type_name]
+                cable_types[cable] = self.script.domains[self.type_ref()]
                 self.expect("punct", ";")
-                cable_decls.append((cable, type_name))
             elif self.at_keyword("solder"):
                 self.next()
                 head_tok = self.ident("solder endpoint")
@@ -440,8 +415,6 @@ class _Parser:
                 self.expect("arrow")
                 cable = self.ref("cable name", "cable", cable_types)
                 self.expect("punct", ";")
-                endpoint = ".".join(parts)
-                solder_decls.append((endpoint, cable))
                 if head == "out":
                     if wire not in outer.star:
                         raise self.fail(f"outer star has no wire {wire!r}", head_tok)
@@ -465,7 +438,7 @@ class _Parser:
                     endpoints, key = inner_map, (index, wire)
                 if key in endpoints:
                     raise self.fail(
-                        f"{endpoint} is already soldered to cable {endpoints[key]!r}",
+                        f"{head}.{wire} is already soldered to cable {endpoints[key]!r}",
                         head_tok,
                     )
                 endpoints[key] = cable
@@ -477,7 +450,7 @@ class _Parser:
             wd = WiringDiagram(
                 inner=tuple(t.star for t in inner),
                 outer=outer.star,
-                cables=tuple(c for c, _t in cable_decls),
+                cables=tuple(cable_types),
                 inner_map=inner_map,
                 outer_map=outer_map,
             )
@@ -497,15 +470,7 @@ class _Parser:
                     f"but its cable {c!r} has {cable_types[c].name!r}",
                     tok,
                 )
-        decl = DiagramDecl(
-            name,
-            tuple(inner_names),
-            codomain,
-            tuple(cable_decls),
-            tuple(solder_decls),
-            typed,
-            hom,
-        )
+        decl = DiagramDecl(name, typed, hom)
         self.script.diagrams[name] = decl
         return decl
 
@@ -533,7 +498,7 @@ class _Parser:
             return Condition(left, right=self._attr_ref())
         return Condition(left, literal=self.literal())
 
-    def parse_query(self) -> QueryDecl:
+    def parse_query(self) -> ConjunctiveQuery:
         tok = self.new_name("query name", "query", self.script.queries, self.script.unions)
         name = tok.text
         self.expect("punct", "=")
@@ -544,7 +509,7 @@ class _Parser:
         except ScriptError as exc:
             raise self.fail(f"query {name!r}: {exc}", tok) from exc
         self.script.queries[name] = query
-        return QueryDecl(name, query)
+        return query
 
     def parse_select(self) -> ConjunctiveQuery:
         self.expect_keyword("select")
@@ -646,68 +611,3 @@ def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     except ScriptError as exc:
         raise parser.fail(str(exc), select) from exc
     return query
-
-
-# --------------------------------------------------------------------------
-# pretty printer
-
-def _format_value(v: Value) -> str:
-    if isinstance(v, int):
-        return str(v)
-    # The lexer reads no value holding both quotes, so one of them fits.
-    return f'"{v}"' if "'" in v else f"'{v}'"
-
-
-def format_script(script: Script) -> str:
-    """Canonical text that parses back to the same script."""
-    lines: list[str] = []
-    for decl in script.decls:
-        if isinstance(decl, TypeDecl):
-            if decl.range_bounds is not None:
-                lo, hi = decl.range_bounds
-                lines.append(f"type {decl.name} = range {lo}..{hi};")
-            else:
-                body = ", ".join(_format_value(v) for v in decl.values)
-                lines.append(f"type {decl.name} = {{{body}}};")
-        elif isinstance(decl, StarDecl):
-            body = ", ".join(f"{w}:{t}" for w, t in decl.wires)
-            lines.append(f"star {decl.name}({body});")
-        elif isinstance(decl, RelDecl):
-            lines.append(f'rel {decl.name} : {decl.star_name} from "{decl.path}";')
-        elif isinstance(decl, ConstDecl):
-            lines.append(
-                f"const {decl.name} : {decl.type_name} = {_format_value(decl.value)};"
-            )
-        elif isinstance(decl, DiagramDecl):
-            if isinstance(decl.codomain, tuple):
-                args, ret = decl.codomain
-                codomain = f"[{', '.join(args)} => {ret}]"
-            else:
-                codomain = decl.codomain
-            header = f"diagram {decl.name}({', '.join(decl.inner_names)}) -> {codomain} {{"
-            lines.append(header)
-            for cable, type_name in decl.cable_decls:
-                lines.append(f"  cable {cable} : {type_name};")
-            for endpoint, cable in decl.solder_decls:
-                lines.append(f"  solder {endpoint} -> {cable};")
-            lines.append("}")
-        elif isinstance(decl, QueryDecl):
-            q = decl.query
-            parts = [f"query {decl.name} = SELECT "]
-            parts.append(", ".join(str(r) for r in q.select))
-            parts.append(" FROM ")
-            parts.append(", ".join(f"{pred} {alias}" for pred, alias in q.tables))
-            if q.conditions:
-                parts.append(" WHERE ")
-                parts.append(" AND ".join(str(c) for c in q.conditions))
-            parts.append(";")
-            lines.append("".join(parts))
-        elif isinstance(decl, UnionDecl):
-            lines.append(f"union {decl.name} = {' | '.join(decl.parts)};")
-        elif isinstance(decl, SetupDecl):
-            lines.append(
-                f"setup {decl.name} = {decl.diagram_name}({', '.join(decl.rel_names)});"
-            )
-        else:  # pragma: no cover
-            raise TypeError(f"unknown declaration {decl!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

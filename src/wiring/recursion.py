@@ -57,11 +57,6 @@ def build_setup(
     return RecursiveSetup(z, evaluate(phi, rels))
 
 
-def setup_from_relation(z: TypedStar, relation: Relation) -> RecursiveSetup:
-    """Wrap an already-computed relation on ``[z => z]`` as a setup."""
-    return RecursiveSetup(z, relation)
-
-
 def step(setup: RecursiveSetup, rel: Relation) -> Relation:
     """One application of the setup to a candidate relation on ``z``."""
     return apply_hom(setup.hom, setup.relation, [rel])

@@ -50,7 +50,6 @@ from typing import (
     Iterable,
     KeysView,
     Literal,
-    Mapping,
     NamedTuple,
     Sequence,
 )
@@ -85,10 +84,6 @@ class Relation:
             _raise_first_misfit(star, tuples)
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "tuples", tuples)
-
-    @classmethod
-    def from_maps(cls, star: TypedStar, maps: Iterable[Mapping[str, Value]]) -> "Relation":
-        return cls(star, (tuple(m[w] for w in star.wires) for m in maps))
 
     @classmethod
     def empty(cls, star: TypedStar) -> "Relation":
@@ -612,24 +607,20 @@ def _getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
     return lambda t: ()
 
 
-def evaluate_naive(
-    twd: TypedWiringDiagram,
-    rels: Sequence[Relation],
-    max_product: int = ENUMERATION_LIMIT,
-) -> Relation:
+def evaluate_naive(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Literal transcription of the definition, used as an oracle.
 
     Enumerates every assignment of every cable; refuses when the assignment
-    space exceeds ``max_product``.
+    space exceeds ``ENUMERATION_LIMIT``.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
     wd = twd.diagram
 
     space = math.prod(len(twd.cable_types[c]) for c in wd.cables)
-    if space > max_product:
+    if space > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"cable assignment space has {space} elements, bound is {max_product}"
+            f"cable assignment space has {space} elements, bound is {ENUMERATION_LIMIT}"
         )
 
     cable_order = list(wd.cables)

@@ -4,7 +4,6 @@ import pytest
 
 from wiring.closed import (
     apply_hom,
-    evaluation_diagram,
     externalize,
     internal_hom,
     internalize,
@@ -66,7 +65,7 @@ class TestEvaluationDiagram:
     def test_shape_for_one_argument(self, bool_domain):
         y = TypedStar.uniform(["y1", "y2", "y3"], bool_domain)
         z = TypedStar.uniform(["z1", "z2", "z3", "z4", "z5"], bool_domain)
-        ev = evaluation_diagram([y], z)
+        ev = internal_hom([y], z).evaluation
         assert ev.arity == 2
         assert len(ev.diagram.cables) == 8
         assert ev.outer == z
@@ -76,7 +75,7 @@ class TestEvaluationDiagram:
 
     def test_no_arguments_behaves_as_identity(self, bool_domain):
         z = TypedStar.uniform(["a", "b"], bool_domain)
-        ev = evaluation_diagram([], z)
+        ev = internal_hom([], z).evaluation
         assert ev.arity == 1
         # renaming the tagged wires recovers the identity diagram
         wd = ev.diagram
@@ -90,7 +89,7 @@ class TestEvaluationDiagram:
         d2 = ValueDomain("D2", ("p", "q", "r"))
         y = TypedStar(Star(["u", "v"]), {"u": d1, "v": d2})
         z = TypedStar(Star(["w"]), {"w": d2})
-        ev = evaluation_diagram([y], z)
+        ev = internal_hom([y], z).evaluation
         assert ev.cable_types["arg1.u"] == d1
         assert ev.cable_types["ret.w"] == d2
 
@@ -113,7 +112,7 @@ class TestExternalization:
             domains = gen_domains(rng, cfg)
             hom = random_hom(rng, cfg, domains)
             phi = gen_typed_filler(rng, cfg, hom.star, domains)
-            ev = evaluation_diagram(hom.args, hom.ret)
+            ev = internal_hom(hom.args, hom.ret).evaluation
             composite = typed_compose(
                 ev, [phi] + [typed_identity(a) for a in hom.args]
             )

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiring.csvio import survives_csv
-from wiring.dsl import format_script, parse_query_text, parse_script
+from wiring import dsl
+from wiring.dsl import parse_query_text, parse_script
 from wiring.errors import ScriptError
 from wiring.recursion import factorial_fixture
 from wiring.typed import typed_diagrams_equal
@@ -68,7 +69,23 @@ class TestParsing:
     def test_empty_script(self):
         script = parse_script("")
         assert script.decls == ()
-        assert format_script(script) == ""
+
+    def test_quoted_value_with_apostrophe(self):
+        script = parse_script('type T = {"it\'s", b};\n')
+        assert script.domains["T"].values == ("it's", "b")
+
+    @pytest.mark.parametrize(
+        "path, count",
+        [("factorial/factorial.wd", 10), ("wiki/wiki.wd", 11), ("nand/circuits.wd", 7)],
+    )
+    def test_one_decl_per_declaration(self, fixtures_dir, path, count):
+        assert len(parse_script((fixtures_dir / path).read_text()).decls) == count
+
+    def test_range_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(dsl, "MAX_RANGE_VALUES", 3)
+        assert parse_script("type N = range 1..3;\n").domains["N"].values == (1, 2, 3)
+        with pytest.raises(ScriptError, match="1:16: range 0..3 has 4 values, bound is 3"):
+            parse_script("type N = range 0..3;\n")
 
     def test_comments_and_keyword_case(self):
         script = parse_script(
@@ -247,6 +264,8 @@ ERROR_SCRIPTS = [
     ("not-a-declaration", "type T = {a};\n;\n", '2:1: expected a declaration'),
     ("unknown-declaration", "table T = {a};\n", "1:1: unknown declaration 'table'"),
     ("empty-range", "type N = range 3..1;\n", '1:16: empty range 3..1'),
+    ("range-too-wide", "type N = range 0..999999999999;\n",
+     "1:16: range 0..999999999999 has 1000000000000 values, bound is 1000000"),
     ("range-needs-int", "type N = range a..1;\n", "1:16: expected 'int', found 'a'"),
     ("value-not-csv-safe", "type T = {a, '1'};\n",
      "1:14: type 'T': value '1' would not read back from CSV unchanged"),
@@ -391,28 +410,6 @@ class TestErrorMessages:
         assert str(err.value) == message
 
 
-class TestRoundTrip:
-    def test_print_then_parse_is_stable(self):
-        for text in (NAND_SCRIPT, FACTORIAL_SCRIPT):
-            script = parse_script(text)
-            printed = format_script(script)
-            reparsed = parse_script(printed)
-            assert format_script(reparsed) == printed
-            assert list(reparsed.queries) == list(script.queries)
-            assert list(reparsed.domains) == list(script.domains)
-            for name, decl in script.diagrams.items():
-                assert typed_diagrams_equal(
-                    reparsed.diagrams[name].typed, decl.typed
-                )
-
-
-    def test_value_with_apostrophe_round_trips(self):
-        script = parse_script('type T = {"it\'s", b};\n')
-        printed = format_script(script)
-        assert printed == 'type T = {"it\'s", \'b\'};\n'
-        assert parse_script(printed).domains["T"].values == ("it's", "b")
-
-
 # Text values the DSL accepts: they read back from CSV, and hold at most one
 # kind of quote, since a quoted literal cannot contain its own quote.
 _texts = st.text(alphabet="ab1_-' \"", min_size=1, max_size=4).filter(
@@ -435,11 +432,15 @@ def _literals(draw, value):
 
 @st.composite
 def _scripts(draw):
-    """Script text of random ``type``, ``star`` and ``const`` declarations."""
+    """Script text of random ``type``, ``star`` and ``const`` declarations,
+    with what it declares: each type's values in order, each star's wires
+    with their type names in order, and each const's value."""
     lines: list[str] = []
-    domains: list[tuple] = []
+    domains: dict[str, tuple] = {}
+    stars: dict[str, list[tuple[str, str]]] = {}
+    consts: dict[str, object] = {}
     for k in range(draw(st.integers(0, 6))):
-        filled = [d for d in domains if d[1]]
+        filled = [name for name, values in domains.items() if values]
         kind = draw(
             st.sampled_from(["type"] + ["star"] * bool(domains) + ["const"] * bool(filled))
         )
@@ -461,24 +462,35 @@ def _scripts(draw):
                 )
                 body = ", ".join(draw(_literals(v)) for v in values)
                 lines.append(f"type T{k} = {{{body}}};")
-            domains.append((f"T{k}", values))
+            domains[f"T{k}"] = values
         elif kind == "star":
-            types = draw(st.lists(st.sampled_from(domains), max_size=3))
-            body = ", ".join(f"w{j}:{name}" for j, (name, _v) in enumerate(types))
+            types = draw(st.lists(st.sampled_from(list(domains)), max_size=3))
+            wires = [(f"w{j}", name) for j, name in enumerate(types)]
+            body = ", ".join(f"{w}:{name}" for w, name in wires)
             lines.append(f"star S{k}({body});")
+            stars[f"S{k}"] = wires
         else:
-            name, values = draw(st.sampled_from(filled))
-            value = draw(st.sampled_from(values))
+            name = draw(st.sampled_from(filled))
+            value = draw(st.sampled_from(domains[name]))
             lines.append(f"const c{k} : {name} = {draw(_literals(value))};")
-    return "\n".join(lines) + "\n"
+            consts[f"c{k}"] = value
+    return "\n".join(lines) + "\n", domains, stars, consts
 
 
-class TestFormatRoundTrip:
+class TestParseGivesWhatWasWritten:
     @settings(max_examples=150, deadline=None)
     @given(_scripts())
-    def test_format_parse_format_is_stable(self, text):
-        printed = format_script(parse_script(text))
-        assert format_script(parse_script(printed)) == printed
+    def test_parse_returns_declared_values(self, case):
+        text, domains, stars, consts = case
+        script = parse_script(text)
+        assert len(script.decls) == len(domains) + len(stars) + len(consts)
+        assert {n: d.values for n, d in script.domains.items()} == domains
+        assert {
+            n: [(w, t.domain(w).name) for w in t.wires] for n, t in script.stars.items()
+        } == stars
+        assert {n: r.tuples for n, r in script.consts.items()} == {
+            n: {(v,)} for n, v in consts.items()
+        }
 
 
 class TestInlineQuery:

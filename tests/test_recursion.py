@@ -7,11 +7,11 @@ from wiring import closed
 from wiring.closed import apply_hom, internal_hom
 from wiring.errors import InterfaceError, ValidationError
 from wiring.recursion import (
+    RecursiveSetup,
     build_setup,
     factorial_fixture,
     fixed_point,
     is_fixed_point,
-    setup_from_relation,
     step,
 )
 from wiring.relations import Relation, evaluate
@@ -126,7 +126,7 @@ def test_setup_relation_is_read_by_wire_name_not_position():
     relation = Relation(
         reordered, [("y", 1, "x", 0), ("x", 0, "y", 1), ("x", 0, "x", 2)]
     )
-    setup = setup_from_relation(z, relation)
+    setup = RecursiveSetup(z, relation)
     assert step(setup, Relation(z, [(0, "x")])) == Relation(z, [(1, "y")])
     assert step(setup, Relation(z, [(2, "x")])) == Relation(z, [(0, "x")])
     assert fixed_point(setup).relation == Relation(z, [(0, "x"), (1, "y")])
@@ -200,7 +200,7 @@ class TestToyEnumeration:
         hom_space = [a + r for a in space for r in space]
         for _ in range(40):
             S = Relation(hom.star, [t for t in hom_space if rng.random() < 0.4])
-            setup = setup_from_relation(z, S)
+            setup = RecursiveSetup(z, S)
             least = fixed_point(setup, "least").relation
             greatest = fixed_point(setup, "greatest").relation
             fixed = [
@@ -229,7 +229,8 @@ def random_sparse_setup(rng: random.Random):
             edges.append(
                 {"arg1.p": source[0], "arg1.q": source[1], "ret.p": target[0], "ret.q": target[1]}
             )
-    return z, setup_from_relation(z, Relation.from_maps(hom.star, edges))
+    tuples = (tuple(e[w] for w in hom.star.wires) for e in edges)
+    return z, RecursiveSetup(z, Relation(hom.star, tuples))
 
 
 class TestAgainstKleeneIteration:

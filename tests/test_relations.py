@@ -221,11 +221,14 @@ class TestZeroAryAndEdgeCases:
         with pytest.raises(InterfaceError):
             evaluate(twd, [nand_relation])
 
-    def test_naive_guard_refuses_large_spaces(self, bool_domain):
+    def test_naive_guard_refuses_large_spaces(self, bool_domain, monkeypatch):
+        import wiring.relations as relations_mod
+
+        monkeypatch.setattr(relations_mod, "ENUMERATION_LIMIT", 1)
         star = TypedStar.uniform(["a"], bool_domain)
         twd = lift_uniform(identity_diagram(star.star), bool_domain)
         with pytest.raises(EnumerationLimitError):
-            evaluate_naive(twd, [Relation.empty(star)], max_product=1)
+            evaluate_naive(twd, [Relation.empty(star)])
 
 
 class TestAbsorption:
