@@ -28,6 +28,14 @@ input tries' key sets at that cable.  Either way the partial results keep
 only the cables still needed: a cable is dropped once neither the output
 nor a relation not yet fully joined reads it.
 
+The generic join's tries are built once per relation and per key (the
+trie's level positions and the positions one cable must give equal
+values) and kept on the relation, so evaluating the same relations again,
+or one relation twice in a self-join, does not rebuild them.  A relation
+is immutable, so its tries cannot go stale.  They cost about 70-100 bytes
+per two-column tuple, and a relation used under k level orders keeps k
+tries.
+
 Outer cables that no inner wire touches are filled in last with every
 value of their domain, and the size of that expansion is checked against
 ``ENUMERATION_LIMIT`` first.
@@ -73,6 +81,13 @@ class Relation:
     constructor checks a column at a time: one pass for the widths, then
     one subset test per wire.  Only when a test fails does it walk the
     tuples one by one, and the error names the first misfit it meets.
+
+    The generic join's hash tries are built once per key and kept on the
+    relation, outside its fields (:meth:`_trie_at`).  A relation is
+    immutable, so they cannot go stale.  One used under k level orders
+    keeps k tries, each about 70-100 bytes per two-column tuple.  A
+    relation built from another, by ``_trusted``, :func:`union`,
+    :func:`evaluate` or a copy, starts without tries.
     """
 
     star: TypedStar
@@ -104,6 +119,34 @@ class Relation:
         object.__setattr__(rel, "star", star)
         object.__setattr__(rel, "tuples", tuples)
         return rel
+
+    def _trie_at(
+        self, positions: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
+    ) -> KeysView | set | tuple | None:
+        """The hash trie (:func:`_trie`) of the tuples whose entries agree
+        at each of the position ``pairs``, with one level per position in
+        ``positions``; ``()`` when ``positions`` is empty, and ``None`` when
+        no tuple agrees.  Both are positions in ``star.wires``.
+
+        Built on the first request for a key and kept on the relation,
+        outside its fields: a relation is immutable, so a trie can never
+        go stale, and equality, hashing and ``repr`` never see it.
+        """
+        tries = self.__dict__.setdefault("_tries", {})
+        key = (positions, pairs)
+        if key not in tries:
+            rows = _agreeing(self.tuples, pairs)
+            if not rows:
+                tries[key] = None
+            elif not positions:
+                tries[key] = ()
+            else:
+                tries[key] = _trie(rows, positions)
+        return tries[key]
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles start without the tries, which do not pickle.
+        return {"star": self.star, "tuples": self.tuples}
 
     def aligned_tuples(self, wire_order: Sequence[str]) -> frozenset[tuple[Value, ...]]:
         """The tuple set re-expressed in the given wire order."""
@@ -461,30 +504,34 @@ def _generic_join(
     """The bound output cables, in ``order``, of every assignment of the
     cables in ``order`` that every input admits.
 
-    Each input becomes a hash trie (:func:`_trie`) with one level per
-    cable it touches, in ``order``; its rows that give one cable two values
-    are dropped first.  A breadth-first frontier maps the values of the
-    bound cables it still needs to the trie nodes reached in the partly
-    bound inputs.  Binding a cable intersects the key sets of the nodes
-    of the inputs that touch it, smallest first, and steps each node one
-    level down.  A bound cable leaves the frontier key once it is not an
-    output cable and no partly bound input touches it; entries that then
-    coincide merge.
+    Each input gives a hash trie (:func:`_trie`) with one level per cable
+    it touches, in ``order``; its rows that give one cable two values are
+    dropped first.  The trie is asked of the relation
+    (:meth:`Relation._trie_at`), keyed by positions in its own wire order,
+    so it is built once per relation and key and kept there, and an input
+    on a reordered copy of its inner star is never realigned.  When no row
+    of an input is left, the answer is empty.
+
+    A breadth-first frontier maps the values of the bound cables it still
+    needs to the trie nodes reached in the partly bound inputs.  Binding a
+    cable intersects the key sets of the nodes of the inputs that touch
+    it, smallest first, and steps each node one level down.  A bound cable
+    leaves the frontier key once it is not an output cable and no partly
+    bound input touches it; entries that then coincide merge.
     """
     wd = twd.diagram
     rank = {c: k for k, c in enumerate(order)}
     levels: list[tuple[Cable, ...]] = []
     tries: list[KeysView | set] = []
     for i, rel in enumerate(rels):
-        wires = twd.inner[i].wires
-        first, pairs = _first_positions([wd.inner_map[i, w] for w in wires])
-        rows = _agreeing(rel.aligned_tuples(wires), pairs)
-        if not rows:
+        first, pairs = _first_positions([wd.inner_map[i, w] for w in rel.star.wires])
+        own = tuple(sorted(first, key=rank.__getitem__))
+        trie = rel._trie_at(tuple([first[c] for c in own]), tuple(pairs))
+        if trie is None:
             return ()
-        if first:
-            own = tuple(sorted(first, key=rank.__getitem__))
+        if own:
             levels.append(own)
-            tries.append(_trie(rows, [first[c] for c in own]))
+            tries.append(trie)
 
     outputs = {wd.outer_map[y] for y in twd.outer.wires}
     frontier: dict[tuple, tuple] = {(): ()}

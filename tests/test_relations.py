@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -551,6 +553,11 @@ def _draw(rng, star, size, hubs=()):
     return Relation(star, [tuple(entry() for _ in star.wires) for _ in range(size)])
 
 
+def _tries(rel):
+    """The hash tries ``rel`` keeps, by key."""
+    return rel.__dict__.get("_tries", {})
+
+
 TRIANGLE = [("a", "b"), ("b", "c"), ("c", "a")]
 SQUARE = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
 
@@ -569,7 +576,19 @@ class TestGenericJoin:
     """Cyclic diagrams run the generic join and agree with evaluate_naive."""
 
     @pytest.mark.parametrize("name", list(CYCLIC_CASES))
-    def test_seeded_instances(self, name):
+    def test_seeded_instances(self, name, monkeypatch):
+        # Each instance is evaluated twice on the same relations; the
+        # second evaluation builds no trie, it reads those of the first.
+        import wiring.relations as relations_mod
+
+        built = []
+        trie = relations_mod._trie
+
+        def spy(rows, positions):
+            built.append(positions)
+            return trie(rows, positions)
+
+        monkeypatch.setattr(relations_mod, "_trie", spy)
         stars, outer = CYCLIC_CASES[name]
         rng = random.Random(97)
         dom = ValueDomain.int_range("D", 0, 5)
@@ -578,7 +597,27 @@ class TestGenericJoin:
             hubs = (0, 1) if rng.random() < 0.5 else ()
             rels = [_draw(rng, s, rng.randint(1, 40), hubs) for s in inner]
             assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
-            assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+            want = evaluate_naive(twd, rels)
+            assert evaluate(twd, rels) == want
+            first = len(built)
+            assert evaluate(twd, rels) == want
+            assert len(built) == first
+        assert built
+
+    def test_self_join_keeps_one_trie_per_level_order(self):
+        # One relation feeds all three stars of a triangle.  With the cable
+        # order a, b, c, stars (a, b) and (b, c) read it in its own order
+        # and star (c, a) reads it second column first.
+        rng = random.Random(23)
+        dom = ValueDomain.int_range("D", 0, 7)
+        twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        for hubs in ((), (0, 1)):
+            e = _draw(rng, inner[0], 50, hubs)
+            assert plan_join(twd, [len(e)] * 3).cable_order == ("a", "b", "c")
+            want = evaluate_naive(twd, [e, e, e])
+            assert evaluate(twd, [e, e, e]) == want
+            assert set(_tries(e)) == {((0, 1), ()), ((1, 0), ())}
+            assert evaluate(twd, [e, e, e]) == want
 
     def test_hub_skewed_triangle(self):
         # Half the entries sit on two hub values: many partial tuples meet
@@ -630,6 +669,82 @@ class TestGenericJoin:
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels)
         assert got.aligned_tuples(("o0", "o1", "o2")) == {(0, "x", 1), (1, "y", 2)}
+
+        # A second diagram lists star 0's wires the other way round, which
+        # moves b ahead of a in its cable order.  Fed the same relations,
+        # in either order, both diagrams give the same answer.
+        wd_flipped = WiringDiagram(
+            inner=(flipped.star, v.star, w.star),
+            outer=wd.outer,
+            cables=wd.cables,
+            inner_map=wd.inner_map,
+            outer_map=wd.outer_map,
+        )
+        twd_flipped = TypedWiringDiagram(wd_flipped, twd.cable_types)
+        assert twd_flipped.inner[0].wires == ("w1", "w0")
+        assert plan_join(twd, [3, 2, 2]).cable_order[:2] == ("a", "b")
+        assert plan_join(twd_flipped, [3, 2, 2]).cable_order[:2] == ("b", "a")
+        for diagrams in ((twd, twd_flipped), (twd_flipped, twd)):
+            fresh = [Relation(r.star, r.tuples) for r in rels]
+            for diagram in diagrams + diagrams:
+                assert evaluate(diagram, fresh) == got
+
+    def test_cable_on_two_wires_and_on_one(self):
+        # One relation on a four-wire star, read with cable a on wires 0
+        # and 2, with cable b on wires 1 and 2, and with four cables.  The
+        # first two readings have the same levels (wires 0, 1 and 3) and
+        # differ only in the wires that must agree.
+        rng = random.Random(31)
+        dom = ValueDomain.int_range("D", 0, 3)
+        ring = [("c", "e"), ("e", "a")]
+        diagrams = [
+            _wired(dom, [first] + ring, ("a", "b", "e"))
+            for first in (("a", "b", "a", "c"), ("a", "b", "b", "c"), ("a", "b", "d", "c"))
+        ]
+        inner = diagrams[0][1]
+        r = Relation(
+            inner[0],
+            [(v, v, v, 0) for v in range(4)]
+            + [(v, 3 - v, v, 1) for v in range(4)]
+            + [(3 - v, v, v, 2) for v in range(4)],
+        )
+        s, t = (_draw(rng, star, 10) for star in inner[1:])
+        for twd, _inner in diagrams + diagrams:
+            rels = [r, s, t]
+            assert plan_join(twd, [len(x) for x in rels]).executor == "generic"
+            assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+        assert len(_tries(r)) == 3
+
+    def test_no_row_passes_the_equal_pairs(self):
+        dom = ValueDomain.int_range("D", 0, 3)
+        twd, inner = _wired(dom, [("a", "a", "b"), ("b", "c"), ("c", "a")], ("a",))
+        r = Relation(inner[0], [(0, 1, 2), (2, 3, 0)])
+        rels = [r, Relation.complete(inner[1]), Relation.complete(inner[2])]
+        for _ in range(2):
+            assert evaluate(twd, rels).is_empty
+            assert evaluate_naive(twd, rels).is_empty
+        assert list(_tries(r).values()) == [None]
+
+    def test_kept_tries_stay_out_of_sight(self):
+        dom = ValueDomain.int_range("D", 0, 5)
+        twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        rels = [_draw(random.Random(41), s, 20) for s in inner]
+        twins = [Relation(r.star, r.tuples) for r in rels]
+        before = [(r == twin, twin == r, hash(r), repr(r)) for r, twin in zip(rels, twins)]
+        out = evaluate(twd, rels)
+        assert all(_tries(r) for r in rels) and not _tries(out)
+        after = [(r == twin, twin == r, hash(r), repr(r)) for r, twin in zip(rels, twins)]
+        assert after == before and all(eq for eq, *_rest in after)
+        r = rels[0]
+        for built in (
+            Relation(r.star, r.tuples),
+            Relation._trusted(r.star, r.tuples),
+            union(r, r),
+            evaluate(lift_uniform(identity_diagram(r.star.star), dom), [r]),
+            copy.copy(r),
+            pickle.loads(pickle.dumps(r)),
+        ):
+            assert built == r and not _tries(built)
 
     def test_frontier_empties_midway(self):
         dom = ValueDomain.int_range("D", 0, 5)
