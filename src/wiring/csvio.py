@@ -1,11 +1,12 @@
 """Reading relations from CSV files and writing results back out.
 
-Dialect: comma separator, first line is the header, values are atomic
-tokens with no quoting.  Tokens of ASCII digits, with an optional leading
-minus sign, are read as integers, everything else as text.  The header
-must name exactly the star's wires, in any order; duplicate data rows
-collapse.  :func:`survives_csv` tells whether a value is written as a token
-that reads back as the same value; script types admit no other values.
+Dialect: UTF-8 text, a leading byte-order mark ignored, comma separator,
+first line is the header, values are atomic tokens with no quoting.
+Tokens of ASCII digits, with an optional leading minus sign, are read as
+integers, everything else as text.  The header must name exactly the
+star's wires, in any order; duplicate data rows collapse.
+:func:`survives_csv` tells whether a value is written as a token that
+reads back as the same value; script types admit no other values.
 
 Cells are checked a column at a time: one pass for the cell counts, then
 one subset test of each wire's parsed column against its domain.  Only
@@ -48,7 +49,7 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     data row number and the offending column.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = [line.rstrip("\n") for line in handle]
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read: {exc.strerror}") from exc

@@ -42,22 +42,6 @@ class Partition:
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def discrete(cls, star: Star) -> "Partition":
-        return cls(star, ((w,) for w in star.wires))
-
-    @classmethod
-    def indiscrete(cls, star: Star) -> "Partition":
-        blocks = (tuple(sorted(star.wires)),) if len(star) else ()
-        return cls(star, blocks)
-
-    def refines(self, other: "Partition") -> bool:
-        """True when every block of ``self`` sits inside a block of ``other``."""
-        if self.star != other.star:
-            raise InterfaceError("cannot compare partitions of different stars")
-        lookup = {w: i for i, block in enumerate(other.blocks) for w in block}
-        return all(len({lookup[w] for w in block}) == 1 for block in self.blocks)
-
     def __repr__(self) -> str:
         body = " | ".join(",".join(b) for b in self.blocks)
         return f"Partition({body})"

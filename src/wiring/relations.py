@@ -21,12 +21,17 @@ larger than the answer: a triangle query joins all 2-paths before it
 closes a single cycle.  Such a diagram gets the generic join, whose work
 stays within the largest output that inputs of the given sizes can have
 (Ngo, Porat, Re and Rudra, "Worst-case optimal join algorithms", PODS
-2012; Veldhuizen, "Leapfrog Triejoin", ICDT 2014).  It binds one cable at a time: first the
-cable that touches the most stars, then always one that shares a star
-with a bound cable.  Each cable's values are the intersection of the
-input tries' key sets at that cable.  Either way the partial results keep
-only the cables still needed: a cable is dropped once neither the output
-nor a relation not yet fully joined reads it.
+2012; Veldhuizen, "Leapfrog Triejoin", ICDT 2014).  It binds one cable
+at a time: first the cable that touches the most stars, then always one
+that shares a star with a bound cable.  Each cable's values are the
+intersection of the input tries' key sets at that cable.  A breadth-first
+frontier of partial results runs up to the second-last cable.  The last
+two cables are bound depth-first from each frontier entry: one
+intersection per entry for the last cable's nodes that the second-last
+value does not move, then one per second-last value, whose answers go
+straight into the output.  Either way the partial results keep only the
+cables still needed: a cable is dropped once neither the output nor a
+relation not yet fully joined reads it.
 
 The generic join's tries are built once per relation and per key (the
 trie's level positions and the positions one cable must give equal
@@ -36,9 +41,13 @@ is immutable, so its tries cannot go stale.  They cost about 70-100 bytes
 per two-column tuple, and a relation used under k level orders keeps k
 tries.
 
-Outer cables that no inner wire touches are filled in last with every
-value of their domain, and the size of that expansion is checked against
-``ENUMERATION_LIMIT`` first.
+Each answer tuple is built once.  The joins leave one slot per output
+cable; when the outer wires read those slots in order and no cable is
+free, the tuples become the outer relation as they are, and they are
+re-picked only when the output order needs it.  Outer cables that no
+inner wire touches are filled in last with every value of their domain,
+and the size of that expansion is checked against ``ENUMERATION_LIMIT``
+first.
 
 :func:`evaluate_naive` transcribes the definition literally, enumerating
 every cable assignment, and serves as the oracle the fast path must agree
@@ -261,13 +270,16 @@ class JoinPlan(NamedTuple):
     the output needs, and ``cable_order`` is empty.  A generic plan has
     no steps: it binds the cables in ``cable_order``, which starts with
     the cable that touches the most stars and then always takes one that
-    shares a star with a bound cable.  A bound cable is dropped once it
-    is not an output cable and no partly bound relation touches it, so
-    its partial tuples end up holding the output cables in that order.
+    shares a star with a bound cable.  It runs breadth-first up to the
+    second-last cable and binds the last two depth-first.  A bound cable
+    is dropped once it is not an output cable and no partly bound
+    relation touches it, so its answers hold the output cables in that
+    order.
 
     ``free`` lists the outer cables that no inner wire touches; the output
     tuple is ``partial + combo`` read at ``output``, where ``combo`` is one
-    assignment of the free cables.
+    assignment of the free cables.  When nothing is free and ``output``
+    is ``0, 1, ...``, the partial tuples are the output tuples.
     """
 
     steps: tuple[JoinStep, ...]
@@ -435,13 +447,18 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     and Rudra, PODS 2012; Veldhuizen, ICDT 2014): it binds one cable at a
     time, from the cable touching the most stars on through cables that
     share a star with a bound one, and drops a bound cable once neither
-    the output nor a partly bound relation reads it (see
-    :func:`_generic_join`).
+    the output nor a partly bound relation reads it.  A breadth-first
+    frontier runs up to the second-last cable, and the last two are bound
+    depth-first, with one intersection per frontier entry and one per
+    second-last value (see :func:`_generic_join`).
 
-    Either way the partial tuples are then extended over the free cables,
-    after checking that the expansion stays within ``ENUMERATION_LIMIT``
-    tuples; above it, :class:`EnumerationLimitError` is raised.  Agrees
-    with :func:`evaluate_naive` everywhere.
+    Either way each partial tuple is built once.  With no free cables it
+    is an output tuple, taken as it is when the outer wires read its
+    slots in order and re-picked only when they do not.  Otherwise the
+    partial tuples are extended over the free cables, after checking that
+    the expansion stays within ``ENUMERATION_LIMIT`` tuples; above it,
+    :class:`EnumerationLimitError` is raised.  Agrees with
+    :func:`evaluate_naive` everywhere.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -463,6 +480,8 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
 
     pick = _getter(plan.output)
     if not plan.free:
+        if plan.output == tuple(range(len(plan.output))):
+            return Relation._trusted(twd.outer, frozenset(partials))
         return Relation._trusted(twd.outer, frozenset(map(pick, partials)))
     domains = [twd.cable_types[c].values for c in plan.free]
     size = len(partials) * math.prod(len(values) for values in domains)
@@ -502,7 +521,8 @@ def _generic_join(
     twd: TypedWiringDiagram, rels: Sequence[Relation], order: tuple[Cable, ...]
 ) -> Collection[tuple]:
     """The bound output cables, in ``order``, of every assignment of the
-    cables in ``order`` that every input admits.
+    cables in ``order`` that every input admits; ``order`` has at least
+    two cables, as every cyclic diagram does.
 
     Each input gives a hash trie (:func:`_trie`) with one level per cable
     it touches, in ``order``; its rows that give one cable two values are
@@ -512,12 +532,22 @@ def _generic_join(
     on a reordered copy of its inner star is never realigned.  When no row
     of an input is left, the answer is empty.
 
-    A breadth-first frontier maps the values of the bound cables it still
-    needs to the trie nodes reached in the partly bound inputs.  Binding a
-    cable intersects the key sets of the nodes of the inputs that touch
-    it, smallest first, and steps each node one level down.  A bound cable
-    leaves the frontier key once it is not an output cable and no partly
-    bound input touches it; entries that then coincide merge.
+    Up to the second-last cable, a breadth-first frontier maps the values
+    of the bound cables it still needs to the trie nodes reached in the
+    partly bound inputs.  Binding a cable intersects the key sets of the
+    nodes of the inputs that touch it, smallest first, and steps each node
+    one level down.  A bound cable leaves the frontier key once it is not
+    an output cable and no partly bound input touches it; entries that
+    then coincide merge.
+
+    The last two cables are bound depth-first, as in Leapfrog Triejoin.
+    For each frontier entry, the last cable's nodes that the second-last
+    value does not move (those carried past it and the roots of the
+    tries that start at the last cable) are intersected once; for each
+    second-last value ``v``, that set is intersected with the nodes
+    stepped at ``v``, and the answers go straight into the output set,
+    already in output order.  No entries merge at the last level: the
+    output set drops the repeats.
     """
     wd = twd.diagram
     rank = {c: k for k, c in enumerate(order)}
@@ -534,10 +564,11 @@ def _generic_join(
             tries.append(trie)
 
     outputs = {wd.outer_map[y] for y in twd.outer.wires}
+    second, last = order[-2:]
     frontier: dict[tuple, tuple] = {(): ()}
     active: list[int] = []  # the partly bound tries, one node each per entry
     kept: list[Cable] = []  # the cables of the frontier key
-    for c in order:
+    for c in order[:-1]:
         touching = [t for t, own in enumerate(levels) if c in own]
         fresh = [t for t in touching if levels[t][0] == c]
         ext = active + fresh  # an entry's nodes, then the fresh tries' roots
@@ -547,8 +578,10 @@ def _generic_join(
         stepped = [t for t in touching if levels[t][-1] != c]
         carry = _getter(tuple([active.index(t) for t in carried]))
         step = _getter(tuple([ext.index(t) for t in stepped]))
-        active = carried + stepped
         wide = len(touching) > 2
+        if c == second:  # the tail below binds it
+            break
+        active = carried + stepped
         still = {b for t in active for b in levels[t]} | outputs
         pick = _getter(tuple([k for k, b in enumerate(kept) if b in still]))
         kept = [b for b in kept if b in still]
@@ -582,7 +615,39 @@ def _generic_join(
         frontier = grown
         if not frontier:
             return ()
-    return frontier.keys()
+
+    # The last two cables, depth-first.  Every trie still partly bound
+    # ends at the last cable, so its nodes there are sets.
+    starts = tuple([tries[t] for t, own in enumerate(levels) if own[0] == last])
+    answer = _getter(tuple([k for k, b in enumerate(kept) if b in outputs]))
+    out_second, out_last = second in outputs, last in outputs
+    answers: set[tuple] = set()
+    for key, nodes in frontier.items():
+        every = nodes + roots
+        probed = probe(every)
+        if wide:
+            probed = sorted(probed, key=len)
+        fixed = sorted(carry(nodes) + starts, key=len)
+        base = reduce(and_, fixed) if fixed else None
+        if fixed and not base:
+            continue
+        maps = [node.mapping for node in step(every)]
+        prefix = answer(key)
+        for v in reduce(and_, probed):
+            ws = base
+            for m in maps:
+                ws = m[v] if ws is None else m[v] & ws
+            if not ws:
+                continue
+            if out_last:
+                head = prefix + (v,) if out_second else prefix
+                answers.update([head + (w,) for w in ws])
+            elif out_second:
+                answers.add(prefix + (v,))
+            else:
+                answers.add(prefix)
+                break
+    return answers
 
 
 def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:

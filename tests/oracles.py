@@ -14,7 +14,7 @@ from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
 from wiring.recursion import RecursiveSetup, step
 from wiring.relations import Relation
-from wiring.stars import WiringDiagram
+from wiring.stars import Star, WiringDiagram
 from wiring.typed import TypedStar
 
 
@@ -91,6 +91,24 @@ def kleene_fixed_point(setup: RecursiveSetup, mode: str) -> Relation:
         if following == current:
             return current
         current = following
+
+
+def discrete(star: Star) -> Partition:
+    """The partition of ``star`` into singletons."""
+    return Partition(star, [[w] for w in star.wires])
+
+
+def indiscrete(star: Star) -> Partition:
+    """The partition of ``star`` into one block (none on the empty star)."""
+    return Partition(star, [star.wires] if len(star) else [])
+
+
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """True when every block of ``fine`` sits inside a block of ``coarse``."""
+    assert fine.star == coarse.star
+    return all(
+        any(set(block) <= set(big) for big in coarse.blocks) for block in fine.blocks
+    )
 
 
 def connectivity_oracle(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:

@@ -140,8 +140,18 @@ class TestCsvLoad:
             load_csv_relation(tmp_path / "absent.csv", star)
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes(b"x\nTr\xfce\n")
-        with pytest.raises(CsvFormatError, match="latin1.csv: not UTF-8"):
+        with pytest.raises(CsvFormatError) as err:
             load_csv_relation(latin1, star)
+        assert str(err.value) == f"{latin1}: not UTF-8 text: invalid start byte"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, nand_star):
+        text = "out,A,B\nTrue,False,False\nFalse,True,True\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        got = load_csv_relation(marked, nand_star)
+        assert got == load_csv_relation(plain, nand_star) and len(got) == 2
 
 
 class TestCsvWrite:

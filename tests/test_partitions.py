@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connectivity_oracle
+from oracles import connectivity_oracle, discrete, indiscrete, refines
 from strategies import diagrams, partitions as partition_strategy
 from wiring import partitions
 from wiring.errors import InterfaceError, ValidationError
@@ -33,18 +33,18 @@ class TestPartition:
 
     def test_refines(self):
         star = Star(["a", "b", "c"])
-        fine = Partition.discrete(star)
-        coarse = Partition.indiscrete(star)
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        fine = discrete(star)
+        coarse = indiscrete(star)
+        assert refines(fine, coarse)
+        assert not refines(coarse, fine)
 
 
 class TestEvaluate:
     def test_discrete_inputs_disconnected_diagram(self):
         star = Star(["a", "b"])
         wd = identity_diagram(star)
-        got = partitions.evaluate(wd, [Partition.discrete(star)])
-        assert got == Partition.discrete(star)
+        got = partitions.evaluate(wd, [discrete(star)])
+        assert got == discrete(star)
 
     def test_identity_returns_input(self):
         star = Star(["a", "b", "c"])
@@ -64,16 +64,16 @@ class TestEvaluate:
             outer_map={"a": "c1", "b": "c2", "c": "c3"},
         )
         linked = partitions.evaluate(
-            wd, [Partition(s1, [["r", "s"]]), Partition.discrete(s2)]
+            wd, [Partition(s1, [["r", "s"]]), discrete(s2)]
         )
         assert linked == Partition(outer, [["a", "b"], ["c"]])
         assert linked == connectivity_oracle(
-            wd, [Partition(s1, [["r", "s"]]), Partition.discrete(s2)]
+            wd, [Partition(s1, [["r", "s"]]), discrete(s2)]
         )
         separate = partitions.evaluate(
-            wd, [Partition.discrete(s1), Partition.discrete(s2)]
+            wd, [discrete(s1), discrete(s2)]
         )
-        assert separate == Partition.discrete(outer)
+        assert separate == discrete(outer)
 
     def test_single_cable_diagram_collapses_everything(self):
         star = Star(["a", "b"])
@@ -84,13 +84,13 @@ class TestEvaluate:
             inner_map={(0, "a"): "c", (0, "b"): "c"},
             outer_map={"a": "c", "b": "c"},
         )
-        got = partitions.evaluate(wd, [Partition.discrete(star)])
-        assert got == Partition.indiscrete(star)
+        got = partitions.evaluate(wd, [discrete(star)])
+        assert got == indiscrete(star)
 
     def test_star_mismatch_rejected(self):
         wd = identity_diagram(Star(["a"]))
         with pytest.raises(InterfaceError):
-            partitions.evaluate(wd, [Partition.discrete(Star(["b"]))])
+            partitions.evaluate(wd, [discrete(Star(["b"]))])
 
 
 class TestOracleAgreement:
@@ -133,7 +133,7 @@ class TestCoarsening:
                 coarse.append(Partition(p.star, merged))
             out_fine = partitions.evaluate(wd, fine)
             out_coarse = partitions.evaluate(wd, coarse)
-            assert out_fine.refines(out_coarse)
+            assert refines(out_fine, out_coarse)
 
 
 def test_eq_naturality_suite_passes():

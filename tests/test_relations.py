@@ -604,6 +604,78 @@ class TestGenericJoin:
             assert len(built) == first
         assert built
 
+    def test_depth_first_tail_matches_naive(self):
+        # The last two cables of the order are bound depth-first.  Random
+        # cycles with extra stars, outer wires and self-joins must agree
+        # with evaluate_naive, and every shape of the tail must turn up.
+        seen = dict.fromkeys(
+            [
+                "last-not-output",
+                "second-not-output",
+                "outputs-out-of-order",
+                "cable-on-two-outer-wires",
+                "free",
+                "self-join",
+                "one-input-holds-both",
+                "nonempty",
+            ],
+            0,
+        )
+        rng = random.Random(59)
+        cyclic = 0
+        while cyclic < 150:
+            dom = ValueDomain.int_range("D", 0, rng.randint(1, 3))
+            n = rng.randint(3, 4)
+            cables = [f"k{c}" for c in range(n + rng.randint(0, 1))]
+            stars = [(cables[j], cables[(j + 1) % n]) for j in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                stars.append(tuple(rng.choices(cables, k=rng.randint(1, 3))))
+            rng.shuffle(stars)
+            outer = tuple(rng.choices(cables + ["f"], k=rng.randint(0, 4)))
+            twd, inner = _wired(dom, stars, outer)
+            rels = []
+            for star in inner:
+                twins = [r for r in rels if r.star == star]
+                if twins and rng.random() < 0.4:
+                    rels.append(rng.choice(twins))
+                    continue
+                space = list(product(dom.values, repeat=len(star.wires)))
+                size = round(len(space) * rng.choice([0.3, 0.6, 0.9]))
+                rels.append(Relation(star, rng.sample(space, size)))
+            plan = plan_join(twd, [len(r) for r in rels])
+            if plan.executor != "generic":
+                continue
+            cyclic += 1
+            got = evaluate(twd, rels)
+            assert got == evaluate_naive(twd, rels), (stars, outer)
+
+            *_head, second, last = plan.cable_order
+            ranks = [plan.cable_order.index(c) for c in outer if c in plan.cable_order]
+            seen["last-not-output"] += last not in outer
+            seen["second-not-output"] += second not in outer
+            seen["outputs-out-of-order"] += ranks != sorted(ranks)
+            seen["cable-on-two-outer-wires"] += len(set(outer)) < len(outer)
+            seen["free"] += bool(plan.free)
+            seen["self-join"] += len(set(map(id, rels))) < len(rels)
+            seen["one-input-holds-both"] += any({second, last} <= set(s) for s in stars)
+            seen["nonempty"] += not got.is_empty
+        assert all(seen.values()), seen
+
+    def test_last_cable_read_only_by_tries_stepped_at_the_second_last(self):
+        # y and x hang off the triangle.  The large relations on y's stars
+        # put y after a and b, so x, read only by the star (y, x), comes
+        # right after y: no node at x is carried or a root, and every
+        # one is stepped at a value of y.
+        rng = random.Random(67)
+        dom = ValueDomain.int_range("D", 0, 3)
+        twd, inner = _wired(dom, TRIANGLE + [("c", "y"), ("y", "x")], ("x", "a"))
+        for _ in range(8):
+            rels = [_draw(rng, s, k) for s, k in zip(inner, (6, 6, 6, 12, 12))]
+            plan = plan_join(twd, [len(r) for r in rels])
+            assert plan.executor == "generic"
+            assert plan.cable_order[-2:] == ("y", "x")
+            assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+
     def test_self_join_keeps_one_trie_per_level_order(self):
         # One relation feeds all three stars of a triangle.  With the cable
         # order a, b, c, stars (a, b) and (b, c) read it in its own order
