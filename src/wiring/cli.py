@@ -5,6 +5,12 @@ named query or union, ``query`` runs an inline SELECT expression, ``dot``
 renders a diagram or compiled query, ``fixpoint`` runs a recursion setup,
 ``laws`` runs the random law suites.
 
+``check`` loads and validates every relation the script declares.  The other
+commands read only the relations they use: ``eval`` those in the query's FROM
+or, for a union, in its parts' FROMs; ``query`` those in the inline query's
+FROM; ``fixpoint`` the setup's; ``dot`` none.  A missing or malformed CSV
+that a command does not read is not an error for that command.
+
 Run it as ``wd`` once the package is installed, or as ``python -m
 wiring.cli`` with ``src`` on the path.
 
@@ -16,10 +22,11 @@ unexpected exceptions).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
-from typing import IO, Iterator, Mapping
+from typing import IO, Collection, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .errors import WiringError
@@ -38,20 +45,32 @@ def _load_script(path: str) -> tuple[dsl.Script, str]:
     return dsl.parse_script(text), os.path.dirname(os.path.abspath(path))
 
 
-def _load_relations(script: dsl.Script, base_dir: str) -> dict[str, Relation]:
-    loaded: dict[str, Relation] = {}
+def _load_relations(
+    script: dsl.Script, base_dir: str, names: Collection[str]
+) -> dict[str, Relation]:
+    """The CSV relations named in ``names``, loaded in declaration order,
+    beside every const of the script."""
+    loaded = dict(script.consts)
     for name, decl in script.relations.items():
-        path = os.path.join(base_dir, decl.path)
-        loaded[name] = csvio.load_csv_relation(path, decl.star)
-    loaded.update(script.consts)
+        if name in names:
+            path = os.path.join(base_dir, decl.path)
+            loaded[name] = csvio.load_csv_relation(path, decl.star)
     return loaded
+
+
+def _result_reads(script: dsl.Script, name: str) -> set[str]:
+    """The rel and const names that the query or union ``name`` reads."""
+    if name in script.queries:
+        return {pred for pred, _alias in script.queries[name].tables}
+    if name in script.unions:
+        return set().union(*(_result_reads(script, p) for p in script.unions[name].parts))
+    raise WiringError(f"no query or union named {name!r}")
 
 
 def _resolve_result(
     script: dsl.Script, rels: Mapping[str, Relation], name: str
 ) -> Relation:
-    if name in script.queries:
-        return evaluate_query(compile_query(script.queries[name], script), rels)
+    """The query or union ``name``, which :func:`_result_reads` has vetted."""
     if name in script.unions:
         parts = [
             _resolve_result(script, rels, part)
@@ -61,7 +80,7 @@ def _resolve_result(
         for part in parts[1:]:
             result = relations.union(result, part)
         return result
-    raise WiringError(f"no query or union named {name!r}")
+    return evaluate_query(compile_query(script.queries[name], script), rels)
 
 
 @contextmanager
@@ -80,7 +99,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 
 def cmd_check(args) -> int:
     script, base_dir = _load_script(args.script)
-    rels = _load_relations(script, base_dir)
+    rels = _load_relations(script, base_dir, script.relations)
     counts = (
         f"{len(script.domains)} types, {len(script.stars)} stars, "
         f"{len(rels)} relations, {len(script.diagrams)} diagrams, "
@@ -93,7 +112,7 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     script, base_dir = _load_script(args.script)
-    rels = _load_relations(script, base_dir)
+    rels = _load_relations(script, base_dir, _result_reads(script, args.name))
     result = _resolve_result(script, rels, args.name)
     with _output(args.out) as handle:
         csvio.write_relation_csv(result, handle)
@@ -102,9 +121,9 @@ def cmd_eval(args) -> int:
 
 def cmd_query(args) -> int:
     script, base_dir = _load_script(args.script)
-    rels = _load_relations(script, base_dir)
-    query = dsl.parse_query_text(args.text, script)
-    result = evaluate_query(compile_query(query, script), rels)
+    compiled = compile_query(dsl.parse_query_text(args.text, script), script)
+    rels = _load_relations(script, base_dir, compiled.inputs)
+    result = evaluate_query(compiled, rels)
     with _output(args.out) as handle:
         csvio.write_relation_csv(result, handle)
     return 0
@@ -131,7 +150,7 @@ def cmd_fixpoint(args) -> int:
     if args.name not in script.setups:
         raise WiringError(f"no setup named {args.name!r}")
     decl = script.setups[args.name]
-    rels = _load_relations(script, base_dir)
+    rels = _load_relations(script, base_dir, decl.rel_names)
     phi = script.diagrams[decl.diagram_name].typed
     setup = build_setup(decl.z, phi, [rels[r] for r in decl.rel_names])
     mode = {"gfp": "greatest", "lfp": "least"}[args.mode]
@@ -162,7 +181,10 @@ def cmd_laws(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wd`` argument parser, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="wd", description="wiring diagram scripts: validate, run, render"
     )

@@ -21,8 +21,11 @@ parsed (declaration before use, names unique per kind; ``rel`` and
 The query keywords ``select``, ``from``, ``where`` and ``and`` (in any case)
 cannot name a wire, rel or const, which a query could then not refer to.
 Comments run from ``#`` to end of line.  Wire and cable identifiers may
-carry trailing primes (``A'``).  Tokens carry their offset in the text; a
-line and column are computed only when an error is raised.
+carry trailing primes (``A'``).  The lexer makes one regular-expression
+match per token: each match skips the whitespace and comments before its
+token, and the last match is the ``eof`` token at the end of the text.
+Tokens carry their offset in the text; a line and column are computed only
+when an error is raised.
 """
 
 from __future__ import annotations
@@ -45,21 +48,28 @@ from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
 
+# Each match is one token: the whitespace and comments before it are skipped
+# inside the same match.  Some alternative always matches after the skip
+# (``eof`` at the end, ``bad`` on any other character), so the skip group is
+# never backtracked into.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<darrow>=>)
-  | (?P<range>\.\.)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<string>'[^'\n]*'|"[^"\n]*")
-  | (?P<punct>[(){}\[\],:;.=|])
-  | (?P<bad>.)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<arrow>->)
+    | (?P<darrow>=>)
+    | (?P<range>\.\.)
+    | (?P<int>-?[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+    | (?P<string>'[^'\n]*'|"[^"\n]*")
+    | (?P<punct>[(){}\[\],:;.=|])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
+_LAST_KINDS = frozenset({"eof", "bad"})
 
 _Item = TypeVar("_Item")
 
@@ -86,16 +96,18 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one ``eof`` token."""
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) through NamedTuple.__new__ costs more
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":
-            raise ScriptError(
-                f"unexpected character {m.group()!r}", *_position(text, m.start())
-            )
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+        append(new(Token, (kind, m[kind], m.start(kind))))
+        if kind in _LAST_KINDS:
+            break
+    last = tokens[-1]
+    if last.kind == "bad":
+        raise ScriptError(f"unexpected character {last.text!r}", *_position(text, last.offset))
     return tokens
 
 
@@ -198,14 +210,15 @@ class _Parser:
         return self.next()
 
     def literal(self) -> Value:
-        tok = self.next()
+        tok = self.peek()
+        if tok.kind not in ("int", "string", "ident"):
+            raise self.unexpected("a literal value")
+        self.next()
         if tok.kind == "int":
             return int(tok.text)
         if tok.kind == "string":
             return tok.text[1:-1]
-        if tok.kind == "ident":
-            return tok.text
-        raise self.fail(f"expected a literal value, found {tok.text!r}", tok)
+        return tok.text
 
     def items(
         self, item: Callable[[], _Item], sep: str = ",", close: str | None = None

@@ -216,3 +216,37 @@ def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:
             row.append(v)
         tuples.add(tuple(row))
     return frozenset(tuples)
+
+
+_LITERAL_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<darrow>=>)
+  | (?P<range>\.\.)
+  | (?P<int>-?[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+  | (?P<string>'[^'\n]*'|"[^"\n]*")
+  | (?P<punct>[(){}\[\],:;.=|])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def tokens_oracle(text: str) -> list[tuple[str, str, int]] | str:
+    """The ``(kind, text, offset)`` of each token ``dsl.tokenize`` must
+    return for ``text``, ending with ``eof``, or the message it must raise:
+    one match per whitespace run, comment or token, the first two dropped."""
+    tokens = []
+    for m in _LITERAL_TOKEN_RE.finditer(text):
+        kind, offset = m.lastgroup, m.start()
+        if kind == "bad":
+            line = text.count("\n", 0, offset) + 1
+            column = offset - (text.rfind("\n", 0, offset) + 1) + 1
+            return f"{line}:{column}: unexpected character {m.group()!r}"
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, m.group(), offset))
+    tokens.append(("eof", "", len(text)))
+    return tokens

@@ -323,3 +323,120 @@ def test_inline_query_errors_carry_a_position(project, capsys, text, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "internal error" not in err
+
+
+# A second NAND relation and a setup input whose CSV is missing or malformed;
+# only the commands that read ``ghost`` may fail on it.
+GHOST_RELS = (
+    'rel ghost : NAND from "ghost.csv";\n'
+    "query ghostnot = SELECT g.A, g.out FROM ghost g WHERE g.A = g.B;\n"
+    "union mixed = notq | ghostnot;\n"
+)
+GHOST_SETUP = 'rel ghost : V from "ghost.csv";\nsetup g = d(ghost);\n'
+
+
+@pytest.fixture(params=["missing", "malformed"])
+def ghost(project, request):
+    (project / "reordered.wd").write_text(REORDERED_STAR_SCRIPT)
+    (project / "v.csv").write_text("B,A\nx,2\ny,0\n")
+    (project / "ghosts.wd").write_text(SCRIPT + GHOST_RELS)
+    (project / "ghost_setup.wd").write_text(REORDERED_STAR_SCRIPT + GHOST_SETUP)
+    if request.param == "malformed":
+        (project / "ghost.csv").write_text("A,B\nx,2,y\n")
+    return project
+
+
+def _run_in(directory, capsys, argv):
+    command, script, *rest = argv
+    status = run_cli([command, str(directory / script), *rest])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, clean",
+    [
+        (["eval", "ghosts.wd", "notq"], ["eval", "circuits.wd", "notq"]),
+        (["eval", "ghosts.wd", "andq"], ["eval", "circuits.wd", "andq"]),
+        (
+            ["query", "ghosts.wd", "SELECT n.out FROM nand n WHERE n.A = 'True'"],
+            ["query", "circuits.wd", "SELECT n.out FROM nand n WHERE n.A = 'True'"],
+        ),
+        (["fixpoint", "ghost_setup.wd", "s"], ["fixpoint", "reordered.wd", "s"]),
+        (["dot", "ghosts.wd", "ghostnot"], None),
+    ],
+    ids=["eval", "eval-join", "query", "fixpoint", "dot"],
+)
+def test_commands_skip_relations_they_do_not_read(ghost, capsys, argv, clean):
+    status, out, err = _run_in(ghost, capsys, argv)
+    assert status == 0, err
+    if clean is not None:
+        assert (status, out, err) == _run_in(ghost, capsys, clean)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "ghosts.wd", "ghostnot"],
+        ["eval", "ghosts.wd", "mixed"],
+        ["query", "ghosts.wd", "SELECT n.out FROM nand n, ghost g WHERE n.A = g.A"],
+        ["fixpoint", "ghost_setup.wd", "g"],
+        ["check", "ghosts.wd"],
+        ["check", "ghost_setup.wd"],
+    ],
+    ids=["eval", "eval-union-part", "query", "fixpoint", "check", "check-setup-input"],
+)
+def test_commands_that_read_a_bad_relation_fail(ghost, capsys, argv):
+    status, out, err = _run_in(ghost, capsys, argv)
+    assert status == 1
+    assert f"error: {ghost / 'ghost.csv'}: " in err
+    assert "internal error" not in err
+
+
+def test_query_is_parsed_before_relations_load(ghost, capsys):
+    argv = ["query", "ghosts.wd", "SELECT g.nosuch FROM ghost g"]
+    status, _out, err = _run_in(ghost, capsys, argv)
+    assert status == 1
+    assert "error: 1:1: alias 'g' has no attribute 'nosuch'" in err
+
+
+def test_run_cli_can_be_reused_in_one_process(project, capsys, monkeypatch):
+    # argparse wraps help text to COLUMNS; both sides must use one width
+    monkeypatch.setenv("COLUMNS", "80")
+    script = str(project / "circuits.wd")
+    target = project / "result.csv"
+    calls = [
+        ["eval", script, "notq", "--bogus"],
+        ["fixpoint", script, "s", "--mode", "top"],
+        ["--help"],
+        ["eval", script, "notq", "--out", str(target)],
+        ["eval", script, "notq"],
+    ]
+
+    def outcomes(run):
+        seen = []
+        for argv in calls:
+            target.unlink(missing_ok=True)
+            seen.append((*run(argv), target.read_text() if target.exists() else None))
+        return seen
+
+    def in_process(argv):
+        status = run_cli(argv)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wiring.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "wiring.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    reused = outcomes(in_process)
+    assert [seen[0] for seen in reused] == [1, 1, 0, 0, 0]
+    assert reused[3][1] == "" and reused[3][3].startswith("A,out\n")
+    assert reused[4][1] == reused[3][3] and reused[4][3] is None
+    assert reused == outcomes(fresh)

@@ -1,12 +1,14 @@
 import re
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import tokens_oracle
 from wiring.csvio import survives_csv
 from wiring import dsl
-from wiring.dsl import parse_query_text, parse_script
+from wiring.dsl import parse_query_text, parse_script, tokenize
 from wiring.errors import ScriptError
 from wiring.recursion import factorial_fixture
 from wiring.typed import typed_diagrams_equal
@@ -257,7 +259,7 @@ ERROR_SCRIPTS = [
     ("ident", "type = {a};\n", "1:6: expected type name, found '='"),
     ("ident-at-eof", "star", "1:5: expected star name, found 'end of file'"),
     ("literal", "type T = {a, ;};\n", "1:14: expected a literal value, found ';'"),
-    ("literal-at-eof", "type T = {a,", "1:13: expected a literal value, found ''"),
+    ("literal-at-eof", "type T = {a,", "1:13: expected a literal value, found 'end of file'"),
     ("duplicate-type", "type T = {a};\ntype T = {b};\n", "2:6: duplicate type name 'T'"),
     ("unknown-type", "star S(w:U);\n", "1:10: unknown type 'U'"),
     ("unknown-star", 'type T = {a};\nrel r : GHOST from "r.csv";\n', "2:9: unknown star 'GHOST'"),
@@ -376,6 +378,8 @@ ERROR_QUERIES = [
      "1:1: reference z.w names unknown alias 'z'"),
     ("query-bad-character", "SELECT n.w FROM r n WHERE n.w = $", "1:33: unexpected character '$'"),
     ("query-ends-early", "SELECT n.w FROM", "1:16: expected predicate name, found 'end of file'"),
+    ("query-literal-at-eof", "SELECT n.w FROM r n WHERE n.w =",
+     "1:32: expected a literal value, found 'end of file'"),
     ("query-needs-select", "n.w FROM r n", "1:1: expected 'select', found 'n'"),
     ("query-keyword-is-no-attribute", "SELECT n.Select FROM r n",
      "1:10: expected attribute, found 'Select'"),
@@ -475,6 +479,50 @@ def _scripts(draw):
             lines.append(f"const c{k} : {name} = {draw(_literals(value))};")
             consts[f"c{k}"] = value
     return "\n".join(lines) + "\n", domains, stars, consts
+
+
+# Pieces of token soup: every token kind, comments, whitespace of every
+# sort, and characters no token starts with.  Pieces are joined with no
+# separator, so neighbours also merge (``a`` ``1`` is ``a1``, ``-`` ``>`` is ``->``).
+_SOUP_PIECES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}'{0,2}", fullmatch=True),
+    st.integers(-99, 99).map(str),
+    st.from_regex(r"'[^'\n]{0,3}'|\"[^\"\n]{0,3}\"", fullmatch=True),
+    st.sampled_from(["->", "=>", "..", *"(){}[],:;.=|", "-", ">"]),
+    st.from_regex(r"#[^\n]{0,6}", fullmatch=True),
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c",
+                     "\u00a0", "\u2028", "\u3000"]),
+    st.sampled_from(["@", "$", "!", "\\", "`", "\u00e9", "\u0663", "'", '"', "\x00"]),
+)
+
+
+class TestTokenizer:
+    """``tokenize`` makes one match per token; the oracle matches every
+    whitespace run and comment too, then drops them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SOUP_PIECES, max_size=30).map("".join))
+    @example("a # comment at the end, no newline")
+    @example("x\r\n\t# c\r\n  -> y'' \u00a0=> 1..-2 \u2028'q' \"r\"")
+    @example("  \n\t  ")
+    @example("a\n  b @ c")
+    @example("# only a comment")
+    def test_matches_the_literal_oracle(self, text):
+        expected = tokens_oracle(text)
+        if isinstance(expected, str):
+            with pytest.raises(ScriptError) as err:
+                tokenize(text)
+            assert str(err.value) == expected
+        else:
+            assert [tuple(t) for t in tokenize(text)] == expected
+
+    @pytest.mark.parametrize("skip", [" ", "\n", "# c\n"])
+    def test_long_skip_before_a_bad_character_is_quick(self, skip):
+        text = skip * (10**6 // len(skip)) + "@"
+        start = time.perf_counter()
+        with pytest.raises(ScriptError, match="unexpected character '@'"):
+            tokenize(text)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestParseGivesWhatWasWritten:
