@@ -6,6 +6,12 @@ evaluation), :mod:`wiring.partitions` (equivalence relations),
 :mod:`wiring.closed` (currying), :mod:`wiring.recursion` (fixed points),
 :mod:`wiring.dsl` / :mod:`wiring.query` / :mod:`wiring.cli` (the script
 front end), and :mod:`wiring.laws` (random law checks).
+
+Values are immutable: stars, diagrams and relations derive from
+:class:`wiring.stars.Frozen`, which refuses to assign or delete an
+attribute once ``__init__`` has set it, and plain records are
+``typing.NamedTuple`` classes, so importing the package builds no
+``dataclasses`` methods.
 """
 
 from .errors import (

@@ -24,11 +24,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from contextlib import contextmanager
 from typing import IO, Collection, Iterator, Mapping
 
 from . import csvio, dsl, relations
+from .dot import emit_dot
 from .errors import WiringError
 from .laws import GeneratorConfig, run_all
 from .query import compile_query, evaluate_query
@@ -37,11 +39,19 @@ from .relations import Relation
 
 
 def _load_script(path: str) -> tuple[dsl.Script, str]:
+    """The script at ``path``, read as UTF-8 with an optional leading
+    byte-order mark like the CSV files, and the directory it is in."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise WiringError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count lines as text mode reads them
+        lines = re.split("\r\n|\r|\n", exc.object[: exc.start].decode("utf-8"))
+        raise WiringError(
+            f"{path}:{len(lines)}:{len(lines[-1]) + 1}: not UTF-8 text: {exc.reason}"
+        ) from exc
     return dsl.parse_script(text), os.path.dirname(os.path.abspath(path))
 
 
@@ -130,8 +140,6 @@ def cmd_query(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    from .dot import emit_dot
-
     script, _base_dir = _load_script(args.script)
     if args.name in script.diagrams:
         diagram = script.diagrams[args.name].typed

@@ -16,13 +16,12 @@ identity on ``[Y => Z]``, ``ev = externalize(id, hom)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
-from .stars import Star, WiringDiagram
+from .stars import Frozen, Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, typed_identity
 
 TAG_SEPARATOR = "."
@@ -36,14 +35,26 @@ def _ret_tag(wire: str) -> str:
     return f"ret{TAG_SEPARATOR}{wire}"
 
 
-@dataclass(frozen=True)
-class HomStar:
+class HomStar(Frozen):
     """The typed star of diagrams from ``args`` to ``ret``, with its
-    decomposition remembered; ``args`` and ``ret`` determine it."""
+    decomposition remembered; ``args`` and ``ret`` determine it, so they
+    alone decide equality."""
 
-    args: tuple[TypedStar, ...]
-    ret: TypedStar
-    star: TypedStar = field(compare=False)
+    def __init__(self, args: tuple[TypedStar, ...], ret: TypedStar, star: TypedStar):
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "star", star)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.args, self.ret) == (other.args, other.ret)
+
+    def __hash__(self) -> int:
+        return hash((self.args, self.ret))
+
+    def __repr__(self) -> str:
+        return f"HomStar(args={self.args!r}, ret={self.ret!r}, star={self.star!r})"
 
     def arg_wires(self, i: int) -> list[tuple[str, str]]:
         """Pairs (tagged hom wire, original wire) for the i-th argument star."""

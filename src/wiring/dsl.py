@@ -31,7 +31,6 @@ when an error is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
 
 from .closed import HomStar, internal_hom
@@ -114,48 +113,44 @@ def tokenize(text: str) -> list[Token]:
 # --------------------------------------------------------------------------
 # declarations that are more than the object they declare
 
-@dataclass(frozen=True)
-class RelDecl:
+class RelDecl(NamedTuple):
     name: str
     path: str
     star: TypedStar
 
 
-@dataclass(frozen=True)
-class DiagramDecl:
+class DiagramDecl(NamedTuple):
     name: str
     typed: TypedWiringDiagram
     hom: HomStar | None
 
 
-@dataclass(frozen=True)
-class UnionDecl:
+class UnionDecl(NamedTuple):
     name: str
     parts: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SetupDecl:
+class SetupDecl(NamedTuple):
     name: str
     diagram_name: str
     rel_names: tuple[str, ...]
     z: TypedStar
 
 
-@dataclass
 class Script:
     """A parsed, name-resolved script; ``decls`` holds the declared objects,
-    in order."""
+    in order, and one dict per kind maps each name to its object."""
 
-    decls: tuple = ()
-    domains: dict[str, ValueDomain] = field(default_factory=dict)
-    stars: dict[str, TypedStar] = field(default_factory=dict)
-    relations: dict[str, RelDecl] = field(default_factory=dict)
-    consts: dict[str, Relation] = field(default_factory=dict)
-    diagrams: dict[str, DiagramDecl] = field(default_factory=dict)
-    queries: dict[str, ConjunctiveQuery] = field(default_factory=dict)
-    unions: dict[str, UnionDecl] = field(default_factory=dict)
-    setups: dict[str, SetupDecl] = field(default_factory=dict)
+    def __init__(self):
+        self.decls: tuple = ()
+        self.domains: dict[str, ValueDomain] = {}
+        self.stars: dict[str, TypedStar] = {}
+        self.relations: dict[str, RelDecl] = {}
+        self.consts: dict[str, Relation] = {}
+        self.diagrams: dict[str, DiagramDecl] = {}
+        self.queries: dict[str, ConjunctiveQuery] = {}
+        self.unions: dict[str, UnionDecl] = {}
+        self.setups: dict[str, SetupDecl] = {}
 
 
 class _Parser:

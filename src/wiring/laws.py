@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import partitions as partitions_mod
 from . import relations as relations_mod
@@ -31,7 +30,7 @@ from . import typed as typed_mod
 from .errors import ValidationError, WiringError
 from .partitions import Partition
 from .relations import Relation
-from .stars import Star, WiringDiagram
+from .stars import Frozen, Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, ValueDomain
 
 DOMAIN_COUNT = 3  # domains drawn by gen_domains
@@ -40,35 +39,50 @@ RELATION_DENSITY = 0.4  # chance that gen_relation keeps a tuple of a small spac
 PROP_WITNESS_DOMAINS = (ValueDomain("A2", (0, 1)), ValueDomain("A3", (0, 1, 2)))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Frozen):
     """Bounds for the random instance generators; same seed, same sequence."""
 
-    seed: int = 0
-    max_stars: int = 4
-    max_wires: int = 5
-    max_cables: int = 6
-    max_domain: int = 3
-    cases: int = 100
+    _FIELDS = ("seed", "max_stars", "max_wires", "max_cables", "max_domain", "cases")
 
-    def __post_init__(self):
-        for name in ("max_stars", "max_wires", "max_cables", "max_domain", "cases"):
-            if getattr(self, name) < 0:
+    def __init__(
+        self,
+        seed: int = 0,
+        max_stars: int = 4,
+        max_wires: int = 5,
+        max_cables: int = 6,
+        max_domain: int = 3,
+        cases: int = 100,
+    ):
+        values = (seed, max_stars, max_wires, max_cables, max_domain, cases)
+        for name, value in zip(self._FIELDS, values):
+            if name != "seed" and value < 0:
                 raise ValidationError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, value)
+
+    # ``__dict__`` holds exactly the fields, in the order of ``_FIELDS``
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in vars(self).items())
+        return f"GeneratorConfig({body})"
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
 
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(NamedTuple):
     law: str
     case_index: int
     description: str
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     cases: int
     failures: tuple[LawFailure, ...] = ()
@@ -167,8 +181,7 @@ def gen_partition(rng: random.Random, star: Star) -> Partition:
     return Partition(star, blocks)
 
 
-@dataclass(frozen=True)
-class Stack:
+class Stack(NamedTuple):
     """A diagram with a stack substituted into each of its inner stars.
 
     ``fillers`` is empty at the bottom level; otherwise ``fillers[i]`` has

@@ -8,15 +8,13 @@ the same class of that cable quotient (:func:`wiring.stars.quotient`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InterfaceError, ValidationError
-from .stars import Star, WiringDiagram, quotient
+from .stars import Frozen, Star, WiringDiagram, quotient
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Disjoint nonempty blocks covering a star's wires.
 
     Stored canonically: blocks of sorted wires, sorted by first wire.
@@ -41,6 +39,14 @@ class Partition:
             raise ValidationError(f"wires {missing} are not covered by any block")
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.star, self.blocks) == (other.star, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.star, self.blocks))
 
     def __repr__(self) -> str:
         body = " | ".join(",".join(b) for b in self.blocks)

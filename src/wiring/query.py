@@ -13,8 +13,7 @@ the product-filter-project reading of the query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import ScriptError
 from .relations import Relation, evaluate
@@ -32,8 +31,7 @@ def const_relation(value: Value, domain: ValueDomain) -> Relation:
     return Relation(TypedStar(Star((CONST_WIRE,)), {CONST_WIRE: domain}), [(value,)])
 
 
-@dataclass(frozen=True)
-class AttrRef:
+class AttrRef(NamedTuple):
     alias: str
     attr: str
 
@@ -41,8 +39,7 @@ class AttrRef:
         return f"{self.alias}.{self.attr}"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """``left = right`` between attributes, or ``left = literal``."""
 
     left: AttrRef
@@ -56,15 +53,13 @@ class Condition:
         return f"{self.left} = {lit}"
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(NamedTuple):
     select: tuple[AttrRef, ...]
     tables: tuple[tuple[str, str], ...]  # (predicate name, alias)
     conditions: tuple[Condition, ...]
 
 
-@dataclass(frozen=True)
-class CompiledQuery:
+class CompiledQuery(NamedTuple):
     """A query lowered to a diagram plus the plan for its inner relations.
 
     ``inputs`` names the script relation or constant to plug into each of

@@ -13,32 +13,31 @@ in-degree 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .closed import HomStar, apply_hom, internal_hom
+from .closed import apply_hom, internal_hom
 from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
-from .stars import WiringDiagram
+from .stars import Frozen, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, ValueDomain
 
 
-@dataclass(frozen=True, eq=False)
-class RecursiveSetup:
+class RecursiveSetup(Frozen):
     """A relation on the hom star ``[z => z]``, which ``hom`` names."""
 
-    z: TypedStar
-    relation: Relation
-    hom: HomStar = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hom", internal_hom([self.z], self.z))
-        if self.relation.star != self.hom.star:
+    def __init__(self, z: TypedStar, relation: Relation):
+        hom = internal_hom([z], z)
+        if relation.star != hom.star:
             raise InterfaceError("setup relation does not live on [z => z]")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "hom", hom)
+
+    def __repr__(self) -> str:
+        return f"RecursiveSetup(z={self.z!r}, relation={self.relation!r})"
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     relation: Relation
     trace: tuple[Relation, ...]
     mode: str
@@ -106,8 +105,7 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     return FixedPointResult(relation=trace[-1], trace=tuple(trace), mode=mode)
 
 
-@dataclass(frozen=True)
-class FactorialFixture:
+class FactorialFixture(NamedTuple):
     """The classic recursive example: decrement, multiply, branch on zero."""
 
     domain: ValueDomain

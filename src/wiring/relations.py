@@ -57,13 +57,13 @@ with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import and_, itemgetter
 from typing import (
     Callable,
     Collection,
+    Hashable,
     Iterable,
     KeysView,
     Literal,
@@ -72,14 +72,13 @@ from typing import (
 )
 
 from .errors import EnumerationLimitError, InterfaceError, ValidationError
-from .stars import Cable
+from .stars import Cable, Frozen
 from .typed import TypedStar, TypedWiringDiagram, Value
 
 ENUMERATION_LIMIT = 10_000_000  # tuples an evaluation may enumerate
 
 
-@dataclass(frozen=True, eq=False)
-class Relation:
+class Relation(Frozen):
     """A finite set of assignments of a typed star's wires.
 
     Tuples are stored aligned with ``star.wires``; the empty star carries
@@ -92,11 +91,13 @@ class Relation:
     tuples one by one, and the error names the first misfit it meets.
 
     The generic join's hash tries are built once per key and kept on the
-    relation, outside its fields (:meth:`_trie_at`).  A relation is
-    immutable, so they cannot go stale.  One used under k level orders
-    keeps k tries, each about 70-100 bytes per two-column tuple.  A
-    relation built from another, by ``_trusted``, :func:`union`,
-    :func:`evaluate` or a copy, starts without tries.
+    relation, outside its fields (:meth:`_trie_at`).  They rely on the
+    relation being immutable: :class:`~wiring.stars.Frozen` refuses to
+    assign ``star`` or ``tuples`` after ``__init__``, so they cannot go
+    stale.  One used under k level orders keeps k tries, each about
+    70-100 bytes per two-column tuple.  A relation built from another, by
+    ``_trusted``, :func:`union`, :func:`evaluate` or a copy, starts without
+    tries.
     """
 
     star: TypedStar
@@ -500,8 +501,12 @@ def _join_step(
     partials: set[tuple], tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
     rows = _agreeing(tuples, step.equal_pairs)
-    partial_key = _getter(step.key_slots)
-    row_key = _getter(step.key_positions)
+    # One itemgetter per side: the entry itself on one key cable, a tuple on
+    # more, so a one-cable step builds no 1-tuple key per row.
+    if step.key_slots:
+        partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
+    else:
+        partial_key = row_key = _getter(())
     pick = _getter(step.keep)
     joined: set[tuple] = set()
     if len(partials) <= len(rows):
@@ -702,8 +707,8 @@ def _agreeing(
     return [t for t in rows if left(t) == right(t)]
 
 
-def _group(items: Iterable[tuple], key: Callable[[tuple], tuple]) -> dict[tuple, list]:
-    index: dict[tuple, list] = {}
+def _group(items: Iterable[tuple], key: Callable[[tuple], Hashable]) -> dict[Hashable, list]:
+    index: dict[Hashable, list] = {}
     for item in items:
         index.setdefault(key(item), []).append(item)
     return index

@@ -11,11 +11,13 @@ Composition substitutes a diagram into each inner star of another and is
 computed as a quotient of the union of the cable sets (a pushout).
 :func:`quotient` is that one cable quotient; query compilation and the
 partition algebra divide cables with it too.
+
+Stars, diagrams and the package's other immutable classes are plain
+classes derived from :class:`Frozen`, which enforces their immutability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InterfaceError, ValidationError
@@ -24,8 +26,22 @@ Cable = Hashable
 InnerWire = tuple[int, str]
 
 
-@dataclass(frozen=True, eq=False)
-class Star:
+class Frozen:
+    """Base of the immutable classes: ``__init__`` sets each attribute once
+    through ``object.__setattr__``; assigning or deleting one afterwards
+    raises ``AttributeError``.  Instances keep a ``__dict__``, which
+    ``cached_property`` writes to directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Star(Frozen):
     """A finite set of distinct wire names; the order is presentational only."""
 
     wires: tuple[str, ...]
@@ -64,8 +80,7 @@ class Star:
         return f"Star({{{', '.join(self.wires)}}})"
 
 
-@dataclass(frozen=True, eq=False)
-class WiringDiagram:
+class WiringDiagram(Frozen):
     """A cospan from the disjoint union of ``inner`` stars to ``outer``.
 
     ``inner_map`` sends every inner wire, keyed ``(star_index, wire)``, to a

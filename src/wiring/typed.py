@@ -12,13 +12,13 @@ is the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InterfaceError, TypeMismatchError, ValidationError
 from .stars import (
     Cable,
+    Frozen,
     Star,
     WiringDiagram,
     canonicalize_with_renaming,
@@ -29,8 +29,7 @@ from .stars import (
 Value = str | int
 
 
-@dataclass(frozen=True)
-class ValueDomain:
+class ValueDomain(Frozen):
     """A named finite set of atomic values (text or integers)."""
 
     name: str
@@ -63,12 +62,19 @@ class ValueDomain:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.values) == (other.name, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.values))
+
     def __repr__(self) -> str:
         return f"ValueDomain({self.name!r}, {len(self.values)} values)"
 
 
-@dataclass(frozen=True, eq=False)
-class TypedStar:
+class TypedStar(Frozen):
     """A star whose wires carry value domains."""
 
     star: Star
@@ -116,8 +122,7 @@ class TypedStar:
         return f"TypedStar({{{body}}})"
 
 
-@dataclass(frozen=True, eq=False)
-class TypedWiringDiagram:
+class TypedWiringDiagram(Frozen):
     """A wiring diagram whose cables carry domains.
 
     The cable typing is the only typing: each inner and outer wire has the

@@ -101,6 +101,32 @@ def test_missing_file_is_user_error(tmp_path, capsys):
     assert run_cli(["check", str(tmp_path / "absent.wd")]) == 1
 
 
+@pytest.mark.parametrize(
+    "data, position, reason",
+    [
+        (b"type T = {a};\n# caf\xe9\n", "2:6", "invalid continuation byte"),
+        (b"type T = {a};\r\n# caf\xe9\r\n", "2:6", "invalid continuation byte"),
+        (b"\xef\xbb\xbftype T = {a};\n\xff", "2:1", "invalid start byte"),
+        (b"type T = {'\xc3\xa9', '\xe9'};", "1:17", "invalid continuation byte"),
+    ],
+    ids=["lf", "crlf", "after-bom", "mid-line"],
+)
+def test_script_that_is_not_utf8_is_user_error(tmp_path, capsys, data, position, reason):
+    bad = tmp_path / "latin1.wd"
+    bad.write_bytes(data)
+    assert run_cli(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{position}: not UTF-8 text: {reason}\n"
+
+
+def test_script_with_a_byte_order_mark_reads(project, capsys):
+    script = project / "circuits.wd"
+    script.write_bytes(b"\xef\xbb\xbf" + script.read_bytes())
+    assert run_cli(["check", str(script)]) == 0
+    assert capsys.readouterr().out.startswith(f"{script}: ok (")
+    assert run_cli(["eval", str(script), "notq"]) == 0
+    assert set(capsys.readouterr().out.splitlines()[1:]) == {"True,False", "False,True"}
+
+
 def test_parse_error_is_user_error(tmp_path, capsys):
     bad = tmp_path / "bad.wd"
     bad.write_text("type T = {a}\n")  # missing semicolon
