@@ -11,6 +11,15 @@ or, for a union, in its parts' FROMs; ``query`` those in the inline query's
 FROM; ``fixpoint`` the setup's; ``dot`` none.  A missing or malformed CSV
 that a command does not read is not an error for that command.
 
+In the same way ``check`` parses the whole script, and the other commands
+parse only the declarations they read, with those that these read in turn:
+an error inside a declaration that a command does not read is not an error
+for that command; ``check`` reads all.  A declaration sees only the ones
+before it, and reading a name that is declared twice fails with the
+duplicate name error at its second declaration.  An error that lies outside
+every declaration, such as an unbalanced ``}`` or text after the last
+declaration, fails every command.
+
 Run it as ``wd`` once the package is installed, or as ``python -m
 wiring.cli`` with ``src`` on the path.
 
@@ -27,7 +36,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import IO, Collection, Iterator, Mapping
+from typing import IO, Callable, Collection, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .dot import emit_dot
@@ -38,9 +47,12 @@ from .recursion import build_setup, fixed_point
 from .relations import Relation
 
 
-def _load_script(path: str) -> tuple[dsl.Script, str]:
+def _load_script(
+    path: str, parse: Callable[[str], dsl.Script]
+) -> tuple[dsl.Script, str]:
     """The script at ``path``, read as UTF-8 with an optional leading
-    byte-order mark like the CSV files, and the directory it is in."""
+    byte-order mark like the CSV files and given to ``parse``, and the
+    directory it is in."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -52,17 +64,18 @@ def _load_script(path: str) -> tuple[dsl.Script, str]:
         raise WiringError(
             f"{path}:{len(lines)}:{len(lines[-1]) + 1}: not UTF-8 text: {exc.reason}"
         ) from exc
-    return dsl.parse_script(text), os.path.dirname(os.path.abspath(path))
+    return parse(text), os.path.dirname(os.path.abspath(path))
 
 
 def _load_relations(
     script: dsl.Script, base_dir: str, names: Collection[str]
 ) -> dict[str, Relation]:
-    """The CSV relations named in ``names``, loaded in declaration order,
-    beside every const of the script."""
-    loaded = dict(script.consts)
-    for name, decl in script.relations.items():
+    """The rels and consts named in ``names``; the rels' CSV files load in
+    declaration order."""
+    loaded = {name: script.consts[name] for name in names if name in script.consts}
+    for name in script.relations:
         if name in names:
+            decl = script.relations[name]
             path = os.path.join(base_dir, decl.path)
             loaded[name] = csvio.load_csv_relation(path, decl.star)
     return loaded
@@ -108,11 +121,12 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 
 
 def cmd_check(args) -> int:
-    script, base_dir = _load_script(args.script)
-    rels = _load_relations(script, base_dir, script.relations)
+    script, base_dir = _load_script(args.script, dsl.parse_script)
+    _load_relations(script, base_dir, script.relations)
     counts = (
         f"{len(script.domains)} types, {len(script.stars)} stars, "
-        f"{len(rels)} relations, {len(script.diagrams)} diagrams, "
+        f"{len(script.relations)} relations, {len(script.consts)} consts, "
+        f"{len(script.diagrams)} diagrams, "
         f"{len(script.queries)} queries, {len(script.unions)} unions, "
         f"{len(script.setups)} setups"
     )
@@ -121,7 +135,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    script, base_dir = _load_script(args.script)
+    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
     rels = _load_relations(script, base_dir, _result_reads(script, args.name))
     result = _resolve_result(script, rels, args.name)
     with _output(args.out) as handle:
@@ -130,7 +144,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    script, base_dir = _load_script(args.script)
+    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
     compiled = compile_query(dsl.parse_query_text(args.text, script), script)
     rels = _load_relations(script, base_dir, compiled.inputs)
     result = evaluate_query(compiled, rels)
@@ -140,7 +154,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    script, _base_dir = _load_script(args.script)
+    script, _base_dir = _load_script(args.script, dsl.parse_on_demand)
     if args.name in script.diagrams:
         diagram = script.diagrams[args.name].typed
     elif args.name in script.queries:
@@ -154,7 +168,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_fixpoint(args) -> int:
-    script, base_dir = _load_script(args.script)
+    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
     if args.name not in script.setups:
         raise WiringError(f"no setup named {args.name!r}")
     decl = script.setups[args.name]

@@ -26,11 +26,24 @@ match per token: each match skips the whitespace and comments before its
 token, and the last match is the ``eof`` token at the end of the text.
 Tokens carry their offset in the text; a line and column are computed only
 when an error is raised.
+
+:func:`parse_script` parses the whole text.  :func:`parse_on_demand` parses
+only what is read: a cheap pass, :func:`split_declarations`, finds where each
+declaration starts and ends, with its keyword and name, by skipping strings,
+comments and primes as the lexer does but without making tokens.  A
+declaration is then tokenized and parsed by the same handlers when a name it
+declares is first looked up, and the declarations it reads are parsed the
+same way.  Its tokens keep their offsets in the whole text, so an error
+gives the line and column that :func:`parse_script` gives.  Inside a
+declaration only the declarations before it can be read; reading a name
+that is declared twice raises the duplicate name error at its second
+declaration.  A text that the pass cannot split is parsed whole.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from typing import Callable, NamedTuple, TypeVar
 
 from .closed import HomStar, internal_hom
@@ -94,12 +107,13 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with one ``eof`` token."""
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[Token]:
+    """The tokens of ``text[start:end]``, ending with one ``eof`` token at
+    ``end``; offsets count from the start of ``text``."""
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # Token(...) through NamedTuple.__new__ costs more
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end):
         kind = m.lastgroup
         append(new(Token, (kind, m[kind], m.start(kind))))
         if kind in _LAST_KINDS:
@@ -138,29 +152,31 @@ class SetupDecl(NamedTuple):
 
 
 class Script:
-    """A parsed, name-resolved script; ``decls`` holds the declared objects,
-    in order, and one dict per kind maps each name to its object."""
+    """A name-resolved script: one mapping per kind from each name to its
+    object, and ``shapes``, the typed star of each query and union result.
+    :func:`parse_script` fills dicts, and ``decls`` with the declared objects
+    in order; :func:`parse_on_demand` leaves ``decls`` empty and gives
+    mappings that parse a declaration when it is first read."""
 
-    def __init__(self):
+    def __init__(self, table: Callable[[str], Mapping] = lambda _attr: {}):
         self.decls: tuple = ()
-        self.domains: dict[str, ValueDomain] = {}
-        self.stars: dict[str, TypedStar] = {}
-        self.relations: dict[str, RelDecl] = {}
-        self.consts: dict[str, Relation] = {}
-        self.diagrams: dict[str, DiagramDecl] = {}
-        self.queries: dict[str, ConjunctiveQuery] = {}
-        self.unions: dict[str, UnionDecl] = {}
-        self.setups: dict[str, SetupDecl] = {}
+        self.domains: Mapping[str, ValueDomain] = table("domains")
+        self.stars: Mapping[str, TypedStar] = table("stars")
+        self.relations: Mapping[str, RelDecl] = table("relations")
+        self.consts: Mapping[str, Relation] = table("consts")
+        self.diagrams: Mapping[str, DiagramDecl] = table("diagrams")
+        self.queries: Mapping[str, ConjunctiveQuery] = table("queries")
+        self.unions: Mapping[str, UnionDecl] = table("unions")
+        self.setups: Mapping[str, SetupDecl] = table("setups")
+        self.shapes: Mapping[str, TypedStar] = table("shapes")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, script: Script, start: int = 0, end: int | None = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text, start, end)
         self.pos = 0
-        self.script = Script()
-        # the typed star of each query and union result, by name
-        self.shapes: dict[str, TypedStar] = {}
+        self.script = script
 
     # -- token plumbing
 
@@ -260,26 +276,16 @@ class _Parser:
     # -- declarations
 
     def parse(self) -> Script:
-        handlers = {
-            "type": self.parse_type,
-            "star": self.parse_star,
-            "rel": self.parse_rel,
-            "const": self.parse_const,
-            "diagram": self.parse_diagram,
-            "query": self.parse_query,
-            "union": self.parse_union,
-            "setup": self.parse_setup,
-        }
         decls = []
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident":
                 raise self.fail("expected a declaration")
-            handler = handlers.get(tok.text.lower())
+            handler = _HANDLERS.get(tok.text.lower())
             if handler is None:
                 raise self.fail(f"unknown declaration {tok.text!r}")
             self.next()
-            decls.append(handler())
+            decls.append(handler(self))
         self.script.decls = tuple(decls)
         return self.script
 
@@ -513,8 +519,10 @@ class _Parser:
         query = self.parse_select()
         self.expect("punct", ";")
         try:
-            self.shapes[name] = result_star(query, self.script)
+            self.script.shapes[name] = result_star(query, self.script)
         except ScriptError as exc:
+            if exc.line is not None:  # from parsing a declaration it reads
+                raise
             raise self.fail(f"query {name!r}: {exc}", tok) from exc
         self.script.queries[name] = query
         return query
@@ -543,18 +551,18 @@ class _Parser:
         if len(parts) < 2:
             raise self.fail("a union needs at least two results", tok)
         for part in parts:
-            if part not in self.shapes:
+            if part not in self.script.shapes:
                 raise self.fail(f"union {name!r} references unknown result {part!r}", tok)
-        first = self.shapes[parts[0]]
+        first = self.script.shapes[parts[0]]
         for part_tok in part_toks[1:]:
-            shape = self.shapes[part_tok.text]
+            shape = self.script.shapes[part_tok.text]
             if shape != first:
                 raise self.fail(
                     f"union {name!r}: {part_tok.text!r} gives {_columns(shape)} "
                     f"but {parts[0]!r} gives {_columns(first)}",
                     part_tok,
                 )
-        self.shapes[name] = first
+        self.script.shapes[name] = first
         decl = UnionDecl(name, parts)
         self.script.unions[name] = decl
         return decl
@@ -598,16 +606,265 @@ def _columns(star: TypedStar) -> str:
     return "(" + ", ".join(f"{w}:{star.domain(w).name}" for w in star.wires) + ")"
 
 
+_HANDLERS = {
+    "type": _Parser.parse_type,
+    "star": _Parser.parse_star,
+    "rel": _Parser.parse_rel,
+    "const": _Parser.parse_const,
+    "diagram": _Parser.parse_diagram,
+    "query": _Parser.parse_query,
+    "union": _Parser.parse_union,
+    "setup": _Parser.parse_setup,
+}
+
+
 def parse_script(text: str) -> Script:
     """Parse and resolve a script; raise :class:`ScriptError` with position
     information on the first problem."""
-    return _Parser(text).parse()
+    return _Parser(text, Script()).parse()
+
+
+# --------------------------------------------------------------------------
+# parsing on demand
+
+# The declaration keywords behind each table of a :class:`Script`.
+_TABLE_KINDS = {
+    "domains": ("type",),
+    "stars": ("star",),
+    "relations": ("rel",),
+    "consts": ("const",),
+    "diagrams": ("diagram",),
+    "queries": ("query",),
+    "unions": ("union",),
+    "setups": ("setup",),
+    "shapes": ("query", "union"),
+}
+# The name space of each declaration keyword: a name is declared at most
+# once per name space.
+_NAME_SPACES = {
+    "type": "type",
+    "star": "star",
+    "rel": "rel",
+    "const": "rel",
+    "diagram": "diagram",
+    "query": "query",
+    "union": "query",
+    "setup": "setup",
+}
+
+# One match per ``;``, ``{`` or ``}`` token, and a last one at the end of
+# the text.  A match skips what the lexer reads as strings and comments, and
+# a run of other characters at a time; a run that ends where an identifier
+# meets a quote stops before that identifier, so the identifier takes the
+# quote as a prime, as in ``A'``, and no string starts there.  Every
+# character but the three is skipped by some alternative, so the skip is
+# never backtracked into.
+_SPLIT_RE = re.compile(
+    r"""
+    (?:
+      [^;{}'"\#]+(?![A-Za-z0-9_]*')
+    | [^;{}'"\#]*[A-Za-z_][A-Za-z0-9_]*'+
+    | [^;{}'"\#]+
+    | '[^'\n]*' | "[^"\n]*" | \#[^\n]* | ['"]
+    )*
+    ([;{}]|\Z)
+    """,
+    re.VERBOSE,
+)
+
+
+class Declaration(NamedTuple):
+    keyword: str  # in lower case
+    name: str  # the text of the token after the keyword
+    start: int  # offset of the keyword
+    end: int  # offset just past the declaration's last token
+
+
+def split_declarations(text: str) -> list[Declaration] | None:
+    """Where each declaration of ``text`` starts and ends, found without
+    tokenizing it, or ``None`` when the text does not split into
+    declarations.
+
+    A declaration starts with one of the eight keywords and ends with its
+    first ``;`` outside braces, or a ``diagram`` with the ``}`` that closes
+    its body; braces do not nest.  A script that parses splits this way, so
+    a text that does not split has an error outside any one declaration.
+    """
+    decls: list[Declaration] = []
+    match, split = _TOKEN_RE.match, _SPLIT_RE.match
+    head, pos = None, 0
+    while True:
+        m = split(text, pos)
+        pos = m.end()
+        if head is None:  # ``m`` starts a declaration
+            head = match(text, m.start())
+            kind = head.lastgroup
+            if kind == "eof":
+                return decls
+            keyword = head[kind].lower()
+            if kind != "ident" or keyword not in _NAME_SPACES:
+                return None
+            braced = False
+        mark = m[1]
+        if mark == "{":
+            if braced:
+                return None
+            braced = True
+            continue
+        if mark == "}":
+            if not braced:
+                return None
+            braced = False
+            if keyword != "diagram":
+                continue
+        elif mark != ";":  # the text ends inside the declaration
+            return None
+        elif braced:
+            continue
+        name = match(text, head.end())
+        decls.append(Declaration(keyword, name[name.lastgroup], head.start(kind), pos))
+        head = None
+
+
+# How deep the parse of one declaration nests inside the parse of another,
+# as a union's inside the union that reads it; deeper, the declarations are
+# taken up one at a time, so a long chain stays within the recursion limit.
+_MAX_NESTED = 16
+
+
+class _Unparsed(Exception):
+    """A declaration being parsed read the declaration ``index``, which is
+    not parsed yet, from too deep a nesting to parse it there."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+class _OnDemand:
+    """A script split into declarations, each parsed the first time a table
+    of a :meth:`script` reads it.  A declaration reads only the ones before
+    it, so parsing one never comes back to itself."""
+
+    def __init__(self, text: str, decls: list[Declaration]):
+        self.text = text
+        self.decls = decls
+        # the indices of the declarations of each (name space, name)
+        self.where: dict[tuple[str, str], list[int]] = {}
+        for index, decl in enumerate(decls):
+            self.where.setdefault((_NAME_SPACES[decl.keyword], decl.name), []).append(index)
+        # what each parse wrote, by (table, declaration index)
+        self.values: dict[tuple[str, int], object] = {}
+        # the declarations being parsed, each inside the one before: the
+        # tables see only the declarations before the last of them
+        self.parsing: list[int] = []
+        # the script the handlers read while a parse is under way, and only
+        # then, so that no reference cycle keeps a script alive after use
+        self.reader: Script | None = None
+
+    def script(self) -> Script:
+        """A script whose tables read these declarations."""
+        return Script(lambda attr: _LazyTable(self, attr))
+
+    def parse(self, index: int) -> None:
+        """Parse declaration ``index`` and what it reads, or raise
+        :class:`_Unparsed` at the nesting bound: the parse one level up then
+        takes declaration ``index`` up itself and starts its reader again."""
+        if len(self.parsing) == _MAX_NESTED:
+            raise _Unparsed(index)
+        if not self.parsing:
+            self.reader = self.script()
+        try:
+            pending = [index]
+            while pending:
+                keyword, _name, start, end = self.decls[pending[-1]]
+                parser = _Parser(self.text, self.reader, start, end)
+                parser.next()  # the keyword
+                self.parsing.append(pending[-1])
+                try:
+                    _HANDLERS[keyword](parser)
+                except _Unparsed as exc:
+                    pending.append(exc.index)
+                else:
+                    pending.pop()
+                finally:
+                    self.parsing.pop()
+        finally:
+            if not self.parsing:
+                self.reader = None
+
+
+class _LazyTable(Mapping):
+    """The table ``attr`` of the script, as the declaration being parsed
+    sees it, or the whole script when none is."""
+
+    def __init__(self, source: _OnDemand, attr: str):
+        self.source = source
+        self.attr = attr
+        self.kinds = _TABLE_KINDS[attr]
+        self.space = _NAME_SPACES[self.kinds[0]]
+
+    def _find(self, name: str) -> int | None:
+        """The index of the declaration of ``name`` in this table, parsed."""
+        source = self.source
+        found = source.where.get((self.space, name))
+        if found is None:
+            return None
+        if source.parsing:
+            limit = source.parsing[-1]
+            found = [i for i in found if i < limit]
+            if not found:
+                return None
+        if len(found) > 1:
+            # a second declaration of the name is where parsing the whole
+            # script stops, with the duplicate name error this raises
+            source.parse(found[1])
+        index = found[0]
+        if source.decls[index].keyword not in self.kinds:
+            return None
+        if (self.attr, index) not in source.values:
+            source.parse(index)
+        return index
+
+    def __contains__(self, name) -> bool:
+        return self._find(name) is not None
+
+    def __getitem__(self, name: str):
+        index = self._find(name)
+        if index is None:
+            raise KeyError(name)
+        return self.source.values[self.attr, index]
+
+    def __setitem__(self, name: str, value) -> None:
+        # only a handler writes, and only the value of what it declares
+        self.source.values[self.attr, self.source.parsing[-1]] = value
+
+    def __iter__(self):
+        source, seen = self.source, set()
+        limit = source.parsing[-1] if source.parsing else len(source.decls)
+        for decl in source.decls[:limit]:
+            if decl.keyword in self.kinds and decl.name not in seen:
+                seen.add(decl.name)
+                yield decl.name
+
+    def __len__(self) -> int:
+        return sum(1 for _name in self)
+
+
+def parse_on_demand(text: str) -> Script:
+    """The script ``text``, split by :func:`split_declarations`, with each
+    declaration parsed when it is first read, as :func:`parse_script` would
+    parse it, and its errors raised then; a text that does not split is
+    parsed whole."""
+    decls = split_declarations(text)
+    if decls is None:
+        return parse_script(text)
+    return _OnDemand(text, decls).script()
 
 
 def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     """Parse a standalone SELECT expression against an existing script."""
-    parser = _Parser(text)
-    parser.script = script
+    parser = _Parser(text, script)
     select = parser.peek()
     query = parser.parse_select()
     if parser.at_punct(";"):
@@ -617,5 +874,7 @@ def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
     try:
         result_star(query, script)
     except ScriptError as exc:
+        if exc.line is not None:  # from parsing a declaration it reads
+            raise
         raise parser.fail(str(exc), select) from exc
     return query

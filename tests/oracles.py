@@ -250,3 +250,48 @@ def tokens_oracle(text: str) -> list[tuple[str, str, int]] | str:
             tokens.append((kind, m.group(), offset))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+DECLARATION_KEYWORDS = ("type", "star", "rel", "const", "diagram", "query", "union", "setup")
+
+
+def declarations_oracle(text: str) -> list[tuple[str, str, int, int]] | None:
+    """The ``(keyword, name, start, end)`` of each declaration that
+    ``dsl.split_declarations`` must find in ``text``, or ``None`` when it must
+    find that the text does not split: the literal tokens, bad characters
+    among them, cut after each ``;`` outside braces and after the ``}`` that
+    closes a diagram's braces.  A declaration starts with a keyword, its name
+    is the token after it, and braces do not nest."""
+    tokens = [
+        (m.lastgroup, m.group(), m.start(), m.end())
+        for m in _LITERAL_TOKEN_RE.finditer(text)
+        if m.lastgroup not in ("ws", "comment")
+    ]
+    decls, i = [], 0
+    while i < len(tokens):
+        kind, keyword, start, _end = tokens[i]
+        keyword = keyword.lower()
+        if kind != "ident" or keyword not in DECLARATION_KEYWORDS:
+            return None
+        braced = False
+        for j in range(i + 1, len(tokens)):
+            kind, tok, _start, end = tokens[j]
+            if kind != "punct":
+                continue
+            if tok == "{":
+                if braced:
+                    return None
+                braced = True
+            elif tok == "}":
+                if not braced:
+                    return None
+                braced = False
+                if keyword == "diagram":
+                    break
+            elif tok == ";" and not braced:
+                break
+        else:
+            return None
+        decls.append((keyword, tokens[i + 1][1], start, end))
+        i = j + 1
+    return decls

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,6 +8,8 @@ import pytest
 
 import wiring
 from wiring.cli import run_cli
+from wiring.dsl import parse_script
+from wiring.errors import ScriptError
 
 NAND_CSV = "A,B,out\nTrue,True,False\nTrue,False,True\nFalse,True,True\nFalse,False,True\n"
 
@@ -41,6 +44,14 @@ def project(tmp_path):
 def test_check_ok(project, capsys):
     assert run_cli(["check", str(project / "circuits.wd")]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_check_counts_rels_and_consts_apart(project, capsys):
+    (project / "consts.wd").write_text("type T = {a, b};\nconst x : T = a;\nconst y : T = b;\n")
+    assert run_cli(["check", str(project / "consts.wd")]) == 0
+    assert "(1 types, 0 stars, 0 relations, 2 consts, 0 diagrams," in capsys.readouterr().out
+    assert run_cli(["check", str(project / "circuits.wd")]) == 0
+    assert "(1 types, 1 stars, 1 relations, 0 consts, 1 diagrams," in capsys.readouterr().out
 
 
 def test_eval_writes_csv(project, capsys):
@@ -466,3 +477,69 @@ def test_run_cli_can_be_reused_in_one_process(project, capsys, monkeypatch):
     assert reused[3][1] == "" and reused[3][3].startswith("A,out\n")
     assert reused[4][1] == reused[3][3] and reused[4][3] is None
     assert reused == outcomes(fresh)
+
+
+# A declaration that holds an error, which none of the commands below reads,
+# and the end of the message that parsing it gives.
+UNREAD_DEFECTS = {
+    "syntax-error": ("query broken = SELECT FROM nand n;\n", "expected alias, found 'FROM'"),
+    "bad-character": ("type Junk = {a, $};\n", "unexpected character '$'"),
+    "unknown-star": ('rel lost : GHOST from "lost.csv";\n', "unknown star 'GHOST'"),
+    "duplicate-name": ("type Spare = {a};\ntype Spare = {b};\n", "duplicate type name 'Spare'"),
+    "const-of-unknown-type": ("const stray : Ghost = a;\n", "unknown type 'Ghost'"),
+}
+
+
+@pytest.mark.parametrize("defect", UNREAD_DEFECTS)
+def test_commands_skip_declarations_they_do_not_read(project, capsys, defect):
+    text, message_end = UNREAD_DEFECTS[defect]
+    (project / "reordered.wd").write_text(REORDERED_STAR_SCRIPT)
+    (project / "v.csv").write_text("B,A\nx,2\ny,0\n")
+    (project / "defect.wd").write_text(SCRIPT + text)
+    (project / "defect_setup.wd").write_text(REORDERED_STAR_SCRIPT + text)
+    inline = "SELECT n.out FROM nand n WHERE n.A = 'True'"
+    for argv, clean in [
+        (["eval", "defect.wd", "notq"], ["eval", "circuits.wd", "notq"]),
+        (["dot", "defect.wd", "copy"], ["dot", "circuits.wd", "copy"]),
+        (["query", "defect.wd", inline], ["query", "circuits.wd", inline]),
+        (["fixpoint", "defect_setup.wd", "s"], ["fixpoint", "reordered.wd", "s"]),
+    ]:
+        assert _run_in(project, capsys, argv) == _run_in(project, capsys, clean)
+    for script in ("defect.wd", "defect_setup.wd"):
+        with pytest.raises(ScriptError) as eager:
+            parse_script((project / script).read_text())
+        status, out, err = _run_in(project, capsys, ["check", script])
+        assert (status, out, err) == (1, "", f"error: {eager.value}\n")
+        assert re.fullmatch(rf"error: \d+:\d+: {re.escape(message_end)}\n", err)
+
+
+def test_a_query_cannot_read_a_rel_declared_after_it(project, capsys):
+    (project / "late.wd").write_text(
+        SCRIPT + "query early = SELECT l.A FROM late l;\n" + 'rel late : NAND from "nand.csv";\n'
+    )
+    status, _out, err = _run_in(project, capsys, ["eval", "late.wd", "early"])
+    assert status == 1
+    assert re.fullmatch(
+        r"error: \d+:7: query 'early': FROM references unknown predicate 'late'\n", err
+    )
+    assert _run_in(project, capsys, ["check", "late.wd"]) == (1, "", err)
+    assert _run_in(project, capsys, ["eval", "late.wd", "notq"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text, argv, message_end",
+    [
+        ("query notq = SELECT n.B FROM nand n;\n", ["eval", "notq"], "duplicate query name 'notq'"),
+        ("query notq = SELECT n.B FROM nand n;\n", ["dot", "notq"], "duplicate query name 'notq'"),
+        ('rel nand : NAND from "nand.csv";\n', ["eval", "andq"], "duplicate rel/const name 'nand'"),
+        ("diagram copy(NAND) -> NAND {}\n", ["dot", "copy"], "duplicate diagram name 'copy'"),
+    ],
+    ids=["query-eval", "query-dot", "rel", "diagram"],
+)
+def test_reading_a_name_declared_twice_fails(project, capsys, text, argv, message_end):
+    (project / "twice.wd").write_text(SCRIPT + text)
+    command, name = argv
+    status, _out, err = _run_in(project, capsys, [command, "twice.wd", name])
+    assert status == 1
+    assert re.fullmatch(rf"error: \d+:\d+: {re.escape(message_end)}\n", err)
+    assert _run_in(project, capsys, ["check", "twice.wd"]) == (1, "", err)

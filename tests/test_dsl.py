@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tokens_oracle
+from oracles import declarations_oracle, tokens_oracle
 from wiring.csvio import survives_csv
 from wiring import dsl
 from wiring.dsl import parse_query_text, parse_script, tokenize
@@ -551,3 +552,193 @@ class TestInlineQuery:
         script = parse_script(NAND_SCRIPT)
         with pytest.raises(ScriptError, match="trailing"):
             parse_query_text("SELECT n.out FROM nand n extra", script)
+
+
+# Soups shaped like scripts: a keyword, or sometimes another word, then
+# pieces, then something that may end the declaration.
+_DECLARATION_SOUPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["type", "Star", "rel", "const", "diagram", "DIAGRAM", "query", "union", "setup",
+             "table"]
+        ),
+        st.lists(_SOUP_PIECES, max_size=6).map("".join),
+        st.sampled_from([";", "}", " ;\n", "", "{x;};", "{};"]),
+    ),
+    max_size=5,
+).map(lambda decls: "".join(f"{keyword} {body}{end}" for keyword, body, end in decls))
+
+
+class TestSplitDeclarations:
+    """The pass that finds the declarations without tokenizing them agrees
+    with the lexer's tokens, bad characters among them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(_SOUP_PIECES, max_size=30).map("".join), _DECLARATION_SOUPS))
+    @example("star S(w:T);\ndiagram d(S) -> S { cable c:T; }\nquery q = SELECT a.w' FROM r a;")
+    @example("type T = {a'b', x1'';}; rel r : S from \"{;\"; # ;}\n")
+    @example("rel r = a5' ; rel s = 'x;' ;")
+    @example("rel r = 5' ; rel s = 'x;' ;")
+    @example("rel r = _'' '' ; rel s = \"'\" ' ;")
+    @example("diagram d(S) -> S; diagram e {}")
+    @example("type T = {{a} ; rel r;")
+    @example("type T = a}; ")
+    def test_agrees_with_the_tokens(self, text):
+        assert dsl.split_declarations(text) == declarations_oracle(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["type T = " + "ab'c 'd " * 50_000, "type T = {" + "a, " * 100_000, "a'" * 100_000],
+        ids=["primes-and-quotes", "unclosed-brace", "no-keyword"],
+    )
+    def test_a_long_text_that_does_not_split_is_quick(self, text):
+        start = time.perf_counter()
+        assert dsl.split_declarations(text) is None
+        assert time.perf_counter() - start < 1.0
+
+
+_TABLE_OF = {
+    "type": "domains",
+    "star": "stars",
+    "rel": "relations",
+    "const": "consts",
+    "diagram": "diagrams",
+    "query": "queries",
+    "union": "unions",
+    "setup": "setups",
+}
+
+
+def _assert_on_demand_equals_eager(text):
+    """Every name that ``parse_script`` resolves resolves on demand to an
+    equal value; names are read last declared first, so that each read
+    parses what it needs."""
+    eager, lazy = parse_script(text), dsl.parse_on_demand(text)
+    for attr in ["shapes", *reversed(_TABLE_OF.values())]:
+        want, got = getattr(eager, attr), getattr(lazy, attr)
+        for name in reversed(list(want)):
+            if attr == "diagrams":
+                assert (got[name].name, got[name].hom) == (want[name].name, want[name].hom)
+                assert typed_diagrams_equal(got[name].typed, want[name].typed)
+            else:
+                assert got[name] == want[name]
+        assert list(got) == list(want)
+        assert "no-such-name" not in got
+
+
+def _catalog_script(seed: int) -> str:
+    """A script of every kind of declaration, with rels, queries and unions
+    drawn at random, as ``wd`` meets in generated catalogs."""
+    rng = random.Random(seed)
+    wire_types = {"x": "T0", "y": "T0", "z": "T1", "value": "T0"}
+    lines = ["type T0 = {a, b, c};", "type T1 = range 0..3;"]
+    stars = {}
+    for s in range(4):
+        wires = sorted(rng.sample(["x", "y", "z"], 2))
+        stars[f"S{s}"] = wires
+        lines.append(f"star S{s}({', '.join(f'{w}:{wire_types[w]}' for w in wires)});")
+    rels = {"k": ["value"]}
+    for r in range(12):
+        star = "S0" if r == 0 else rng.choice(sorted(stars))
+        rels[f"r{r}"] = stars[star]
+        lines.append(f'rel r{r} : {star} from "r{r}.csv";')
+        if r == 5:
+            lines.append("const k : T0 = b;")
+    by_column: dict[str, list[str]] = {}
+    for q in range(10):
+        left, right = rng.sample(sorted(rels), 2)
+        column = rng.choice(rels[left])
+        shared = sorted(set(rels[left]) & set(rels[right]))
+        where = f" WHERE a.{shared[0]} = b.{shared[0]}" if shared else ""
+        lines.append(f"query q{q} = SELECT a.{column} FROM {left} a, {right} b{where};")
+        by_column.setdefault(f"{column}:{wire_types[column]}", []).append(f"q{q}")
+    for u, parts in enumerate(p for p in by_column.values() if len(p) > 1):
+        lines.append(f"union u{u} = {' | '.join(parts)};")
+    w0, w1 = stars["S0"]
+    solders = "".join(
+        f" solder inner1.{w} -> c{w};\n solder out.arg1.{w} -> c{w};\n"
+        f" solder out.ret.{w} -> c{w};\n"
+        for w in (w0, w1)
+    )
+    lines.append(
+        f"diagram h(S0) -> [S0 => S0] {{\n cable c{w0} : {wire_types[w0]};\n"
+        f" cable c{w1} : {wire_types[w1]};\n{solders}}}"
+    )
+    lines.append("setup s = h(r0);")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseOnDemand:
+    """``parse_on_demand`` gives what ``parse_script`` gives, declaration by
+    declaration, and the eager error of the declaration that holds one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scripts())
+    def test_generated_scripts(self, case):
+        _assert_on_demand_equals_eager(case[0])
+
+    @pytest.mark.parametrize(
+        "path", ["factorial/factorial.wd", "wiki/wiki.wd", "nand/circuits.wd"]
+    )
+    def test_fixtures(self, fixtures_dir, path):
+        _assert_on_demand_equals_eager((fixtures_dir / path).read_text())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_catalogs(self, seed):
+        text = _catalog_script(seed)
+        assert parse_script(text).unions and parse_script(text).setups
+        _assert_on_demand_equals_eager(text)
+
+    def test_in_test_scripts(self):
+        for text in (NAND_SCRIPT, FACTORIAL_SCRIPT, _TWO_SHAPES, _HOM_DIAGRAM):
+            _assert_on_demand_equals_eager(text)
+
+    def test_a_long_chain_of_unions_stays_within_the_recursion_limit(self):
+        text = _REL + "query q = SELECT s.w FROM r s;\nunion u0 = q | q;\n" + "".join(
+            f"union u{i} = u{i - 1} | q;\n" for i in range(1, 400)
+        )
+        _assert_on_demand_equals_eager(text)
+
+    @pytest.mark.parametrize(
+        "text, message", [c[1:] for c in ERROR_SCRIPTS], ids=[c[0] for c in ERROR_SCRIPTS]
+    )
+    def test_errors(self, text, message):
+        decls = dsl.split_declarations(text)
+        if decls is None:  # an error outside any declaration: parsed whole
+            with pytest.raises(ScriptError) as err:
+                dsl.parse_on_demand(text)
+        else:
+            line, column = map(int, message.split(":")[:2])
+            offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
+            keyword, name, _start, _end = next(d for d in decls if d.start <= offset < d.end)
+            table = getattr(dsl.parse_on_demand(text), _TABLE_OF[keyword])
+            with pytest.raises(ScriptError) as err:
+                table[name]
+        assert str(err.value) == message
+
+    def test_a_declaration_sees_only_those_before_it(self):
+        text = _STAR + "query q = SELECT s.w FROM r s;\n" + 'rel r : S from "r.csv";\n'
+        script = dsl.parse_on_demand(text)
+        assert script.relations["r"].path == "r.csv"
+        with pytest.raises(ScriptError, match="^3:7: query 'q': FROM references unknown"):
+            script.queries["q"]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda script: script.queries["q"],
+            lambda script: script.unions["u"],
+            lambda script: parse_query_text("SELECT s.w FROM r s", script),
+        ],
+        ids=["query", "union", "inline-query"],
+    )
+    def test_an_error_is_placed_where_it_is_not_where_it_is_read(self, read):
+        text = (
+            _STAR + 'rel r : GHOST from "r.csv";\n'
+            "query q = SELECT s.w FROM r s;\nunion u = q | q;\n"
+        )
+        with pytest.raises(ScriptError) as eager:
+            parse_script(text)
+        with pytest.raises(ScriptError) as err:
+            read(dsl.parse_on_demand(text))
+        assert str(err.value) == str(eager.value) == "3:9: unknown star 'GHOST'"
