@@ -12,13 +12,16 @@ FROM; ``fixpoint`` the setup's; ``dot`` none.  A missing or malformed CSV
 that a command does not read is not an error for that command.
 
 In the same way ``check`` parses the whole script, and the other commands
-parse only the declarations they read, with those that these read in turn:
-an error inside a declaration that a command does not read is not an error
-for that command; ``check`` reads all.  A declaration sees only the ones
-before it, and reading a name that is declared twice fails with the
-duplicate name error at its second declaration.  An error that lies outside
-every declaration, such as an unbalanced ``}`` or text after the last
-declaration, fails every command.
+parse only the declarations they read: those of the name they are given, or
+of the inline query's FROM names, and then every declaration whose name is
+an identifier inside one they parse, an alias, attribute, wire or cable
+among them, in turn.  An error inside a declaration that a command does not
+parse is not an error for that command; ``check`` parses all.  A declaration
+sees only the ones before it, and a name that is declared twice fails with
+the duplicate name error at its second declaration.  An error that lies
+outside every declaration, such as an unbalanced ``}`` or text after the
+last declaration, fails every command.  ``query`` parses its inline SELECT
+before the script, so the SELECT's own syntax errors come first.
 
 Run it as ``wd`` once the package is installed, or as ``python -m
 wiring.cli`` with ``src`` on the path.
@@ -36,7 +39,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import IO, Callable, Collection, Iterator, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .dot import emit_dot
@@ -48,11 +51,11 @@ from .relations import Relation
 
 
 def _load_script(
-    path: str, parse: Callable[[str], dsl.Script]
+    path: str, reads: Iterable[str] | None = None
 ) -> tuple[dsl.Script, str]:
     """The script at ``path``, read as UTF-8 with an optional leading
-    byte-order mark like the CSV files and given to ``parse``, and the
-    directory it is in."""
+    byte-order mark like the CSV files and parsed, only as far as ``reads``
+    needs when given, and the directory it is in."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -64,7 +67,7 @@ def _load_script(
         raise WiringError(
             f"{path}:{len(lines)}:{len(lines[-1]) + 1}: not UTF-8 text: {exc.reason}"
         ) from exc
-    return parse(text), os.path.dirname(os.path.abspath(path))
+    return dsl.parse_script(text, reads), os.path.dirname(os.path.abspath(path))
 
 
 def _load_relations(
@@ -121,7 +124,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
 
 
 def cmd_check(args) -> int:
-    script, base_dir = _load_script(args.script, dsl.parse_script)
+    script, base_dir = _load_script(args.script)
     _load_relations(script, base_dir, script.relations)
     counts = (
         f"{len(script.domains)} types, {len(script.stars)} stars, "
@@ -135,7 +138,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
+    script, base_dir = _load_script(args.script, {args.name})
     rels = _load_relations(script, base_dir, _result_reads(script, args.name))
     result = _resolve_result(script, rels, args.name)
     with _output(args.out) as handle:
@@ -144,8 +147,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
-    compiled = compile_query(dsl.parse_query_text(args.text, script), script)
+    query = dsl.parse_select_text(args.text)
+    script, base_dir = _load_script(args.script, {pred for pred, _alias in query.tables})
+    compiled = compile_query(dsl.resolve_query_text(args.text, query, script), script)
     rels = _load_relations(script, base_dir, compiled.inputs)
     result = evaluate_query(compiled, rels)
     with _output(args.out) as handle:
@@ -154,7 +158,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    script, _base_dir = _load_script(args.script, dsl.parse_on_demand)
+    script, _base_dir = _load_script(args.script, {args.name})
     if args.name in script.diagrams:
         diagram = script.diagrams[args.name].typed
     elif args.name in script.queries:
@@ -168,7 +172,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_fixpoint(args) -> int:
-    script, base_dir = _load_script(args.script, dsl.parse_on_demand)
+    script, base_dir = _load_script(args.script, {args.name})
     if args.name not in script.setups:
         raise WiringError(f"no setup named {args.name!r}")
     decl = script.setups[args.name]

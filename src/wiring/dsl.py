@@ -27,24 +27,25 @@ token, and the last match is the ``eof`` token at the end of the text.
 Tokens carry their offset in the text; a line and column are computed only
 when an error is raised.
 
-:func:`parse_script` parses the whole text.  :func:`parse_on_demand` parses
-only what is read: a cheap pass, :func:`split_declarations`, finds where each
-declaration starts and ends, with its keyword and name, by skipping strings,
-comments and primes as the lexer does but without making tokens.  A
-declaration is then tokenized and parsed by the same handlers when a name it
-declares is first looked up, and the declarations it reads are parsed the
-same way.  Its tokens keep their offsets in the whole text, so an error
-gives the line and column that :func:`parse_script` gives.  Inside a
-declaration only the declarations before it can be read; reading a name
-that is declared twice raises the duplicate name error at its second
-declaration.  A text that the pass cannot split is parsed whole.
+:func:`parse_script` parses the whole text, or with ``reads`` only the
+declarations a caller reads.  A cheap pass, :func:`split_declarations`, finds
+where each declaration starts and ends, with its keyword and name, by
+skipping strings, comments and primes as the lexer does but without making
+tokens.  The declarations of the names in ``reads`` are chosen, then, until
+no more is added, every declaration whose name is an identifier token of a
+chosen one; their tokens, in text order, go through the one parse loop.
+Every name a declaration looks up is an identifier of its own, so each
+chosen declaration parses as in the whole text, or fails with its error
+there, in text order.  So a declaration is parsed, and its error raised,
+when its name is any identifier inside one that is read, an alias,
+attribute, wire or cable among them, and a second declaration of such a name
+raises the duplicate name error.  A text that does not split is parsed whole.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .closed import HomStar, internal_hom
 from .csvio import survives_csv
@@ -152,29 +153,27 @@ class SetupDecl(NamedTuple):
 
 
 class Script:
-    """A name-resolved script: one mapping per kind from each name to its
-    object, and ``shapes``, the typed star of each query and union result.
-    :func:`parse_script` fills dicts, and ``decls`` with the declared objects
-    in order; :func:`parse_on_demand` leaves ``decls`` empty and gives
-    mappings that parse a declaration when it is first read."""
+    """A name-resolved script: one dict per kind from each name to its
+    object, ``shapes``, the typed star of each query and union result, and
+    ``decls``, the declared objects in order."""
 
-    def __init__(self, table: Callable[[str], Mapping] = lambda _attr: {}):
+    def __init__(self):
         self.decls: tuple = ()
-        self.domains: Mapping[str, ValueDomain] = table("domains")
-        self.stars: Mapping[str, TypedStar] = table("stars")
-        self.relations: Mapping[str, RelDecl] = table("relations")
-        self.consts: Mapping[str, Relation] = table("consts")
-        self.diagrams: Mapping[str, DiagramDecl] = table("diagrams")
-        self.queries: Mapping[str, ConjunctiveQuery] = table("queries")
-        self.unions: Mapping[str, UnionDecl] = table("unions")
-        self.setups: Mapping[str, SetupDecl] = table("setups")
-        self.shapes: Mapping[str, TypedStar] = table("shapes")
+        self.domains: dict[str, ValueDomain] = {}
+        self.stars: dict[str, TypedStar] = {}
+        self.relations: dict[str, RelDecl] = {}
+        self.consts: dict[str, Relation] = {}
+        self.diagrams: dict[str, DiagramDecl] = {}
+        self.queries: dict[str, ConjunctiveQuery] = {}
+        self.unions: dict[str, UnionDecl] = {}
+        self.setups: dict[str, SetupDecl] = {}
+        self.shapes: dict[str, TypedStar] = {}
 
 
 class _Parser:
-    def __init__(self, text: str, script: Script, start: int = 0, end: int | None = None):
+    def __init__(self, text: str, script: Script, tokens: list[Token]):
         self.text = text
-        self.tokens = tokenize(text, start, end)
+        self.tokens = tokens
         self.pos = 0
         self.script = script
 
@@ -521,8 +520,6 @@ class _Parser:
         try:
             self.script.shapes[name] = result_star(query, self.script)
         except ScriptError as exc:
-            if exc.line is not None:  # from parsing a declaration it reads
-                raise
             raise self.fail(f"query {name!r}: {exc}", tok) from exc
         self.script.queries[name] = query
         return query
@@ -618,39 +615,8 @@ _HANDLERS = {
 }
 
 
-def parse_script(text: str) -> Script:
-    """Parse and resolve a script; raise :class:`ScriptError` with position
-    information on the first problem."""
-    return _Parser(text, Script()).parse()
-
-
 # --------------------------------------------------------------------------
-# parsing on demand
-
-# The declaration keywords behind each table of a :class:`Script`.
-_TABLE_KINDS = {
-    "domains": ("type",),
-    "stars": ("star",),
-    "relations": ("rel",),
-    "consts": ("const",),
-    "diagrams": ("diagram",),
-    "queries": ("query",),
-    "unions": ("union",),
-    "setups": ("setup",),
-    "shapes": ("query", "union"),
-}
-# The name space of each declaration keyword: a name is declared at most
-# once per name space.
-_NAME_SPACES = {
-    "type": "type",
-    "star": "star",
-    "rel": "rel",
-    "const": "rel",
-    "diagram": "diagram",
-    "query": "query",
-    "union": "query",
-    "setup": "setup",
-}
+# choosing the declarations a caller reads
 
 # One match per ``;``, ``{`` or ``}`` token, and a last one at the end of
 # the text.  A match skips what the lexer reads as strings and comments, and
@@ -702,7 +668,7 @@ def split_declarations(text: str) -> list[Declaration] | None:
             if kind == "eof":
                 return decls
             keyword = head[kind].lower()
-            if kind != "ident" or keyword not in _NAME_SPACES:
+            if kind != "ident" or keyword not in _HANDLERS:
                 return None
             braced = False
         mark = m[1]
@@ -726,155 +692,74 @@ def split_declarations(text: str) -> list[Declaration] | None:
         head = None
 
 
-# How deep the parse of one declaration nests inside the parse of another,
-# as a union's inside the union that reads it; deeper, the declarations are
-# taken up one at a time, so a long chain stays within the recursion limit.
-_MAX_NESTED = 16
+def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
+    """Parse and resolve a script; raise :class:`ScriptError` with position
+    information on the first problem.
 
-
-class _Unparsed(Exception):
-    """A declaration being parsed read the declaration ``index``, which is
-    not parsed yet, from too deep a nesting to parse it there."""
-
-    def __init__(self, index: int):
-        super().__init__(index)
-        self.index = index
-
-
-class _OnDemand:
-    """A script split into declarations, each parsed the first time a table
-    of a :meth:`script` reads it.  A declaration reads only the ones before
-    it, so parsing one never comes back to itself."""
-
-    def __init__(self, text: str, decls: list[Declaration]):
-        self.text = text
-        self.decls = decls
-        # the indices of the declarations of each (name space, name)
-        self.where: dict[tuple[str, str], list[int]] = {}
-        for index, decl in enumerate(decls):
-            self.where.setdefault((_NAME_SPACES[decl.keyword], decl.name), []).append(index)
-        # what each parse wrote, by (table, declaration index)
-        self.values: dict[tuple[str, int], object] = {}
-        # the declarations being parsed, each inside the one before: the
-        # tables see only the declarations before the last of them
-        self.parsing: list[int] = []
-        # the script the handlers read while a parse is under way, and only
-        # then, so that no reference cycle keeps a script alive after use
-        self.reader: Script | None = None
-
-    def script(self) -> Script:
-        """A script whose tables read these declarations."""
-        return Script(lambda attr: _LazyTable(self, attr))
-
-    def parse(self, index: int) -> None:
-        """Parse declaration ``index`` and what it reads, or raise
-        :class:`_Unparsed` at the nesting bound: the parse one level up then
-        takes declaration ``index`` up itself and starts its reader again."""
-        if len(self.parsing) == _MAX_NESTED:
-            raise _Unparsed(index)
-        if not self.parsing:
-            self.reader = self.script()
-        try:
-            pending = [index]
-            while pending:
-                keyword, _name, start, end = self.decls[pending[-1]]
-                parser = _Parser(self.text, self.reader, start, end)
-                parser.next()  # the keyword
-                self.parsing.append(pending[-1])
-                try:
-                    _HANDLERS[keyword](parser)
-                except _Unparsed as exc:
-                    pending.append(exc.index)
-                else:
-                    pending.pop()
-                finally:
-                    self.parsing.pop()
-        finally:
-            if not self.parsing:
-                self.reader = None
-
-
-class _LazyTable(Mapping):
-    """The table ``attr`` of the script, as the declaration being parsed
-    sees it, or the whole script when none is."""
-
-    def __init__(self, source: _OnDemand, attr: str):
-        self.source = source
-        self.attr = attr
-        self.kinds = _TABLE_KINDS[attr]
-        self.space = _NAME_SPACES[self.kinds[0]]
-
-    def _find(self, name: str) -> int | None:
-        """The index of the declaration of ``name`` in this table, parsed."""
-        source = self.source
-        found = source.where.get((self.space, name))
-        if found is None:
-            return None
-        if source.parsing:
-            limit = source.parsing[-1]
-            found = [i for i in found if i < limit]
-            if not found:
-                return None
-        if len(found) > 1:
-            # a second declaration of the name is where parsing the whole
-            # script stops, with the duplicate name error this raises
-            source.parse(found[1])
-        index = found[0]
-        if source.decls[index].keyword not in self.kinds:
-            return None
-        if (self.attr, index) not in source.values:
-            source.parse(index)
-        return index
-
-    def __contains__(self, name) -> bool:
-        return self._find(name) is not None
-
-    def __getitem__(self, name: str):
-        index = self._find(name)
-        if index is None:
-            raise KeyError(name)
-        return self.source.values[self.attr, index]
-
-    def __setitem__(self, name: str, value) -> None:
-        # only a handler writes, and only the value of what it declares
-        self.source.values[self.attr, self.source.parsing[-1]] = value
-
-    def __iter__(self):
-        source, seen = self.source, set()
-        limit = source.parsing[-1] if source.parsing else len(source.decls)
-        for decl in source.decls[:limit]:
-            if decl.keyword in self.kinds and decl.name not in seen:
-                seen.add(decl.name)
-                yield decl.name
-
-    def __len__(self) -> int:
-        return sum(1 for _name in self)
-
-
-def parse_on_demand(text: str) -> Script:
-    """The script ``text``, split by :func:`split_declarations`, with each
-    declaration parsed when it is first read, as :func:`parse_script` would
-    parse it, and its errors raised then; a text that does not split is
-    parsed whole."""
-    decls = split_declarations(text)
+    With ``reads``, parse only the declarations of those names and, until
+    no more is added, every declaration whose name is an identifier token of
+    one already chosen: a declaration is parsed, and its error raised, when
+    its name is any identifier inside a chosen one, an alias, attribute,
+    wire or cable among them.  The chosen declarations are parsed in text
+    order, so each gives what it gives in the whole text, or its error
+    there, and a second declaration of a chosen name raises the duplicate
+    name error.  ``decls`` then holds the chosen declarations' objects.  A
+    text that :func:`split_declarations` cannot split is parsed whole."""
+    decls = None if reads is None else split_declarations(text)
     if decls is None:
-        return parse_script(text)
-    return _OnDemand(text, decls).script()
+        return _Parser(text, Script(), tokenize(text)).parse()
+    named: dict[str, list[int]] = {}
+    for index, decl in enumerate(decls):
+        named.setdefault(decl.name, []).append(index)
+    seen = set(reads)
+    pending = [index for name in seen for index in named.get(name, ())]
+    # a name enters ``seen`` once, so each declaration is taken up once
+    chosen: dict[int, list[Token]] = {}
+    failed: dict[int, ScriptError] = {}
+    while pending:
+        index = pending.pop()
+        _keyword, _name, start, end = decls[index]
+        try:
+            chosen[index] = found = tokenize(text, start, end)
+        except ScriptError as exc:
+            failed[index] = exc
+            continue
+        for tok in found:
+            if tok.kind == "ident" and tok.text not in seen:
+                seen.add(tok.text)
+                pending += named.get(tok.text, ())
+    if failed:  # as in the whole text, a bad character comes before parse errors
+        raise failed[min(failed)]
+    tokens: list[Token] = []
+    for index in sorted(chosen):
+        tokens += chosen[index][:-1]
+    tokens.append(Token("eof", "", len(text)))
+    return _Parser(text, Script(), tokens).parse()
 
 
-def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
-    """Parse a standalone SELECT expression against an existing script."""
-    parser = _Parser(text, script)
-    select = parser.peek()
+def parse_select_text(text: str) -> ConjunctiveQuery:
+    """Parse a standalone SELECT expression, with an optional final ``;``,
+    without resolving its names."""
+    parser = _Parser(text, Script(), tokenize(text))
     query = parser.parse_select()
     if parser.at_punct(";"):
         parser.next()
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input after query")
+    return query
+
+
+def resolve_query_text(text: str, query: ConjunctiveQuery, script: Script) -> ConjunctiveQuery:
+    """``query``, parsed from ``text`` by :func:`parse_select_text`, once it
+    resolves against ``script``; an error is placed at its ``SELECT``."""
     try:
         result_star(query, script)
     except ScriptError as exc:
-        if exc.line is not None:  # from parsing a declaration it reads
-            raise
-        raise parser.fail(str(exc), select) from exc
+        select = _TOKEN_RE.match(text)
+        raise ScriptError(str(exc), *_position(text, select.start(select.lastgroup))) from exc
     return query
+
+
+def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
+    """Parse a standalone SELECT expression against an existing script."""
+    return resolve_query_text(text, parse_select_text(text), script)

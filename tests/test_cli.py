@@ -543,3 +543,24 @@ def test_reading_a_name_declared_twice_fails(project, capsys, text, argv, messag
     assert status == 1
     assert re.fullmatch(rf"error: \d+:\d+: {re.escape(message_end)}\n", err)
     assert _run_in(project, capsys, ["check", "twice.wd"]) == (1, "", err)
+
+
+def test_a_declaration_named_like_an_alias_in_a_read_one_is_parsed(project, capsys):
+    # q's alias ``x`` names the broken type, so eval parses that type too
+    (project / "r.csv").write_text("w\na\n")
+    (project / "alias.wd").write_text(
+        "type T = {a, b};\nstar S(w:T);\nrel r : S from \"r.csv\";\n"
+        "query q = SELECT x.w FROM r x;\ntype x = {a, $};\n"
+    )
+    err = "error: 5:14: unexpected character '$'\n"
+    assert _run_in(project, capsys, ["check", "alias.wd"]) == (1, "", err)
+    assert _run_in(project, capsys, ["eval", "alias.wd", "q"]) == (1, "", err)
+
+
+def test_query_reports_its_own_syntax_error_before_the_script_s(project, capsys):
+    (project / "lost.wd").write_text(
+        'type T = {a, b};\nstar S(w:T);\nrel r : GHOST from "r.csv";\n'
+    )
+    argv = ["query", "lost.wd", "SELECT s.w FROM r s WHERE"]
+    err = "error: 1:26: expected alias, found 'end of file'\n"
+    assert _run_in(project, capsys, argv) == (1, "", err)

@@ -597,33 +597,34 @@ class TestSplitDeclarations:
         assert time.perf_counter() - start < 1.0
 
 
-_TABLE_OF = {
-    "type": "domains",
-    "star": "stars",
-    "rel": "relations",
-    "const": "consts",
-    "diagram": "diagrams",
-    "query": "queries",
-    "union": "unions",
-    "setup": "setups",
-}
+# the tables of a ``Script``, with the typed star of each result first
+_TABLES = (
+    "shapes", "domains", "stars", "relations", "consts", "diagrams", "queries", "unions",
+    "setups",
+)
 
 
 def _assert_on_demand_equals_eager(text):
-    """Every name that ``parse_script`` resolves resolves on demand to an
-    equal value; names are read last declared first, so that each read
-    parses what it needs."""
-    eager, lazy = parse_script(text), dsl.parse_on_demand(text)
-    for attr in ["shapes", *reversed(_TABLE_OF.values())]:
-        want, got = getattr(eager, attr), getattr(lazy, attr)
-        for name in reversed(list(want)):
+    """Every name that ``parse_script`` resolves resolves to an equal value
+    when it alone is read, and reading every name gives every table."""
+    eager = parse_script(text)
+    reading: dict[str, dsl.Script] = {}
+    for attr in _TABLES:
+        want = getattr(eager, attr)
+        for name in want:
+            if name not in reading:
+                reading[name] = parse_script(text, {name})
+            got = getattr(reading[name], attr)
             if attr == "diagrams":
                 assert (got[name].name, got[name].hom) == (want[name].name, want[name].hom)
                 assert typed_diagrams_equal(got[name].typed, want[name].typed)
             else:
                 assert got[name] == want[name]
-        assert list(got) == list(want)
-        assert "no-such-name" not in got
+    assert parse_script(text, {"no-such-name"}).decls == ()
+    every = parse_script(text, reading)
+    assert len(every.decls) == len(eager.decls)
+    for attr in _TABLES:
+        assert list(getattr(every, attr)) == list(getattr(eager, attr))
 
 
 def _catalog_script(seed: int) -> str:
@@ -669,8 +670,8 @@ def _catalog_script(seed: int) -> str:
 
 
 class TestParseOnDemand:
-    """``parse_on_demand`` gives what ``parse_script`` gives, declaration by
-    declaration, and the eager error of the declaration that holds one."""
+    """``parse_script(text, reads)`` gives what ``parse_script(text)`` gives,
+    name by name, and the error of the declaration that holds one."""
 
     @settings(max_examples=100, deadline=None)
     @given(_scripts())
@@ -705,30 +706,49 @@ class TestParseOnDemand:
     def test_errors(self, text, message):
         decls = dsl.split_declarations(text)
         if decls is None:  # an error outside any declaration: parsed whole
-            with pytest.raises(ScriptError) as err:
-                dsl.parse_on_demand(text)
+            reads = {"no-such-name"}
         else:
             line, column = map(int, message.split(":")[:2])
             offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
-            keyword, name, _start, _end = next(d for d in decls if d.start <= offset < d.end)
-            table = getattr(dsl.parse_on_demand(text), _TABLE_OF[keyword])
-            with pytest.raises(ScriptError) as err:
-                table[name]
+            reads = {next(d for d in decls if d.start <= offset < d.end).name}
+        with pytest.raises(ScriptError) as err:
+            parse_script(text, reads)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "name, indices",
+        [("notq", (0, 1, 3, 5)), ("gates", (0, 1, 3, 5, 7, 8)), ("notgate", (0, 1, 2, 4))],
+    )
+    def test_decls_are_the_chosen_declarations_in_text_order(self, name, indices):
+        eager = parse_script(NAND_SCRIPT)
+        chosen = parse_script(NAND_SCRIPT, {name}).decls
+        assert chosen[:-1] == tuple(eager.decls[i] for i in indices[:-1])
+        if name == "notgate":
+            assert typed_diagrams_equal(chosen[-1].typed, eager.decls[4].typed)
+        else:
+            assert chosen[-1] == eager.decls[indices[-1]]
+
+    def test_bad_characters_are_raised_in_text_order(self):
+        # both types are read through q's aliases; x's comes first in the text
+        text = _REL + "query q = SELECT x.w FROM r x, r y;\ntype x = {$};\ntype y = {%};\n"
+        with pytest.raises(ScriptError) as eager:
+            parse_script(text)
+        with pytest.raises(ScriptError) as err:
+            parse_script(text, {"q"})
+        assert str(err.value) == str(eager.value) == "5:11: unexpected character '$'"
 
     def test_a_declaration_sees_only_those_before_it(self):
         text = _STAR + "query q = SELECT s.w FROM r s;\n" + 'rel r : S from "r.csv";\n'
-        script = dsl.parse_on_demand(text)
-        assert script.relations["r"].path == "r.csv"
+        assert parse_script(text, {"r"}).relations["r"].path == "r.csv"
         with pytest.raises(ScriptError, match="^3:7: query 'q': FROM references unknown"):
-            script.queries["q"]
+            parse_script(text, {"q"})
 
     @pytest.mark.parametrize(
         "read",
         [
-            lambda script: script.queries["q"],
-            lambda script: script.unions["u"],
-            lambda script: parse_query_text("SELECT s.w FROM r s", script),
+            lambda text: parse_script(text, {"q"}),
+            lambda text: parse_script(text, {"u"}),
+            lambda text: parse_query_text("SELECT s.w FROM r s", parse_script(text, {"r"})),
         ],
         ids=["query", "union", "inline-query"],
     )
@@ -740,5 +760,5 @@ class TestParseOnDemand:
         with pytest.raises(ScriptError) as eager:
             parse_script(text)
         with pytest.raises(ScriptError) as err:
-            read(dsl.parse_on_demand(text))
+            read(text)
         assert str(err.value) == str(eager.value) == "3:9: unknown star 'GHOST'"
