@@ -9,6 +9,8 @@ and the sizes of the first and last few iterates.
 """
 
 import argparse
+from itertools import accumulate
+from operator import sub
 
 from wiring.recursion import factorial_fixture, fixed_point, is_fixed_point
 
@@ -25,7 +27,10 @@ def main() -> None:
 
     for mode in ("greatest", "least"):
         result = fixed_point(fixture.setup, mode)
-        sizes = [str(len(r)) for r in result.trace]
+        # iterate r is the fixed point plus the states dropped in round r or later
+        first = len(result.relation) + sum(map(len, result.pruned))
+        sizes = [str(n) for n in accumulate(map(len, result.pruned), sub, initial=first)]
+        sizes.append(sizes[-1])
         if len(sizes) > 2 * SHOWN:
             sizes = sizes[:SHOWN] + ["..."] + sizes[-SHOWN:]
         rounds = result.iterations - 1

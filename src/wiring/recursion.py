@@ -7,7 +7,9 @@ relation on ``Z`` through the evaluation diagram: ``step`` is
 :func:`wiring.closed.apply_hom`.  The step is monotone; its least fixed
 point is therefore empty, and its greatest is the set of states reachable
 from a cycle of the transition graph, found by pruning states of
-in-degree 0.
+in-degree 0.  A result keeps the fixed point and the states each pruning
+round dropped, which are disjoint, so it is linear in the first iterate;
+the chain of iterates is rebuilt from them only when asked for.
 """
 
 from __future__ import annotations
@@ -38,13 +40,35 @@ class RecursiveSetup(Frozen):
 
 
 class FixedPointResult(NamedTuple):
+    """A fixed point, the states each pruning round dropped, and the mode.
+
+    ``pruned[r]`` is the frozenset of states that round ``r`` dropped; the
+    sets are disjoint from each other and from ``relation``.  ``trace``,
+    the chain of iterates, is rebuilt from them on each request.
+    """
+
     relation: Relation
-    trace: tuple[Relation, ...]
+    pruned: tuple[frozenset[tuple], ...]
     mode: str
 
     @property
     def iterations(self) -> int:
-        return len(self.trace) - 1
+        """The pruning rounds plus one, which is ``len(trace) - 1``."""
+        return len(self.pruned) + 1
+
+    @property
+    def trace(self) -> tuple[Relation, ...]:
+        """The iterates: ``trace[r]`` is the fixed point plus the states
+        dropped in round ``r`` or later, and the last entry is the fixed
+        point again, the same object as the one before it."""
+        chain = [self.relation]
+        states = self.relation.tuples
+        for dropped in reversed(self.pruned):
+            states = states | dropped
+            chain.append(Relation._trusted(self.relation.star, states))
+        chain.reverse()
+        chain.append(self.relation)
+        return tuple(chain)
 
 
 def build_setup(
@@ -66,10 +90,12 @@ def is_fixed_point(setup: RecursiveSetup, rel: Relation) -> bool:
 
 
 def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResult:
-    """The extreme fixed point of the step function, with its chain.
+    """The extreme fixed point of the step function, with the states each
+    round of its chain dropped.
 
     ``mode="least"`` returns the empty relation at once, since the step of
-    the empty relation is empty; its trace is ``(empty, empty)``.
+    the empty relation is empty; nothing is pruned, and its trace is
+    ``(empty, empty)``.
 
     ``mode="greatest"`` indexes the setup relation by its argument-copy
     readout, starts from the targets of that transition relation, which
@@ -79,30 +105,32 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     states left after ``r`` rounds are the step applied ``r + 1`` times to
     the complete relation; ``trace[r]`` is that set.  When no state has
     in-degree 0 the rest is the greatest fixed point: every state on it is
-    reachable from a cycle.  The trace ends with that entry repeated, so
-    ``iterations`` counts the pruning rounds plus one.
+    reachable from a cycle.  Only the states each round dropped are kept,
+    as ``pruned``; the trace, rebuilt from them on request, ends with the
+    fixed point repeated, so ``iterations`` counts the pruning rounds plus
+    one.
     """
     if mode not in ("least", "greatest"):
         raise ValidationError(f"unknown mode {mode!r}, expected 'least' or 'greatest'")
     if mode == "least":
-        empty = Relation.empty(setup.z)
-        return FixedPointResult(relation=empty, trace=(empty, empty), mode=mode)
+        return FixedPointResult(relation=Relation.empty(setup.z), pruned=(), mode=mode)
     n = len(setup.z.wires)
     transition: dict[tuple, list[tuple]] = {}
     for t in setup.relation.aligned_tuples(setup.hom.star.wires):
         transition.setdefault(t[:n], []).append(t[n:])
     live = {t for targets in transition.values() for t in targets}
     indegree = Counter(t for s in live for t in transition.get(s, ()))
-    dropped = {s for s in live if not indegree[s]}
-    trace = [Relation._trusted(setup.z, frozenset(live))]
+    dropped = frozenset([s for s in live if not indegree[s]])
+    pruned = []
     while dropped:
         live.difference_update(dropped)
-        trace.append(Relation._trusted(setup.z, frozenset(live)))
+        pruned.append(dropped)
         successors = [t for s in dropped for t in transition.get(s, ())]
         indegree.subtract(successors)
-        dropped = {t for t in successors if not indegree[t]}
-    trace.append(trace[-1])
-    return FixedPointResult(relation=trace[-1], trace=tuple(trace), mode=mode)
+        dropped = frozenset([t for t in successors if not indegree[t]])
+    return FixedPointResult(
+        relation=Relation._trusted(setup.z, frozenset(live)), pruned=tuple(pruned), mode=mode
+    )
 
 
 class FactorialFixture(NamedTuple):

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 from operator import and_, itemgetter
 from typing import (
     Callable,
@@ -500,26 +500,27 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
 def _join_step(
     partials: set[tuple], tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
+    """The partial tuples after joining ``tuples`` as ``step`` says.
+
+    The smaller side, partials or rows, is indexed on the key cables, and
+    the larger side is filtered against the index in C (``compress`` over
+    its membership tests) before Python visits a row; a step with no key
+    is a cross product.
+    """
     rows = _agreeing(tuples, step.equal_pairs)
+    pick = _getter(step.keep)
+    if not step.key_slots:
+        return {pick(p + t) for p in partials for t in rows}
     # One itemgetter per side: the entry itself on one key cable, a tuple on
     # more, so a one-cable step builds no 1-tuple key per row.
-    if step.key_slots:
-        partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
-    else:
-        partial_key = row_key = _getter(())
-    pick = _getter(step.keep)
-    joined: set[tuple] = set()
+    partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
     if len(partials) <= len(rows):
         index = _group(partials, partial_key)
-        for t in rows:
-            for p in index.get(row_key(t), ()):
-                joined.add(pick(p + t))
-    else:
-        index = _group(rows, row_key)
-        for p in partials:
-            for t in index.get(partial_key(p), ()):
-                joined.add(pick(p + t))
-    return joined
+        hits = compress(rows, map(index.__contains__, map(row_key, rows)))
+        return {pick(p + t) for t in hits for p in index[row_key(t)]}
+    index = _group(rows, row_key)
+    hits = compress(partials, map(index.__contains__, map(partial_key, partials)))
+    return {pick(p + t) for p in hits for t in index[partial_key(p)]}
 
 
 def _generic_join(

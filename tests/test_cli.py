@@ -183,8 +183,9 @@ def test_fixpoint_round_trip(tmp_path, capsys, fixtures_dir):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "A,B"
     assert "4,24" in captured.out
-    assert "iterations=" in captured.err
+    assert captured.err.splitlines() == ["fact: mode=gfp tuples=5 iterations=25"]
     assert run_cli(["fixpoint", str(tmp_path / "factorial.wd"), "fact", "--mode", "lfp"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["fact: mode=lfp tuples=0 iterations=1"]
 
 
 FREE_CABLES_SCRIPT = """

@@ -85,8 +85,7 @@ def _records():
             "FixedPointResult",
             fixed_point(FIXTURE.setup, "least"),
             "FixedPointResult(relation=Relation(TypedStar({A:N, B:N}), 0 tuples), "
-            "trace=(Relation(TypedStar({A:N, B:N}), 0 tuples), "
-            "Relation(TypedStar({A:N, B:N}), 0 tuples)), mode='least')",
+            "pruned=(), mode='least')",
         ),
         (
             "FactorialFixture",

@@ -248,3 +248,32 @@ class TestAgainstKleeneIteration:
                 assert entry == iterate
             assert trace[-1] is trace[-2]
             assert all(a != b for a, b in zip(trace[:-2], trace[1:-1]))
+
+
+def assert_pruned_partition_the_first_iterate(result):
+    """The pruned sets are pairwise disjoint and disjoint from the fixed
+    point, and with it they make up the first iterate."""
+    kept = result.relation.tuples
+    seen = set(kept)
+    for dropped in result.pruned:
+        assert dropped and seen.isdisjoint(dropped)
+        seen |= dropped
+    assert seen == result.trace[0].tuples
+
+
+class TestPrunedStates:
+    def test_random_sparse_setups(self):
+        rng = random.Random(2025)
+        for _ in range(300):
+            _z, setup = random_sparse_setup(rng)
+            assert_pruned_partition_the_first_iterate(fixed_point(setup, "greatest"))
+            assert fixed_point(setup, "least").pruned == ()
+
+    def test_factorial_keeps_the_first_iterate_once(self):
+        result = fixed_point(factorial_fixture(400).setup, "greatest")
+        assert_pruned_partition_the_first_iterate(result)
+        stored = len(result.relation) + sum(map(len, result.pruned))
+        assert stored <= 2_869
+        # the chain it stands for holds thirty times as many tuples
+        assert sum(len(r) for r in result.trace) == 85_554
+        assert result.iterations == 401

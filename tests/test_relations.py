@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -862,3 +862,68 @@ class TestGenericJoin:
         assert plan.executor == "binary" and plan.cable_order == ()
         assert len(plan.steps) == len(stars)
         assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+
+
+def _sparse_path(rng, rows_indexed):
+    """An acyclic join whose last step finds a match for at most 5% of its
+    probing side, and the outer cables ``a`` and ``d``/``c``.
+
+    Without ``rows_indexed``: R0(a, b) holds two tuples on one value ``k``
+    of b, and R1(b, c) a hundred tuples off ``k`` and one to five on it, so
+    the two partials are indexed and R1's rows probe.  With it: R0(a, b)
+    and R1(b, e, c) join into sixty partials on distinct (e, c) pairs, and
+    R2(e, c, d) has 41 tuples, one on such a pair, so R2's rows are indexed
+    and the partials probe.
+    """
+    if not rows_indexed:
+        dom = ValueDomain.int_range("D", 0, 19)
+        values = dom.values
+        twd, inner = _wired(dom, [("a", "b"), ("b", "c")], ("a", "c"))
+        k = rng.choice(values)
+        misses = [(b, c) for b in values if b != k for c in values]
+        hits = [(k, c) for c in values]
+        return twd, [
+            Relation(inner[0], [(a, k) for a in rng.sample(values, 2)]),
+            Relation(inner[1], rng.sample(misses, 100) + rng.sample(hits, rng.randint(1, 5))),
+        ]
+    dom = ValueDomain.int_range("D", 0, 7)
+    values = dom.values
+    twd, inner = _wired(dom, [("a", "b"), ("b", "e", "c"), ("e", "c", "d")], ("a", "d"))
+    k = rng.choice(values)
+    pairs = list(product(values, repeat=2))
+    chosen = rng.sample(pairs, 30)
+    rest = [p for p in pairs if p not in chosen]
+    far = [p + (d,) for p in rng.sample(rest, 5) for d in values]
+    return twd, [
+        Relation(inner[0], [(a, k) for a in rng.sample(values, 2)]),
+        Relation(inner[1], [(k,) + p for p in chosen]),
+        Relation(inner[2], far + [rng.choice(chosen) + (rng.choice(values),)]),
+    ]
+
+
+@pytest.mark.parametrize("rows_indexed", [False, True], ids=["partials-indexed", "rows-indexed"])
+def test_binary_steps_with_few_matches_agree_with_naive(rows_indexed, monkeypatch):
+    # The probing side is filtered against the index before the joined rows
+    # are built; the spy sees what each keyed step probes and keeps.
+    import wiring.relations as relations_mod
+
+    probes = []
+
+    def spy(data, selectors):
+        side = "partials" if isinstance(data, set) else "rows"
+        data, selectors = list(data), list(selectors)
+        probes.append((side, len(data), sum(selectors)))
+        return compress(data, selectors)
+
+    monkeypatch.setattr(relations_mod, "compress", spy)
+    rng = random.Random(83)
+    for _ in range(10):
+        twd, rels = _sparse_path(rng, rows_indexed)
+        plan = plan_join(twd, [len(r) for r in rels])
+        assert plan.executor == "binary" and [s.star for s in plan.steps] == list(range(len(rels)))
+        probes.clear()
+        got = evaluate(twd, rels)
+        assert got == evaluate_naive(twd, rels) and not got.is_empty
+        side, probing, matched = probes[-1]
+        assert side == ("partials" if rows_indexed else "rows")
+        assert 0 < matched <= 0.05 * probing
