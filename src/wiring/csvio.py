@@ -11,7 +11,9 @@ reads back as the same value; script types admit no other values.
 Cells are checked a column at a time: one pass for the cell counts, then
 one subset test of each wire's parsed column against its domain.  Only
 when a test fails are the rows walked one by one, so an error names the
-first misfit in file order, as a row-by-row check would.
+first misfit in file order, as a row-by-row check would.  ``Relation``
+follows the same rule for tuples given in code: it checks them in the order
+they arrive, before hashing them, and names the first misfit in that order.
 """
 
 from __future__ import annotations

@@ -87,8 +87,12 @@ class Relation(Frozen):
 
     A relation is a subset of the product of its wires' domains, so the
     constructor checks a column at a time: one pass for the widths, then
-    one subset test per wire.  Only when a test fails does it walk the
-    tuples one by one, and the error names the first misfit it meets.
+    one subset test per wire.  It checks the tuples in the order they
+    arrive, before hashing them into the stored set, as
+    :func:`~wiring.csvio.load_csv_relation` checks a file's rows.  Only
+    when a test fails does it walk the tuples one by one, and the error
+    names the first misfit in that order, whatever the process's hash
+    seed.
 
     The generic join's hash tries are built once per key and kept on the
     relation, outside its fields (:meth:`_trie_at`).  They rely on the
@@ -104,11 +108,11 @@ class Relation(Frozen):
     tuples: frozenset[tuple[Value, ...]]
 
     def __init__(self, star: TypedStar, tuples: Iterable[tuple[Value, ...]] = ()):
-        tuples = frozenset(map(tuple, tuples))
-        if tuples and not _fits(star, tuples):
-            _raise_first_misfit(star, tuples)
+        rows = list(map(tuple, tuples))
+        if rows and not _fits(star, rows):
+            _raise_first_misfit(star, rows)
         object.__setattr__(self, "star", star)
-        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "tuples", frozenset(rows))
 
     @classmethod
     def empty(cls, star: TypedStar) -> "Relation":
@@ -195,13 +199,15 @@ class Relation(Frozen):
         return f"Relation({self.star!r}, {len(self.tuples)} tuples)"
 
 
-def _fits(star: TypedStar, tuples: frozenset[tuple[Value, ...]]) -> bool:
-    """True when every tuple of the non-empty ``tuples`` has one entry per
-    wire, each in its wire's domain."""
-    if set(map(len, tuples)) != {len(star.wires)}:
+def _fits(star: TypedStar, rows: Sequence[tuple[Value, ...]]) -> bool:
+    """True when every one of the non-empty ``rows`` has one entry per
+    wire, each in its wire's domain.  The rows are a sequence, walked once
+    for the widths and once per wire: a list walks its rows in the order
+    they lie in memory, where a set would walk them in hash order."""
+    if set(map(len, rows)) != {len(star.wires)}:
         return False
     return all(
-        star.domain(w).contains_all(map(itemgetter(j), tuples))
+        star.domain(w).contains_all(map(itemgetter(j), rows))
         for j, w in enumerate(star.wires)
     )
 

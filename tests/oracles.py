@@ -178,10 +178,10 @@ def is_connected(wd: WiringDiagram) -> bool:
 
 def relation_misfit(star: TypedStar, tuples: Iterable[Sequence]) -> str | None:
     """The message ``Relation(star, tuples)`` must raise, or None when it
-    must accept: tuple by tuple, in the order of the tuple set, with a
+    must accept: tuple by tuple, in the order they are given, with a
     linear scan of each domain's values."""
     width = len(star.wires)
-    for t in frozenset(map(tuple, tuples)):
+    for t in map(tuple, tuples):
         if len(t) != width:
             return f"tuple {t!r} has {len(t)} entries, star has {width} wires"
         for w, v in zip(star.wires, t):

@@ -1,6 +1,9 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import compress, product
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import eval_singly, relation_misfit
 from strategies import typed_and_relations
+import wiring
 from wiring.errors import EnumerationLimitError, InterfaceError, ValidationError
 from wiring.laws import (
     GeneratorConfig,
@@ -60,6 +64,52 @@ class TestRelation:
             with pytest.raises(ValidationError) as err:
                 Relation(star, tuples)
             assert str(err.value) == expected
+
+    def test_misfit_error_is_the_same_under_every_hash_seed(self):
+        # text hashes are salted per process, so a check in set order would
+        # name a different misfit in each; arrival order names 'zz' in all
+        code = (
+            "from wiring.relations import Relation\n"
+            "from wiring.typed import TypedStar, ValueDomain\n"
+            "star = TypedStar.uniform(['x'], ValueDomain('D', ('a', 'b', 'c')))\n"
+            "Relation(star, [('a',), ('zz',), ('yy',), ('qq',), ('b',)])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wiring.__file__)))
+        errors = set()
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=60,
+            )
+            assert done.returncode == 1
+            errors.add(done.stderr.strip().splitlines()[-1])
+        assert errors == {
+            "wiring.errors.ValidationError: value 'zz' is outside domain 'D' of wire 'x'"
+        }
+
+    def test_a_generator_gives_the_relation_of_a_list(self, bool_domain):
+        star = TypedStar.uniform(["x", "y"], bool_domain)
+        pairs = [("True", "False"), ("False", "False"), ("True", "False")]
+        assert Relation(star, (p for p in pairs)) == Relation(star, pairs)
+
+    def test_the_callers_list_can_change_afterwards(self, bool_domain):
+        star = TypedStar.uniform(["x"], bool_domain)
+        rows = [["True"]]
+        rel = Relation(star, rows)
+        rows[0][0] = "False"
+        rows.append(["maybe"])
+        assert rel.tuples == frozenset({("True",)})
+
+    def test_duplicates_and_equal_values_pass_or_fail_together(self):
+        bit = TypedStar.uniform(["x"], ValueDomain("Bit", (0, 1)))
+        text = TypedStar.uniform(["x"], ValueDomain("Text", ("a", "1")))
+        tuples = [(1,), (True,), (1,), (0,), (False,)]
+        assert Relation(bit, tuples).tuples == frozenset({(1,), (0,)})
+        with pytest.raises(ValidationError) as err:
+            Relation(text, tuples[1:])
+        assert str(err.value) == "value True is outside domain 'Text' of wire 'x'"
+        assert str(err.value) == relation_misfit(text, tuples[1:])
 
     def test_empty_star_is_boolean_valued(self):
         empty = TypedStar(Star([]), {})
