@@ -26,15 +26,18 @@ class Partition(Frozen):
     def __init__(self, star: Star, blocks: Iterable[Iterable[str]]):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
         blocks = tuple(sorted((b for b in blocks if b), key=lambda b: b[0]))
-        seen: set[str] = set()
-        for block in blocks:
-            for w in block:
-                if w not in star:
-                    raise ValidationError(f"block wire {w!r} is not in the star")
-                if w in seen:
-                    raise ValidationError(f"wire {w!r} appears in two blocks")
-                seen.add(w)
-        if seen != star.wire_set:
+        wires = [w for block in blocks for w in block]
+        if len(wires) != len(star.wires) or star.wire_set != frozenset(wires):
+            seen: set[str] = set()
+            for block in blocks:
+                for k, w in enumerate(block):
+                    if w not in star:
+                        raise ValidationError(f"block wire {w!r} is not in the star")
+                    if w in seen:
+                        # a block is sorted, so a wire it repeats follows itself
+                        where = "twice in one block" if k and block[k - 1] == w else "in two blocks"
+                        raise ValidationError(f"wire {w!r} appears {where}")
+                    seen.add(w)
             missing = sorted(star.wire_set - seen)
             raise ValidationError(f"wires {missing} are not covered by any block")
         object.__setattr__(self, "star", star)

@@ -320,11 +320,11 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
     output cable and no partly bound relation touches it.
     """
     wd = twd.diagram
+    inner_map, outer_map = wd.inner_map, wd.outer_map
     star_cables = [
-        tuple([wd.inner_map[i, w] for w in star.wires])
-        for i, star in enumerate(twd.inner)
+        tuple([inner_map[i, w] for w in star.wires]) for i, star in enumerate(wd.inner)
     ]
-    out_cables = tuple([wd.outer_map[y] for y in twd.outer.wires])
+    out_cables = tuple(map(outer_map.__getitem__, wd.outer.wires))
 
     if _is_acyclic(star_cables):
         executor, order = "binary", ()
@@ -335,23 +335,18 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
         outputs = set(out_cables)
         slots = tuple([c for c in order if c in outputs])
 
-    bound = {c for cables in star_cables for c in cables}
+    bound = set().union(*star_cables)
     free = tuple(dict.fromkeys([c for c in out_cables if c not in bound]))
     position = {c: k for k, c in enumerate(slots + free)}
-    return JoinPlan(
-        steps=steps,
-        free=free,
-        output=tuple([position[c] for c in out_cables]),
-        executor=executor,
-        cable_order=order,
-    )
+    output = tuple(map(position.__getitem__, out_cables))
+    return JoinPlan(steps, free, output, executor, order)
 
 
 def _is_acyclic(star_cables: Sequence[tuple[Cable, ...]]) -> bool:
     """Whether GYO ear removal empties the hypergraph whose edges are the
     stars' cable sets.  An edge is an ear when the cables it shares with
     the other edges all lie in one of them; of two edges, either is one."""
-    edges = [frozenset(cables) for cables in star_cables]
+    edges = list(map(frozenset, star_cables))
     while len(edges) > 2:
         for k, edge in enumerate(edges):
             others = edges[:k] + edges[k + 1 :]
@@ -374,8 +369,11 @@ def _binary_steps(
     remaining = sorted(range(len(star_cables)), key=sizes.__getitem__)
     bound: set[Cable] = set()
     while remaining:
-        linked = (i for i in remaining if not bound.isdisjoint(star_cables[i]))
-        nxt = next(linked, remaining[0])
+        for nxt in remaining:
+            if not bound.isdisjoint(star_cables[nxt]):
+                break
+        else:
+            nxt = remaining[0]
         remaining.remove(nxt)
         order.append(nxt)
         bound.update(star_cables[nxt])
@@ -405,12 +403,7 @@ def _binary_steps(
         slots = tuple([row[k] for k in keep])
         steps.append(
             JoinStep(
-                star=i,
-                key_slots=tuple(key_slots),
-                key_positions=tuple(key_positions),
-                equal_pairs=tuple(pairs),
-                keep=tuple(keep),
-                cables=slots,
+                i, tuple(key_slots), tuple(key_positions), tuple(pairs), tuple(keep), slots
             )
         )
     return tuple(steps), slots

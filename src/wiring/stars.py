@@ -8,9 +8,12 @@ by a renaming of cables, so semantic equality always goes through
 :func:`canonicalize`.
 
 Composition substitutes a diagram into each inner star of another and is
-computed as a quotient of the union of the cable sets (a pushout).
-:func:`quotient` is that one cable quotient; query compilation and the
-partition algebra divide cables with it too.
+computed as a quotient of the union of the cable sets (a pushout).  An
+inner diagram's cable is identified only with the outer cables that its
+interface wires meet, so the union-find runs over the outer diagram's
+cables alone and does not go through :func:`quotient`, the general cable
+quotient with which query compilation and the partition algebra divide
+cables.
 
 Stars, diagrams and the package's other immutable classes are plain
 classes derived from :class:`Frozen`, which enforces their immutability.
@@ -49,15 +52,21 @@ class Star(Frozen):
 
     def __init__(self, wires: Iterable[str] = ()):
         wires = tuple(wires)
-        seen = set()
-        for w in wires:
-            if not isinstance(w, str) or not w:
-                raise ValidationError(f"wire names must be nonempty strings, got {w!r}")
-            if w in seen:
-                raise ValidationError(f"duplicate wire name {w!r}")
-            seen.add(w)
+        try:
+            "".join(wires)  # the cheapest test that every wire is a string
+            wire_set = frozenset(wires)
+        except TypeError:
+            wire_set = frozenset()
+        if len(wire_set) != len(wires) or "" in wire_set:
+            seen = set()
+            for w in wires:
+                if not isinstance(w, str) or not w:
+                    raise ValidationError(f"wire names must be nonempty strings, got {w!r}")
+                if w in seen:
+                    raise ValidationError(f"duplicate wire name {w!r}")
+                seen.add(w)
         object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "wire_set", frozenset(seen))
+        object.__setattr__(self, "wire_set", wire_set)
 
     def __contains__(self, wire: str) -> bool:
         return wire in self.wire_set
@@ -105,36 +114,42 @@ class WiringDiagram(Frozen):
     ):
         inner = tuple(inner)
         cables = tuple(cables)
-        if len(set(cables)) != len(cables):
-            raise ValidationError("duplicate cable identifier")
         cable_set = set(cables)
+        if len(cable_set) != len(cables):
+            raise ValidationError("duplicate cable identifier")
         inner_map = dict(inner_map)
         outer_map = dict(outer_map)
-
         expected = {(i, w) for i, star in enumerate(inner) for w in star.wires}
-        for key in inner_map:
-            if key not in expected:
-                raise ValidationError(f"solder entry for unknown inner wire {key!r}")
-        for key in expected:
-            if key not in inner_map:
-                i, w = key
-                raise ValidationError(f"inner wire {w!r} of star {i} is not soldered")
-        for key, cable in inner_map.items():
-            if cable not in cable_set:
-                raise ValidationError(
-                    f"inner wire {key!r} soldered to unknown cable {cable!r}"
-                )
-        for w in outer_map:
-            if w not in outer:
-                raise ValidationError(f"solder entry for unknown outer wire {w!r}")
-        for w in outer.wires:
-            if w not in outer_map:
-                raise ValidationError(f"outer wire {w!r} is not soldered")
-        for w, cable in outer_map.items():
-            if cable not in cable_set:
-                raise ValidationError(
-                    f"outer wire {w!r} soldered to unknown cable {cable!r}"
-                )
+        if not (
+            inner_map.keys() == expected
+            and outer_map.keys() == outer.wire_set
+            and cable_set.issuperset(inner_map.values())
+            and cable_set.issuperset(outer_map.values())
+        ):
+            # name the first misfit: each map in its order, stars in theirs
+            for key in inner_map:
+                if key not in expected:
+                    raise ValidationError(f"solder entry for unknown inner wire {key!r}")
+            for i, star in enumerate(inner):
+                for w in star.wires:
+                    if (i, w) not in inner_map:
+                        raise ValidationError(f"inner wire {w!r} of star {i} is not soldered")
+            for key, cable in inner_map.items():
+                if cable not in cable_set:
+                    raise ValidationError(
+                        f"inner wire {key!r} soldered to unknown cable {cable!r}"
+                    )
+            for w in outer_map:
+                if w not in outer:
+                    raise ValidationError(f"solder entry for unknown outer wire {w!r}")
+            for w in outer.wires:
+                if w not in outer_map:
+                    raise ValidationError(f"outer wire {w!r} is not soldered")
+            for w, cable in outer_map.items():
+                if cable not in cable_set:
+                    raise ValidationError(
+                        f"outer wire {w!r} soldered to unknown cable {cable!r}"
+                    )
 
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)
@@ -202,31 +217,33 @@ def quotient(
     compression.
     """
     parent = {x: x for x in nodes}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[rb] = ra
     class_ids: dict = {}
-    return {x: class_ids.setdefault(find(x), len(class_ids)) for x in parent}
+    return {x: class_ids.setdefault(_find(parent, x), len(class_ids)) for x in parent}
+
+
+def _find(parent: dict, x: Hashable) -> Hashable:
+    """The root of ``x`` in the union-find forest ``parent``, whose roots
+    are their own parents; compresses the path from ``x``."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
 
 def compose_with_classes(
     outer_wd: WiringDiagram, inner_wds: Sequence[WiringDiagram]
-) -> tuple[WiringDiagram, dict[tuple, int]]:
+) -> tuple[WiringDiagram, tuple[dict[Cable, int], ...]]:
     """As :func:`compose`, also returning the cable quotient.
 
-    The second component maps every source cable, keyed ``("i", i, cable)``
-    for cables of ``inner_wds[i]`` and ``("o", cable)`` for cables of
-    ``outer_wd``, to its cable in the composite.
+    The second component holds one dict per source diagram, those of
+    ``inner_wds`` in order and then that of ``outer_wd``; each maps every
+    cable of its diagram to its cable in the composite.
     """
     inner_wds = tuple(inner_wds)
     if len(inner_wds) != outer_wd.arity:
@@ -240,34 +257,57 @@ def compose_with_classes(
                 f"expected {sorted(outer_wd.inner[i].wire_set)}"
             )
 
-    nodes = [("i", i, c) for i, wd in enumerate(inner_wds) for c in wd.cables]
-    nodes += [("o", c) for c in outer_wd.cables]
-    class_of = quotient(
-        nodes,
-        (
-            (("i", i, wd.outer_map[y]), ("o", outer_wd.inner_map[(i, y)]))
-            for i, wd in enumerate(inner_wds)
-            for y in wd.outer.wires
-        ),
-    )
+    # An inner cable is identified only with the outer cables its interface
+    # wires meet, so the union-find runs over the outer cables alone:
+    # ``links[i]`` sends each such cable of ``inner_wds[i]`` to one of them,
+    # and the others are joined to that one.
+    parent = {c: c for c in outer_wd.cables}
+    links: list[dict[Cable, Cable]] = []
+    for i, wd in enumerate(inner_wds):
+        link: dict[Cable, Cable] = {}
+        for y, c in wd.outer_map.items():
+            o = outer_wd.inner_map[i, y]
+            if c not in link:
+                link[c] = o
+            elif (ra := _find(parent, link[c])) != (rb := _find(parent, o)):
+                parent[rb] = ra
+        links.append(link)
+
+    # Number the classes in the order of each one's first source cable: the
+    # inner diagrams' cables in order, then the outer ones.  ``roots``
+    # numbers the classes that hold an outer cable.
+    roots: dict[Cable, int] = {}
+    classes: list[dict[Cable, int]] = []
+    count = 0
+    for wd, link in zip(inner_wds, links):
+        of: dict[Cable, int] = {}
+        for c in wd.cables:
+            of[c] = k = roots.setdefault(_find(parent, link[c]), count) if c in link else count
+            count += k == count  # k opened a class
+        classes.append(of)
+    outer_of: dict[Cable, int] = {}
+    for c in outer_wd.cables:
+        outer_of[c] = k = roots.setdefault(_find(parent, c), count)
+        count += k == count  # k opened a class
+    classes.append(outer_of)
 
     new_inner: list[Star] = []
     new_inner_map: dict[InnerWire, Cable] = {}
-    for i, wd in enumerate(inner_wds):
+    for wd, of in zip(inner_wds, classes):
         offset = len(new_inner)
         new_inner.extend(wd.inner)
         for (j, w), c in wd.inner_map.items():
-            new_inner_map[(offset + j, w)] = class_of[("i", i, c)]
-    # the quotient numbers classes 0, 1, ..., and every wire of the inner
-    # diagrams' inner stars and of the outer star is soldered to one
+            new_inner_map[offset + j, w] = of[c]
+    # every wire of the inner diagrams' inner stars and of the outer star
+    # is soldered to one of the classes 0, 1, ..., count - 1
     composite = WiringDiagram._trusted(
         inner=tuple(new_inner),
         outer=outer_wd.outer,
-        cables=tuple(range(len(set(class_of.values())))),
+        cables=tuple(range(count)),
         inner_map=new_inner_map,
-        outer_map={y: class_of[("o", outer_wd.outer_map[y])] for y in outer_wd.outer.wires},
+        outer_map={y: outer_of[outer_wd.outer_map[y]] for y in outer_wd.outer.wires},
     )
-    return composite, class_of
+    return composite, tuple(classes)
 
 
 def compose(outer_wd: WiringDiagram, inner_wds: Sequence[WiringDiagram]) -> WiringDiagram:
@@ -291,24 +331,23 @@ def canonicalize_with_renaming(
     ``floating_key``, when given, orders the floating cables; otherwise they
     keep their order in ``wd.cables``.
     """
-    points: dict[Cable, list[tuple[int, int, str]]] = {}
-    for (i, w), c in wd.inner_map.items():
-        points.setdefault(c, []).append((0, i, w))
-    for w, c in wd.outer_map.items():
-        points.setdefault(c, []).append((1, 0, w))
-    keys = {c: tuple(sorted(ps)) for c, ps in points.items()}
-    attached = sorted(keys, key=keys.__getitem__)
-    floating = [c for c in wd.cables if c not in keys]
+    # Two attached cables have disjoint wire sets, so their sorted wire
+    # lists already differ at their least wires: the cables come in the
+    # order of their least wire, inner ``(i, w)`` before outer ``w``.
+    inner_map, outer_map = wd.inner_map, wd.outer_map
+    attached = dict.fromkeys(map(inner_map.__getitem__, sorted(inner_map)))
+    attached.update(dict.fromkeys(map(outer_map.__getitem__, sorted(outer_map))))
+    floating = [c for c in wd.cables if c not in attached]
     if floating_key is not None:
         floating.sort(key=floating_key)
-    renamed = {c: k for k, c in enumerate(attached + floating, start=1)}
+    renamed = {c: k for k, c in enumerate([*attached, *floating], start=1)}
     # the same stars and solder maps as ``wd``, with its cables renamed
     canonical = WiringDiagram._trusted(
         inner=wd.inner,
         outer=wd.outer,
         cables=tuple(range(1, len(wd.cables) + 1)),
-        inner_map={k: renamed[c] for k, c in wd.inner_map.items()},
-        outer_map={w: renamed[c] for w, c in wd.outer_map.items()},
+        inner_map={k: renamed[c] for k, c in inner_map.items()},
+        outer_map={w: renamed[c] for w, c in outer_map.items()},
     )
     return canonical, renamed
 

@@ -185,17 +185,15 @@ def typed_compose(
         if twd.outer != star:
             raise InterfaceError(f"typing mismatch at interface star {i}")
 
-    composite, class_of = compose_with_classes(
+    composite, classes = compose_with_classes(
         outer_twd.diagram, [t.diagram for t in inner_twds]
     )
     # Any source cable in a class determines its domain: cables are only
     # identified through shared interface wires, which both sides type alike.
-    cable_types = {
-        class_of[("i", i, c)]: dom
-        for i, twd in enumerate(inner_twds)
-        for c, dom in twd.cable_types.items()
-    }
-    cable_types.update((class_of[("o", c)], dom) for c, dom in outer_twd.cable_types.items())
+    cable_types = {}
+    for twd, of in zip((*inner_twds, outer_twd), classes):
+        for c, dom in twd.cable_types.items():
+            cable_types[of[c]] = dom
     return TypedWiringDiagram(composite, cable_types)
 
 

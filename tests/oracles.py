@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
@@ -189,6 +189,107 @@ def relation_misfit(star: TypedStar, tuples: Iterable[Sequence]) -> str | None:
             if not any(v == member for member in domain.values):
                 return f"value {v!r} is outside domain {domain.name!r} of wire {w!r}"
     return None
+
+
+def star_misfit(wires: Iterable) -> str | None:
+    """The message ``Star(wires)`` must raise, or None when it must accept:
+    wire by wire, in order, each against the wires before it."""
+    wires = list(wires)
+    for k, w in enumerate(wires):
+        if not isinstance(w, str) or w == "":
+            return f"wire names must be nonempty strings, got {w!r}"
+        if w in wires[:k]:
+            return f"duplicate wire name {w!r}"
+    return None
+
+
+def diagram_misfit(
+    inner: Sequence[Star],
+    outer: Star,
+    cables: Iterable,
+    inner_map: Mapping,
+    outer_map: Mapping,
+) -> str | None:
+    """The message ``WiringDiagram(inner, outer, cables, inner_map,
+    outer_map)`` must raise, or None when it must accept: a repeated cable
+    first; then the inner solder entries in map order, the inner wires in
+    star order and the inner entries' cables in map order; then the same
+    three for the outer star; each by a linear scan of a list."""
+    cables = list(cables)
+    if any(c in cables[:k] for k, c in enumerate(cables)):
+        return "duplicate cable identifier"
+    wires = [(i, w) for i, star in enumerate(inner) for w in star.wires]
+    for key in inner_map:
+        if key not in wires:
+            return f"solder entry for unknown inner wire {key!r}"
+    for i, w in wires:
+        if (i, w) not in list(inner_map):
+            return f"inner wire {w!r} of star {i} is not soldered"
+    for key, cable in inner_map.items():
+        if cable not in cables:
+            return f"inner wire {key!r} soldered to unknown cable {cable!r}"
+    for w in outer_map:
+        if w not in outer.wires:
+            return f"solder entry for unknown outer wire {w!r}"
+    for w in outer.wires:
+        if w not in list(outer_map):
+            return f"outer wire {w!r} is not soldered"
+    for w, cable in outer_map.items():
+        if cable not in cables:
+            return f"outer wire {w!r} soldered to unknown cable {cable!r}"
+    return None
+
+
+def partition_misfit(star: Star, blocks: Iterable[Iterable[str]]) -> str | None:
+    """The message ``Partition(star, blocks)`` must raise, or None when it
+    must accept: the nonempty blocks each sorted, and then in the order of
+    their first wires, are read wire by wire, each wire against the ones
+    before it in its block and in the blocks before."""
+    blocks = sorted([sorted(b) for b in map(list, blocks) if b], key=lambda b: b[0])
+    seen = []
+    for block in blocks:
+        for k, w in enumerate(block):
+            if w not in star.wires:
+                return f"block wire {w!r} is not in the star"
+            if w in block[:k]:
+                return f"wire {w!r} appears twice in one block"
+            if w in seen:
+                return f"wire {w!r} appears in two blocks"
+            seen.append(w)
+    missing = [w for w in sorted(star.wires) if w not in seen]
+    if missing:
+        return f"wires {missing} are not covered by any block"
+    return None
+
+
+def canonicalize_by_wire_lists(
+    wd: WiringDiagram, floating_key: Callable | None = None
+) -> tuple[WiringDiagram, dict]:
+    """The canonical form of ``wd`` and its cable renaming, by the literal
+    definition: each attached cable is keyed by the sorted list of the
+    wires soldered to it, inner wires ``(0, i, w)`` before outer wires
+    ``(1, 0, w)``; the attached cables are numbered from 1 in the order of
+    their keys, and the floating ones after them, in the order of
+    ``wd.cables`` or, when given, of ``floating_key``."""
+    points: dict = {}
+    for (i, w), c in wd.inner_map.items():
+        points.setdefault(c, []).append((0, i, w))
+    for w, c in wd.outer_map.items():
+        points.setdefault(c, []).append((1, 0, w))
+    keys = {c: tuple(sorted(ps)) for c, ps in points.items()}
+    attached = sorted(keys, key=keys.__getitem__)
+    floating = [c for c in wd.cables if c not in keys]
+    if floating_key is not None:
+        floating.sort(key=floating_key)
+    renamed = {c: k for k, c in enumerate(attached + floating, start=1)}
+    canonical = WiringDiagram(
+        wd.inner,
+        wd.outer,
+        tuple(range(1, len(wd.cables) + 1)),
+        {k: renamed[c] for k, c in wd.inner_map.items()},
+        {w: renamed[c] for w, c in wd.outer_map.items()},
+    )
+    return canonical, renamed
 
 
 def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -101,6 +102,45 @@ def test_dot_subcommand(project, capsys):
     assert run_cli(["dot", str(project / "circuits.wd"), "copy"]) == 0
     assert capsys.readouterr().out.startswith("graph copy {")
     assert run_cli(["dot", str(project / "circuits.wd"), "notq"]) == 0
+
+
+@pytest.mark.parametrize(
+    "script, name, digest",
+    [
+        (
+            "factorial/factorial.wd",
+            "factstep",
+            "1cca079b9c06dafba82c2ff17b48cf94a36cc0fa986cd4e5de544fbf1aa03a03",
+        ),
+        (
+            "nand/circuits.wd",
+            "notgate",
+            "fdf8b70b654f418a1e90d5e307d7b24f6a44edba480bb6773d8826547a5e5513",
+        ),
+        (
+            "nand/circuits.wd",
+            "notq",
+            "071af320c6a7bdfe8b0fc1edaee3b91bed9565e88940a0aef4d19a7b952f8bd1",
+        ),
+        (
+            "nand/circuits.wd",
+            "andq",
+            "2623552a5d567c9e99d54eb994f33dcdc0e353d6eda1f1ff2468ac80ca71a1e4",
+        ),
+        (
+            "wiki/wiki.wd",
+            "shared_course",
+            "9650cb0eca59e699224f11c42e1370059f21c2dc6daaca53f894e4c477c16507",
+        ),
+    ],
+)
+def test_dot_of_every_fixture_diagram_and_query_is_pinned(
+    fixtures_dir, capsys, script, name, digest
+):
+    # dot canonicalizes, so these pin the canonical cable numbering
+    assert run_cli(["dot", str(fixtures_dir / script), name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unknown_name_is_user_error(project, capsys):

@@ -12,10 +12,12 @@ from wiring.laws import (
     check_prop_witnesses,
     check_pushout_oracle,
     gen_diagram,
+    gen_partition,
     gen_relation,
     gen_stack,
     gen_typed,
     run_all,
+    _typed_stack,
 )
 from wiring.stars import Star, WiringDiagram, compose, identity_diagram
 from wiring.typed import ValueDomain
@@ -51,17 +53,30 @@ class TestGenerators:
             GeneratorConfig(cases=-1)
 
 
-def _layout(stack):
-    """Every field of every diagram in ``stack``, as nested tuples."""
-    wd = stack.diagram
-    fields = (
+def _fields(wd):
+    """Every field of ``wd``, as nested tuples."""
+    return (
         tuple(s.wires for s in wd.inner),
         wd.outer.wires,
         wd.cables,
         tuple(sorted(wd.inner_map.items())),
         tuple(sorted(wd.outer_map.items())),
     )
-    return fields, tuple(_layout(f) for f in stack.fillers)
+
+
+def _layout(stack):
+    """Every field of every diagram in ``stack``, as nested tuples."""
+    return _fields(stack.diagram), tuple(_layout(f) for f in stack.fillers)
+
+
+def _typed_fields(twd):
+    """Every field of ``twd``, its cable domains included."""
+    types = sorted((c, d.name, d.values) for c, d in twd.cable_types.items())
+    return _fields(twd.diagram), tuple(types)
+
+
+def _digest(cases) -> str:
+    return hashlib.sha256(repr(cases).encode()).hexdigest()
 
 
 class TestGeneratorPin:
@@ -76,6 +91,38 @@ class TestGeneratorPin:
         ]
         digest = hashlib.sha256(repr(stacks).encode()).hexdigest()
         assert digest == "8952fd33ece41bccf3c7db0a8ab3360c73d33e52bf4309b3f00eac75da81a16f"
+
+    def test_seed_zero_rel_naturality_cases(self):
+        # the draws of check_algebra_naturality(cfg, "rel"), in its order
+        cfg = GeneratorConfig(seed=0)
+        rng = cfg.rng()
+        cases = []
+        for _ in range(cfg.cases):
+            top, fillers = _typed_stack(rng, cfg)
+            rels = [
+                [sorted(gen_relation(rng, tstar).tuples) for tstar in f.inner]
+                for f in fillers
+            ]
+            cases.append((_typed_fields(top), [_typed_fields(f) for f in fillers], rels))
+        assert _digest(cases) == (
+            "1386bfb034d3c63548e94ed0ebc85d6eaa8752a95f97e247c11827a671dac499"
+        )
+
+    def test_seed_zero_eq_naturality_cases(self):
+        # the draws of check_algebra_naturality(cfg, "eq"), in its order
+        cfg = GeneratorConfig(seed=0)
+        rng = cfg.rng()
+        cases = []
+        for _ in range(cfg.cases):
+            stack = gen_stack(rng, cfg, 2)
+            parts = [
+                [gen_partition(rng, s).blocks for s in f.diagram.inner]
+                for f in stack.fillers
+            ]
+            cases.append((_layout(stack), parts))
+        assert _digest(cases) == (
+            "d97b37f534087d39d8d1f0e8409883436813cc3f96ff2d96111d48a72ceefed7"
+        )
 
     def test_seed_zero_report(self):
         reports = run_all(GeneratorConfig(seed=0, cases=100))

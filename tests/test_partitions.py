@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connectivity_oracle, discrete, indiscrete, refines
-from strategies import diagrams, partitions as partition_strategy
+from oracles import connectivity_oracle, discrete, indiscrete, partition_misfit, refines
+from strategies import diagrams, partitions as partition_strategy, stars
 from wiring import partitions
 from wiring.errors import InterfaceError, ValidationError
 from wiring.laws import GeneratorConfig, check_algebra_naturality, gen_partition
@@ -30,6 +30,25 @@ class TestPartition:
     def test_unknown_wire_rejected(self):
         with pytest.raises(ValidationError, match="'z'"):
             Partition(Star(["a"]), [["a", "z"]])
+
+    def test_wire_repeated_in_one_block_is_named_so(self):
+        with pytest.raises(ValidationError) as err:
+            Partition(Star("ab"), [["a", "a", "b"]])
+        assert str(err.value) == "wire 'a' appears twice in one block"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_misfit_message_names_the_first_bad_wire(self, data):
+        star = data.draw(stars)
+        wire = st.sampled_from([*star.wires, "z"])
+        blocks = data.draw(st.lists(st.lists(wire, max_size=3), max_size=4))
+        expected = partition_misfit(star, blocks)
+        if expected is None:
+            assert Partition(star, blocks).star == star
+        else:
+            with pytest.raises(ValidationError) as err:
+                Partition(star, blocks)
+            assert str(err.value) == expected
 
     def test_refines(self):
         star = Star(["a", "b", "c"])

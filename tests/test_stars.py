@@ -5,19 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiring.errors import InterfaceError, ValidationError
-from wiring.laws import GeneratorConfig, check_operad_laws, compose_by_closure
+from wiring.laws import (
+    GeneratorConfig,
+    check_operad_laws,
+    compose_by_closure,
+    gen_diagram,
+    gen_stack,
+)
 from wiring.stars import (
     Star,
     WiringDiagram,
     canonicalize,
+    canonicalize_with_renaming,
     compose,
+    compose_with_classes,
     diagrams_equal,
     identity_diagram,
     quotient,
     reindex_inner,
 )
 
-from strategies import diagrams
+from oracles import canonicalize_by_wire_lists, diagram_misfit, star_misfit
+from strategies import diagrams, stars
 
 
 def chain_diagram(a, cable, b):
@@ -47,6 +56,17 @@ class TestStar:
     def test_equality_ignores_order(self):
         assert Star(["a", "b"]) == Star(["b", "a"])
         assert Star(["a"]) != Star(["b"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "", 0, ("a",), ["a"]]), max_size=5))
+    def test_misfit_message_names_the_first_bad_wire(self, wires):
+        expected = star_misfit(wires)
+        if expected is None:
+            assert Star(wires).wires == tuple(wires)
+        else:
+            with pytest.raises(ValidationError) as err:
+                Star(wires)
+            assert str(err.value) == expected
 
 
 class TestMakeDiagram:
@@ -97,6 +117,32 @@ class TestMakeDiagram:
                 inner_map={},
                 outer_map={},
             )
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_misfit_message_names_the_first_bad_entry(self, data):
+        # well-formed parts, then a few solder entries dropped, retargeted to
+        # a cable that is not there or added for a wire that is not there
+        inner = tuple(data.draw(st.lists(stars, max_size=3)))
+        outer = data.draw(stars)
+        pool = st.sampled_from([0, 1, 2, "x"])
+        cables = data.draw(st.lists(pool, min_size=1, max_size=4))
+        wires = [(i, w) for i, s in enumerate(inner) for w in s.wires]
+        inner_map = {k: data.draw(pool) for k in wires if data.draw(st.integers(0, 5))}
+        outer_map = {w: data.draw(pool) for w in outer.wires if data.draw(st.integers(0, 5))}
+        if data.draw(st.booleans()):
+            inner_map[data.draw(st.sampled_from([(0, "z"), (3, "a"), "a"]))] = 0
+        if data.draw(st.booleans()):
+            outer_map["z"] = 0
+        expected = diagram_misfit(inner, outer, cables, inner_map, outer_map)
+        if expected is None:
+            wd = WiringDiagram(inner, outer, cables, inner_map, outer_map)
+            assert (wd.inner_map, wd.outer_map) == (inner_map, outer_map)
+        else:
+            with pytest.raises(ValidationError) as err:
+                WiringDiagram(inner, outer, cables, inner_map, outer_map)
+            assert str(err.value) == expected
 
 
 class TestIdentity:
@@ -172,7 +218,72 @@ class TestCompose:
         assert diagrams_equal(fast, slow)
 
 
+def _fields(wd):
+    return wd.inner, wd.outer, wd.cables, wd.inner_map, wd.outer_map
+
+
+def _renamed(wd, name):
+    """``wd`` with each cable ``c`` renamed ``name(c)``."""
+    return WiringDiagram(
+        wd.inner,
+        wd.outer,
+        tuple(map(name, wd.cables)),
+        {k: name(c) for k, c in wd.inner_map.items()},
+        {w: name(c) for w, c in wd.outer_map.items()},
+    )
+
+
+class TestComposeOracle:
+    def test_seeded_stacks_compose_as_the_closure_on_the_nose(self):
+        checked = 0
+        for seed in range(20):
+            cfg = GeneratorConfig(seed=seed)
+            rng = cfg.rng()
+            for _ in range(100):
+                stack = gen_stack(rng, cfg, 2)
+                fillers = [f.diagram for f in stack.fillers]
+                fast = compose(stack.diagram, fillers)
+                slow = compose_by_closure(stack.diagram, fillers)
+                assert _fields(fast) == _fields(slow)
+                checked += 1
+        assert checked == 2000
+
+    def test_cables_that_look_like_tags_compose_alike(self):
+        # cables are arbitrary hashables: None, and tuples shaped like the
+        # tagged keys of a quotient over every source cable, are cables too
+        cfg = GeneratorConfig(seed=3)
+        rng = cfg.rng()
+        for _ in range(200):
+            stack = gen_stack(rng, cfg, 2)
+            fillers = [f.diagram for f in stack.fillers]
+            outer = _renamed(stack.diagram, lambda c: None if c == 0 else ("o", c))
+            inners = [
+                _renamed(f, lambda c, i=i: ("i", i, c) if c else ("o", c))
+                for i, f in enumerate(fillers)
+            ]
+            plain, plain_classes = compose_with_classes(stack.diagram, fillers)
+            tagged, tagged_classes = compose_with_classes(outer, inners)
+            assert _fields(tagged) == _fields(plain)
+            assert [list(d.values()) for d in tagged_classes] == [
+                list(d.values()) for d in plain_classes
+            ]
+
+
 class TestCanonicalize:
+    def test_equals_the_wire_list_definition_on_the_nose(self):
+        # floating cables included; cable names that sort unlike the
+        # canonical order, so nothing is left in place by accident
+        for seed in range(10):
+            cfg = GeneratorConfig(seed=seed)
+            rng = cfg.rng()
+            for _ in range(100):
+                wd = _renamed(gen_diagram(rng, cfg), lambda c: f"c{9 - c}")
+                fast, fast_renamed = canonicalize_with_renaming(wd)
+                slow, slow_renamed = canonicalize_by_wire_lists(wd)
+                assert _fields(fast) == _fields(slow)
+                assert fast_renamed == slow_renamed
+                assert _fields(canonicalize(wd)) == _fields(slow)
+
     @settings(max_examples=60, deadline=None)
     @given(diagrams())
     def test_idempotent(self, wd):

@@ -3,12 +3,27 @@ import random
 import pytest
 
 from wiring.errors import InterfaceError, TypeMismatchError, ValidationError
-from wiring.laws import GeneratorConfig, gen_diagram
-from wiring.stars import Star, WiringDiagram, compose, diagrams_equal, identity_diagram
+from oracles import canonicalize_by_wire_lists
+from wiring.laws import (
+    GeneratorConfig,
+    _typed_stack,
+    compose_by_closure,
+    gen_diagram,
+    gen_typed,
+)
+from wiring.stars import (
+    Star,
+    WiringDiagram,
+    compose,
+    compose_with_classes,
+    diagrams_equal,
+    identity_diagram,
+)
 from wiring.typed import (
     TypedStar,
     TypedWiringDiagram,
     ValueDomain,
+    canonicalize_typed,
     lift_uniform,
     typed_compose,
     typed_diagrams_equal,
@@ -176,6 +191,78 @@ class TestTypedCompose:
         )
         with pytest.raises(InterfaceError, match="interface star 0"):
             typed_compose(outer, [inner])
+
+
+def _fields(wd):
+    return wd.inner, wd.outer, wd.cables, wd.inner_map, wd.outer_map
+
+
+def _with_markers(wd, on_outer):
+    """``wd`` with one more wire ``m<k>`` soldered to its k-th cable, on the
+    outer star or on one more inner star.  Neither is an interface wire,
+    so the cables are identified in a composite as before, and each marker
+    shows where its cable went."""
+    names = [f"m{k}" for k in range(len(wd.cables))]
+    markers = dict(zip(names, wd.cables))
+    if on_outer:
+        outer = Star(wd.outer.wires + tuple(names))
+        return WiringDiagram(wd.inner, outer, wd.cables, wd.inner_map, {**wd.outer_map, **markers})
+    inner_map = {**wd.inner_map, **{(wd.arity, m): c for m, c in markers.items()}}
+    return WiringDiagram(wd.inner + (Star(names),), wd.outer, wd.cables, inner_map, wd.outer_map)
+
+
+class TestTypedComposeOracle:
+    def test_cable_types_are_read_off_the_closure_numbering(self):
+        for seed in range(10):
+            cfg = GeneratorConfig(seed=seed)
+            rng = cfg.rng()
+            for _ in range(50):
+                top, fillers = _typed_stack(rng, cfg)
+                composite = typed_compose(top, fillers)
+                plain = [f.diagram for f in fillers]
+                closure = compose_by_closure(top.diagram, plain)
+                assert _fields(composite.diagram) == _fields(closure)
+
+                # the closure of the marked diagrams numbers its cables
+                # alike, and its markers give each source cable's number
+                marked = compose_by_closure(
+                    _with_markers(top.diagram, True),
+                    [_with_markers(f, False) for f in plain],
+                )
+                assert marked.cables == closure.cables
+                numbering, offset = [], 0
+                for f in plain:
+                    offset += f.arity + 1
+                    numbering.append(
+                        [marked.inner_map[offset - 1, f"m{k}"] for k in range(len(f.cables))]
+                    )
+                numbering.append(
+                    [marked.outer_map[f"m{k}"] for k in range(len(top.diagram.cables))]
+                )
+                expected = {}
+                for twd, numbers in zip((*fillers, top), numbering):
+                    for number, c in zip(numbers, twd.diagram.cables):
+                        expected[number] = twd.cable_types[c]
+                assert composite.cable_types == expected
+                _, classes = compose_with_classes(top.diagram, plain)
+                assert [list(of.values()) for of in classes] == numbering
+
+
+class TestTypedCanonicalize:
+    def test_equals_the_wire_list_definition_on_the_nose(self):
+        # floating cables, ordered by domain, included
+        for seed in range(10):
+            cfg = GeneratorConfig(seed=seed)
+            rng = cfg.rng()
+            for _ in range(100):
+                twd = gen_typed(rng, cfg)
+                types = twd.cable_types
+                fast = canonicalize_typed(twd)
+                slow, renamed = canonicalize_by_wire_lists(
+                    twd.diagram, lambda c: (types[c].name, str(types[c].values))
+                )
+                assert _fields(fast.diagram) == _fields(slow)
+                assert fast.cable_types == {renamed[c]: d for c, d in types.items()}
 
 
 class TestTypedCanonicalEquality:
