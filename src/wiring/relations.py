@@ -11,10 +11,12 @@ executors that :func:`plan_join` chooses from the shape of the diagram.
 When GYO ear removal empties the hypergraph whose edges are the stars'
 cable sets, the diagram is acyclic and gets binary joins: the smallest
 relation first, then always the smallest relation that shares a cable with
-those already joined, so a cross product happens only between disconnected
-parts of the diagram.  Partial results are tuples with one slot per cable
-still needed; each step indexes whichever side is smaller, the partial
-tuples or the relation's tuples, on the shared cables.
+those already joined, ties going to the lower star index, so a cross
+product happens only between disconnected parts of the diagram.  Partial
+results are tuples with one slot per cable still needed; each step drops
+the relation's tuples that give one cable two values, indexes whichever
+side is smaller, the partial tuples or the relation's tuples, on the
+shared cables, and probes the index with the other side.
 
 On a cyclic diagram every binary plan can build intermediate results far
 larger than the answer: a triangle query joins all 2-paths before it
@@ -23,15 +25,16 @@ stays within the largest output that inputs of the given sizes can have
 (Ngo, Porat, Re and Rudra, "Worst-case optimal join algorithms", PODS
 2012; Veldhuizen, "Leapfrog Triejoin", ICDT 2014).  It binds one cable
 at a time: first the cable that touches the most stars, then always one
-that shares a star with a bound cable.  Each cable's values are the
-intersection of the input tries' key sets at that cable.  A breadth-first
-frontier of partial results runs up to the second-last cable.  The last
-two cables are bound depth-first from each frontier entry: one
-intersection per entry for the last cable's nodes that the second-last
-value does not move, then one per second-last value, whose answers go
-straight into the output.  Either way the partial results keep only the
-cables still needed: a cable is dropped once neither the output nor a
-relation not yet fully joined reads it.
+that shares a star with a bound cable, ties going to the cable whose
+smallest relation is smallest, then to the one met first in star order.
+Each cable's values are the intersection of the input tries' key sets at
+that cable.  A breadth-first frontier of partial results runs up to the
+second-last cable.  The last two cables are bound depth-first from each
+frontier entry: one intersection per entry for the last cable's nodes
+that the second-last value does not move, then one per second-last
+value, whose answers go straight into the output.  Either way the partial
+results keep only the cables still needed: a cable is dropped once
+neither the output nor a relation not yet fully joined reads it.
 
 The generic join's tries are built once per relation and per key (the
 trie's level positions and the positions one cable must give equal
@@ -41,13 +44,25 @@ is immutable, so its tries cannot go stale.  They cost about 70-100 bytes
 per two-column tuple, and a relation used under k level orders keeps k
 tries.
 
-Each answer tuple is built once.  The joins leave one slot per output
-cable; when the outer wires read those slots in order and no cable is
-free, the tuples become the outer relation as they are, and they are
-re-picked only when the output order needs it.  Outer cables that no
-inner wire touches are filled in last with every value of their domain,
-and the size of that expansion is checked against ``ENUMERATION_LIMIT``
-first.
+Each joined tuple is built once.  A binary step's loop is a set
+comprehension that names each kept slot outright, as in ``{(p[0], p[1],
+t[1]) for t in hits for p in index[key(t)]}`` for partial tuples ``p``
+and relation tuples ``t``.  It is generated with ``eval`` once per kept
+positions, partial width and side (a cross product, rows probing an index
+of the partials, or partials probing an index of the rows) and cached.
+The generated source holds one of three fixed templates and the plan's
+``int`` positions, and nothing else: any other position is refused
+before ``eval``, and no name, value or text from a script or a CSV file
+reaches it.  A first step that keeps its relation's wires in order, with
+no cable on two of them, hands the relation's tuples on as they are.
+
+The joins leave one slot per output cable; when the outer wires read
+those slots in order and no cable is free, the tuples become the outer
+relation as they are, and they are re-picked only when the output order
+needs it.  Outer cables that no inner wire touches are filled in last
+with every value of their domain, by the cross-product loop.  Before a
+keyless binary step after the first, or that expansion, builds anything,
+its exact size is checked against ``ENUMERATION_LIMIT``.
 
 :func:`evaluate_naive` transcribes the definition literally, enumerating
 every cable assignment, and serves as the oracle the fast path must agree
@@ -57,7 +72,7 @@ with.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, product
 from operator import and_, itemgetter
 from typing import (
@@ -266,22 +281,11 @@ class JoinStep(NamedTuple):
 class JoinPlan(NamedTuple):
     """How :func:`evaluate` joins the inputs of one typed diagram.
 
-    ``executor`` is ``"binary"`` when GYO ear removal shows the diagram's
-    star-cable hypergraph acyclic, and ``"generic"`` otherwise, because on
-    a cyclic diagram every binary plan can build partial results far
-    larger than the answer and the generic join cannot (Ngo, Porat, Re and
-    Rudra, PODS 2012; Veldhuizen, ICDT 2014).
-
-    A binary plan runs ``steps`` in order, starting from the one empty
-    partial tuple; each step keeps only the cables that a later step or
-    the output needs, and ``cable_order`` is empty.  A generic plan has
-    no steps: it binds the cables in ``cable_order``, which starts with
-    the cable that touches the most stars and then always takes one that
-    shares a star with a bound cable.  It runs breadth-first up to the
-    second-last cable and binds the last two depth-first.  A bound cable
-    is dropped once it is not an output cable and no partly bound
-    relation touches it, so its answers hold the output cables in that
-    order.
+    ``executor`` is ``"binary"`` when GYO ear removal shows the diagram
+    acyclic, and ``"generic"`` otherwise.  A binary plan runs ``steps`` in
+    order, starting from the one empty partial tuple, and has no
+    ``cable_order``.  A generic plan has no steps: it binds the cables in
+    ``cable_order``, and its answers hold the output cables in that order.
 
     ``free`` lists the outer cables that no inner wire touches; the output
     tuple is ``partial + combo`` read at ``output``, where ``combo`` is one
@@ -297,28 +301,10 @@ class JoinPlan(NamedTuple):
 
 
 def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
-    """The join plan for inputs of the given sizes.
-
-    The executor follows from the GYO ear-removal test on the stars' cable
-    sets.  A cyclic diagram gets the generic join, since there every
-    binary plan can build partial results far larger than the answer
-    (Ngo, Porat, Re and Rudra, PODS 2012; Veldhuizen, ICDT 2014).
-
-    An acyclic diagram gets binary steps.  The first step takes the
-    smallest relation.  Each next step takes the smallest relation that
-    shares a cable with the steps before it, and falls back to the
-    smallest remaining one only when none does: then the diagram is
-    disconnected and the step is a cross product.  Ties go to the lower
-    star index.  Each step keeps the cables a later step or the output
-    needs.
-
-    The generic join's cable order starts with the cable that touches the
-    most stars, ties going to the one whose smallest relation is
-    smallest, then to the one met first in star order.  Each next cable is the best by
-    the same rule among those that share a star with a bound cable, or
-    among all when none does.  A bound cable is dropped once it is not an
-    output cable and no partly bound relation touches it.
-    """
+    """The join plan for inputs of the given sizes: binary steps for an
+    acyclic diagram, a generic cable order for a cyclic one, each chosen
+    as the module docstring says.  A binary step keeps the cables a later
+    step or the output needs."""
     wd = twd.diagram
     inner_map, outer_map = wd.inner_map, wd.outer_map
     star_cables = [
@@ -435,30 +421,10 @@ def _cable_order(
 def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Feed ``rels`` through ``twd`` and collect the outer relation.
 
-    Runs the :func:`plan_join` plan.  An acyclic diagram is joined by
-    binary steps over positional tuples: smallest relation first, then
-    always the smallest one sharing a cable with those joined.  Each step
-    drops the relation's tuples that give one cable two values, indexes
-    the smaller side, partial tuples or rows, on the shared cables, probes
-    the index with the larger, and keeps the cables still needed.
-
-    A cyclic diagram, where binary steps can build partial results far
-    larger than the answer, is joined by the generic join (Ngo, Porat, Re
-    and Rudra, PODS 2012; Veldhuizen, ICDT 2014): it binds one cable at a
-    time, from the cable touching the most stars on through cables that
-    share a star with a bound one, and drops a bound cable once neither
-    the output nor a partly bound relation reads it.  A breadth-first
-    frontier runs up to the second-last cable, and the last two are bound
-    depth-first, with one intersection per frontier entry and one per
-    second-last value (see :func:`_generic_join`).
-
-    Either way each partial tuple is built once.  With no free cables it
-    is an output tuple, taken as it is when the outer wires read its
-    slots in order and re-picked only when they do not.  Otherwise the
-    partial tuples are extended over the free cables, after checking that
-    the expansion stays within ``ENUMERATION_LIMIT`` tuples; above it,
-    :class:`EnumerationLimitError` is raised.  Agrees with
-    :func:`evaluate_naive` everywhere.
+    Runs the :func:`plan_join` plan.  Raises :class:`EnumerationLimitError`
+    when a keyless binary step after the first, or the expansion over the
+    free cables, would build more than ``ENUMERATION_LIMIT`` tuples.
+    Agrees with :func:`evaluate_naive` wherever neither refuses.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -469,20 +435,24 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     if plan.executor == "generic":
         partials: Collection[tuple] = _generic_join(twd, rels, plan.cable_order)
     else:
-        partials = {()}
+        partials, width = {()}, 0
         for step in plan.steps:
-            rows = rels[step.star].aligned_tuples(twd.inner[step.star].wires)
-            partials = _join_step(partials, rows, step)
+            wires = twd.inner[step.star].wires
+            rows = rels[step.star].aligned_tuples(wires)
+            if width or step.equal_pairs or step.keep != tuple(range(len(wires))):
+                partials = _join_step(partials, width, rows, step)
+            else:  # the partials are {()}, and the step keeps each row whole
+                partials = rows
             if not partials:
                 break
+            width = len(step.cables)
     if not partials:
         return Relation.empty(twd.outer)
 
-    pick = _getter(plan.output)
     if not plan.free:
         if plan.output == tuple(range(len(plan.output))):
             return Relation._trusted(twd.outer, frozenset(partials))
-        return Relation._trusted(twd.outer, frozenset(map(pick, partials)))
+        return Relation._trusted(twd.outer, frozenset(map(_getter(plan.output), partials)))
     domains = [twd.cable_types[c].values for c in plan.free]
     size = len(partials) * math.prod(len(values) for values in domains)
     if size > ENUMERATION_LIMIT:
@@ -490,36 +460,65 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
             f"expanding {len(partials)} partial tuples over {len(plan.free)} free "
             f"cables gives {size} tuples, bound is {ENUMERATION_LIMIT}"
         )
-    combos = list(product(*domains))
-    return Relation._trusted(
-        twd.outer, frozenset(pick(p + combo) for p in partials for combo in combos)
-    )
+    # The output reads every slot of a partial tuple and every free cable.
+    width = len(set(plan.output)) - len(plan.free)
+    expand = _step_loop(plan.output, width, "cross")
+    return Relation._trusted(twd.outer, frozenset(expand(partials, list(product(*domains)))))
 
 
 def _join_step(
-    partials: set[tuple], tuples: frozenset[tuple], step: JoinStep
+    partials: Collection[tuple], width: int, tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
-    """The partial tuples after joining ``tuples`` as ``step`` says.
+    """The partial tuples, ``width`` slots each, after joining ``tuples``
+    as ``step`` says.
 
     The smaller side, partials or rows, is indexed on the key cables, and
     the larger side is filtered against the index in C (``compress`` over
-    its membership tests) before Python visits a row; a step with no key
-    is a cross product.
+    its membership tests) before Python visits a row.  A step with no key
+    is a cross product; after the first step (``width`` > 0) its size is
+    checked against ``ENUMERATION_LIMIT`` before it builds anything.
     """
     rows = _agreeing(tuples, step.equal_pairs)
-    pick = _getter(step.keep)
     if not step.key_slots:
-        return {pick(p + t) for p in partials for t in rows}
+        size = len(partials) * len(rows)
+        if width and size > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"the cross product of {len(partials)} partial tuples and "
+                f"{len(rows)} tuples gives {size} tuples, bound is {ENUMERATION_LIMIT}"
+            )
+        return _step_loop(step.keep, width, "cross")(partials, rows)
     # One itemgetter per side: the entry itself on one key cable, a tuple on
     # more, so a one-cable step builds no 1-tuple key per row.
     partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
     if len(partials) <= len(rows):
         index = _group(partials, partial_key)
         hits = compress(rows, map(index.__contains__, map(row_key, rows)))
-        return {pick(p + t) for t in hits for p in index[row_key(t)]}
+        return _step_loop(step.keep, width, "probe rows")(index, hits, row_key)
     index = _group(rows, row_key)
     hits = compress(partials, map(index.__contains__, map(partial_key, partials)))
-    return {pick(p + t) for p in hits for t in index[partial_key(p)]}
+    return _step_loop(step.keep, width, "probe partials")(index, hits, partial_key)
+
+
+# The loops of a binary step, as set comprehensions over a partial tuple
+# ``p`` and a relation tuple ``t``; ``{}`` is the joined tuple.
+_LOOPS = {
+    "cross": "lambda partials, rows: {{{} for p in partials for t in rows}}",
+    "probe rows": "lambda index, hits, key: {{{} for t in hits for p in index[key(t)]}}",
+    "probe partials": "lambda index, hits, key: {{{} for p in hits for t in index[key(p)]}}",
+}
+
+
+@lru_cache(maxsize=256)
+def _step_loop(keep: tuple[int, ...], width: int, side: str) -> Callable[..., set[tuple]]:
+    """The ``side`` loop of ``_LOOPS`` that builds each joined tuple once,
+    as ``(p + t)`` read at ``keep`` for partials of ``width`` slots.
+
+    The generated source holds one fixed template and the ``int``
+    positions; anything else is refused before ``eval``."""
+    if not all(type(k) is int for k in (*keep, width)):
+        raise TypeError(f"loop positions must be ints, got {keep!r} and {width!r}")
+    slots = "".join(f"p[{k}], " if k < width else f"t[{k - width}], " for k in keep)
+    return eval(_LOOPS[side].format(f"({slots})"), {"__builtins__": {}})
 
 
 def _generic_join(

@@ -260,6 +260,23 @@ def test_fixpoint_refuses_huge_free_cable_expansion(tmp_path, capsys):
     assert "error:" in err and "bound is 10000000" in err
 
 
+def test_query_refuses_a_keyless_step_above_the_bound(tmp_path, capsys, monkeypatch):
+    # the two aliases share no cable: their step is a 200 x 200 cross product
+    monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+    (tmp_path / "r.wd").write_text(
+        'type N = range 0..3999;\nstar R(x:N);\nrel r : R from "r.csv";\n'
+    )
+    (tmp_path / "r.csv").write_text("x\n" + "".join(f"{k}\n" for k in range(200)))
+    argv = ["query", str(tmp_path / "r.wd"), "SELECT a.x, b.x FROM r a, r b"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the cross product of 200 partial tuples and 200 tuples gives "
+        "40000 tuples, bound is 1000"
+    ]
+
+
 REORDERED_STAR_SCRIPT = """
 type N = range 0..2;
 type T = {x, y};

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import compress, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from wiring.laws import (
     gen_relation,
     gen_typed,
 )
-from wiring.relations import Relation, evaluate, evaluate_naive, plan_join, union
+from wiring.relations import (
+    Relation,
+    _step_loop,
+    evaluate,
+    evaluate_naive,
+    plan_join,
+    union,
+)
 from wiring.stars import Star, WiringDiagram, identity_diagram
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain, lift_uniform
 
@@ -484,15 +492,15 @@ def _random_instance(rng):
 def test_plan_matches_naive_on_seeded_instances(monkeypatch):
     import wiring.relations as relations_mod
 
-    indexed = set()
-    group = relations_mod._group
+    loops = set()
+    step_loop = relations_mod._step_loop
 
-    def spy(items, key):
-        indexed.add("partials" if isinstance(items, set) else "rows")
-        return group(items, key)
+    def spy(keep, width, side):
+        loops.add(side)
+        return step_loop(keep, width, side)
 
-    monkeypatch.setattr(relations_mod, "_group", spy)
-    seen = {"cross": 0, "equal": 0, "free": 0, "emptied": 0}
+    monkeypatch.setattr(relations_mod, "_step_loop", spy)
+    seen = {"cross": 0, "equal": 0, "free": 0, "emptied": 0, "pass-through": 0}
     rng = random.Random(71)
     for _ in range(300):
         twd, rels = _random_instance(rng)
@@ -503,7 +511,12 @@ def test_plan_matches_naive_on_seeded_instances(monkeypatch):
         seen["equal"] += any(s.equal_pairs for s in plan.steps)
         seen["free"] += bool(plan.free)
         seen["emptied"] += got.is_empty and all(rels)
-    assert indexed == {"partials", "rows"}
+        if plan.steps:
+            first = plan.steps[0]
+            wires = twd.inner[first.star].wires
+            whole = first.keep == tuple(range(len(wires))) and not first.equal_pairs
+            seen["pass-through"] += whole and not got.is_empty
+    assert loops == {"cross", "probe rows", "probe partials"}
     assert all(seen.values()), seen
 
     # A path whose first join is empty: the partials empty in mid-plan.
@@ -574,6 +587,58 @@ class TestFreeCableBound:
         assert len(evaluate(twd, [Relation(u, [(1,), (2,)])])) == 20
         with pytest.raises(EnumerationLimitError):
             evaluate(twd, [Relation(u, [(1,), (2,), (3,)])])
+
+
+class TestCrossProductBound:
+    def _pairs(self, monkeypatch, limit, n):
+        import wiring.relations as relations_mod
+
+        monkeypatch.setattr(relations_mod, "ENUMERATION_LIMIT", limit)
+        dom = ValueDomain.int_range("N", 0, n - 1)
+        twd, (u, v) = _wired(dom, [("a",), ("b",)], ("a", "b"))
+        rels = [Relation(u, [(k,) for k in range(n)]), Relation(v, [(k,) for k in range(n)])]
+        return twd, rels
+
+    def test_keyless_step_above_the_bound_is_refused(self, monkeypatch):
+        twd, rels = self._pairs(monkeypatch, 1000, 40)
+        assert not plan_join(twd, [40, 40]).steps[1].key_slots
+        with pytest.raises(EnumerationLimitError) as info:
+            evaluate(twd, rels)
+        assert "40 partial tuples and 40 tuples" in str(info.value)
+        assert "gives 1600 tuples, bound is 1000" in str(info.value)
+
+    def test_keyless_step_at_the_bound_runs(self, monkeypatch):
+        twd, rels = self._pairs(monkeypatch, 1600, 40)
+        assert len(evaluate(twd, rels)) == 1600
+
+    def test_first_step_is_not_counted(self, monkeypatch):
+        # the first step only reads its relation, however large
+        _twd, rels = self._pairs(monkeypatch, 5, 40)
+        proj, _stars = _wired(ValueDomain.int_range("N", 0, 39), [("a",)], ())
+        assert evaluate(proj, rels[:1]).tuples == {()}
+
+
+class TestStepLoop:
+    def test_loop_builds_each_kept_slot(self):
+        cross = _step_loop((2, 0, 1), 1, "cross")
+        assert cross({(1,), (2,)}, [("x", "y")]) == {("y", 1, "x"), ("y", 2, "x")}
+        probe = _step_loop((0,), 1, "probe rows")
+        assert probe({7: [(1,), (2,)]}, [(7, 0)], itemgetter(0)) == {(1,), (2,)}
+        assert _step_loop((), 2, "cross")({(1, 2)}, [()]) == {()}
+
+    @pytest.mark.parametrize(
+        "keep, width",
+        [((0, "1"), 1), (("__import__('os')",), 0), ((0,), 1.0), ((True,), 0), ((0,), "1")],
+    )
+    def test_guard_refuses_positions_that_are_not_ints(self, keep, width):
+        # 1.0 and True hash as 1: a cached loop for the int would answer
+        _step_loop.cache_clear()
+        with pytest.raises(TypeError, match="ints"):
+            _step_loop(keep, width, "cross")
+
+    def test_cache_is_bounded_and_shared(self):
+        assert _step_loop.cache_info().maxsize == 256
+        assert _step_loop((1, 0), 1, "probe partials") is _step_loop((1, 0), 1, "probe partials")
 
 
 def _wired(dom, stars, outer):
