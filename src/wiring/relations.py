@@ -20,21 +20,24 @@ shared cables, and probes the index with the other side.
 
 On a cyclic diagram every binary plan can build intermediate results far
 larger than the answer: a triangle query joins all 2-paths before it
-closes a single cycle.  Such a diagram gets the generic join, whose work
-stays within the largest output that inputs of the given sizes can have
-(Ngo, Porat, Re and Rudra, "Worst-case optimal join algorithms", PODS
-2012; Veldhuizen, "Leapfrog Triejoin", ICDT 2014).  It binds one cable
-at a time: first the cable that touches the most stars, then always one
-that shares a star with a bound cable, ties going to the cable whose
-smallest relation is smallest, then to the one met first in star order.
-Each cable's values are the intersection of the input tries' key sets at
-that cable.  A breadth-first frontier of partial results runs up to the
-second-last cable.  The last two cables are bound depth-first from each
-frontier entry: one intersection per entry for the last cable's nodes
-that the second-last value does not move, then one per second-last
-value, whose answers go straight into the output.  Either way the partial
-results keep only the cables still needed: a cable is dropped once
-neither the output nor a relation not yet fully joined reads it.
+closes a single cycle.  Such a diagram gets the generic join (Ngo, Porat,
+Re and Rudra, "Worst-case optimal join algorithms", PODS 2012; Veldhuizen,
+"Leapfrog Triejoin", ICDT 2014).  It binds one cable at a time: first the
+cable that touches the most stars, then always one that shares a star with
+a bound cable, ties going to the cable whose smallest relation is
+smallest, then to the one met first in star order.  Each input is a hash
+trie with one level per cable it touches, in that order, and the join is
+one set comprehension with a loop per cable.  A cable's values are the
+intersection of the nodes that the tries touching it have reached,
+smallest first when there are three or more, and each of those tries steps
+one level down once per value, as in ``{(v0, v1, v2) for v0 in n0_0 & n2_0
+for n0_1 in [n0_0.mapping[v0]] for n2_2 in [n2_0.mapping[v0]] for v1 in
+n0_1 & n1_1 ...}`` for a triangle.  When the last cable is not an output,
+its loop is an ``if`` on the intersection.  The work stays within the
+largest output that inputs of the given sizes can have for the full join,
+over every cable (the AGM bound); it does not merge partial assignments
+that differ only on cables the rest of the join no longer reads, so such a
+cable still multiplies the work by its values.
 
 The generic join's tries are built once per relation and per key (the
 trie's level positions and the positions one cable must give equal
@@ -47,14 +50,18 @@ tries.
 Each joined tuple is built once.  A binary step's loop is a set
 comprehension that names each kept slot outright, as in ``{(p[0], p[1],
 t[1]) for t in hits for p in index[key(t)]}`` for partial tuples ``p``
-and relation tuples ``t``.  It is generated with ``eval`` once per kept
-positions, partial width and side (a cross product, rows probing an index
-of the partials, or partials probing an index of the rows) and cached.
-The generated source holds one of three fixed templates and the plan's
-``int`` positions, and nothing else: any other position is refused
-before ``eval``, and no name, value or text from a script or a CSV file
-reaches it.  A first step that keeps its relation's wires in order, with
-no cable on two of them, hands the relation's tuples on as they are.
+and relation tuples ``t``.  Both kinds of loop are generated with
+``eval`` once per shape and cached: a binary step's per kept positions,
+partial width and side (a cross product, rows probing an index of the
+partials, or partials probing an index of the rows), the generic join's
+per trie levels and output cables, given as ranks in the cable order, so
+that diagrams differing only in cable names share one loop.  One helper
+evaluates both: the source holds fixed text and the shape's ``int``s,
+and nothing else, any other value is refused before ``eval``, and the
+code runs without builtins.  No name, value or text from a script or a
+CSV file reaches it.  A first step that keeps its relation's wires in
+order, with no cable on two of them, hands the relation's tuples on as
+they are.
 
 The joins leave one slot per output cable; when the outer wires read
 those slots in order and no cable is free, the tuples become the outer
@@ -508,150 +515,97 @@ _LOOPS = {
 }
 
 
+def _generated(ints: Sequence, write: Callable[[], str]) -> Callable[..., set[tuple]]:
+    """The lambda whose source ``write()`` returns, evaluated without
+    builtins.  The source is fixed text and ``ints``; unless each of them
+    is an ``int``, this raises :class:`TypeError` before ``write`` runs."""
+    if not all(type(k) is int for k in ints):
+        raise TypeError(f"loop positions must be ints, got {tuple(ints)!r}")
+    return eval(write(), {"__builtins__": {}})
+
+
 @lru_cache(maxsize=256)
 def _step_loop(keep: tuple[int, ...], width: int, side: str) -> Callable[..., set[tuple]]:
     """The ``side`` loop of ``_LOOPS`` that builds each joined tuple once,
-    as ``(p + t)`` read at ``keep`` for partials of ``width`` slots.
+    as ``(p + t)`` read at ``keep`` for partials of ``width`` slots."""
 
-    The generated source holds one fixed template and the ``int``
-    positions; anything else is refused before ``eval``."""
-    if not all(type(k) is int for k in (*keep, width)):
-        raise TypeError(f"loop positions must be ints, got {keep!r} and {width!r}")
-    slots = "".join(f"p[{k}], " if k < width else f"t[{k - width}], " for k in keep)
-    return eval(_LOOPS[side].format(f"({slots})"), {"__builtins__": {}})
+    def write() -> str:
+        slots = "".join(f"p[{k}], " if k < width else f"t[{k - width}], " for k in keep)
+        return _LOOPS[side].format(f"({slots})")
+
+    return _generated((*keep, width), write)
+
+
+# The seeded law suites draw a new shape for almost every generic join,
+# about 1,000 in 1,100 calls, so a larger cache would buy few hits for
+# about 2 kB a loop; the benchmark's queries share a handful.
+@lru_cache(maxsize=64)
+def _join_loop(
+    levels: tuple[tuple[int, ...], ...], outputs: tuple[int, ...]
+) -> Callable[..., set[tuple]]:
+    """The generic join as one set comprehension over the roots of tries
+    whose levels lie at the cable ranks ``levels``, one tuple per trie.
+    Its answers hold the cables at the ranks ``outputs``, in rank order.
+    It is called with :func:`_meet` and then the roots."""
+
+    def write() -> str:
+        node = {t: f"n{t}_{own[0]}" for t, own in enumerate(levels)}
+        roots = ", ".join(["meet", *node.values()])
+        last = max(map(max, levels))
+        loops = []
+        for k in range(last + 1):
+            touching = [t for t, own in enumerate(levels) if k in own]
+            nodes = [node[t] for t in touching]
+            meet = " & ".join(nodes) if len(nodes) < 3 else f"meet({', '.join(nodes)})"
+            if k == last and k not in outputs:
+                loops.append(f"if {meet}")
+                break
+            loops.append(f"for v{k} in {meet}")
+            for t in touching:
+                own = levels[t]
+                if k != own[-1]:
+                    below = f"n{t}_{own[own.index(k) + 1]}"
+                    loops.append(f"for {below} in [{node[t]}.mapping[v{k}]]")
+                    node[t] = below
+        answer = "".join([f"v{k}, " for k in outputs])
+        return f"lambda {roots}: {{({answer}) {' '.join(loops)}}}"
+
+    return _generated([k for own in (*levels, outputs) for k in own], write)
 
 
 def _generic_join(
     twd: TypedWiringDiagram, rels: Sequence[Relation], order: tuple[Cable, ...]
 ) -> Collection[tuple]:
-    """The bound output cables, in ``order``, of every assignment of the
-    cables in ``order`` that every input admits; ``order`` has at least
-    two cables, as every cyclic diagram does.
+    """The output cables, in ``order``, of every assignment of the cables
+    in ``order`` that every input admits.
 
-    Each input gives a hash trie (:func:`_trie`) with one level per cable
-    it touches, in ``order``; its rows that give one cable two values are
-    dropped first.  The trie is asked of the relation
-    (:meth:`Relation._trie_at`), keyed by positions in its own wire order,
-    so it is built once per relation and key and kept there, and an input
-    on a reordered copy of its inner star is never realigned.  When no row
-    of an input is left, the answer is empty.
-
-    Up to the second-last cable, a breadth-first frontier maps the values
-    of the bound cables it still needs to the trie nodes reached in the
-    partly bound inputs.  Binding a cable intersects the key sets of the
-    nodes of the inputs that touch it, smallest first, and steps each node
-    one level down.  A bound cable leaves the frontier key once it is not
-    an output cable and no partly bound input touches it; entries that
-    then coincide merge.
-
-    The last two cables are bound depth-first, as in Leapfrog Triejoin.
-    For each frontier entry, the last cable's nodes that the second-last
-    value does not move (those carried past it and the roots of the
-    tries that start at the last cable) are intersected once; for each
-    second-last value ``v``, that set is intersected with the nodes
-    stepped at ``v``, and the answers go straight into the output set,
-    already in output order.  No entries merge at the last level: the
-    output set drops the repeats.
+    Each input's trie has one level per cable it touches, in ``order``,
+    over its rows that give no cable two values; it is asked of the
+    relation (:meth:`Relation._trie_at`), keyed by positions in its own
+    wire order.  When no row of an input is left, the answer is empty.
     """
     wd = twd.diagram
     rank = {c: k for k, c in enumerate(order)}
-    levels: list[tuple[Cable, ...]] = []
+    levels: list[tuple[int, ...]] = []
     tries: list[KeysView | set] = []
     for i, rel in enumerate(rels):
         first, pairs = _first_positions([wd.inner_map[i, w] for w in rel.star.wires])
-        own = tuple(sorted(first, key=rank.__getitem__))
+        own = sorted(first, key=rank.__getitem__)
         trie = rel._trie_at(tuple([first[c] for c in own]), tuple(pairs))
         if trie is None:
             return ()
         if own:
-            levels.append(own)
+            levels.append(tuple([rank[c] for c in own]))
             tries.append(trie)
+    outer = map(wd.outer_map.__getitem__, twd.outer.wires)
+    outputs = sorted({rank[c] for c in outer if c in rank})
+    return _join_loop(tuple(levels), tuple(outputs))(_meet, *tries)
 
-    outputs = {wd.outer_map[y] for y in twd.outer.wires}
-    second, last = order[-2:]
-    frontier: dict[tuple, tuple] = {(): ()}
-    active: list[int] = []  # the partly bound tries, one node each per entry
-    kept: list[Cable] = []  # the cables of the frontier key
-    for c in order[:-1]:
-        touching = [t for t, own in enumerate(levels) if c in own]
-        fresh = [t for t in touching if levels[t][0] == c]
-        ext = active + fresh  # an entry's nodes, then the fresh tries' roots
-        roots = tuple([tries[t] for t in fresh])
-        probe = _getter(tuple([ext.index(t) for t in touching]))
-        carried = [t for t in active if t not in touching]
-        stepped = [t for t in touching if levels[t][-1] != c]
-        carry = _getter(tuple([active.index(t) for t in carried]))
-        step = _getter(tuple([ext.index(t) for t in stepped]))
-        wide = len(touching) > 2
-        if c == second:  # the tail below binds it
-            break
-        active = carried + stepped
-        still = {b for t in active for b in levels[t]} | outputs
-        pick = _getter(tuple([k for k, b in enumerate(kept) if b in still]))
-        kept = [b for b in kept if b in still]
-        keep_c = c in still
-        if keep_c:
-            kept.append(c)
 
-        grown: dict[tuple, tuple] = {}
-        for key, nodes in frontier.items():
-            every = nodes + roots
-            probed = probe(every)
-            if wide:
-                probed = sorted(probed, key=len)
-            candidates = reduce(and_, probed)
-            prefix = pick(key)
-            base = carry(nodes)
-            below = step(every)
-            if not keep_c:
-                if candidates:
-                    grown[prefix] = base
-            elif len(below) == 1:
-                (node,) = below
-                for v in candidates:
-                    grown[prefix + (v,)] = base + (node.mapping[v],)
-            elif below:
-                for v in candidates:
-                    grown[prefix + (v,)] = base + tuple([node.mapping[v] for node in below])
-            else:
-                for v in candidates:
-                    grown[prefix + (v,)] = base
-        frontier = grown
-        if not frontier:
-            return ()
-
-    # The last two cables, depth-first.  Every trie still partly bound
-    # ends at the last cable, so its nodes there are sets.
-    starts = tuple([tries[t] for t, own in enumerate(levels) if own[0] == last])
-    answer = _getter(tuple([k for k, b in enumerate(kept) if b in outputs]))
-    out_second, out_last = second in outputs, last in outputs
-    answers: set[tuple] = set()
-    for key, nodes in frontier.items():
-        every = nodes + roots
-        probed = probe(every)
-        if wide:
-            probed = sorted(probed, key=len)
-        fixed = sorted(carry(nodes) + starts, key=len)
-        base = reduce(and_, fixed) if fixed else None
-        if fixed and not base:
-            continue
-        maps = [node.mapping for node in step(every)]
-        prefix = answer(key)
-        for v in reduce(and_, probed):
-            ws = base
-            for m in maps:
-                ws = m[v] if ws is None else m[v] & ws
-            if not ws:
-                continue
-            if out_last:
-                head = prefix + (v,) if out_second else prefix
-                answers.update([head + (w,) for w in ws])
-            elif out_second:
-                answers.add(prefix + (v,))
-            else:
-                answers.add(prefix)
-                break
-    return answers
+def _meet(*nodes: KeysView | set) -> set:
+    """The intersection of three or more trie nodes, smallest first, so
+    that it costs at most a pass over the smallest per node."""
+    return reduce(and_, sorted(nodes, key=len))
 
 
 def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:

@@ -23,6 +23,7 @@ from wiring.laws import (
 )
 from wiring.relations import (
     Relation,
+    _join_loop,
     _step_loop,
     evaluate,
     evaluate_naive,
@@ -977,6 +978,101 @@ class TestGenericJoin:
         assert plan.executor == "binary" and plan.cable_order == ()
         assert len(plan.steps) == len(stars)
         assert evaluate(twd, rels) == evaluate_naive(twd, rels)
+
+
+    def test_compiled_loop_matches_naive_on_four_to_six_cables(self):
+        # Random cyclic diagrams on four to six cables, with extra stars
+        # that may repeat a cable, outer wires drawn with repeats and an
+        # unwired cable, and relations shared between equal stars.  Every
+        # shape the generated loop distinguishes must turn up.
+        seen = dict.fromkeys(
+            [
+                "cable-on-three-stars",
+                "outputs-out-of-order",
+                "cable-on-two-outer-wires",
+                "last-not-output",
+                "free",
+                "self-join",
+                "equal-pairs",
+                "nonempty",
+            ],
+            0,
+        )
+        rng = random.Random(71)
+        cyclic = 0
+        while cyclic < 200:
+            dom = ValueDomain.int_range("D", 0, rng.randint(1, 2))
+            cables = [f"k{c}" for c in range(rng.randint(4, 6))]
+            ring = rng.randint(3, len(cables) - 1)
+            stars = [(cables[j], cables[(j + 1) % ring]) for j in range(ring)]
+            for _ in range(rng.randint(1, 3)):
+                stars.append(tuple(rng.choices(cables[:-1], k=rng.randint(1, 3))))
+            rng.shuffle(stars)
+            outer = tuple(rng.choices(cables, k=rng.randint(0, 4)))
+            twd, inner = _wired(dom, stars, outer)
+            if not 4 <= len(twd.diagram.cables) <= 6:
+                continue
+            rels = []
+            for star in inner:
+                twins = [r for r in rels if r.star == star]
+                if twins and rng.random() < 0.4:
+                    rels.append(rng.choice(twins))
+                    continue
+                space = list(product(dom.values, repeat=len(star.wires)))
+                size = round(len(space) * rng.choice([0.4, 0.7, 0.9]))
+                rels.append(Relation(star, rng.sample(space, size)))
+            plan = plan_join(twd, [len(r) for r in rels])
+            if plan.executor != "generic":
+                continue
+            cyclic += 1
+            got = evaluate(twd, rels)
+            assert got == evaluate_naive(twd, rels), (stars, outer)
+
+            ranks = [plan.cable_order.index(c) for c in outer if c in plan.cable_order]
+            seen["cable-on-three-stars"] += any(
+                sum(c in s for s in stars) >= 3 for c in plan.cable_order
+            )
+            seen["outputs-out-of-order"] += ranks != sorted(ranks)
+            seen["cable-on-two-outer-wires"] += len(set(outer)) < len(outer)
+            seen["last-not-output"] += plan.cable_order[-1] not in outer
+            seen["free"] += bool(plan.free)
+            seen["self-join"] += len(set(map(id, rels))) < len(rels)
+            seen["equal-pairs"] += any(len(set(s)) < len(s) for s in stars)
+            seen["nonempty"] += not got.is_empty
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("bad", [1.0, True, "0", None])
+    def test_join_loop_guard_refuses_ranks_that_are_not_ints(self, bad):
+        # 1.0 and True hash as 1: a cached loop for the int would answer
+        _join_loop.cache_clear()
+        triangle = ((0, 1), (1, 2), (0, 2))
+        for levels, outputs in (
+            (((0, bad), (1, 2), (0, 2)), (0, 1, 2)),
+            (triangle, (0, bad)),
+        ):
+            with pytest.raises(TypeError, match="ints"):
+                _join_loop(levels, outputs)
+
+    def test_diagrams_differing_in_cable_names_share_one_loop(self, monkeypatch):
+        import wiring.relations as relations_mod
+
+        loops = []
+        join_loop = relations_mod._join_loop
+
+        def spy(levels, outputs):
+            loops.append(join_loop(levels, outputs))
+            return loops[-1]
+
+        monkeypatch.setattr(relations_mod, "_join_loop", spy)
+        rng = random.Random(43)
+        dom = ValueDomain.int_range("D", 0, 4)
+        renamed = [("x", "y"), ("y", "z"), ("z", "x")]
+        twd, inner = _wired(dom, TRIANGLE, ("c", "a"))
+        twd_renamed, _inner = _wired(dom, renamed, ("z", "x"))
+        rels = [_draw(rng, s, k) for s, k in zip(inner, (12, 15, 18))]
+        want = evaluate_naive(twd, rels)
+        assert evaluate(twd, rels) == want and evaluate(twd_renamed, rels) == want
+        assert len(loops) == 2 and loops[0] is loops[1]
 
 
 def _sparse_path(rng, rows_indexed):
