@@ -12,7 +12,8 @@ import argparse
 from itertools import accumulate
 from operator import sub
 
-from wiring.recursion import factorial_fixture, fixed_point, is_fixed_point
+from gen_factorial_fixture import lift_factorial
+from wiring.recursion import build_setup, fixed_point, step
 
 SHOWN = 4  # iterate sizes printed at each end of a chain
 
@@ -22,11 +23,11 @@ def main() -> None:
     parser.add_argument("--limit", type=int, default=120, help="largest value kept")
     args = parser.parse_args()
 
-    fixture = factorial_fixture(args.limit)
-    print(f"domain 0..{args.limit}, setup relation has {len(fixture.setup.relation)} tuples")
+    setup = build_setup(*lift_factorial(args.limit))
+    print(f"domain 0..{args.limit}, setup relation has {len(setup.relation)} tuples")
 
     for mode in ("greatest", "least"):
-        result = fixed_point(fixture.setup, mode)
+        result = fixed_point(setup, mode)
         # iterate r is the fixed point plus the states dropped in round r or later
         first = len(result.relation) + sum(map(len, result.pruned))
         sizes = [str(n) for n in accumulate(map(len, result.pruned), sub, initial=first)]
@@ -35,7 +36,7 @@ def main() -> None:
             sizes = sizes[:SHOWN] + ["..."] + sizes[-SHOWN:]
         rounds = result.iterations - 1
         print(f"\n{mode} fixed point after {rounds} pruning rounds: {' -> '.join(sizes)}")
-        print(f"is_fixed_point: {is_fixed_point(fixture.setup, result.relation)}")
+        print(f"is_fixed_point: {step(setup, result.relation) == result.relation}")
         if mode == "greatest":
             print("tuples:")
             for a, b in sorted(result.relation.tuples):

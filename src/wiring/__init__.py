@@ -52,13 +52,10 @@ from .closed import (
     internalize,
 )
 from .recursion import (
-    FactorialFixture,
     FixedPointResult,
     RecursiveSetup,
     build_setup,
-    factorial_fixture,
     fixed_point,
-    is_fixed_point,
     step,
 )
 from .laws import GeneratorConfig, SuiteReport

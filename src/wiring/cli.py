@@ -12,16 +12,11 @@ FROM; ``fixpoint`` the setup's; ``dot`` none.  A missing or malformed CSV
 that a command does not read is not an error for that command.
 
 In the same way ``check`` parses the whole script, and the other commands
-parse only the declarations they read: those of the name they are given, or
-of the inline query's FROM names, and then every declaration whose name is
-an identifier inside one they parse, an alias, attribute, wire or cable
-among them, in turn.  An error inside a declaration that a command does not
-parse is not an error for that command; ``check`` parses all.  A declaration
-sees only the ones before it, and a name that is declared twice fails with
-the duplicate name error at its second declaration.  An error that lies
-outside every declaration, such as an unbalanced ``}`` or text after the
-last declaration, fails every command.  ``query`` parses its inline SELECT
-before the script, so the SELECT's own syntax errors come first.
+pass :func:`wiring.dsl.parse_script` the names they read: the name they are
+given, or the inline query's FROM names.  Which declarations that parses,
+and so whose errors a command raises, is stated there.  ``query`` parses its
+inline SELECT before the script, so the SELECT's own syntax errors come
+first.
 
 Run it as ``wd`` once the package is installed, or as ``python -m
 wiring.cli`` with ``src`` on the path.

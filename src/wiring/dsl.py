@@ -28,18 +28,13 @@ Tokens carry their offset in the text; a line and column are computed only
 when an error is raised.
 
 :func:`parse_script` parses the whole text, or with ``reads`` only the
-declarations a caller reads.  A cheap pass, :func:`split_declarations`, finds
-where each declaration starts and ends, with its keyword and name, by
-skipping strings, comments and primes as the lexer does but without making
-tokens.  The declarations of the names in ``reads`` are chosen, then, until
-no more is added, every declaration whose name is an identifier token of a
-chosen one; their tokens, in text order, go through the one parse loop.
-Every name a declaration looks up is an identifier of its own, so each
-chosen declaration parses as in the whole text, or fails with its error
-there, in text order.  So a declaration is parsed, and its error raised,
-when its name is any identifier inside one that is read, an alias,
-attribute, wire or cable among them, and a second declaration of such a name
-raises the duplicate name error.  A text that does not split is parsed whole.
+declarations a caller reads; its docstring states which, and ``wd check``
+passes no names while the other commands pass those they read (see
+:mod:`wiring.cli`).  A cheap pass, :func:`split_declarations`, finds where
+each declaration starts and ends, with its keyword and name, by skipping
+strings, comments and primes as the lexer does but without making tokens;
+the chosen declarations' tokens, in text order, go through the one parse
+loop.
 """
 
 from __future__ import annotations
@@ -700,11 +695,16 @@ def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
     no more is added, every declaration whose name is an identifier token of
     one already chosen: a declaration is parsed, and its error raised, when
     its name is any identifier inside a chosen one, an alias, attribute,
-    wire or cable among them.  The chosen declarations are parsed in text
-    order, so each gives what it gives in the whole text, or its error
-    there, and a second declaration of a chosen name raises the duplicate
-    name error.  ``decls`` then holds the chosen declarations' objects.  A
-    text that :func:`split_declarations` cannot split is parsed whole."""
+    wire or cable among them.  An error inside a declaration that is not
+    chosen is not raised.  Every name a declaration looks up is an
+    identifier of its own, so the chosen declarations, parsed in text order,
+    each give what they give in the whole text, or their error there: a
+    declaration sees only the ones before it, and a second declaration of a
+    chosen name raises the duplicate name error.  ``decls`` then holds the
+    chosen declarations' objects.  A text that :func:`split_declarations`
+    cannot split, such as one with an unbalanced ``}`` or with text after
+    its last declaration, is parsed whole, so its error is raised whatever
+    is read."""
     decls = None if reads is None else split_declarations(text)
     if decls is None:
         return _Parser(text, Script(), tokenize(text)).parse()

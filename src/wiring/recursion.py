@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 from .closed import apply_hom, internal_hom
 from .errors import InterfaceError, ValidationError
 from .relations import Relation, evaluate
-from .stars import Frozen, WiringDiagram
-from .typed import TypedStar, TypedWiringDiagram, ValueDomain
+from .stars import Frozen
+from .typed import TypedStar, TypedWiringDiagram
 
 
 class RecursiveSetup(Frozen):
@@ -85,10 +85,6 @@ def step(setup: RecursiveSetup, rel: Relation) -> Relation:
     return apply_hom(setup.hom, setup.relation, [rel])
 
 
-def is_fixed_point(setup: RecursiveSetup, rel: Relation) -> bool:
-    return step(setup, rel) == rel
-
-
 def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResult:
     """The extreme fixed point of the step function, with the states each
     round of its chain dropped.
@@ -130,90 +126,4 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
         dropped = frozenset([t for t in successors if not indegree[t]])
     return FixedPointResult(
         relation=Relation._trusted(setup.z, frozenset(live)), pruned=tuple(pruned), mode=mode
-    )
-
-
-class FactorialFixture(NamedTuple):
-    """The classic recursive example: decrement, multiply, branch on zero."""
-
-    domain: ValueDomain
-    z: TypedStar
-    phi: TypedWiringDiagram
-    decrement: Relation
-    multiplication: Relation
-    conditional: Relation
-    setup: RecursiveSetup
-
-
-def factorial_fixture(limit: int) -> FactorialFixture:
-    """The recursive setup whose greatest fixed point is the factorial graph
-    truncated to values at most ``limit``.
-
-    Three relations over ``{0..limit}`` feed a diagram into ``[F => F]``
-    with ``F = {A, B}``:
-
-    * decrement: ``A' = A - 1``, clamped to ``0`` at ``A = 0``;
-    * multiplication: ``C = A * B'``, keeping only products within range;
-    * conditional: ``B = 1`` when ``A = 0``, otherwise ``B = C``.
-
-    The argument copy of ``F`` reads the primed cables (the inner call),
-    the result copy reads ``A`` and ``B``.
-    """
-    if limit < 1:
-        raise ValidationError("limit must be at least 1")
-    dom = ValueDomain.int_range("N", 0, limit)
-    values = dom.values
-
-    x1 = TypedStar.uniform(["A", "A'"], dom)
-    x2 = TypedStar.uniform(["A", "B'", "C"], dom)
-    x3 = TypedStar.uniform(["A", "C", "B"], dom)
-    z = TypedStar.uniform(["A", "B"], dom)
-    hom = internal_hom([z], z)
-
-    decrement = Relation(x1, ((a, a - 1 if a > 0 else 0) for a in values))
-    multiplication = Relation(
-        x2,
-        ((a, b, a * b) for a in values for b in values if a * b <= limit),
-    )
-    conditional = Relation(
-        x3,
-        ((a, c, 1 if a == 0 else c) for a in values for c in values),
-    )
-
-    cables = ("A", "A'", "B", "B'", "C")
-    diagram_inner_map = {
-        (0, "A"): "A",
-        (0, "A'"): "A'",
-        (1, "A"): "A",
-        (1, "B'"): "B'",
-        (1, "C"): "C",
-        (2, "A"): "A",
-        (2, "C"): "C",
-        (2, "B"): "B",
-    }
-    outer_map = {
-        "ret.A": "A",
-        "ret.B": "B",
-        "arg1.A": "A'",
-        "arg1.B": "B'",
-    }
-    phi = TypedWiringDiagram(
-        diagram=WiringDiagram(
-            inner=(x1.star, x2.star, x3.star),
-            outer=hom.star.star,
-            cables=cables,
-            inner_map=diagram_inner_map,
-            outer_map=outer_map,
-        ),
-        cable_types={c: dom for c in cables},
-    )
-    setup = build_setup(z, phi, [decrement, multiplication, conditional])
-    return FactorialFixture(
-        domain=dom,
-        z=z,
-        phi=phi,
-        decrement=decrement,
-        multiplication=multiplication,
-        conditional=conditional,
-        setup=setup,
     )

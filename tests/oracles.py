@@ -1,18 +1,22 @@
 """Independent oracles the implementation is checked against.
 
 Everything here recomputes results by a different route than the package:
-literal enumeration, nested loops, or closed forms.
+literal enumeration, nested loops, or closed forms.  The factorial recursion
+at any limit is built here too, from the shipped ``factorial.wd`` and the
+rule ``scripts/gen_factorial_fixture.py`` writes its CSV files from.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import re
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
-from wiring.recursion import RecursiveSetup, step
+from wiring.recursion import RecursiveSetup, build_setup, step
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram
 from wiring.typed import TypedStar
@@ -80,6 +84,22 @@ def factorial_graph(limit: int) -> set[tuple[int, int]]:
         n += 1
         f *= n
     return out
+
+
+_spec = importlib.util.spec_from_file_location(
+    "gen_factorial_fixture",
+    pathlib.Path(__file__).resolve().parent.parent / "scripts" / "gen_factorial_fixture.py",
+)
+gen_factorial_fixture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_factorial_fixture)
+factorial_rows = gen_factorial_fixture.factorial_rows
+lift_factorial = gen_factorial_fixture.lift_factorial
+
+
+def factorial_setup(limit: int) -> RecursiveSetup:
+    """The setup ``fact`` of ``factorial.wd`` over ``N = 0..limit``, whose
+    greatest fixed point is ``factorial_graph(limit)``."""
+    return build_setup(*lift_factorial(limit))
 
 
 def kleene_fixed_point(setup: RecursiveSetup, mode: str) -> Relation:

@@ -11,7 +11,6 @@ from wiring.csvio import survives_csv
 from wiring import dsl
 from wiring.dsl import parse_query_text, parse_script, tokenize
 from wiring.errors import ScriptError
-from wiring.recursion import factorial_fixture
 from wiring.typed import typed_diagrams_equal
 
 NAND_SCRIPT = """
@@ -34,37 +33,6 @@ query andq = SELECT n1.A, n1.B, n2.out FROM nand n1, nand n2
 query buf = SELECT n1.A, n2.out FROM nand n1, nand n2
   WHERE n1.A = n1.B AND n1.out = n2.A AND n1.out = n2.B;
 union gates = notq | buf;
-"""
-
-FACTORIAL_SCRIPT = """
-type N = range 0..12;
-star F(A:N, B:N);
-star DEC(A:N, A':N);
-star MUL(A:N, B':N, C:N);
-star BRANCH(A:N, C:N, B:N);
-rel dec : DEC from "d.csv";
-rel mul : MUL from "m.csv";
-rel cond : BRANCH from "c.csv";
-diagram factstep(DEC, MUL, BRANCH) -> [F => F] {
-  cable A : N;
-  cable A' : N;
-  cable B : N;
-  cable B' : N;
-  cable C : N;
-  solder inner1.A -> A;
-  solder inner1.A' -> A';
-  solder inner2.A -> A;
-  solder inner2.B' -> B';
-  solder inner2.C -> C;
-  solder inner3.A -> A;
-  solder inner3.C -> C;
-  solder inner3.B -> B;
-  solder out.ret.A -> A;
-  solder out.ret.B -> B;
-  solder out.arg1.A -> A';
-  solder out.arg1.B -> B';
-}
-setup fact = factstep(dec, mul, cond);
 """
 
 
@@ -103,15 +71,9 @@ class TestParsing:
         assert script.diagrams["notgate"].typed.arity == 1
         assert script.unions["gates"].parts == ("notq", "buf")
 
-    def test_primes_in_identifiers(self):
-        script = parse_script(FACTORIAL_SCRIPT)
+    def test_primes_in_identifiers(self, fixtures_dir):
+        script = parse_script((fixtures_dir / "factorial" / "factorial.wd").read_text())
         assert "A'" in script.stars["DEC"].star
-
-    def test_factorial_script_matches_fixture_diagram(self):
-        script = parse_script(FACTORIAL_SCRIPT)
-        fixture = factorial_fixture(12)
-        assert typed_diagrams_equal(script.diagrams["factstep"].typed, fixture.phi)
-        assert script.setups["fact"].z == fixture.z
 
 
 class TestErrors:
@@ -691,7 +653,7 @@ class TestParseOnDemand:
         _assert_on_demand_equals_eager(text)
 
     def test_in_test_scripts(self):
-        for text in (NAND_SCRIPT, FACTORIAL_SCRIPT, _TWO_SHAPES, _HOM_DIAGRAM):
+        for text in (NAND_SCRIPT, _TWO_SHAPES, _HOM_DIAGRAM):
             _assert_on_demand_equals_eager(text)
 
     def test_a_long_chain_of_unions_stays_within_the_recursion_limit(self):

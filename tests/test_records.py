@@ -13,12 +13,13 @@ import sys
 import pytest
 
 import wiring
+from oracles import factorial_setup
 from wiring import dsl
 from wiring.closed import internal_hom
 from wiring.laws import GeneratorConfig, LawFailure, Stack, SuiteReport
 from wiring.partitions import Partition
 from wiring.query import AttrRef, Condition, ConjunctiveQuery, compile_query
-from wiring.recursion import factorial_fixture, fixed_point
+from wiring.recursion import fixed_point
 from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain
@@ -49,7 +50,7 @@ SCRIPT = dsl.parse_script(
     setup s = loop(zr);
     """
 )
-FIXTURE = factorial_fixture(3)
+FACT = factorial_setup(3)
 
 
 def _records():
@@ -77,27 +78,15 @@ def _records():
         ),
         (
             "RecursiveSetup",
-            FIXTURE.setup,
+            FACT,
             "RecursiveSetup(z=TypedStar({A:N, B:N}), relation=Relation("
             "TypedStar({arg1.A:N, arg1.B:N, ret.A:N, ret.B:N}), 12 tuples))",
         ),
         (
             "FixedPointResult",
-            fixed_point(FIXTURE.setup, "least"),
+            fixed_point(FACT, "least"),
             "FixedPointResult(relation=Relation(TypedStar({A:N, B:N}), 0 tuples), "
             "pruned=(), mode='least')",
-        ),
-        (
-            "FactorialFixture",
-            FIXTURE,
-            "FactorialFixture(domain=ValueDomain('N', 4 values), z=TypedStar({A:N, B:N}), "
-            "phi=TypedWiringDiagram([TypedStar({A:N, A':N}), TypedStar({A:N, B':N, C:N}), "
-            "TypedStar({A:N, C:N, B:N})] -> TypedStar({arg1.A:N, arg1.B:N, ret.A:N, ret.B:N})), "
-            "decrement=Relation(TypedStar({A:N, A':N}), 4 tuples), "
-            "multiplication=Relation(TypedStar({A:N, B':N, C:N}), 12 tuples), "
-            "conditional=Relation(TypedStar({A:N, C:N, B:N}), 16 tuples), "
-            "setup=RecursiveSetup(z=TypedStar({A:N, B:N}), relation=Relation("
-            "TypedStar({arg1.A:N, arg1.B:N, ret.A:N, ret.B:N}), 12 tuples)))",
         ),
         ("AttrRef", REF, "AttrRef(alias='u', attr='a')"),
         (
@@ -165,7 +154,7 @@ RECORDS = _records()
 IDS = [name for name, _obj, _text in RECORDS]
 # compared by identity, as they always were
 BY_IDENTITY = {"WiringDiagram", "TypedWiringDiagram", "RecursiveSetup"}
-HOLD_DIAGRAMS = {"FactorialFixture", "CompiledQuery", "DiagramDecl", "Stack"}
+HOLD_DIAGRAMS = {"CompiledQuery", "DiagramDecl", "Stack"}
 
 
 @pytest.mark.parametrize("name, obj, text", RECORDS, ids=IDS)

@@ -2,26 +2,41 @@ import random
 
 import pytest
 
-from oracles import factorial_graph, kleene_fixed_point
+from oracles import (
+    factorial_graph,
+    factorial_rows,
+    factorial_setup,
+    gen_factorial_fixture,
+    kleene_fixed_point,
+    lift_factorial,
+)
 from wiring import closed
 from wiring.closed import apply_hom, internal_hom
+from wiring.csvio import load_csv_relation
+from wiring.dsl import parse_script
 from wiring.errors import InterfaceError, ValidationError
-from wiring.recursion import (
-    RecursiveSetup,
-    build_setup,
-    factorial_fixture,
-    fixed_point,
-    is_fixed_point,
-    step,
-)
+from wiring.recursion import RecursiveSetup, build_setup, fixed_point, step
 from wiring.relations import Relation, evaluate
 from wiring.stars import WiringDiagram
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain
 
 
 @pytest.fixture(scope="module")
-def small_fixture():
-    return factorial_fixture(24)
+def fact_setup():
+    return factorial_setup(24)
+
+
+@pytest.fixture(scope="module")
+def fact_script(fixtures_dir):
+    return parse_script((fixtures_dir / "factorial" / "factorial.wd").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def shipped(fixtures_dir, fact_script):
+    """The relations ``wd fixpoint`` reads for ``fact``, by file name: the
+    shipped CSV files, loaded on the stars ``factorial.wd`` declares."""
+    decls = [fact_script.relations[name] for name in fact_script.setups["fact"].rel_names]
+    return {d.path: load_csv_relation(fixtures_dir / "factorial" / d.path, d.star) for d in decls}
 
 
 def identity_setup(domain):
@@ -42,23 +57,20 @@ def identity_setup(domain):
 
 
 class TestBuildSetup:
-    def test_factorial_setup_relation_is_the_conjunction(self, small_fixture):
-        fx = small_fixture
-        direct = evaluate(fx.phi, [fx.decrement, fx.multiplication, fx.conditional])
-        assert fx.setup.relation == direct
+    def test_factorial_setup_relation_is_the_conjunction(self, fact_setup):
+        _z, phi, rels = lift_factorial(24)
+        assert fact_setup.relation == evaluate(phi, rels)
 
     def test_identity_setup_steps_identically(self, bool_domain):
         z, setup = identity_setup(bool_domain)
         rel = Relation(z, [("True", "False"), ("False", "False")])
         assert step(setup, rel) == rel
 
-    def test_empty_input_relation_collapses_setup(self, small_fixture):
-        fx = small_fixture
-        empty_setup = build_setup(
-            fx.z, fx.phi, [Relation.empty(fx.decrement.star), fx.multiplication, fx.conditional]
-        )
+    def test_empty_input_relation_collapses_setup(self):
+        z, phi, (decrement, *rest) = lift_factorial(24)
+        empty_setup = build_setup(z, phi, [Relation.empty(decrement.star), *rest])
         assert empty_setup.relation.is_empty
-        assert step(empty_setup, Relation.complete(fx.z)).is_empty
+        assert step(empty_setup, Relation.complete(z)).is_empty
 
     def test_wrong_codomain_rejected(self, bool_domain):
         z = TypedStar.uniform(["a"], bool_domain)
@@ -71,30 +83,26 @@ class TestBuildSetup:
 
 
 class TestStep:
-    def test_factorial_relation_is_stationary(self, small_fixture):
-        fx = small_fixture
-        fact = Relation(fx.z, factorial_graph(24))
-        assert step(fx.setup, fact) == fact
+    def test_factorial_relation_is_stationary(self, fact_setup):
+        fact = Relation(fact_setup.z, factorial_graph(24))
+        assert step(fact_setup, fact) == fact
 
-    def test_empty_is_stationary(self, small_fixture):
-        empty = Relation.empty(small_fixture.z)
-        assert step(small_fixture.setup, empty) == empty
+    def test_empty_is_stationary(self, fact_setup):
+        empty = Relation.empty(fact_setup.z)
+        assert step(fact_setup, empty) == empty
 
-    def test_step_is_monotone(self, small_fixture):
-        fx = small_fixture
-        smaller = Relation(fx.z, [(3, 6)])
-        bigger = Relation(fx.z, [(3, 6), (4, 24), (7, 7)])
-        assert step(fx.setup, smaller) <= step(fx.setup, bigger)
+    def test_step_is_monotone(self, fact_setup):
+        smaller = Relation(fact_setup.z, [(3, 6)])
+        bigger = Relation(fact_setup.z, [(3, 6), (4, 24), (7, 7)])
+        assert step(fact_setup, smaller) <= step(fact_setup, bigger)
 
-    def test_step_equals_closing_transformation(self, small_fixture):
-        fx = small_fixture
-        candidate = Relation(fx.z, [(0, 1), (1, 1), (5, 17)])
-        assert step(fx.setup, candidate) == apply_hom(
-            fx.setup.hom, fx.setup.relation, [candidate]
+    def test_step_equals_closing_transformation(self, fact_setup):
+        candidate = Relation(fact_setup.z, [(0, 1), (1, 1), (5, 17)])
+        assert step(fact_setup, candidate) == apply_hom(
+            fact_setup.hom, fact_setup.relation, [candidate]
         )
 
-    def test_steps_share_one_evaluation_diagram(self, small_fixture, monkeypatch):
-        fx = small_fixture
+    def test_steps_share_one_evaluation_diagram(self, fact_setup, monkeypatch):
         diagrams = []
 
         def recording_evaluate(twd, rels):
@@ -102,16 +110,16 @@ class TestStep:
             return evaluate(twd, rels)
 
         monkeypatch.setattr(closed, "evaluate", recording_evaluate)
-        step(fx.setup, Relation.empty(fx.z))
-        step(fx.setup, Relation(fx.z, factorial_graph(24)))
+        step(fact_setup, Relation.empty(fact_setup.z))
+        step(fact_setup, Relation(fact_setup.z, factorial_graph(24)))
         assert len(diagrams) == 2 and diagrams[0] is diagrams[1]
         # the cached diagram takes no part in the hom star's identity
-        fresh = internal_hom([fx.z], fx.z)
-        assert fresh == fx.setup.hom and hash(fresh) == hash(fx.setup.hom)
+        fresh = internal_hom([fact_setup.z], fact_setup.z)
+        assert fresh == fact_setup.hom and hash(fresh) == hash(fact_setup.hom)
 
-    def test_star_mismatch_rejected(self, small_fixture, bool_domain):
+    def test_star_mismatch_rejected(self, fact_setup, bool_domain):
         with pytest.raises(InterfaceError):
-            step(small_fixture.setup, Relation.empty(TypedStar.uniform(["a", "b"], bool_domain)))
+            step(fact_setup, Relation.empty(TypedStar.uniform(["a", "b"], bool_domain)))
 
 
 def test_setup_relation_is_read_by_wire_name_not_position():
@@ -132,15 +140,17 @@ def test_setup_relation_is_read_by_wire_name_not_position():
     assert fixed_point(setup).relation == Relation(z, [(0, "x"), (1, "y")])
 
 class TestFixedPoint:
-    def test_greatest_is_truncated_factorial(self, small_fixture):
-        result = fixed_point(small_fixture.setup, "greatest")
-        assert set(result.relation.tuples) == factorial_graph(24)
-        assert is_fixed_point(small_fixture.setup, result.relation)
-
-    def test_least_is_empty(self, small_fixture):
-        result = fixed_point(small_fixture.setup, "least")
-        assert result.relation.is_empty
-        assert is_fixed_point(small_fixture.setup, result.relation)
+    @pytest.mark.parametrize("limit", [1, 3, 24, 120])
+    def test_factorial_fixed_points(self, limit):
+        """The greatest fixed point is the truncated factorial graph and the
+        least is empty; a step leaves each where it is."""
+        setup = factorial_setup(limit)
+        greatest = fixed_point(setup, "greatest").relation
+        least = fixed_point(setup, "least").relation
+        assert set(greatest.tuples) == factorial_graph(limit)
+        assert least.is_empty
+        assert step(setup, greatest) == greatest
+        assert step(setup, least) == least
 
     def test_identity_setup_greatest_is_complete(self, bool_domain):
         z, setup = identity_setup(bool_domain)
@@ -148,43 +158,64 @@ class TestFixedPoint:
         assert result.relation == Relation.complete(z)
         assert result.iterations == 1
 
-    def test_traces_are_monotone_chains(self, small_fixture):
-        down = fixed_point(small_fixture.setup, "greatest")
+    def test_traces_are_monotone_chains(self, fact_setup):
+        down = fixed_point(fact_setup, "greatest")
         for earlier, later in zip(down.trace, down.trace[1:]):
             assert later <= earlier
-        up = fixed_point(small_fixture.setup, "least")
+        up = fixed_point(fact_setup, "least")
         for earlier, later in zip(up.trace, up.trace[1:]):
             assert earlier <= later
 
-    def test_unknown_mode_rejected(self, small_fixture):
+    def test_unknown_mode_rejected(self, fact_setup):
         with pytest.raises(ValidationError):
-            fixed_point(small_fixture.setup, "sideways")
+            fixed_point(fact_setup, "sideways")
 
-    def test_complete_relation_is_not_fixed(self, small_fixture):
-        complete = Relation.complete(small_fixture.z)
-        assert not is_fixed_point(small_fixture.setup, complete)
+    def test_complete_relation_is_not_fixed(self, fact_setup):
+        complete = Relation.complete(fact_setup.z)
+        assert step(fact_setup, complete) != complete
 
 
 class TestFactorialFixture:
     def test_limit_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            factorial_fixture(0)
+        # over N = {0} the conditional's B = 1 at A = 0 is outside the domain
+        with pytest.raises(ValidationError, match="value 1 is outside domain 'N'"):
+            factorial_setup(0)
 
-    def test_decrement_clamps_at_zero(self, small_fixture):
-        assert (0, 0) in small_fixture.decrement.tuples
-        assert (5, 4) in small_fixture.decrement.tuples
+    def test_decrement_clamps_at_zero(self, shipped):
+        decrement = shipped["decrement.csv"].tuples
+        assert (0, 0) in decrement
+        assert (5, 4) in decrement
 
-    def test_multiplication_is_truncated(self, small_fixture):
-        assert (4, 6, 24) in small_fixture.multiplication.tuples
-        assert all(a * b <= 24 for (a, b, _c) in small_fixture.multiplication.tuples)
+    def test_multiplication_is_truncated(self, shipped):
+        multiplication = shipped["multiply.csv"].tuples
+        assert (4, 6, 24) in multiplication
+        assert all(a * b <= 24 for (a, b, _c) in multiplication)
 
-    def test_conditional_branches_on_zero(self, small_fixture):
-        assert (0, 17, 1) in small_fixture.conditional.tuples
-        assert (3, 17, 17) in small_fixture.conditional.tuples
+    def test_conditional_branches_on_zero(self, shipped):
+        conditional = shipped["conditional.csv"].tuples
+        assert (0, 17, 1) in conditional
+        assert (3, 17, 17) in conditional
+
+    def test_shipped_csv_files_follow_the_rule(self, shipped, fact_script, fact_setup):
+        """The CSV files hold ``factorial_rows(24)``'s rows, and the setup
+        ``wd fixpoint`` builds from them is the one built in memory."""
+        rows = {path: set(body) for path, (_header, body) in factorial_rows(24).items()}
+        assert {path: set(rel.tuples) for path, rel in shipped.items()} == rows
+        decl = fact_script.setups["fact"]
+        phi = fact_script.diagrams[decl.diagram_name].typed
+        assert build_setup(decl.z, phi, list(shipped.values())).relation == fact_setup.relation
+
+    def test_generator_writes_the_shipped_files(self, fixtures_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(gen_factorial_fixture, "HERE", tmp_path)
+        gen_factorial_fixture.main()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["conditional.csv", "decrement.csv", "multiply.csv"]
+        for name in written:
+            shipped_bytes = (fixtures_dir / "factorial" / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == shipped_bytes
 
     def test_limit_one(self):
-        fx = factorial_fixture(1)
-        result = fixed_point(fx.setup, "greatest")
+        result = fixed_point(factorial_setup(1), "greatest")
         assert set(result.relation.tuples) == {(0, 1), (1, 1)}
 
 
@@ -207,7 +238,7 @@ class TestToyEnumeration:
                 Relation(z, combo)
                 for k in range(len(space) + 1)
                 for combo in itertools.combinations(space, k)
-                if is_fixed_point(setup, Relation(z, combo))
+                if step(setup, Relation(z, combo)) == Relation(z, combo)
             ]
             assert least in fixed and greatest in fixed
             for rel in fixed:
@@ -270,7 +301,7 @@ class TestPrunedStates:
             assert fixed_point(setup, "least").pruned == ()
 
     def test_factorial_keeps_the_first_iterate_once(self):
-        result = fixed_point(factorial_fixture(400).setup, "greatest")
+        result = fixed_point(factorial_setup(400), "greatest")
         assert_pruned_partition_the_first_iterate(result)
         stored = len(result.relation) + sum(map(len, result.pruned))
         assert stored <= 2_869
