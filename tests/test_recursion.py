@@ -140,7 +140,17 @@ def test_setup_relation_is_read_by_wire_name_not_position():
     assert fixed_point(setup).relation == Relation(z, [(0, "x"), (1, "y")])
 
 class TestFixedPoint:
-    @pytest.mark.parametrize("limit", [1, 3, 24, 120])
+    def test_greatest_is_truncated_factorial(self, fact_setup):
+        result = fixed_point(fact_setup, "greatest")
+        assert set(result.relation.tuples) == factorial_graph(24)
+        assert step(fact_setup, result.relation) == result.relation
+
+    def test_least_is_empty(self, fact_setup):
+        result = fixed_point(fact_setup, "least")
+        assert result.relation.is_empty
+        assert step(fact_setup, result.relation) == result.relation
+
+    @pytest.mark.parametrize("limit", [1, 3, 120])
     def test_factorial_fixed_points(self, limit):
         """The greatest fixed point is the truncated factorial graph and the
         least is empty; a step leaves each where it is."""
