@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the CSV data for fixtures/factorial (truncated at 24).
+"""Regenerate the CSV data for fixtures/factorial, truncated where the
+type ``N`` of ``factorial.wd`` ends.
 
 ``factorial_rows`` is the rule the three CSV files are written from, at any
 truncation; ``lift_factorial`` builds the fixture's recursion at any
@@ -13,7 +14,6 @@ from wiring.dsl import parse_script
 from wiring.relations import Relation
 from wiring.typed import TypedStar, TypedWiringDiagram, ValueDomain, lift_uniform
 
-LIMIT = 24
 HERE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "factorial"
 
 
@@ -45,7 +45,7 @@ def lift_factorial(limit: int) -> tuple[TypedStar, TypedWiringDiagram, list[Rela
     its relations, each star and cable typed with ``N`` and each relation
     holding ``factorial_rows(limit)``'s rows for its file.  A row value
     outside ``N`` raises ``ValidationError``, so the least limit is 1."""
-    script = parse_script((HERE / "factorial.wd").read_text(encoding="utf-8"))
+    script = read_script()
     setup = script.setups["fact"]
     domain = ValueDomain.int_range("N", 0, limit)
     rows = factorial_rows(limit)
@@ -55,6 +55,10 @@ def lift_factorial(limit: int) -> tuple[TypedStar, TypedWiringDiagram, list[Rela
         rels.append(Relation(TypedStar.uniform(decl.star.wires, domain), rows[decl.path][1]))
     phi = lift_uniform(script.diagrams[setup.diagram_name].typed.diagram, domain)
     return TypedStar.uniform(setup.z.wires, domain), phi, rels
+
+
+def read_script():
+    return parse_script((HERE / "factorial.wd").read_text(encoding="utf-8"))
 
 
 def write(name: str, header: list[str], rows) -> None:
@@ -67,7 +71,8 @@ def write(name: str, header: list[str], rows) -> None:
 
 
 def main() -> None:
-    for name, (header, rows) in factorial_rows(LIMIT).items():
+    limit = max(read_script().domains["N"].values)
+    for name, (header, rows) in factorial_rows(limit).items():
         write(name, header, rows)
 
 

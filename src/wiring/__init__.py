@@ -42,7 +42,7 @@ from .typed import (
     typed_diagrams_equal,
     typed_identity,
 )
-from .relations import Relation, evaluate, evaluate_naive, union
+from .relations import Relation, evaluate, union
 from .partitions import Partition
 from .closed import (
     HomStar,

@@ -533,7 +533,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
     to itself; (iii) two disjoint singletons conjoined on one cable produce
     the empty relation; (iv) routing one inner star straight through to the
     output alongside a completely-filled second star returns the input
-    unchanged.  Checked with the naive evaluator.
+    unchanged.  Checked on :func:`~wiring.relations.evaluate`, which ``wd`` runs.
     """
     if len(domain) < 2:
         return SuiteReport(
@@ -552,7 +552,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         y = TypedStar.uniform(wires, domain)
         wd = WiringDiagram((), y.star, tuple(wires), {}, {w: w for w in wires})
         twd = typed_mod.lift_uniform(wd, domain)
-        got = relations_mod.evaluate_naive(twd, [])
+        got = relations_mod.evaluate(twd, [])
         if got != Relation.complete(y):
             record("witness-complete", index, f"outer {wires}: got {sorted(got.tuples)}")
 
@@ -570,11 +570,11 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
     twd = typed_mod.lift_uniform(wd, domain)
     for index in range(3):
         rel = gen_relation(rng, x1)
-        got = relations_mod.evaluate_naive(twd, [rel])
+        got = relations_mod.evaluate(twd, [rel])
         expected = Relation.empty(y) if rel.is_empty else Relation.complete(y)
         if got != expected:
             record("witness-saturate", index, f"input {sorted(rel.tuples)}")
-    if relations_mod.evaluate_naive(twd, [Relation.empty(x1)]) != Relation.empty(y):
+    if relations_mod.evaluate(twd, [Relation.empty(x1)]) != Relation.empty(y):
         record("witness-saturate", 3, "empty input did not stay empty")
 
     # (iii) disjoint singletons conjoin to nothing
@@ -588,7 +588,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
     )
     twd = typed_mod.lift_uniform(wd, domain)
     a1, a2 = domain.values[0], domain.values[1]
-    got = relations_mod.evaluate_naive(twd, [Relation(pt, [(a1,)]), Relation(pt, [(a2,)])])
+    got = relations_mod.evaluate(twd, [Relation(pt, [(a1,)]), Relation(pt, [(a2,)])])
     if not got.is_empty:
         record("witness-disjoint", 0, f"got {sorted(got.tuples)}")
 
@@ -613,7 +613,7 @@ def check_prop_witnesses(domain: ValueDomain, seed: int = 0) -> SuiteReport:
         rel = gen_relation(rng, two)
         if rel.is_empty:
             rel = Relation(two, [(a1, a2)])
-        got = relations_mod.evaluate_naive(twd, [rel, complete])
+        got = relations_mod.evaluate(twd, [rel, complete])
         if got != rel:
             record(
                 "witness-passthrough",

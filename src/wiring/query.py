@@ -46,12 +46,6 @@ class Condition(NamedTuple):
     right: AttrRef | None = None
     literal: Value | None = None
 
-    def __str__(self) -> str:
-        if self.right is not None:
-            return f"{self.left} = {self.right}"
-        lit = f"'{self.literal}'" if isinstance(self.literal, str) else str(self.literal)
-        return f"{self.left} = {lit}"
-
 
 class ConjunctiveQuery(NamedTuple):
     select: tuple[AttrRef, ...]

@@ -70,10 +70,6 @@ needs it.  Outer cables that no inner wire touches are filled in last
 with every value of their domain, by the cross-product loop.  Before a
 keyless binary step after the first, or that expansion, builds anything,
 its exact size is checked against ``ENUMERATION_LIMIT``.
-
-:func:`evaluate_naive` transcribes the definition literally, enumerating
-every cable assignment, and serves as the oracle the fast path must agree
-with.
 """
 
 from __future__ import annotations
@@ -431,7 +427,6 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     Runs the :func:`plan_join` plan.  Raises :class:`EnumerationLimitError`
     when a keyless binary step after the first, or the expansion over the
     free cables, would build more than ``ENUMERATION_LIMIT`` tuples.
-    Agrees with :func:`evaluate_naive` wherever neither refuses.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -676,36 +671,3 @@ def _getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
         return lambda t: (t[k],)
     return lambda t: ()
 
-
-def evaluate_naive(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
-    """Literal transcription of the definition, used as an oracle.
-
-    Enumerates every assignment of every cable; refuses when the assignment
-    space exceeds ``ENUMERATION_LIMIT``.
-    """
-    rels = tuple(rels)
-    _check_inputs(twd, rels)
-    wd = twd.diagram
-
-    space = math.prod(len(twd.cable_types[c]) for c in wd.cables)
-    if space > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"cable assignment space has {space} elements, bound is {ENUMERATION_LIMIT}"
-        )
-
-    cable_order = list(wd.cables)
-    wire_cables = [
-        [cable_order.index(wd.inner_map[(i, w)]) for w in rels[i].star.wires]
-        for i in range(twd.arity)
-    ]
-    out_idx = [cable_order.index(wd.outer_map[y]) for y in twd.outer.wires]
-    tuple_sets = [rel.tuples for rel in rels]
-
-    results: set[tuple] = set()
-    for c in product(*(twd.cable_types[cb].values for cb in cable_order)):
-        if all(
-            tuple(c[k] for k in wire_cables[i]) in tuple_sets[i]
-            for i in range(twd.arity)
-        ):
-            results.add(tuple(c[k] for k in out_idx))
-    return Relation(twd.outer, results)

@@ -1,7 +1,8 @@
 """Independent oracles the implementation is checked against.
 
 Everything here recomputes results by a different route than the package:
-literal enumeration, nested loops, or closed forms.  The factorial recursion
+literal enumeration, nested loops, or closed forms.  ``evaluate_naive``
+is relation evaluation by its definition.  The factorial recursion
 at any limit is built here too, from the shipped ``factorial.wd`` and the
 rule ``scripts/gen_factorial_fixture.py`` writes its CSV files from.
 """
@@ -9,17 +10,20 @@ rule ``scripts/gen_factorial_fixture.py`` writes its CSV files from.
 from __future__ import annotations
 
 import importlib.util
+import math
 import pathlib
 import re
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
+import wiring.relations as relations_mod
+from wiring.errors import EnumerationLimitError
 from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
 from wiring.recursion import RecursiveSetup, build_setup, step
-from wiring.relations import Relation
+from wiring.relations import Relation, _check_inputs
 from wiring.stars import Star, WiringDiagram
-from wiring.typed import TypedStar
+from wiring.typed import TypedStar, TypedWiringDiagram
 
 
 def eval_singly(
@@ -40,6 +44,42 @@ def eval_singly(
         ):
             out.add(tuple(c[wd.outer_map[y]] for y in wd.outer.wires))
     return out
+
+
+def evaluate_naive(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
+    """Literal transcription of relation evaluation, the oracle
+    ``relations.evaluate`` must agree with.
+
+    Enumerates every assignment of every cable; refuses when the assignment
+    space exceeds ``relations.ENUMERATION_LIMIT``, read at each call.
+    """
+    rels = tuple(rels)
+    _check_inputs(twd, rels)
+    wd = twd.diagram
+
+    limit = relations_mod.ENUMERATION_LIMIT
+    space = math.prod(len(twd.cable_types[c]) for c in wd.cables)
+    if space > limit:
+        raise EnumerationLimitError(
+            f"cable assignment space has {space} elements, bound is {limit}"
+        )
+
+    cable_order = list(wd.cables)
+    wire_cables = [
+        [cable_order.index(wd.inner_map[(i, w)]) for w in rels[i].star.wires]
+        for i in range(twd.arity)
+    ]
+    out_idx = [cable_order.index(wd.outer_map[y]) for y in twd.outer.wires]
+    tuple_sets = [rel.tuples for rel in rels]
+
+    results: set[tuple] = set()
+    for c in product(*(twd.cable_types[cb].values for cb in cable_order)):
+        if all(
+            tuple(c[k] for k in wire_cables[i]) in tuple_sets[i]
+            for i in range(twd.arity)
+        ):
+            results.add(tuple(c[k] for k in out_idx))
+    return Relation(twd.outer, results)
 
 
 def sql_oracle(

@@ -78,6 +78,26 @@ def test_eval_union(project, capsys):
     assert "error" in capsys.readouterr().err
 
 
+SPLIT_UNIONS = """
+query tnot = SELECT n.A, n.out FROM nand n WHERE n.A = n.B AND n.out = 'False';
+query fnot = SELECT n.A, n.out FROM nand n WHERE n.A = n.B AND n.out = 'True';
+union both = tnot | fnot;
+union again = both | notq;
+"""
+
+
+@pytest.mark.parametrize("name", ["both", "again"])
+def test_eval_union_of_one_shape(project, capsys, name):
+    # notq split by its output and put back together, and that union again
+    # with notq itself, evaluate to notq's bytes
+    assert run_cli(["eval", str(project / "circuits.wd"), "notq"]) == 0
+    want = capsys.readouterr().out
+    script = project / "unions.wd"
+    script.write_text(SCRIPT + SPLIT_UNIONS)
+    assert run_cli(["eval", str(script), name]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_union_of_different_shapes_fails_check(project, capsys):
     script = project / "circuits.wd"
     script.write_text(SCRIPT + "union gates = notq | andq;\n")
@@ -197,6 +217,36 @@ def test_missing_csv_is_user_error(project, capsys):
     err = capsys.readouterr().err
     assert "nand.csv" in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["dot", "circuits.wd", "nosuch"], "error: no diagram or query named 'nosuch'"),
+        (["fixpoint", "circuits.wd", "nosuch"], "error: no setup named 'nosuch'"),
+    ],
+    ids=["dot", "fixpoint"],
+)
+def test_unknown_dot_or_setup_name_is_user_error(project, capsys, command, message):
+    argv = [command[0], str(project / command[1]), *command[2:]]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("", "missing header row"),
+        ("\n\n", "missing header row"),
+        ("A,B,A\n", "header repeats a column"),
+    ],
+    ids=["empty", "blank-lines", "repeated-column"],
+)
+def test_bad_csv_header_is_user_error(project, capsys, text, reason):
+    csv = project / "nand.csv"
+    csv.write_text(text)
+    assert run_cli(["check", str(project / "circuits.wd")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {csv}: {reason}"]
 
 
 def test_non_ascii_digit_cell_is_user_error(project, capsys):

@@ -189,7 +189,7 @@ class TestMutationSensitivity:
         assert not report.ok
 
     def test_corrupted_evaluate_detected_by_witnesses(self, monkeypatch):
-        real = relations_mod.evaluate_naive
+        real = relations_mod.evaluate
 
         def corrupted(twd, rels, **kwargs):
             result = real(twd, rels, **kwargs)
@@ -199,7 +199,7 @@ class TestMutationSensitivity:
                 return Relation.complete(result.star)
             return result
 
-        monkeypatch.setattr(relations_mod, "evaluate_naive", corrupted)
+        monkeypatch.setattr(relations_mod, "evaluate", corrupted)
         report = check_prop_witnesses(ValueDomain("A", (0, 1)))
         assert not report.ok
 

@@ -1,4 +1,5 @@
 import random
+import shutil
 
 import pytest
 
@@ -217,8 +218,9 @@ class TestFactorialFixture:
 
     def test_generator_writes_the_shipped_files(self, fixtures_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(gen_factorial_fixture, "HERE", tmp_path)
+        shutil.copy(fixtures_dir / "factorial" / "factorial.wd", tmp_path)
         gen_factorial_fixture.main()
-        written = sorted(path.name for path in tmp_path.iterdir())
+        written = sorted(path.name for path in tmp_path.glob("*.csv"))
         assert written == ["conditional.csv", "decrement.csv", "multiply.csv"]
         for name in written:
             shipped_bytes = (fixtures_dir / "factorial" / name).read_bytes()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_singly, relation_misfit
+from oracles import eval_singly, evaluate_naive, relation_misfit
 from strategies import typed_and_relations
 import wiring
 from wiring.errors import EnumerationLimitError, InterfaceError, ValidationError
@@ -26,7 +26,6 @@ from wiring.relations import (
     _join_loop,
     _step_loop,
     evaluate,
-    evaluate_naive,
     plan_join,
     union,
 )
