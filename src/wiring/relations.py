@@ -14,9 +14,9 @@ relation first, then always the smallest relation that shares a cable with
 those already joined, ties going to the lower star index, so a cross
 product happens only between disconnected parts of the diagram.  Partial
 results are tuples with one slot per cable still needed; each step drops
-the relation's tuples that give one cable two values, indexes whichever
-side is smaller, the partial tuples or the relation's tuples, on the
-shared cables, and probes the index with the other side.
+the relation's tuples that give one cable two values, indexes the partial
+tuples on the shared cables, all under the empty key when there are
+none, and probes the index with the relation's tuples.
 
 On a cyclic diagram every binary plan can build intermediate results far
 larger than the answer: a triangle query joins all 2-paths before it
@@ -47,29 +47,29 @@ is immutable, so its tries cannot go stale.  They cost about 70-100 bytes
 per two-column tuple, and a relation used under k level orders keeps k
 tries.
 
-Each joined tuple is built once.  A binary step's loop is a set
+Each joined tuple is built once.  Every binary step runs one loop, a set
 comprehension that names each kept slot outright, as in ``{(p[0], p[1],
-t[1]) for t in hits for p in index[key(t)]}`` for partial tuples ``p``
+t[1]) for t in rows for p in index[key(t)]}`` for partial tuples ``p``
 and relation tuples ``t``.  Both kinds of loop are generated with
-``eval`` once per shape and cached: a binary step's per kept positions,
-partial width and side (a cross product, rows probing an index of the
-partials, or partials probing an index of the rows), the generic join's
-per trie levels and output cables, given as ranks in the cable order, so
-that diagrams differing only in cable names share one loop.  One helper
-evaluates both: the source holds fixed text and the shape's ``int``s,
-and nothing else, any other value is refused before ``eval``, and the
-code runs without builtins.  No name, value or text from a script or a
-CSV file reaches it.  A first step that keeps its relation's wires in
-order, with no cable on two of them, hands the relation's tuples on as
-they are.
+``eval`` once per shape and cached: a binary step's per kept positions
+and partial width, the generic join's per trie levels and output cables,
+given as ranks in the cable order, so that diagrams differing only in
+cable names share one loop.  One helper evaluates both: the source holds
+fixed text and the shape's ``int``s, and nothing else, any other value is
+refused before ``eval``, and the code runs without builtins.  No name,
+value or text from a script or a CSV file reaches it.  A first step that
+keeps its relation's wires in order, with no cable on two of them, hands
+the relation's tuples on as they are.
 
 The joins leave one slot per output cable; when the outer wires read
 those slots in order and no cable is free, the tuples become the outer
 relation as they are, and they are re-picked only when the output order
 needs it.  Outer cables that no inner wire touches are filled in last
-with every value of their domain, by the cross-product loop.  Before a
-keyless binary step after the first, or that expansion, builds anything,
-its exact size is checked against ``ENUMERATION_LIMIT``.
+with every value of their domain, by the step loop with every partial
+tuple under the empty key.  Before a binary step after the first, or that
+expansion, builds anything, its exact size is checked against
+``ENUMERATION_LIMIT``; a keyed step counts it only when the product of
+its two sides is over the limit.
 """
 
 from __future__ import annotations
@@ -425,8 +425,8 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Feed ``rels`` through ``twd`` and collect the outer relation.
 
     Runs the :func:`plan_join` plan.  Raises :class:`EnumerationLimitError`
-    when a keyless binary step after the first, or the expansion over the
-    free cables, would build more than ``ENUMERATION_LIMIT`` tuples.
+    when a binary step after the first, or the expansion over the free
+    cables, would build more than ``ENUMERATION_LIMIT`` tuples.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -463,24 +463,26 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
             f"cables gives {size} tuples, bound is {ENUMERATION_LIMIT}"
         )
     # The output reads every slot of a partial tuple and every free cable.
-    width = len(set(plan.output)) - len(plan.free)
-    expand = _step_loop(plan.output, width, "cross")
-    return Relation._trusted(twd.outer, frozenset(expand(partials, list(product(*domains)))))
+    expand = _step_loop(plan.output, len(set(plan.output)) - len(plan.free))
+    tuples = expand({(): partials}, product(*domains), _getter(()))
+    return Relation._trusted(twd.outer, frozenset(tuples))
 
 
 def _join_step(
     partials: Collection[tuple], width: int, tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
     """The partial tuples, ``width`` slots each, after joining ``tuples``
-    as ``step`` says.
+    as ``step`` says, by the step loop over an index of the partials; a
+    keyed step filters the relation's tuples against the index in C
+    before Python visits one.
 
-    The smaller side, partials or rows, is indexed on the key cables, and
-    the larger side is filtered against the index in C (``compress`` over
-    its membership tests) before Python visits a row.  A step with no key
-    is a cross product; after the first step (``width`` > 0) its size is
-    checked against ``ENUMERATION_LIMIT`` before it builds anything.
+    After the first step (``width`` > 0) the output's size is checked
+    against ``ENUMERATION_LIMIT`` before anything is built: a keyless
+    step's is the product of its two sides; a keyed step, only when that
+    product is over the limit, sums the partials each matching tuple meets.
     """
     rows = _agreeing(tuples, step.equal_pairs)
+    loop = _step_loop(step.keep, width)
     if not step.key_slots:
         size = len(partials) * len(rows)
         if width and size > ENUMERATION_LIMIT:
@@ -488,26 +490,21 @@ def _join_step(
                 f"the cross product of {len(partials)} partial tuples and "
                 f"{len(rows)} tuples gives {size} tuples, bound is {ENUMERATION_LIMIT}"
             )
-        return _step_loop(step.keep, width, "cross")(partials, rows)
+        return loop({(): partials}, rows, _getter(()))
     # One itemgetter per side: the entry itself on one key cable, a tuple on
     # more, so a one-cable step builds no 1-tuple key per row.
     partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
-    if len(partials) <= len(rows):
-        index = _group(partials, partial_key)
-        hits = compress(rows, map(index.__contains__, map(row_key, rows)))
-        return _step_loop(step.keep, width, "probe rows")(index, hits, row_key)
-    index = _group(rows, row_key)
-    hits = compress(partials, map(index.__contains__, map(partial_key, partials)))
-    return _step_loop(step.keep, width, "probe partials")(index, hits, partial_key)
-
-
-# The loops of a binary step, as set comprehensions over a partial tuple
-# ``p`` and a relation tuple ``t``; ``{}`` is the joined tuple.
-_LOOPS = {
-    "cross": "lambda partials, rows: {{{} for p in partials for t in rows}}",
-    "probe rows": "lambda index, hits, key: {{{} for t in hits for p in index[key(t)]}}",
-    "probe partials": "lambda index, hits, key: {{{} for p in hits for t in index[key(p)]}}",
-}
+    index = _group(partials, partial_key)
+    hits = compress(rows, map(index.__contains__, map(row_key, rows)))
+    if len(partials) * len(rows) > ENUMERATION_LIMIT:
+        hits = list(hits)
+        size = sum(map(len, map(index.__getitem__, map(row_key, hits))))
+        if size > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"joining {len(partials)} partial tuples with {len(hits)} matching "
+                f"tuples gives {size} tuples, bound is {ENUMERATION_LIMIT}"
+            )
+    return loop(index, hits, row_key)
 
 
 def _generated(ints: Sequence, write: Callable[[], str]) -> Callable[..., set[tuple]]:
@@ -520,13 +517,14 @@ def _generated(ints: Sequence, write: Callable[[], str]) -> Callable[..., set[tu
 
 
 @lru_cache(maxsize=256)
-def _step_loop(keep: tuple[int, ...], width: int, side: str) -> Callable[..., set[tuple]]:
-    """The ``side`` loop of ``_LOOPS`` that builds each joined tuple once,
-    as ``(p + t)`` read at ``keep`` for partials of ``width`` slots."""
+def _step_loop(keep: tuple[int, ...], width: int) -> Callable[..., set[tuple]]:
+    """A binary step's loop, called with an index of the partial tuples,
+    the relation's tuples and their key, that builds each joined tuple
+    once, as ``(p + t)`` read at ``keep`` for partials of ``width`` slots."""
 
     def write() -> str:
         slots = "".join(f"p[{k}], " if k < width else f"t[{k - width}], " for k in keep)
-        return _LOOPS[side].format(f"({slots})")
+        return f"lambda index, rows, key: {{({slots}) for t in rows for p in index[key(t)]}}"
 
     return _generated((*keep, width), write)
 

@@ -327,6 +327,23 @@ def test_query_refuses_a_keyless_step_above_the_bound(tmp_path, capsys, monkeypa
     ]
 
 
+def test_query_refuses_a_keyed_step_above_the_bound(tmp_path, capsys, monkeypatch):
+    # every one of the 200 tuples shares its key with every other: 200 x 200
+    monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+    (tmp_path / "r.wd").write_text(
+        'type N = range 0..3999;\nstar R(k:N, x:N);\nrel r : R from "r.csv";\n'
+    )
+    (tmp_path / "r.csv").write_text("k,x\n" + "".join(f"0,{k}\n" for k in range(200)))
+    argv = ["query", str(tmp_path / "r.wd"), "SELECT a.x, b.x FROM r a, r b WHERE a.k = b.k"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: joining 200 partial tuples with 200 matching tuples gives "
+        "40000 tuples, bound is 1000"
+    ]
+
+
 REORDERED_STAR_SCRIPT = """
 type N = range 0..2;
 type T = {x, y};

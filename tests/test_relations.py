@@ -489,17 +489,7 @@ def _random_instance(rng):
     return twd, rels
 
 
-def test_plan_matches_naive_on_seeded_instances(monkeypatch):
-    import wiring.relations as relations_mod
-
-    loops = set()
-    step_loop = relations_mod._step_loop
-
-    def spy(keep, width, side):
-        loops.add(side)
-        return step_loop(keep, width, side)
-
-    monkeypatch.setattr(relations_mod, "_step_loop", spy)
+def test_plan_matches_naive_on_seeded_instances():
     seen = {"cross": 0, "equal": 0, "free": 0, "emptied": 0, "pass-through": 0}
     rng = random.Random(71)
     for _ in range(300):
@@ -516,7 +506,6 @@ def test_plan_matches_naive_on_seeded_instances(monkeypatch):
             wires = twd.inner[first.star].wires
             whole = first.keep == tuple(range(len(wires))) and not first.equal_pairs
             seen["pass-through"] += whole and not got.is_empty
-    assert loops == {"cross", "probe rows", "probe partials"}
     assert all(seen.values()), seen
 
     # A path whose first join is empty: the partials empty in mid-plan.
@@ -618,13 +607,47 @@ class TestCrossProductBound:
         assert evaluate(proj, rels[:1]).tuples == {()}
 
 
+class TestKeyedStepBound:
+    def _self_join(self, rows):
+        # R(k, x) joined with itself on k, keeping both x
+        dom = ValueDomain.int_range("N", 0, max(max(t) for t in rows))
+        twd, (u, _v) = _wired(dom, [("k", "a"), ("k", "b")], ("a", "b"))
+        rel = Relation(u, rows)
+        return twd, [rel, rel]
+
+    def test_keyed_step_above_the_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+        twd, rels = self._self_join([(0, x) for x in range(200)])
+        assert plan_join(twd, [200, 200]).steps[1].key_slots
+        with pytest.raises(EnumerationLimitError) as info:
+            evaluate(twd, rels)
+        assert "joining 200 partial tuples with 200 matching tuples" in str(info.value)
+        assert "gives 40000 tuples, bound is 1000" in str(info.value)
+
+    def test_keyed_step_under_the_bound_runs(self, monkeypatch):
+        twd, rels = self._self_join([(0, x) for x in range(31)])
+        want = evaluate_naive(twd, rels)  # its guard reads the limit too
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+        got = evaluate(twd, rels)
+        assert len(got) == 961 and got == want
+
+    def test_keyed_step_counts_only_matched_tuples(self, monkeypatch):
+        # 200 x 200 is over the bound, but each tuple meets one partial
+        twd, rels = self._self_join([(x, x) for x in range(200)])
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+        assert evaluate(twd, rels).aligned_tuples(("o0", "o1")) == {(x, x) for x in range(200)}
+
+
 class TestStepLoop:
     def test_loop_builds_each_kept_slot(self):
-        cross = _step_loop((2, 0, 1), 1, "cross")
-        assert cross({(1,), (2,)}, [("x", "y")]) == {("y", 1, "x"), ("y", 2, "x")}
-        probe = _step_loop((0,), 1, "probe rows")
+        cross = _step_loop((2, 0, 1), 1)
+        assert cross({(): {(1,), (2,)}}, [("x", "y")], lambda t: ()) == {
+            ("y", 1, "x"),
+            ("y", 2, "x"),
+        }
+        probe = _step_loop((0,), 1)
         assert probe({7: [(1,), (2,)]}, [(7, 0)], itemgetter(0)) == {(1,), (2,)}
-        assert _step_loop((), 2, "cross")({(1, 2)}, [()]) == {()}
+        assert _step_loop((), 2)({(): {(1, 2)}}, [()], lambda t: ()) == {()}
 
     @pytest.mark.parametrize(
         "keep, width",
@@ -634,11 +657,28 @@ class TestStepLoop:
         # 1.0 and True hash as 1: a cached loop for the int would answer
         _step_loop.cache_clear()
         with pytest.raises(TypeError, match="ints"):
-            _step_loop(keep, width, "cross")
+            _step_loop(keep, width)
 
     def test_cache_is_bounded_and_shared(self):
         assert _step_loop.cache_info().maxsize == 256
-        assert _step_loop((1, 0), 1, "probe partials") is _step_loop((1, 0), 1, "probe partials")
+        assert _step_loop((1, 0), 1) is _step_loop((1, 0), 1)
+
+    def test_free_cable_expansion_runs_the_step_loop(self, monkeypatch):
+        import wiring.relations as relations_mod
+
+        calls = []
+        step_loop = relations_mod._step_loop
+
+        def spy(keep, width):
+            calls.append((keep, width))
+            return step_loop(keep, width)
+
+        monkeypatch.setattr(relations_mod, "_step_loop", spy)
+        dom = ValueDomain.int_range("N", 0, 2)
+        twd, (u,) = _wired(dom, [("a",)], ("f", "a"))
+        got = evaluate(twd, [Relation(u, [(1,), (2,)])])
+        assert got.aligned_tuples(("o0", "o1")) == {(f, a) for f in range(3) for a in (1, 2)}
+        assert calls == [((1, 0), 1)]
 
 
 def _wired(dom, stars, outer):
@@ -1079,11 +1119,11 @@ def _sparse_path(rng, rows_indexed):
     probing side, and the outer cables ``a`` and ``d``/``c``.
 
     Without ``rows_indexed``: R0(a, b) holds two tuples on one value ``k``
-    of b, and R1(b, c) a hundred tuples off ``k`` and one to five on it, so
-    the two partials are indexed and R1's rows probe.  With it: R0(a, b)
-    and R1(b, e, c) join into sixty partials on distinct (e, c) pairs, and
-    R2(e, c, d) has 41 tuples, one on such a pair, so R2's rows are indexed
-    and the partials probe.
+    of b, and R1(b, c) a hundred tuples off ``k`` and one to five on it.
+    With it, the partials outnumber the rows: R0(a, b) and R1(b, e, c) join
+    into sixty partials on distinct (e, c) pairs, and R2(e, c, d) has 41
+    tuples, one on such a pair.  Either way the partials are indexed and
+    the last relation's rows probe.
     """
     if not rows_indexed:
         dom = ValueDomain.int_range("D", 0, 19)
@@ -1135,5 +1175,5 @@ def test_binary_steps_with_few_matches_agree_with_naive(rows_indexed, monkeypatc
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels) and not got.is_empty
         side, probing, matched = probes[-1]
-        assert side == ("partials" if rows_indexed else "rows")
+        assert side == "rows"
         assert 0 < matched <= 0.05 * probing
