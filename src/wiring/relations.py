@@ -7,7 +7,8 @@ cable assignment ``c`` whose restriction ``c . f_i`` lies in the i-th input
 relation.
 
 :func:`evaluate` computes this as a conjunctive query, by one of two
-executors that :func:`plan_join` chooses from the shape of the diagram.
+executors.  A first join, one with an input no join has read before, runs
+the one that :func:`plan_join` chooses from the shape of the diagram.
 When GYO ear removal empties the hypergraph whose edges are the stars'
 cable sets, the diagram is acyclic and gets binary joins: the smallest
 relation first, then always the smallest relation that shares a cable with
@@ -41,11 +42,20 @@ cable still multiplies the work by its values.
 
 The generic join's tries are built once per relation and per key (the
 trie's level positions and the positions one cable must give equal
-values) and kept on the relation, so evaluating the same relations again,
-or one relation twice in a self-join, does not rebuild them.  A relation
-is immutable, so its tries cannot go stale.  They cost about 70-100 bytes
-per two-column tuple, and a relation used under k level orders keeps k
-tries.
+values) and kept in a cache on the relation, so evaluating the same
+relations again, or one relation twice in a self-join, does not rebuild
+them.  A relation is immutable, so its tries cannot go stale.  They cost
+about 70-100 bytes per two-column tuple, and a relation used under k level
+orders keeps k tries.  Every join gives each input that cache, empty after
+a binary join: it is the record that the relation has been joined.  When
+every input of a diagram holds that record, the diagram runs the generic
+join, acyclic or not, as a database answers repeat queries from the
+indexes it keeps: from tries once built, the generic join beats the
+binary steps, which rebuild their indexes on every call (Freitag et al.,
+"Adopting worst-case optimal joins in relational database systems", VLDB
+2020).  A first join still runs the binary steps on an acyclic diagram,
+since it would build tries only to read them once; the first repeat join
+builds the tries it needs, and later ones read them.
 
 Each joined tuple is built once.  Every binary step runs one loop, a set
 comprehension that names each kept slot outright, as in ``{(p[0], p[1],
@@ -66,10 +76,20 @@ those slots in order and no cable is free, the tuples become the outer
 relation as they are, and they are re-picked only when the output order
 needs it.  Outer cables that no inner wire touches are filled in last
 with every value of their domain, by the step loop with every partial
-tuple under the empty key.  Before a binary step after the first, or that
-expansion, builds anything, its exact size is checked against
-``ENUMERATION_LIMIT``; a keyed step counts it only when the product of
-its two sides is over the limit.
+tuple under the empty key.
+
+Every enumeration in :func:`evaluate` is bounded by ``ENUMERATION_LIMIT``
+before it starts.  A trie records its fan-out, the size of its largest
+node at each level, when it is built.  A cable's values under any prefix
+are at most the smallest fan-out among the tries that touch it, so the
+product of these minima over the cables bounds every prefix the generic
+join can enumerate.  When that product is over the limit, the diagram
+runs the binary steps instead, whatever its shape, and their exact bounds
+answer or refuse: so no join that fits within the limit is refused.
+Before a binary step after the first, or the free-cable expansion, builds
+anything, its exact size is checked against the limit; a keyed step
+counts it only when the product of its two sides is over the limit.  The
+first step only reads its relation.
 """
 
 from __future__ import annotations
@@ -112,14 +132,17 @@ class Relation(Frozen):
     names the first misfit in that order, whatever the process's hash
     seed.
 
-    The generic join's hash tries are built once per key and kept on the
-    relation, outside its fields (:meth:`_trie_at`).  They rely on the
-    relation being immutable: :class:`~wiring.stars.Frozen` refuses to
-    assign ``star`` or ``tuples`` after ``__init__``, so they cannot go
-    stale.  One used under k level orders keeps k tries, each about
-    70-100 bytes per two-column tuple.  A relation built from another, by
-    ``_trusted``, :func:`union`, :func:`evaluate` or a copy, starts without
-    tries.
+    The generic join's hash tries are built once per key and kept in a
+    cache on the relation, outside its fields (:meth:`_trie_at`).  They
+    rely on the relation being immutable: :class:`~wiring.stars.Frozen`
+    refuses to assign ``star`` or ``tuples`` after ``__init__``, so they
+    cannot go stale.  One used under k level orders keeps k tries, each
+    about 70-100 bytes per two-column tuple.  :func:`evaluate` gives every
+    input that cache, empty after a binary join, as the record that the
+    relation has been joined; a diagram whose inputs all hold it runs the
+    generic join on their tries.  A relation built from another, by
+    ``_trusted``, :func:`union`, :func:`evaluate` or a copy or pickle,
+    starts without the cache, so its next join is a first join.
     """
 
     star: TypedStar
@@ -154,15 +177,17 @@ class Relation(Frozen):
 
     def _trie_at(
         self, positions: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
-    ) -> KeysView | set | tuple | None:
+    ) -> tuple[KeysView | set | tuple, tuple[int, ...]] | None:
         """The hash trie (:func:`_trie`) of the tuples whose entries agree
         at each of the position ``pairs``, with one level per position in
-        ``positions``; ``()`` when ``positions`` is empty, and ``None`` when
-        no tuple agrees.  Both are positions in ``star.wires``.
+        ``positions``, and its fan-out: the size of its largest node at
+        each level.  The trie is ``()`` when ``positions`` is empty, and
+        the pair is ``None`` when no tuple agrees.  Both are positions in
+        ``star.wires``.
 
-        Built on the first request for a key and kept on the relation,
-        outside its fields: a relation is immutable, so a trie can never
-        go stale, and equality, hashing and ``repr`` never see it.
+        Built on the first request for a key and kept in the relation's
+        trie cache, outside its fields: a relation is immutable, so a trie
+        can never go stale, and equality, hashing and ``repr`` never see it.
         """
         tries = self.__dict__.setdefault("_tries", {})
         key = (positions, pairs)
@@ -171,7 +196,7 @@ class Relation(Frozen):
             if not rows:
                 tries[key] = None
             elif not positions:
-                tries[key] = ()
+                tries[key] = ((), ())
             else:
                 tries[key] = _trie(rows, positions)
         return tries[key]
@@ -285,7 +310,8 @@ class JoinPlan(NamedTuple):
     """How :func:`evaluate` joins the inputs of one typed diagram.
 
     ``executor`` is ``"binary"`` when GYO ear removal shows the diagram
-    acyclic, and ``"generic"`` otherwise.  A binary plan runs ``steps`` in
+    acyclic, and ``"generic"`` otherwise, unless :func:`plan_join` was
+    asked for one of them.  A binary plan runs ``steps`` in
     order, starting from the one empty partial tuple, and has no
     ``cable_order``.  A generic plan has no steps: it binds the cables in
     ``cable_order``, and its answers hold the output cables in that order.
@@ -303,11 +329,16 @@ class JoinPlan(NamedTuple):
     cable_order: tuple[Cable, ...]
 
 
-def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
-    """The join plan for inputs of the given sizes: binary steps for an
-    acyclic diagram, a generic cable order for a cyclic one, each chosen
-    as the module docstring says.  A binary step keeps the cables a later
-    step or the output needs."""
+def plan_join(
+    twd: TypedWiringDiagram,
+    sizes: Sequence[int],
+    executor: Literal["binary", "generic"] | None = None,
+) -> JoinPlan:
+    """The join plan for inputs of the given sizes: by default binary
+    steps for an acyclic diagram and a generic cable order for a cyclic
+    one, each chosen as the module docstring says; ``executor`` asks for
+    one of them whatever the shape.  A binary step keeps the cables a
+    later step or the output needs."""
     wd = twd.diagram
     inner_map, outer_map = wd.inner_map, wd.outer_map
     star_cables = [
@@ -315,11 +346,13 @@ def plan_join(twd: TypedWiringDiagram, sizes: Sequence[int]) -> JoinPlan:
     ]
     out_cables = tuple(map(outer_map.__getitem__, wd.outer.wires))
 
-    if _is_acyclic(star_cables):
-        executor, order = "binary", ()
+    if executor is None:
+        executor = "binary" if _is_acyclic(star_cables) else "generic"
+    if executor == "binary":
+        order = ()
         steps, slots = _binary_steps(star_cables, out_cables, sizes)
     else:
-        executor, steps = "generic", ()
+        steps = ()
         order = _cable_order(star_cables, sizes)
         outputs = set(out_cables)
         slots = tuple([c for c in order if c in outputs])
@@ -424,7 +457,16 @@ def _cable_order(
 def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Feed ``rels`` through ``twd`` and collect the outer relation.
 
-    Runs the :func:`plan_join` plan.  Raises :class:`EnumerationLimitError`
+    A first join runs the :func:`plan_join` plan: binary steps on an
+    acyclic diagram, the generic join on a cyclic one.  When every input
+    has been joined before (none, for a diagram with no inputs), the
+    generic join runs on the inputs' cached tries, whatever the shape.
+    Every input is left with its trie cache, the record that it has been
+    joined.
+
+    Every enumeration is bounded.  When the product of the tries' fan-outs
+    is over ``ENUMERATION_LIMIT``, the generic join enumerates nothing and
+    the binary steps run instead.  Raises :class:`EnumerationLimitError`
     when a binary step after the first, or the expansion over the free
     cables, would build more than ``ENUMERATION_LIMIT`` tuples.
     """
@@ -433,10 +475,16 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     if any(len(dom) == 0 for dom in twd.cable_types.values()):
         return Relation.empty(twd.outer)
 
-    plan = plan_join(twd, [len(rel) for rel in rels])
+    repeat = all(["_tries" in rel.__dict__ for rel in rels])
+    for rel in rels:
+        rel.__dict__.setdefault("_tries", {})  # the record that it has been joined
+    sizes = [len(rel) for rel in rels]
+    plan = plan_join(twd, sizes, "generic" if repeat else None)
     if plan.executor == "generic":
-        partials: Collection[tuple] = _generic_join(twd, rels, plan.cable_order)
-    else:
+        partials = _generic_join(twd, rels, plan.cable_order)
+        if partials is None:  # over the fan-out bound
+            plan = plan_join(twd, sizes, "binary")
+    if plan.executor == "binary":
         partials, width = {()}, 0
         for step in plan.steps:
             wires = twd.inner[step.star].wires
@@ -544,14 +592,15 @@ def _join_loop(
     def write() -> str:
         node = {t: f"n{t}_{own[0]}" for t, own in enumerate(levels)}
         roots = ", ".join(["meet", *node.values()])
-        last = max(map(max, levels))
+        last = max(map(max, levels), default=-1)
         loops = []
         for k in range(last + 1):
             touching = [t for t, own in enumerate(levels) if k in own]
             nodes = [node[t] for t in touching]
             meet = " & ".join(nodes) if len(nodes) < 3 else f"meet({', '.join(nodes)})"
             if k == last and k not in outputs:
-                loops.append(f"if {meet}")
+                # a comprehension opens with a loop: one over the meet itself
+                loops.append(f"if {meet}" if loops else f"for v{k} in [{meet}] if v{k}")
                 break
             loops.append(f"for v{k} in {meet}")
             for t in touching:
@@ -568,9 +617,10 @@ def _join_loop(
 
 def _generic_join(
     twd: TypedWiringDiagram, rels: Sequence[Relation], order: tuple[Cable, ...]
-) -> Collection[tuple]:
+) -> Collection[tuple] | None:
     """The output cables, in ``order``, of every assignment of the cables
-    in ``order`` that every input admits.
+    in ``order`` that every input admits; ``None``, before anything is
+    enumerated, when the fan-out bound is over ``ENUMERATION_LIMIT``.
 
     Each input's trie has one level per cable it touches, in ``order``,
     over its rows that give no cable two values; it is asked of the
@@ -581,15 +631,21 @@ def _generic_join(
     rank = {c: k for k, c in enumerate(order)}
     levels: list[tuple[int, ...]] = []
     tries: list[KeysView | set] = []
+    widths: dict[int, int] = {}  # the smallest fan-out at each rank
     for i, rel in enumerate(rels):
         first, pairs = _first_positions([wd.inner_map[i, w] for w in rel.star.wires])
-        own = sorted(first, key=rank.__getitem__)
-        trie = rel._trie_at(tuple([first[c] for c in own]), tuple(pairs))
-        if trie is None:
+        own = tuple(sorted([rank[c] for c in first]))
+        found = rel._trie_at(tuple([first[order[k]] for k in own]), tuple(pairs))
+        if found is None:
             return ()
+        trie, fanout = found
         if own:
-            levels.append(tuple([rank[c] for c in own]))
+            levels.append(own)
             tries.append(trie)
+            for k, width in zip(own, fanout):
+                widths[k] = min(widths.get(k, width), width)
+    if math.prod(widths.values()) > ENUMERATION_LIMIT:
+        return None
     outer = map(wd.outer_map.__getitem__, twd.outer.wires)
     outputs = sorted({rank[c] for c in outer if c in rank})
     return _join_loop(tuple(levels), tuple(outputs))(_meet, *tries)
@@ -601,8 +657,11 @@ def _meet(*nodes: KeysView | set) -> set:
     return reduce(and_, sorted(nodes, key=len))
 
 
-def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:
-    """The rows' entries at ``positions`` as a hash trie.
+def _trie(
+    rows: Iterable[tuple], positions: Sequence[int]
+) -> tuple[KeysView | set, tuple[int, ...]]:
+    """The rows' entries at ``positions`` as a hash trie, and its fan-out:
+    the size of its largest node at each level.
 
     A node is the set of values at its level: a ``set`` at the last level,
     above it the keys view of a dict whose ``mapping`` takes each value to
@@ -610,12 +669,18 @@ def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:
     with ``&``, which iterates the smaller side."""
     head, *rest = positions
     if not rest:
-        return {t[head] for t in rows}
+        node = {t[head] for t in rows}
+        return node, (len(node),)
     if len(rest) > 1:
         groups: dict[Value, list[tuple]] = {}
         for t in rows:
             groups.setdefault(t[head], []).append(t)
-        return {v: _trie(group, rest) for v, group in groups.items()}.keys()
+        children: dict[Value, KeysView | set] = {}
+        fanouts = []
+        for v, group in groups.items():
+            children[v], fanout = _trie(group, rest)
+            fanouts.append(fanout)
+        return children.keys(), (len(children), *map(max, zip(*fanouts)))
     (last,) = rest
     root: dict[Value, set] = {}
     for t in rows:
@@ -624,7 +689,7 @@ def _trie(rows: Iterable[tuple], positions: Sequence[int]) -> KeysView | set:
             root[t[head]] = {t[last]}
         else:
             values.add(t[last])
-    return root.keys()
+    return root.keys(), (len(root), max(map(len, root.values())))
 
 
 def _first_positions(

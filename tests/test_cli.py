@@ -344,6 +344,25 @@ def test_query_refuses_a_keyed_step_above_the_bound(tmp_path, capsys, monkeypatc
     ]
 
 
+def test_query_refuses_a_dense_triangle_above_the_bound(tmp_path, capsys, monkeypatch):
+    # every edge on 20 values: the tries' fan-outs multiply to 20^3 = 8000
+    # triangles, so the binary steps run, and their second step refuses
+    monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+    (tmp_path / "e.wd").write_text(
+        'type N = range 0..19;\nstar E(x:N, y:N);\nrel e : E from "e.csv";\n'
+    )
+    rows = "".join(f"{x},{y}\n" for x in range(20) for y in range(20))
+    (tmp_path / "e.csv").write_text("x,y\n" + rows)
+    triangle = "SELECT a.x, b.x, c.x FROM e a, e b, e c WHERE a.y = b.x AND b.y = c.x AND c.y = a.x"
+    assert run_cli(["query", str(tmp_path / "e.wd"), triangle]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: joining 400 partial tuples with 400 matching tuples gives "
+        "8000 tuples, bound is 1000"
+    ]
+
+
 REORDERED_STAR_SCRIPT = """
 type N = range 0..2;
 type T = {x, y};

@@ -24,6 +24,7 @@ from wiring.laws import (
 from wiring.relations import (
     Relation,
     _join_loop,
+    _meet,
     _step_loop,
     evaluate,
     plan_join,
@@ -489,18 +490,55 @@ def _random_instance(rng):
     return twd, rels
 
 
-def test_plan_matches_naive_on_seeded_instances():
-    seen = {"cross": 0, "equal": 0, "free": 0, "emptied": 0, "pass-through": 0}
+@pytest.fixture()
+def generic_calls(monkeypatch):
+    """What each generic join returned: ``None`` when over the fan-out bound."""
+    import wiring.relations as relations_mod
+
+    calls = []
+    generic_join = relations_mod._generic_join
+
+    def spy(twd, rels, order):
+        calls.append(generic_join(twd, rels, order))
+        return calls[-1]
+
+    monkeypatch.setattr(relations_mod, "_generic_join", spy)
+    return calls
+
+
+def test_plan_matches_naive_on_seeded_instances(generic_calls):
+    # Each instance is evaluated twice on the same relations: the first
+    # evaluation runs the plan, the second the generic join on the tries.
+    # Then twice more on fresh copies, some of them shared between equal
+    # stars: a self-join.
+    seen = dict.fromkeys(
+        ["cross", "equal", "free", "emptied", "pass-through", "self-join", "empty-input"], 0
+    )
     rng = random.Random(71)
+    twins = random.Random(72)
     for _ in range(300):
         twd, rels = _random_instance(rng)
         plan = plan_join(twd, [len(r) for r in rels])
-        got = evaluate(twd, rels)
-        assert got == evaluate_naive(twd, rels)
+        fresh = [Relation._trusted(r.star, r.tuples) for r in rels]
+        shared = [
+            fresh[min(i for i, q in enumerate(rels) if q.star == r.star)]
+            if twins.random() < 0.5 else fresh[j]
+            for j, r in enumerate(rels)
+        ]
+        for inputs in (shared, rels):
+            want = evaluate_naive(twd, inputs)
+            generic_calls.clear()
+            got = evaluate(twd, inputs)
+            assert got == want
+            assert len(generic_calls) == (plan.executor == "generic")
+            assert evaluate(twd, inputs) == want
+            assert generic_calls[-1] is not None
         seen["cross"] += any(not s.key_slots for s in plan.steps[1:])
         seen["equal"] += any(s.equal_pairs for s in plan.steps)
         seen["free"] += bool(plan.free)
         seen["emptied"] += got.is_empty and all(rels)
+        seen["self-join"] += len(set(map(id, shared))) < len(shared)
+        seen["empty-input"] += not all(rels)
         if plan.steps:
             first = plan.steps[0]
             wires = twd.inner[first.star].wires
@@ -1112,6 +1150,128 @@ class TestGenericJoin:
         want = evaluate_naive(twd, rels)
         assert evaluate(twd, rels) == want and evaluate(twd_renamed, rels) == want
         assert len(loops) == 2 and loops[0] is loops[1]
+
+
+class TestRepeatJoin:
+    """An acyclic diagram whose inputs were all joined before runs the
+    generic join on their cached tries."""
+
+    @pytest.mark.parametrize(
+        "stars, outer",
+        [
+            ([], ("f",)),
+            ([()], ("f", "f")),
+            ([(), ()], ()),
+            ([("a",), ("a",)], ()),
+            ([("a", "a")], ("f",)),
+            ([("a",), ("a", "a")], ()),
+        ],
+        ids=[
+            "no-input",
+            "nullary-input",
+            "nullary-inputs-no-output",
+            "one-cable-not-output",
+            "one-cable-on-two-wires",
+            "one-cable-on-three-wires",
+        ],
+    )
+    def test_shapes_without_a_loop_over_an_output(self, stars, outer, generic_calls):
+        # No cable touches an input, or the only cable is no output: the
+        # generated comprehension has no loop over an output cable.
+        rng = random.Random(19)
+        dom = ValueDomain.int_range("D", 0, 2)
+        twd, inner = _wired(dom, stars, outer)
+        for _ in range(6):
+            rels = [_draw(rng, s, rng.randint(0, 3)) for s in inner]
+            want = evaluate_naive(twd, rels)
+            assert evaluate(twd, rels) == want
+            generic_calls.clear()
+            assert evaluate(twd, rels) == want
+            assert len(generic_calls) == 1 and generic_calls[0] is not None
+
+    def test_loops_for_those_shapes(self):
+        assert _join_loop((), ())(_meet) == {()}
+        one = _join_loop(((0,), (0,)), ())
+        assert one(_meet, {1, 2}, {2}) == {()}
+        assert one(_meet, {1}, {2}) == set()
+
+    def test_first_join_marks_its_inputs(self, generic_calls):
+        dom = ValueDomain.int_range("D", 0, 5)
+        twd, inner = _wired(dom, [("a", "b"), ("b", "c")], ("a", "c"))
+        rng = random.Random(29)
+        r, s = (_draw(rng, star, 12) for star in inner)
+        assert "_tries" not in vars(r) and "_tries" not in vars(s)
+        want = evaluate(twd, [r, s])
+        assert generic_calls == [] and vars(r)["_tries"] == {} == vars(s)["_tries"]
+        assert evaluate(twd, [r, s]) == want and len(generic_calls) == 1
+        # one input new, one joined: a first join
+        assert evaluate(twd, [r, Relation(s.star, s.tuples)]) == want
+        assert len(generic_calls) == 1
+
+    def test_copies_and_outputs_join_as_first_joins(self, generic_calls):
+        dom = ValueDomain.int_range("D", 0, 5)
+        twd, inner = _wired(dom, [("a", "b"), ("b", "a")], ("a",))
+        r = _draw(random.Random(37), inner[0], 15)
+        want = evaluate(twd, [r, r])
+        assert want == evaluate_naive(twd, [r, r]) and generic_calls == []
+        identity = lift_uniform(identity_diagram(r.star.star), dom)
+        out = evaluate(identity, [r])
+        assert len(generic_calls) == 1
+        for built in (
+            copy.copy(r),
+            copy.deepcopy(r),
+            pickle.loads(pickle.dumps(r)),
+            Relation._trusted(r.star, r.tuples),
+            out,
+        ):
+            assert built == r and "_tries" not in vars(built)
+            generic_calls.clear()
+            assert evaluate(twd, [built, built]) == want and generic_calls == []
+            assert evaluate(twd, [built, built]) == want and len(generic_calls) == 1
+
+
+class TestFanOutBound:
+    """A generic join whose tries' fan-outs multiply to more than
+    ``ENUMERATION_LIMIT`` runs the binary steps instead."""
+
+    def test_dense_triangle_is_refused_on_first_and_repeat_joins(self, monkeypatch, generic_calls):
+        # every one of the 20^3 = 8000 triangles is an answer
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+        dom = ValueDomain.int_range("D", 0, 19)
+        twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        edges = Relation.complete(inner[0])
+        for _ in range(2):
+            with pytest.raises(EnumerationLimitError) as info:
+                evaluate(twd, [edges, edges, edges])
+            assert "joining 400 partial tuples with 400 matching tuples" in str(info.value)
+            assert "gives 8000 tuples, bound is 1000" in str(info.value)
+        assert generic_calls == [None, None]
+
+    def test_fan_outs_are_the_largest_node_per_level(self):
+        dom = ValueDomain.int_range("D", 0, 9)
+        star = TypedStar.uniform(["x", "y", "z"], dom)
+        r = Relation(star, [(0, 1, 2), (0, 1, 3), (0, 2, 2), (5, 1, 2), (7, 7, 7)])
+        assert r._trie_at((0, 1, 2), ())[1] == (3, 2, 2)
+        assert r._trie_at((2, 0), ())[1] == (3, 2)
+        assert r._trie_at((1,), ())[1] == (3,)
+        assert r._trie_at((0, 2), ((0, 1),))[1] == (1, 1)
+
+    def test_repeat_join_over_the_bound_runs_the_binary_steps(self, monkeypatch, generic_calls):
+        # R(a, b) and S(b, c) on thirty values of b.  R has forty a at
+        # b = 0, S forty c at b = 1, each of the rest one: the fan-outs
+        # multiply to 30 * 40 * 40 = 48,000, the binary steps enumerate
+        # 40 + 40 + 28 = 108 pairs for 107 answers.
+        dom = ValueDomain.int_range("D", 0, 39)
+        twd, inner = _wired(dom, [("a", "b"), ("b", "c")], ("a", "c"))
+        r = Relation(inner[0], [(a, 0) for a in range(40)] + [(b, b) for b in range(1, 30)])
+        s = Relation(inner[1], [(1, c) for c in range(40)] + [(0, 0)] + [(b, b) for b in range(2, 30)])
+        naive = evaluate_naive(twd, [r, s])
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
+        want = evaluate(twd, [r, s])
+        assert want == naive and len(want) == 107 and generic_calls == []
+        assert evaluate(twd, [r, s]) == want and generic_calls == [None]
+        monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 48_000)
+        assert evaluate(twd, [r, s]) == want and generic_calls[-1] is not None
 
 
 def _sparse_path(rng, rows_indexed):
