@@ -7,8 +7,8 @@ cable assignment ``c`` whose restriction ``c . f_i`` lies in the i-th input
 relation.
 
 :func:`evaluate` computes this as a conjunctive query, by one of two
-executors.  A first join, one with an input no join has read before, runs
-the one that :func:`plan_join` chooses from the shape of the diagram.
+executors.  :func:`plan_join` chooses one from the shape of the diagram;
+a repeat join, below, runs the generic join whatever the shape.
 When GYO ear removal empties the hypergraph whose edges are the stars'
 cable sets, the diagram is acyclic and gets binary joins: the smallest
 relation first, then always the smallest relation that shares a cable with
@@ -46,16 +46,24 @@ values) and kept in a cache on the relation, so evaluating the same
 relations again, or one relation twice in a self-join, does not rebuild
 them.  A relation is immutable, so its tries cannot go stale.  They cost
 about 70-100 bytes per two-column tuple, and a relation used under k level
-orders keeps k tries.  Every join gives each input that cache, empty after
-a binary join: it is the record that the relation has been joined.  When
-every input of a diagram holds that record, the diagram runs the generic
-join, acyclic or not, as a database answers repeat queries from the
-indexes it keeps: from tries once built, the generic join beats the
-binary steps, which rebuild their indexes on every call (Freitag et al.,
-"Adopting worst-case optimal joins in relational database systems", VLDB
-2020).  A first join still runs the binary steps on an acyclic diagram,
-since it would build tries only to read them once; the first repeat join
-builds the tries it needs, and later ones read them.
+orders keeps k tries.
+
+A join of two or more inputs records on each input the diagram it ran
+through, as the input's last join.  When every input's last join ran
+through the same diagram object, the join is a repeat join and runs the
+generic join, on an acyclic diagram too, as a database answers a repeated
+query from the indexes it keeps: from tries once built, the generic join
+beats the binary steps, which rebuild their indexes on every call
+(Freitag et al., "Adopting worst-case optimal joins in relational
+database systems", VLDB 2020).  So an acyclic diagram fed the same
+relations runs the binary steps once, builds the tries on its second
+join, and reads them from then on.  Where the generic join would build
+tries only to read them once, the binary steps stay: on an input whose
+last join ran through another diagram, and on a diagram of fewer than
+two inputs, whose one input passes on as it is.  Only a caller that
+evaluates the same diagram on the same :class:`Relation` objects again in
+one process gains; one that loads its relations anew for each query, as
+the ``wd`` commands do, makes first joins only.
 
 Each joined tuple is built once.  Every binary step runs one loop, a set
 comprehension that names each kept slot outright, as in ``{(p[0], p[1],
@@ -79,14 +87,30 @@ with every value of their domain, by the step loop with every partial
 tuple under the empty key.
 
 Every enumeration in :func:`evaluate` is bounded by ``ENUMERATION_LIMIT``
-before it starts.  A trie records its fan-out, the size of its largest
-node at each level, when it is built.  A cable's values under any prefix
-are at most the smallest fan-out among the tries that touch it, so the
-product of these minima over the cables bounds every prefix the generic
-join can enumerate.  When that product is over the limit, the diagram
-runs the binary steps instead, whatever its shape, and their exact bounds
-answer or refuse: so no join that fits within the limit is refused.
-Before a binary step after the first, or the free-cable expansion, builds
+before it starts.  The generic join runs only when one of two bounds is
+within the limit.  Each bounds the assignments of every prefix of the
+cable order, and so the work of each cable's loop, which takes one pass
+over the smallest node it meets per assignment of the cables before it:
+
+- The fan-out product.  A trie records its fan-out, the size of its
+  largest node at each level, when it is built.  A cable's values under
+  any prefix are at most the smallest fan-out among the tries that touch
+  it, so the product of these minima over the cables is a bound.  It is
+  the tight one on the benchmark's joins: 27,750 for a three-way star of
+  300, 400 and 500 tuples, whose sizes multiply to 6x10^7.
+- The AGM bound (Atserias, Grohe and Marx, FOCS 2008) of one fractional
+  edge cover: the product of the inputs' sizes, each to the power one
+  half, or one for an input that alone touches some cable.  The generic
+  join's work stays within this product for every fractional cover (Ngo,
+  Re and Rudra, "Skew strikes back", SIGMOD Record 2013).  It is the tight
+  one on skewed cyclic joins: a hub graph's triangle over 8,000 edges is
+  within 8,000^1.5 = 7.2x10^5, where the fan-outs multiply to 6.4x10^10.
+
+When both are over the limit, the diagram runs the binary steps instead,
+whatever its shape, and their exact bounds answer or refuse.  Both are
+upper bounds, so a join they refuse to the generic join, and whose binary
+steps are over the limit, might still have fit the generic join.  Before a
+binary step after the first, or the free-cable expansion, builds
 anything, its exact size is checked against the limit; a keyed step
 counts it only when the product of its two sides is over the limit.  The
 first step only reads its relation.
@@ -95,9 +119,11 @@ first step only reads its relation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress, product
 from operator import and_, itemgetter
+from weakref import ref
 from typing import (
     Callable,
     Collection,
@@ -137,12 +163,13 @@ class Relation(Frozen):
     rely on the relation being immutable: :class:`~wiring.stars.Frozen`
     refuses to assign ``star`` or ``tuples`` after ``__init__``, so they
     cannot go stale.  One used under k level orders keeps k tries, each
-    about 70-100 bytes per two-column tuple.  :func:`evaluate` gives every
-    input that cache, empty after a binary join, as the record that the
-    relation has been joined; a diagram whose inputs all hold it runs the
-    generic join on their tries.  A relation built from another, by
-    ``_trusted``, :func:`union`, :func:`evaluate` or a copy or pickle,
-    starts without the cache, so its next join is a first join.
+    about 70-100 bytes per two-column tuple.  A join of two or more inputs
+    records on each, beside the tries, a weak reference to the diagram it
+    ran through; a join through the diagram that every input's last join
+    ran through runs the generic join on their tries (see the module
+    docstring).  A relation built from another, by ``_trusted``,
+    :func:`union`, :func:`evaluate` or a copy or pickle, starts without
+    tries or records, so its next join is a first join.
     """
 
     star: TypedStar
@@ -202,7 +229,8 @@ class Relation(Frozen):
         return tries[key]
 
     def __getstate__(self) -> dict:
-        # Copies and pickles start without the tries, which do not pickle.
+        # Copies and pickles start without the tries, which do not pickle,
+        # and without the record of earlier joins.
         return {"star": self.star, "tuples": self.tuples}
 
     def aligned_tuples(self, wire_order: Sequence[str]) -> frozenset[tuple[Value, ...]]:
@@ -457,32 +485,32 @@ def _cable_order(
 def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     """Feed ``rels`` through ``twd`` and collect the outer relation.
 
-    A first join runs the :func:`plan_join` plan: binary steps on an
-    acyclic diagram, the generic join on a cyclic one.  When every input
-    has been joined before (none, for a diagram with no inputs), the
-    generic join runs on the inputs' cached tries, whatever the shape.
-    Every input is left with its trie cache, the record that it has been
-    joined.
+    Runs the :func:`plan_join` plan: binary steps on an acyclic diagram,
+    the generic join on a cyclic one.  A join of two or more inputs
+    records ``twd`` on each of them as its last join; when every input's
+    last join ran through ``twd`` already, the join is a repeat join and
+    runs the generic join on the inputs' cached tries, whatever the shape.
+    Only callers that evaluate the same diagram on the same relation
+    objects again in one process make repeat joins.
 
-    Every enumeration is bounded.  When the product of the tries' fan-outs
-    is over ``ENUMERATION_LIMIT``, the generic join enumerates nothing and
-    the binary steps run instead.  Raises :class:`EnumerationLimitError`
-    when a binary step after the first, or the expansion over the free
-    cables, would build more than ``ENUMERATION_LIMIT`` tuples.
+    Every enumeration is bounded.  When the fan-out product and the cover
+    bound of the module docstring are both over ``ENUMERATION_LIMIT``, the
+    generic join enumerates nothing and the binary steps run instead.
+    Raises :class:`EnumerationLimitError` when a binary step after the
+    first, or the expansion over the free cables, would build more than
+    ``ENUMERATION_LIMIT`` tuples.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
     if any(len(dom) == 0 for dom in twd.cable_types.values()):
         return Relation.empty(twd.outer)
 
-    repeat = all(["_tries" in rel.__dict__ for rel in rels])
-    for rel in rels:
-        rel.__dict__.setdefault("_tries", {})  # the record that it has been joined
+    repeat = len(rels) > 1 and _joined_before(twd, rels)
     sizes = [len(rel) for rel in rels]
     plan = plan_join(twd, sizes, "generic" if repeat else None)
     if plan.executor == "generic":
         partials = _generic_join(twd, rels, plan.cable_order)
-        if partials is None:  # over the fan-out bound
+        if partials is None:  # over both bounds
             plan = plan_join(twd, sizes, "binary")
     if plan.executor == "binary":
         partials, width = {()}, 0
@@ -514,6 +542,19 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     expand = _step_loop(plan.output, len(set(plan.output)) - len(plan.free))
     tuples = expand({(): partials}, product(*domains), _getter(()))
     return Relation._trusted(twd.outer, frozenset(tuples))
+
+
+def _joined_before(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> bool:
+    """Whether the last join of two or more inputs that each input took
+    part in ran through ``twd``.  Each records this join as its last, by a
+    weak reference, which keeps no diagram alive."""
+    before = True
+    for rel in rels:
+        last = rel.__dict__.get("_last_join")
+        if last is None or last() is not twd:
+            rel.__dict__["_last_join"] = ref(twd)
+            before = False
+    return before
 
 
 def _join_step(
@@ -578,8 +619,9 @@ def _step_loop(keep: tuple[int, ...], width: int) -> Callable[..., set[tuple]]:
 
 
 # The seeded law suites draw a new shape for almost every generic join,
-# about 1,000 in 1,100 calls, so a larger cache would buy few hits for
-# about 2 kB a loop; the benchmark's queries share a handful.
+# 1,048 in 1,106 calls over the seed-41 laws spec, where they make no
+# repeat joins, so a larger cache would buy few hits for about 2 kB a
+# loop; the benchmark's queries share a handful.
 @lru_cache(maxsize=64)
 def _join_loop(
     levels: tuple[tuple[int, ...], ...], outputs: tuple[int, ...]
@@ -620,7 +662,8 @@ def _generic_join(
 ) -> Collection[tuple] | None:
     """The output cables, in ``order``, of every assignment of the cables
     in ``order`` that every input admits; ``None``, before anything is
-    enumerated, when the fan-out bound is over ``ENUMERATION_LIMIT``.
+    enumerated, when both bounds of the module docstring are over
+    ``ENUMERATION_LIMIT``.
 
     Each input's trie has one level per cable it touches, in ``order``,
     over its rows that give no cable two values; it is asked of the
@@ -631,6 +674,7 @@ def _generic_join(
     rank = {c: k for k, c in enumerate(order)}
     levels: list[tuple[int, ...]] = []
     tries: list[KeysView | set] = []
+    sizes: list[int] = []
     widths: dict[int, int] = {}  # the smallest fan-out at each rank
     for i, rel in enumerate(rels):
         first, pairs = _first_positions([wd.inner_map[i, w] for w in rel.star.wires])
@@ -642,13 +686,28 @@ def _generic_join(
         if own:
             levels.append(own)
             tries.append(trie)
+            sizes.append(len(rel))
             for k, width in zip(own, fanout):
                 widths[k] = min(widths.get(k, width), width)
-    if math.prod(widths.values()) > ENUMERATION_LIMIT:
+    limit = ENUMERATION_LIMIT
+    if math.prod(widths.values()) > limit and _cover_bound(levels, sizes) > limit:
         return None
     outer = map(wd.outer_map.__getitem__, twd.outer.wires)
     outputs = sorted({rank[c] for c in outer if c in rank})
     return _join_loop(tuple(levels), tuple(outputs))(_meet, *tries)
+
+
+def _cover_bound(levels: Sequence[tuple[int, ...]], sizes: Sequence[int]) -> float:
+    """The AGM bound of inputs of the given ``sizes`` whose tries lie at
+    the cable ranks ``levels``, for one fractional edge cover: each input
+    weighs one half, and one where it alone touches a cable."""
+    touching = Counter([k for own in levels for k in own])
+    return math.prod(
+        [
+            size if any(touching[k] == 1 for k in own) else math.sqrt(size)
+            for own, size in zip(levels, sizes)
+        ]
+    )
 
 
 def _meet(*nodes: KeysView | set) -> set:

@@ -1,4 +1,6 @@
 import copy
+import gc
+import math
 import os
 import pickle
 import random
@@ -23,6 +25,7 @@ from wiring.laws import (
 )
 from wiring.relations import (
     Relation,
+    _cover_bound,
     _join_loop,
     _meet,
     _step_loop,
@@ -508,7 +511,8 @@ def generic_calls(monkeypatch):
 
 def test_plan_matches_naive_on_seeded_instances(generic_calls):
     # Each instance is evaluated twice on the same relations: the first
-    # evaluation runs the plan, the second the generic join on the tries.
+    # evaluation runs the plan and records the join on its inputs, the
+    # second runs the generic join on their tries.
     # Then twice more on fresh copies, some of them shared between equal
     # stars: a self-join.
     seen = dict.fromkeys(
@@ -532,6 +536,7 @@ def test_plan_matches_naive_on_seeded_instances(generic_calls):
             assert got == want
             assert len(generic_calls) == (plan.executor == "generic")
             assert evaluate(twd, inputs) == want
+            assert len(generic_calls) == 1 + (plan.executor == "generic")
             assert generic_calls[-1] is not None
         seen["cross"] += any(not s.key_slots for s in plan.steps[1:])
         seen["equal"] += any(s.equal_pairs for s in plan.steps)
@@ -1153,22 +1158,22 @@ class TestGenericJoin:
 
 
 class TestRepeatJoin:
-    """An acyclic diagram whose inputs were all joined before runs the
-    generic join on their cached tries."""
+    """An acyclic diagram of two or more inputs, each of whose last join
+    ran through it, runs the generic join."""
 
     @pytest.mark.parametrize(
         "stars, outer",
         [
-            ([], ("f",)),
-            ([()], ("f", "f")),
+            ([(), ()], ("f",)),
+            ([(), ()], ("f", "f")),
             ([(), ()], ()),
             ([("a",), ("a",)], ()),
-            ([("a", "a")], ("f",)),
+            ([("a", "a"), ()], ("f",)),
             ([("a",), ("a", "a")], ()),
         ],
         ids=[
-            "no-input",
-            "nullary-input",
+            "nullary-inputs-free-output",
+            "nullary-inputs-free-cable-on-two-outer-wires",
             "nullary-inputs-no-output",
             "one-cable-not-output",
             "one-cable-on-two-wires",
@@ -1189,24 +1194,68 @@ class TestRepeatJoin:
             assert evaluate(twd, rels) == want
             assert len(generic_calls) == 1 and generic_calls[0] is not None
 
+    @pytest.mark.parametrize(
+        "stars, outer",
+        [([], ("f",)), ([()], ("f", "f")), ([("a", "b")], ("b",))],
+        ids=["no-input", "nullary-input", "one-input"],
+    )
+    def test_fewer_than_two_inputs_keep_the_binary_steps(self, stars, outer, generic_calls):
+        # A single input passes through the binary steps as it is; the
+        # generic join would only build a trie to read it.
+        dom = ValueDomain.int_range("D", 0, 2)
+        twd, inner = _wired(dom, stars, outer)
+        rels = [Relation.complete(s) for s in inner]
+        want = evaluate_naive(twd, rels)
+        for _ in range(3):
+            assert evaluate(twd, rels) == want
+        assert generic_calls == []
+        assert not any({"_tries", "_last_join"} & set(vars(r)) for r in rels)
+
     def test_loops_for_those_shapes(self):
         assert _join_loop((), ())(_meet) == {()}
         one = _join_loop(((0,), (0,)), ())
         assert one(_meet, {1, 2}, {2}) == {()}
         assert one(_meet, {1}, {2}) == set()
 
-    def test_first_join_marks_its_inputs(self, generic_calls):
+    def test_first_join_records_the_join(self, generic_calls):
         dom = ValueDomain.int_range("D", 0, 5)
         twd, inner = _wired(dom, [("a", "b"), ("b", "c")], ("a", "c"))
         rng = random.Random(29)
         r, s = (_draw(rng, star, 12) for star in inner)
-        assert "_tries" not in vars(r) and "_tries" not in vars(s)
+        assert "_last_join" not in vars(r) and "_last_join" not in vars(s)
         want = evaluate(twd, [r, s])
-        assert generic_calls == [] and vars(r)["_tries"] == {} == vars(s)["_tries"]
+        assert generic_calls == [] and not _tries(r) and not _tries(s)
+        assert vars(r)["_last_join"]() is twd is vars(s)["_last_join"]()
         assert evaluate(twd, [r, s]) == want and len(generic_calls) == 1
+        # the generic join binds b first: r's trie reads b, then a
+        assert set(_tries(r)) == {((1, 0), ())} and set(_tries(s)) == {((0, 1), ())}
         # one input new, one joined: a first join
         assert evaluate(twd, [r, Relation(s.star, s.tuples)]) == want
         assert len(generic_calls) == 1
+
+    def test_a_join_through_another_diagram_is_a_first_join(self, generic_calls):
+        # r and s are joined twice in a path of three stars, then in a path
+        # of two, which reads the same trie of r: b, then a.  Its first
+        # join runs the binary steps and builds no trie.  Back in the path
+        # of three, the inputs' last join ran through the path of two.
+        dom = ValueDomain.int_range("D", 0, 5)
+        longer, inner = _wired(dom, [("a", "b"), ("b", "c"), ("c", "d")], ("a", "d"))
+        rng = random.Random(31)
+        r, s, t = (_draw(rng, star, 12) for star in inner)
+        assert evaluate(longer, [r, s, t]) == evaluate(longer, [r, s, t])
+        assert len(generic_calls) == 1 and ((1, 0), ()) in _tries(r)
+        built = [set(_tries(r)), set(_tries(s))]
+        twd, _inner = _wired(dom, [("a", "b"), ("b", "c")], ("a", "c"))
+        want = evaluate(twd, [r, s])
+        assert want == evaluate_naive(twd, [r, s]) and len(generic_calls) == 1
+        assert [set(_tries(r)), set(_tries(s))] == built
+        assert evaluate(twd, [r, s]) == want and len(generic_calls) == 2
+        evaluate(longer, [r, s, t])
+        assert len(generic_calls) == 2
+        # the record keeps no diagram alive
+        del twd, longer
+        gc.collect()
+        assert all(vars(x)["_last_join"]() is None for x in (r, s, t))
 
     def test_copies_and_outputs_join_as_first_joins(self, generic_calls):
         dom = ValueDomain.int_range("D", 0, 5)
@@ -1216,7 +1265,7 @@ class TestRepeatJoin:
         assert want == evaluate_naive(twd, [r, r]) and generic_calls == []
         identity = lift_uniform(identity_diagram(r.star.star), dom)
         out = evaluate(identity, [r])
-        assert len(generic_calls) == 1
+        assert generic_calls == []
         for built in (
             copy.copy(r),
             copy.deepcopy(r),
@@ -1224,7 +1273,7 @@ class TestRepeatJoin:
             Relation._trusted(r.star, r.tuples),
             out,
         ):
-            assert built == r and "_tries" not in vars(built)
+            assert built == r and not {"_tries", "_last_join"} & set(vars(built))
             generic_calls.clear()
             assert evaluate(twd, [built, built]) == want and generic_calls == []
             assert evaluate(twd, [built, built]) == want and len(generic_calls) == 1
@@ -1232,7 +1281,34 @@ class TestRepeatJoin:
 
 class TestFanOutBound:
     """A generic join whose tries' fan-outs multiply to more than
-    ``ENUMERATION_LIMIT`` runs the binary steps instead."""
+    ``ENUMERATION_LIMIT``, and whose cover bound is over it too, runs the
+    binary steps instead."""
+
+    def test_skewed_triangle_under_the_cover_bound(self, monkeypatch, generic_calls):
+        # A hub: edges 0 -> i and i -> 0 for 3,999 leaves, and 1 -> 2,
+        # which closes the one triangle 0, 1, 2.  The fan-outs multiply to
+        # about 4000 * 3999 * 3999 = 6.4e10, the binary steps' second step
+        # to about 3999 * 3999 = 1.6e7 tuples, both over the limit; the
+        # cover bound, 7,999 ** 1.5, about 7.2e5, is under it.
+        dom = ValueDomain.int_range("D", 0, 3999)
+        twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
+        hub = [(0, i) for i in range(1, 4000)] + [(i, 0) for i in range(1, 4000)]
+        edges = Relation(inner[0], hub + [(1, 2)])
+        for _ in range(2):
+            assert evaluate(twd, [edges] * 3).tuples == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        assert len(generic_calls) == 2 and None not in generic_calls
+        monkeypatch.setattr("wiring.relations._cover_bound", lambda levels, sizes: math.inf)
+        with pytest.raises(EnumerationLimitError, match="bound is 10000000"):
+            evaluate(twd, [edges] * 3)
+        assert generic_calls[-1] is None
+
+    def test_cover_bound(self):
+        # a triangle: each trie weighs one half; a path: the end tries
+        # alone touch a cable, the middle one weighs one half
+        assert _cover_bound([(0, 1), (1, 2), (0, 2)], [100, 400, 900]) == 10 * 20 * 30
+        assert _cover_bound([(0, 1), (1, 2), (2, 3)], [100, 400, 900]) == 100 * 20 * 900
+        assert _cover_bound([(0,), (0, 1)], [9, 16]) == 3 * 16
+        assert _cover_bound([], []) == 1
 
     def test_dense_triangle_is_refused_on_first_and_repeat_joins(self, monkeypatch, generic_calls):
         # every one of the 20^3 = 8000 triangles is an answer
