@@ -8,12 +8,10 @@ star's wires, in any order; duplicate data rows collapse.
 :func:`survives_csv` tells whether a value is written as a token that
 reads back as the same value; script types admit no other values.
 
-Cells are checked a column at a time: one pass for the cell counts, then
-one subset test of each wire's parsed column against its domain.  Only
-when a test fails are the rows walked one by one, so an error names the
-first misfit in file order, as a row-by-row check would.  ``Relation``
-follows the same rule for tuples given in code: it checks them in the order
-they arrive, before hashing them, and names the first misfit in that order.
+A row must fit the star as a :class:`~wiring.relations.Relation`'s tuple
+must, and the loader checks the columns it parses by the same rule: an
+error names the first row, in file order, with the wrong number of cells
+or a value outside its wire's domain.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from operator import itemgetter
 from typing import IO, Iterable
 
 from .errors import CsvFormatError
-from .relations import Relation
+from .relations import Relation, _first_misfit
 from .typed import TypedStar, Value
 
 
@@ -75,38 +73,26 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
 
     rows = [line.split(",") for line in islice(lines, 1, None)]
     del lines  # only the cells are read from here on
-    columns = []
-    if set(map(len, rows)) <= {len(header)}:
-        for w in star.wires:
-            column = list(map(_parse_token, map(itemgetter(header.index(w)), rows)))
-            if not star.domain(w).contains_all(column):
-                break
-            columns.append(column)
-    if len(columns) != len(star.wires):
-        _raise_first_misfit(path, star, header, rows)
-    del rows  # before the tuples are built, to keep the peak low
-    # every cell was checked above, and the columns are in the order of star.wires
+    width = len(header)
+    fitting = rows
+    if not set(map(len, rows)) <= {width}:
+        fitting = rows[: next(k for k, cells in enumerate(rows) if len(cells) != width)]
+    columns = [
+        list(map(_parse_token, map(itemgetter(header.index(w)), fitting))) for w in star.wires
+    ]
+    misfit = _first_misfit(star, columns.__getitem__)
+    if misfit is not None:
+        k, w = misfit
+        raise CsvFormatError(
+            f"{path}: row {k + 1}, column {w!r}: value "
+            f"{columns[star.wires.index(w)][k]!r} is outside domain {star.domain(w).name!r}"
+        )
+    if fitting is not rows:
+        k = len(fitting)
+        raise CsvFormatError(f"{path}: row {k + 1} has {len(rows[k])} cells, expected {width}")
+    del rows, fitting  # before the tuples are built, to keep the peak low
+    # the columns are in the order of star.wires
     return Relation._trusted(star, frozenset(zip(*columns)))
-
-
-def _raise_first_misfit(
-    path: str | os.PathLike, star: TypedStar, header: list[str], rows: list[list[str]]
-) -> None:
-    """Raise the error for the first row, in file order, with the wrong
-    number of cells or a value outside its wire's domain."""
-    column_of = {w: header.index(w) for w in star.wires}
-    for row_number, cells in enumerate(rows, start=1):
-        if len(cells) != len(header):
-            raise CsvFormatError(
-                f"{path}: row {row_number} has {len(cells)} cells, expected {len(header)}"
-            )
-        for w in star.wires:
-            v = _parse_token(cells[column_of[w]])
-            if v not in star.domain(w):
-                raise CsvFormatError(
-                    f"{path}: row {row_number}, column {w!r}: value {v!r} is "
-                    f"outside domain {star.domain(w).name!r}"
-                )
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

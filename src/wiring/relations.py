@@ -27,11 +27,12 @@ Re and Rudra, "Worst-case optimal join algorithms", PODS 2012; Veldhuizen,
 cable that touches the most stars, then always one that shares a star with
 a bound cable, ties going to the cable whose smallest relation is
 smallest, then to the one met first in star order.  Each input is a hash
-trie with one level per cable it touches, in that order, and the join is
-one set comprehension with a loop per cable.  A cable's values are the
-intersection of the nodes that the tries touching it have reached,
-smallest first when there are three or more, and each of those tries steps
-one level down once per value, as in ``{(v0, v1, v2) for v0 in n0_0 & n2_0
+trie over its rows that give no cable two values, with one level per cable
+it touches, in that order, and the join is one set comprehension with a
+loop per cable.  A cable's values are the intersection of the nodes that
+the tries touching it have reached, smallest first when there are three
+or more, and each of those tries steps one level down once per value, as
+in ``{(v0, v1, v2) for v0 in n0_0 & n2_0
 for n0_1 in [n0_0.mapping[v0]] for n2_2 in [n2_0.mapping[v0]] for v1 in
 n0_1 & n1_1 ...}`` for a triangle.  When the last cable is not an output,
 its loop is an ``if`` on the intersection.  The work stays within the
@@ -110,10 +111,11 @@ When both are over the limit, the diagram runs the binary steps instead,
 whatever its shape, and their exact bounds answer or refuse.  Both are
 upper bounds, so a join they refuse to the generic join, and whose binary
 steps are over the limit, might still have fit the generic join.  Before a
-binary step after the first, or the free-cable expansion, builds
-anything, its exact size is checked against the limit; a keyed step
-counts it only when the product of its two sides is over the limit.  The
-first step only reads its relation.
+binary step after the first builds anything, the pairs of a partial tuple
+and a relation tuple it would enumerate are counted against the limit, a
+keyed step's only when the product of its two sides is over the limit;
+before the free-cable expansion, the tuples it would build.  The first
+step only reads its relation.
 """
 
 from __future__ import annotations
@@ -149,27 +151,12 @@ class Relation(Frozen):
     exactly two relations, the empty one and ``{()}``, so relations on it
     are boolean valued.
 
-    A relation is a subset of the product of its wires' domains, so the
-    constructor checks a column at a time: one pass for the widths, then
-    one subset test per wire.  It checks the tuples in the order they
-    arrive, before hashing them into the stored set, as
-    :func:`~wiring.csvio.load_csv_relation` checks a file's rows.  Only
-    when a test fails does it walk the tuples one by one, and the error
-    names the first misfit in that order, whatever the process's hash
-    seed.
-
-    The generic join's hash tries are built once per key and kept in a
-    cache on the relation, outside its fields (:meth:`_trie_at`).  They
-    rely on the relation being immutable: :class:`~wiring.stars.Frozen`
-    refuses to assign ``star`` or ``tuples`` after ``__init__``, so they
-    cannot go stale.  One used under k level orders keeps k tries, each
-    about 70-100 bytes per two-column tuple.  A join of two or more inputs
-    records on each, beside the tries, a weak reference to the diagram it
-    ran through; a join through the diagram that every input's last join
-    ran through runs the generic join on their tries (see the module
-    docstring).  A relation built from another, by ``_trusted``,
-    :func:`union`, :func:`evaluate` or a copy or pickle, starts without
-    tries or records, so its next join is a first join.
+    The constructor refuses a tuple of the wrong width or with a value
+    outside its wire's domain, and names the first such tuple in the order
+    given (:func:`_first_misfit`), whatever the process's hash seed.  A
+    relation is immutable (:class:`~wiring.stars.Frozen`), so the hash
+    tries and the join record it keeps outside its fields cannot go stale;
+    one built by ``_trusted``, a copy or a pickle starts without them.
     """
 
     star: TypedStar
@@ -177,19 +164,32 @@ class Relation(Frozen):
 
     def __init__(self, star: TypedStar, tuples: Iterable[tuple[Value, ...]] = ()):
         rows = list(map(tuple, tuples))
-        if rows and not _fits(star, rows):
-            _raise_first_misfit(star, rows)
+        width = len(star.wires)
+        fitting = rows
+        if not set(map(len, rows)) <= {width}:
+            fitting = rows[: next(k for k, t in enumerate(rows) if len(t) != width)]
+        misfit = _first_misfit(star, lambda j: map(itemgetter(j), fitting))
+        if misfit is not None:
+            k, w = misfit
+            raise ValidationError(
+                f"value {fitting[k][star.wires.index(w)]!r} is outside domain "
+                f"{star.domain(w).name!r} of wire {w!r}"
+            )
+        if fitting is not rows:
+            t = rows[len(fitting)]
+            raise ValidationError(f"tuple {t!r} has {len(t)} entries, star has {width} wires")
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "tuples", frozenset(rows))
 
     @classmethod
     def empty(cls, star: TypedStar) -> "Relation":
-        return cls(star, ())
+        return cls._trusted(star, frozenset())
 
     @classmethod
     def complete(cls, star: TypedStar) -> "Relation":
         """Every well-typed assignment of the star's wires."""
-        return cls(star, product(*(star.domain(w).values for w in star.wires)))
+        domains = [star.domain(w).values for w in star.wires]
+        return cls._trusted(star, frozenset(product(*domains)))
 
     @classmethod
     def _trusted(cls, star: TypedStar, tuples: frozenset[tuple[Value, ...]]) -> "Relation":
@@ -270,34 +270,26 @@ class Relation(Frozen):
         return f"Relation({self.star!r}, {len(self.tuples)} tuples)"
 
 
-def _fits(star: TypedStar, rows: Sequence[tuple[Value, ...]]) -> bool:
-    """True when every one of the non-empty ``rows`` has one entry per
-    wire, each in its wire's domain.  The rows are a sequence, walked once
-    for the widths and once per wire: a list walks its rows in the order
-    they lie in memory, where a set would walk them in hash order."""
-    if set(map(len, rows)) != {len(star.wires)}:
-        return False
-    return all(
-        star.domain(w).contains_all(map(itemgetter(j), rows))
-        for j, w in enumerate(star.wires)
-    )
+def _first_misfit(
+    star: TypedStar, column: Callable[[int], Iterable[Value]]
+) -> tuple[int, str] | None:
+    """The row index and the wire of the first value outside its wire's
+    domain, the rows in order and each row's values in the order of
+    ``star.wires``, or ``None`` when every value fits.  ``column(j)`` gives
+    the rows' values of wire ``star.wires[j]``, anew at each call.
 
-
-def _raise_first_misfit(star: TypedStar, tuples: Iterable[tuple[Value, ...]]) -> None:
-    """Raise the error for the first tuple, in iteration order, that does
-    not fit ``star``."""
-    width = len(star.wires)
-    for t in tuples:
-        if len(t) != width:
-            raise ValidationError(
-                f"tuple {t!r} has {len(t)} entries, star has {width} wires"
-            )
-        for w, v in zip(star.wires, t):
+    One subset test per wire; only when one fails are the rows walked one
+    by one, so the first misfit in the order given is named whatever the
+    hash seed, at no extra pass over rows that fit."""
+    for j, w in enumerate(star.wires):
+        if not star.domain(w).contains_all(column(j)):
+            break
+    else:
+        return None
+    for k, row in enumerate(zip(*map(column, range(len(star.wires))))):
+        for w, v in zip(star.wires, row):
             if v not in star.domain(w):
-                raise ValidationError(
-                    f"value {v!r} is outside domain {star.domain(w).name!r} "
-                    f"of wire {w!r}"
-                )
+                return k, w
 
 
 def union(a: Relation, b: Relation) -> Relation:
@@ -483,22 +475,12 @@ def _cable_order(
 
 
 def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
-    """Feed ``rels`` through ``twd`` and collect the outer relation.
+    """Feed ``rels`` through ``twd`` and collect the outer relation, by
+    the executor the module docstring chooses.
 
-    Runs the :func:`plan_join` plan: binary steps on an acyclic diagram,
-    the generic join on a cyclic one.  A join of two or more inputs
-    records ``twd`` on each of them as its last join; when every input's
-    last join ran through ``twd`` already, the join is a repeat join and
-    runs the generic join on the inputs' cached tries, whatever the shape.
-    Only callers that evaluate the same diagram on the same relation
-    objects again in one process make repeat joins.
-
-    Every enumeration is bounded.  When the fan-out product and the cover
-    bound of the module docstring are both over ``ENUMERATION_LIMIT``, the
-    generic join enumerates nothing and the binary steps run instead.
-    Raises :class:`EnumerationLimitError` when a binary step after the
-    first, or the expansion over the free cables, would build more than
-    ``ENUMERATION_LIMIT`` tuples.
+    Raises :class:`EnumerationLimitError`, before it enumerates, when a
+    binary step after the first, or the expansion over the free cables,
+    would enumerate more than ``ENUMERATION_LIMIT`` pairs or tuples.
     """
     rels = tuple(rels)
     _check_inputs(twd, rels)
@@ -545,9 +527,8 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
 
 
 def _joined_before(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> bool:
-    """Whether the last join of two or more inputs that each input took
-    part in ran through ``twd``.  Each records this join as its last, by a
-    weak reference, which keeps no diagram alive."""
+    """Whether every input's last join ran through ``twd``; records
+    ``twd`` on each as its last join, by a weak reference."""
     before = True
     for rel in rels:
         last = rel.__dict__.get("_last_join")
@@ -565,10 +546,11 @@ def _join_step(
     keyed step filters the relation's tuples against the index in C
     before Python visits one.
 
-    After the first step (``width`` > 0) the output's size is checked
-    against ``ENUMERATION_LIMIT`` before anything is built: a keyless
-    step's is the product of its two sides; a keyed step, only when that
-    product is over the limit, sums the partials each matching tuple meets.
+    After the first step (``width`` > 0) the pairs it would enumerate are
+    counted against ``ENUMERATION_LIMIT`` before anything is built: a
+    keyless step's are the product of its two sides; a keyed step, only
+    when that product is over the limit, sums the partials each matching
+    tuple meets.
     """
     rows = _agreeing(tuples, step.equal_pairs)
     loop = _step_loop(step.keep, width)
@@ -577,7 +559,7 @@ def _join_step(
         if width and size > ENUMERATION_LIMIT:
             raise EnumerationLimitError(
                 f"the cross product of {len(partials)} partial tuples and "
-                f"{len(rows)} tuples gives {size} tuples, bound is {ENUMERATION_LIMIT}"
+                f"{len(rows)} tuples enumerates {size} pairs, bound is {ENUMERATION_LIMIT}"
             )
         return loop({(): partials}, rows, _getter(()))
     # One itemgetter per side: the entry itself on one key cable, a tuple on
@@ -591,7 +573,7 @@ def _join_step(
         if size > ENUMERATION_LIMIT:
             raise EnumerationLimitError(
                 f"joining {len(partials)} partial tuples with {len(hits)} matching "
-                f"tuples gives {size} tuples, bound is {ENUMERATION_LIMIT}"
+                f"tuples enumerates {size} pairs, bound is {ENUMERATION_LIMIT}"
             )
     return loop(index, hits, row_key)
 
@@ -663,13 +645,7 @@ def _generic_join(
     """The output cables, in ``order``, of every assignment of the cables
     in ``order`` that every input admits; ``None``, before anything is
     enumerated, when both bounds of the module docstring are over
-    ``ENUMERATION_LIMIT``.
-
-    Each input's trie has one level per cable it touches, in ``order``,
-    over its rows that give no cable two values; it is asked of the
-    relation (:meth:`Relation._trie_at`), keyed by positions in its own
-    wire order.  When no row of an input is left, the answer is empty.
-    """
+    ``ENUMERATION_LIMIT``."""
     wd = twd.diagram
     rank = {c: k for k, c in enumerate(order)}
     levels: list[tuple[int, ...]] = []
@@ -698,9 +674,8 @@ def _generic_join(
 
 
 def _cover_bound(levels: Sequence[tuple[int, ...]], sizes: Sequence[int]) -> float:
-    """The AGM bound of inputs of the given ``sizes`` whose tries lie at
-    the cable ranks ``levels``, for one fractional edge cover: each input
-    weighs one half, and one where it alone touches a cable."""
+    """The cover bound of the module docstring, for inputs of the given
+    ``sizes`` whose tries lie at the cable ranks ``levels``."""
     touching = Counter([k for own in levels for k in own])
     return math.prod(
         [

@@ -322,8 +322,8 @@ def test_query_refuses_a_keyless_step_above_the_bound(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: the cross product of 200 partial tuples and 200 tuples gives "
-        "40000 tuples, bound is 1000"
+        "error: the cross product of 200 partial tuples and 200 tuples enumerates "
+        "40000 pairs, bound is 1000"
     ]
 
 
@@ -339,8 +339,8 @@ def test_query_refuses_a_keyed_step_above_the_bound(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: joining 200 partial tuples with 200 matching tuples gives "
-        "40000 tuples, bound is 1000"
+        "error: joining 200 partial tuples with 200 matching tuples enumerates "
+        "40000 pairs, bound is 1000"
     ]
 
 
@@ -358,8 +358,29 @@ def test_query_refuses_a_dense_triangle_above_the_bound(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: joining 400 partial tuples with 400 matching tuples gives "
-        "8000 tuples, bound is 1000"
+        "error: joining 400 partial tuples with 400 matching tuples enumerates "
+        "8000 pairs, bound is 1000"
+    ]
+
+
+def test_query_refuses_a_six_way_cross_product_above_the_bound(
+    fixtures_dir, capsys, monkeypatch
+):
+    # six unlinked copies of attends' 24 tuples: the sixth step would
+    # enumerate 24^6 pairs; at the real limit the fifth step would first
+    # build 24^5 partial tuples, so the limit is lowered to 10^5
+    monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 100_000)
+    columns = ", ".join(f"a{k}.student, a{k}.course" for k in range(1, 7))
+    aliases = ", ".join(f"attends a{k}" for k in range(1, 7))
+    wiki = str(fixtures_dir / "wiki" / "wiki.wd")
+    start = time.perf_counter()
+    assert run_cli(["query", wiki, f"SELECT {columns} FROM {aliases}"]) == 1
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the cross product of 13824 partial tuples and 24 tuples enumerates "
+        "331776 pairs, bound is 100000"
     ]
 
 

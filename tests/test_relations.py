@@ -637,7 +637,7 @@ class TestCrossProductBound:
         with pytest.raises(EnumerationLimitError) as info:
             evaluate(twd, rels)
         assert "40 partial tuples and 40 tuples" in str(info.value)
-        assert "gives 1600 tuples, bound is 1000" in str(info.value)
+        assert "enumerates 1600 pairs, bound is 1000" in str(info.value)
 
     def test_keyless_step_at_the_bound_runs(self, monkeypatch):
         twd, rels = self._pairs(monkeypatch, 1600, 40)
@@ -665,7 +665,7 @@ class TestKeyedStepBound:
         with pytest.raises(EnumerationLimitError) as info:
             evaluate(twd, rels)
         assert "joining 200 partial tuples with 200 matching tuples" in str(info.value)
-        assert "gives 40000 tuples, bound is 1000" in str(info.value)
+        assert "enumerates 40000 pairs, bound is 1000" in str(info.value)
 
     def test_keyed_step_under_the_bound_runs(self, monkeypatch):
         twd, rels = self._self_join([(0, x) for x in range(31)])
@@ -1320,7 +1320,7 @@ class TestFanOutBound:
             with pytest.raises(EnumerationLimitError) as info:
                 evaluate(twd, [edges, edges, edges])
             assert "joining 400 partial tuples with 400 matching tuples" in str(info.value)
-            assert "gives 8000 tuples, bound is 1000" in str(info.value)
+            assert "enumerates 8000 pairs, bound is 1000" in str(info.value)
         assert generic_calls == [None, None]
 
     def test_fan_outs_are_the_largest_node_per_level(self):
