@@ -9,14 +9,15 @@ star's wires, in any order; duplicate data rows collapse.
 reads back as the same value; script types admit no other values.
 
 A row must fit the star as a :class:`~wiring.relations.Relation`'s tuple
-must, and the loader checks the columns it parses by the same rule: an
-error names the first row, in file order, with the wrong number of cells
-or a value outside its wire's domain.
+must, and the loader checks its rows and the columns it parses with the
+same function: an error names the first row, in file order, with the
+wrong number of cells or a value outside its wire's domain.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import islice
 from operator import itemgetter
 from typing import IO, Iterable
@@ -73,26 +74,27 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
 
     rows = [line.split(",") for line in islice(lines, 1, None)]
     del lines  # only the cells are read from here on
-    width = len(header)
-    fitting = rows
-    if not set(map(len, rows)) <= {width}:
-        fitting = rows[: next(k for k, cells in enumerate(rows) if len(cells) != width)]
-    columns = [
-        list(map(_parse_token, map(itemgetter(header.index(w)), fitting))) for w in star.wires
-    ]
-    misfit = _first_misfit(star, columns.__getitem__)
+    positions = [header.index(w) for w in star.wires]
+
+    @cache
+    def column(j: int, n: int) -> list[Value]:
+        return list(map(_parse_token, map(itemgetter(positions[j]), islice(rows, n))))
+
+    misfit = _first_misfit(star, rows, column)
     if misfit is not None:
         k, w = misfit
+        if w is None:
+            raise CsvFormatError(
+                f"{path}: row {k + 1} has {len(rows[k])} cells, expected {len(header)}"
+            )
         raise CsvFormatError(
             f"{path}: row {k + 1}, column {w!r}: value "
-            f"{columns[star.wires.index(w)][k]!r} is outside domain {star.domain(w).name!r}"
+            f"{_parse_token(rows[k][header.index(w)])!r} is outside domain {star.domain(w).name!r}"
         )
-    if fitting is not rows:
-        k = len(fitting)
-        raise CsvFormatError(f"{path}: row {k + 1} has {len(rows[k])} cells, expected {width}")
-    del rows, fitting  # before the tuples are built, to keep the peak low
-    # the columns are in the order of star.wires
-    return Relation._trusted(star, frozenset(zip(*columns)))
+    n = len(rows)
+    del rows  # before the tuples are built, to keep the peak low
+    # every row fits, so each column of all n rows is parsed and cached
+    return Relation._trusted(star, frozenset(zip(*(column(j, n) for j in range(len(positions))))))
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

@@ -123,7 +123,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress, product
+from itertools import compress, islice, product
 from operator import and_, itemgetter
 from weakref import ref
 from typing import (
@@ -135,6 +135,7 @@ from typing import (
     Literal,
     NamedTuple,
     Sequence,
+    Sized,
 )
 
 from .errors import EnumerationLimitError, InterfaceError, ValidationError
@@ -164,20 +165,18 @@ class Relation(Frozen):
 
     def __init__(self, star: TypedStar, tuples: Iterable[tuple[Value, ...]] = ()):
         rows = list(map(tuple, tuples))
-        width = len(star.wires)
-        fitting = rows
-        if not set(map(len, rows)) <= {width}:
-            fitting = rows[: next(k for k, t in enumerate(rows) if len(t) != width)]
-        misfit = _first_misfit(star, lambda j: map(itemgetter(j), fitting))
+        misfit = _first_misfit(star, rows, lambda j, n: map(itemgetter(j), islice(rows, n)))
         if misfit is not None:
             k, w = misfit
+            t = rows[k]
+            if w is None:
+                raise ValidationError(
+                    f"tuple {t!r} has {len(t)} entries, star has {len(star.wires)} wires"
+                )
             raise ValidationError(
-                f"value {fitting[k][star.wires.index(w)]!r} is outside domain "
+                f"value {t[star.wires.index(w)]!r} is outside domain "
                 f"{star.domain(w).name!r} of wire {w!r}"
             )
-        if fitting is not rows:
-            t = rows[len(fitting)]
-            raise ValidationError(f"tuple {t!r} has {len(t)} entries, star has {width} wires")
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "tuples", frozenset(rows))
 
@@ -271,22 +270,29 @@ class Relation(Frozen):
 
 
 def _first_misfit(
-    star: TypedStar, column: Callable[[int], Iterable[Value]]
-) -> tuple[int, str] | None:
-    """The row index and the wire of the first value outside its wire's
-    domain, the rows in order and each row's values in the order of
-    ``star.wires``, or ``None`` when every value fits.  ``column(j)`` gives
-    the rows' values of wire ``star.wires[j]``, anew at each call.
+    star: TypedStar, rows: Sequence[Sized], column: Callable[[int, int], Iterable[Value]]
+) -> tuple[int, str | None] | None:
+    """The index of the first of ``rows`` that does not fit ``star``, and
+    the wire of its first value outside that wire's domain in the order of
+    ``star.wires``, or ``None`` for the wire when the row has the wrong
+    width; ``None`` when every row fits.  ``column(j, n)`` gives the values
+    of wire ``star.wires[j]`` in the first ``n`` rows, which all have the
+    right width.
 
-    One subset test per wire; only when one fails are the rows walked one
-    by one, so the first misfit in the order given is named whatever the
-    hash seed, at no extra pass over rows that fit."""
+    One width test over the rows and one subset test per wire; only when
+    one fails are the rows walked one by one, so the first misfit in the
+    order given is named whatever the hash seed, at no extra pass over
+    rows that fit."""
+    width = len(star.wires)
+    n = len(rows)
+    if not set(map(len, rows)) <= {width}:
+        n = next(k for k, row in enumerate(rows) if len(row) != width)
     for j, w in enumerate(star.wires):
-        if not star.domain(w).contains_all(column(j)):
+        if not star.domain(w).contains_all(column(j, n)):
             break
     else:
-        return None
-    for k, row in enumerate(zip(*map(column, range(len(star.wires))))):
+        return None if n == len(rows) else (n, None)
+    for k, row in enumerate(zip(*(column(j, n) for j in range(width)))):
         for w, v in zip(star.wires, row):
             if v not in star.domain(w):
                 return k, w

@@ -660,22 +660,24 @@ def test_commands_skip_declarations_they_do_not_read(project, capsys, defect):
     text, message_end = UNREAD_DEFECTS[defect]
     (project / "reordered.wd").write_text(REORDERED_STAR_SCRIPT)
     (project / "v.csv").write_text("B,A\nx,2\ny,0\n")
-    (project / "defect.wd").write_text(SCRIPT + text)
-    (project / "defect_setup.wd").write_text(REORDERED_STAR_SCRIPT + text)
     inline = "SELECT n.out FROM nand n WHERE n.A = 'True'"
-    for argv, clean in [
-        (["eval", "defect.wd", "notq"], ["eval", "circuits.wd", "notq"]),
-        (["dot", "defect.wd", "copy"], ["dot", "circuits.wd", "copy"]),
-        (["query", "defect.wd", inline], ["query", "circuits.wd", inline]),
-        (["fixpoint", "defect_setup.wd", "s"], ["fixpoint", "reordered.wd", "s"]),
-    ]:
-        assert _run_in(project, capsys, argv) == _run_in(project, capsys, clean)
-    for script in ("defect.wd", "defect_setup.wd"):
-        with pytest.raises(ScriptError) as eager:
-            parse_script((project / script).read_text())
-        status, out, err = _run_in(project, capsys, ["check", script])
-        assert (status, out, err) == (1, "", f"error: {eager.value}\n")
-        assert re.fullmatch(rf"error: \d+:\d+: {re.escape(message_end)}\n", err)
+    # the defect after the declarations read, then before them
+    for place in (lambda script: script + text, lambda script: text + script):
+        (project / "defect.wd").write_text(place(SCRIPT))
+        (project / "defect_setup.wd").write_text(place(REORDERED_STAR_SCRIPT))
+        for argv, clean in [
+            (["eval", "defect.wd", "notq"], ["eval", "circuits.wd", "notq"]),
+            (["dot", "defect.wd", "copy"], ["dot", "circuits.wd", "copy"]),
+            (["query", "defect.wd", inline], ["query", "circuits.wd", inline]),
+            (["fixpoint", "defect_setup.wd", "s"], ["fixpoint", "reordered.wd", "s"]),
+        ]:
+            assert _run_in(project, capsys, argv) == _run_in(project, capsys, clean)
+        for script in ("defect.wd", "defect_setup.wd"):
+            with pytest.raises(ScriptError) as eager:
+                parse_script((project / script).read_text())
+            status, out, err = _run_in(project, capsys, ["check", script])
+            assert (status, out, err) == (1, "", f"error: {eager.value}\n")
+            assert re.fullmatch(rf"error: \d+:\d+: {re.escape(message_end)}\n", err)
 
 
 def test_a_query_cannot_read_a_rel_declared_after_it(project, capsys):

@@ -1,15 +1,17 @@
 """End-to-end contracts of ``wd`` and the shipped scripts, on the inputs a
 user gives them: the scripts' output, the wiki 4-cycle under several
-SELECT lists and read back, bad input as a user error, the bound messages
-at the real ``ENUMERATION_LIMIT``, and output that does not depend on the
+SELECT lists and read back, the NAND fixture beside a declaration that
+``eval`` does not read, bad input as a user error, the bound messages at
+the real ``ENUMERATION_LIMIT``, and output that does not depend on the
 hash seed.  Everything runs in-process through ``run_cli`` except the
-scripts and the hash-seed pairs, which need a fresh interpreter."""
+scripts and the hash-seed pairs, which need a fresh interpreter, and the
+refusals at the real limit, which run in one under a timeout."""
 
 import os
 import pathlib
 import subprocess
+import shutil
 import sys
-import time
 
 import pytest
 
@@ -33,11 +35,12 @@ CYCLE_FROM = (
 CYCLIC = f"SELECT a1.student, a3.student {CYCLE_FROM}"
 
 
-def _python(argv, **env):
-    """Run ``python argv`` from the repository root with ``src`` on the path."""
+def _python(argv, timeout=120, **env):
+    """Run ``python argv`` from the repository root with ``src`` on the path;
+    a run longer than ``timeout`` seconds fails the test."""
     env = {**os.environ, "PYTHONPATH": SRC, **env}
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, timeout=120
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, timeout=timeout
     )
 
 
@@ -101,6 +104,39 @@ def test_wiki_four_cycle_out_file_reads_back(tmp_path, capsys):
     status, out, err = _wd(capsys, ["check", str(tmp_path / "cyc.wd")])
     assert (status, err) == (0, "")
     assert ": ok (" in out
+
+
+CIRCUITS = ROOT / "fixtures" / "nand" / "circuits.wd"
+
+
+@pytest.mark.parametrize(
+    "before, after, message",
+    [
+        ("type Junk = {a, $};\n", "", "1:17: unexpected character '$'"),
+        (
+            "",
+            "query broken = SELECT FROM nand n;\n",
+            f"{len(CIRCUITS.read_text().splitlines()) + 1}:23: expected alias, found 'FROM'",
+        ),
+        (
+            "",
+            'rel ghost : NAND from "ghost.csv";\n',
+            "{dir}/ghost.csv: cannot read: No such file or directory",
+        ),
+    ],
+    ids=["junk-first", "broken-last", "ghost-rel"],
+)
+def test_circuits_with_an_unread_defect_evaluates_as_before(
+    tmp_path, capsys, before, after, message
+):
+    # eval reads only notq's declarations; check reads them all
+    shutil.copy(CIRCUITS.with_name("nand.csv"), tmp_path)
+    (tmp_path / "defect.wd").write_text(before + CIRCUITS.read_text() + after)
+    clean = _wd(capsys, ["eval", str(CIRCUITS), "notq"])
+    assert clean[0] == 0
+    assert _wd(capsys, ["eval", str(tmp_path / "defect.wd"), "notq"]) == clean
+    expected = "error: " + message.replace("{dir}", str(tmp_path)) + "\n"
+    assert _wd(capsys, ["check", str(tmp_path / "defect.wd")]) == (1, "", expected)
 
 
 BAD_CSV_SCRIPT = 'type B = {yes, no};\nstar S(x:B, y:B);\nrel r : S from "%s.csv";\n'
@@ -175,13 +211,14 @@ def _rows(header, rows):
     ids=["keyless", "keyed", "dense-triangle"],
 )
 def test_a_step_over_the_real_bound_is_refused_before_it_builds(
-    tmp_path, capsys, decls, csv, query, message
+    tmp_path, decls, csv, query, message
 ):
+    # in a fresh interpreter under a timeout: were the bound not applied,
+    # the step would build over 10^7 tuples
     (tmp_path / "r.wd").write_text(f'{decls}\nrel r : R from "r.csv";\n')
     (tmp_path / "r.csv").write_text(csv)
-    start = time.perf_counter()
-    assert _wd(capsys, ["query", str(tmp_path / "r.wd"), query]) == (1, "", f"error: {message}\n")
-    assert time.perf_counter() - start < 60
+    done = _python(["-m", "wiring.cli", "query", str(tmp_path / "r.wd"), query], timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"", f"error: {message}\n".encode())
 
 
 @pytest.mark.parametrize(
