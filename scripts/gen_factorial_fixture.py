@@ -47,7 +47,7 @@ def lift_factorial(limit: int) -> tuple[TypedStar, TypedWiringDiagram, list[Rela
     outside ``N`` raises ``ValidationError``, so the least limit is 1."""
     script = read_script()
     setup = script.setups["fact"]
-    domain = ValueDomain.int_range("N", 0, limit)
+    domain = ValueDomain("N", range(limit + 1))
     rows = factorial_rows(limit)
     rels = []
     for name in setup.rel_names:

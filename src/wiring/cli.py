@@ -14,9 +14,9 @@ that a command does not read is not an error for that command.
 In the same way ``check`` parses the whole script, and the other commands
 pass :func:`wiring.dsl.parse_script` the names they read: the name they are
 given, or the inline query's FROM names.  Which declarations that parses,
-and so whose errors a command raises, is stated there.  ``query`` parses its
-inline SELECT before the script, so the SELECT's own syntax errors come
-first.
+and so whose errors a command raises, is stated in :mod:`wiring.dsl`.
+``query`` parses its inline SELECT before the script, so the SELECT's own
+syntax errors come first.
 
 Run it as ``wd`` once the package is installed, or as ``python -m
 wiring.cli`` with ``src`` on the path.
@@ -31,14 +31,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 from contextlib import contextmanager
 from typing import IO, Collection, Iterable, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .dot import emit_dot
-from .errors import WiringError
+from .errors import WiringError, not_utf8
 from .laws import GeneratorConfig, run_all
 from .query import compile_query, evaluate_query
 from .recursion import build_setup, fixed_point
@@ -57,11 +56,7 @@ def _load_script(
     except OSError as exc:
         raise WiringError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; count lines as text mode reads them
-        lines = re.split("\r\n|\r|\n", exc.object[: exc.start].decode("utf-8"))
-        raise WiringError(
-            f"{path}:{len(lines)}:{len(lines[-1]) + 1}: not UTF-8 text: {exc.reason}"
-        ) from exc
+        raise WiringError(not_utf8(path, exc)) from exc
     return dsl.parse_script(text, reads), os.path.dirname(os.path.abspath(path))
 
 

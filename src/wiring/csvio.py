@@ -22,7 +22,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import IO, Iterable
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, not_utf8
 from .relations import Relation, _first_misfit
 from .typed import TypedStar, Value
 
@@ -47,16 +47,19 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     """Load the relation on ``star`` stored at ``path``.
 
     Rows are checked against the wire domains; errors carry the 1-based
-    data row number and the offending column.
+    data row number and the offending column, or for a file that is not
+    UTF-8 text the line and column of its first bad byte, the header being
+    line 1.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = [line.rstrip("\n") for line in handle]
+            text = handle.read()
     except OSError as exc:
         raise CsvFormatError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    lines = [line for line in lines if line.strip()]
+        raise CsvFormatError(not_utf8(path, exc)) from exc
+    lines = [line for line in text.split("\n") if line.strip()]
+    del text
     if not lines:
         raise CsvFormatError(f"{path}: missing header row")
     header = [h.strip() for h in lines[0].split(",")]
@@ -94,7 +97,9 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     n = len(rows)
     del rows  # before the tuples are built, to keep the peak low
     # every row fits, so each column of all n rows is parsed and cached
-    return Relation._trusted(star, frozenset(zip(*(column(j, n) for j in range(len(positions))))))
+    return Relation._trusted(
+        star=star, tuples=frozenset(zip(*(column(j, n) for j in range(len(positions)))))
+    )
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

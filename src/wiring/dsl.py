@@ -28,13 +28,18 @@ Tokens carry their offset in the text; a line and column are computed only
 when an error is raised.
 
 :func:`parse_script` parses the whole text, or with ``reads`` only the
-declarations a caller reads; its docstring states which, and ``wd check``
-passes no names while the other commands pass those they read (see
+declarations of those names and, until no more is added, every declaration
+whose name is an identifier inside one already chosen (an alias,
+attribute, wire or cable among them).  Every name a declaration looks up
+is an identifier of its own, so the chosen declarations, parsed in text
+order, each give what they give in the whole text, or their error there;
+an error in a declaration that is not chosen is not raised.  ``wd check``
+passes no names, and the other commands pass those they read (see
 :mod:`wiring.cli`).  A cheap pass, :func:`split_declarations`, finds where
 each declaration starts and ends, with its keyword and name, by skipping
 strings, comments and primes as the lexer does but without making tokens;
 the chosen declarations' tokens, in text order, go through the one parse
-loop.
+loop, and a text it cannot split is parsed whole.
 """
 
 from __future__ import annotations
@@ -688,23 +693,11 @@ def split_declarations(text: str) -> list[Declaration] | None:
 
 
 def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
-    """Parse and resolve a script; raise :class:`ScriptError` with position
-    information on the first problem.
-
-    With ``reads``, parse only the declarations of those names and, until
-    no more is added, every declaration whose name is an identifier token of
-    one already chosen: a declaration is parsed, and its error raised, when
-    its name is any identifier inside a chosen one, an alias, attribute,
-    wire or cable among them.  An error inside a declaration that is not
-    chosen is not raised.  Every name a declaration looks up is an
-    identifier of its own, so the chosen declarations, parsed in text order,
-    each give what they give in the whole text, or their error there: a
-    declaration sees only the ones before it, and a second declaration of a
-    chosen name raises the duplicate name error.  ``decls`` then holds the
-    chosen declarations' objects.  A text that :func:`split_declarations`
-    cannot split, such as one with an unbalanced ``}`` or with text after
-    its last declaration, is parsed whole, so its error is raised whatever
-    is read."""
+    """Parse and resolve a script, or with ``reads`` the declarations that
+    the module docstring names; raise :class:`ScriptError` with position
+    information on the first problem.  A second declaration of a chosen
+    name raises the duplicate name error, and ``decls`` holds the chosen
+    declarations' objects."""
     decls = None if reads is None else split_declarations(text)
     if decls is None:
         return _Parser(text, Script(), tokenize(text)).parse()
@@ -758,8 +751,3 @@ def resolve_query_text(text: str, query: ConjunctiveQuery, script: Script) -> Co
         select = _TOKEN_RE.match(text)
         raise ScriptError(str(exc), *_position(text, select.start(select.lastgroup))) from exc
     return query
-
-
-def parse_query_text(text: str, script: Script) -> ConjunctiveQuery:
-    """Parse a standalone SELECT expression against an existing script."""
-    return resolve_query_text(text, parse_select_text(text), script)

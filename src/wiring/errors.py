@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all wiring modules."""
 
+import re
+
 
 class WiringError(Exception):
     """Base class for all errors raised by this package."""
@@ -8,7 +10,7 @@ class WiringError(Exception):
 class ValidationError(WiringError, ValueError):
     """A value violates a structural invariant (duplicate wires, dangling
     cable references, unsoldered wires, malformed permutations, negative
-    generator bounds, ...)."""
+    case counts, ...)."""
 
 
 class InterfaceError(WiringError):
@@ -40,3 +42,12 @@ class ScriptError(WiringError):
 
 class CsvFormatError(WiringError):
     """A CSV file does not match the declared star or its domains."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for the file at ``path``, which is not UTF-8 text: ``exc``
+    comes from decoding the whole file, and the message places its first bad
+    byte at a line and column, lines ending as text mode reads them."""
+    # the bytes before the bad one decode
+    lines = re.split("\r\n|\r|\n", exc.object[: exc.start].decode("utf-8"))
+    return f"{path}:{len(lines)}:{len(lines[-1]) + 1}: not UTF-8 text: {exc.reason}"

@@ -33,6 +33,11 @@ from .relations import Relation
 from .stars import Frozen, Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, ValueDomain
 
+# the bounds of the random instance generators
+MAX_STARS = 4  # inner stars of a diagram
+MAX_WIRES = 5  # wires of a star
+MAX_CABLES = 6  # cables of a diagram
+MAX_DOMAIN = 3  # values of a domain
 DOMAIN_COUNT = 3  # domains drawn by gen_domains
 RELATION_DENSITY = 0.4  # chance that gen_relation keeps a tuple of a small space
 # the domains run_all checks the witness computations over
@@ -40,26 +45,15 @@ PROP_WITNESS_DOMAINS = (ValueDomain("A2", (0, 1)), ValueDomain("A3", (0, 1, 2)))
 
 
 class GeneratorConfig(Frozen):
-    """Bounds for the random instance generators; same seed, same sequence."""
+    """The seed and case count of the law suites; same seed, same sequence."""
 
-    _FIELDS = ("seed", "max_stars", "max_wires", "max_cables", "max_domain", "cases")
+    def __init__(self, seed: int = 0, cases: int = 100):
+        if cases < 0:
+            raise ValidationError("cases must be nonnegative")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
 
-    def __init__(
-        self,
-        seed: int = 0,
-        max_stars: int = 4,
-        max_wires: int = 5,
-        max_cables: int = 6,
-        max_domain: int = 3,
-        cases: int = 100,
-    ):
-        values = (seed, max_stars, max_wires, max_cables, max_domain, cases)
-        for name, value in zip(self._FIELDS, values):
-            if name != "seed" and value < 0:
-                raise ValidationError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, value)
-
-    # ``__dict__`` holds exactly the fields, in the order of ``_FIELDS``
+    # ``__dict__`` holds exactly the fields, in the order ``__init__`` sets them
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -107,24 +101,17 @@ class SuiteReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # generators
 
-def gen_star(rng: random.Random, cfg: GeneratorConfig) -> Star:
-    k = rng.randint(0, cfg.max_wires)
+def gen_star(rng: random.Random) -> Star:
+    k = rng.randint(0, MAX_WIRES)
     return Star(rng.sample(string.ascii_lowercase, k))
 
 
-def gen_diagram(
-    rng: random.Random,
-    cfg: GeneratorConfig,
-    inner: Sequence[Star] | None = None,
-    outer: Star | None = None,
-) -> WiringDiagram:
-    if inner is None:
-        inner = [gen_star(rng, cfg) for _ in range(rng.randint(0, cfg.max_stars))]
+def gen_diagram(rng: random.Random, outer: Star | None = None) -> WiringDiagram:
+    inner = [gen_star(rng) for _ in range(rng.randint(0, MAX_STARS))]
     if outer is None:
-        outer = gen_star(rng, cfg)
+        outer = gen_star(rng)
     total_wires = sum(len(s) for s in inner) + len(outer)
-    lo = 1 if total_wires else 0
-    cables = tuple(range(rng.randint(lo, max(lo, cfg.max_cables))))
+    cables = tuple(range(rng.randint(1 if total_wires else 0, MAX_CABLES)))
     inner_map = {
         (i, w): rng.choice(cables) for i, s in enumerate(inner) for w in s.wires
     }
@@ -132,24 +119,20 @@ def gen_diagram(
     return WiringDiagram(tuple(inner), outer, cables, inner_map, outer_map)
 
 
-def gen_domains(rng: random.Random, cfg: GeneratorConfig) -> list[ValueDomain]:
+def gen_domains(rng: random.Random) -> list[ValueDomain]:
     return [
-        ValueDomain(f"D{i}", tuple(range(rng.randint(1, max(1, cfg.max_domain)))))
+        ValueDomain(f"D{i}", tuple(range(rng.randint(1, MAX_DOMAIN))))
         for i in range(DOMAIN_COUNT)
     ]
 
 
 def gen_typed(
-    rng: random.Random,
-    cfg: GeneratorConfig,
-    wd: WiringDiagram | None = None,
-    domains: Sequence[ValueDomain] | None = None,
+    rng: random.Random, domains: Sequence[ValueDomain] | None = None
 ) -> TypedWiringDiagram:
-    """Type a diagram by assigning each cable a random domain."""
-    if wd is None:
-        wd = gen_diagram(rng, cfg)
+    """Type a random diagram by assigning each cable a random domain."""
+    wd = gen_diagram(rng)
     if domains is None:
-        domains = gen_domains(rng, cfg)
+        domains = gen_domains(rng)
     return TypedWiringDiagram(wd, {c: rng.choice(list(domains)) for c in wd.cables})
 
 
@@ -196,12 +179,12 @@ class Stack(NamedTuple):
         return stars_mod.compose(self.diagram, [f.diagram for f in self.fillers])
 
 
-def gen_stack(rng: random.Random, cfg: GeneratorConfig, depth: int) -> Stack:
+def gen_stack(rng: random.Random, depth: int) -> Stack:
     """A stack ``depth`` levels deep, drawn level by level from the top."""
-    levels = [[gen_diagram(rng, cfg)]]
+    levels = [[gen_diagram(rng)]]
     for _ in range(depth - 1):
         levels.append(
-            [gen_diagram(rng, cfg, outer=y) for wd in levels[-1] for y in wd.inner]
+            [gen_diagram(rng, outer=y) for wd in levels[-1] for y in wd.inner]
         )
     below = [Stack(wd) for wd in levels.pop()]
     for level in reversed(levels):
@@ -338,17 +321,17 @@ def check_operad_laws(cfg: GeneratorConfig) -> list[SuiteReport]:
                 yield smaller, perm
 
     for case_index in range(cfg.cases):
-        stack1 = gen_stack(rng, cfg, 1)
+        stack1 = gen_stack(rng, 1)
         if identity_fails(stack1):
             small = shrink(stack1, _stack_variants, identity_fails)
             identity_failures.append(LawFailure("identity", case_index, repr(small)))
 
-        stack3 = gen_stack(rng, cfg, 3)
+        stack3 = gen_stack(rng, 3)
         if assoc_fails(stack3):
             small = shrink(stack3, _stack_variants, assoc_fails)
             assoc_failures.append(LawFailure("associativity", case_index, repr(small)))
 
-        stack2 = gen_stack(rng, cfg, 2)
+        stack2 = gen_stack(rng, 2)
         perm = list(range(stack2.diagram.arity))
         rng.shuffle(perm)
         case = (stack2, tuple(perm))
@@ -374,7 +357,7 @@ def check_pushout_oracle(cfg: GeneratorConfig) -> SuiteReport:
         return not stars_mod.diagrams_equal(fast, slow)
 
     for case_index in range(cfg.cases):
-        stack = gen_stack(rng, cfg, 2)
+        stack = gen_stack(rng, 2)
         if pushout_fails(stack):
             small = shrink(stack, _stack_variants, pushout_fails)
             failures.append(LawFailure("pushout-oracle", case_index, repr(small)))
@@ -434,10 +417,7 @@ def compose_by_closure(
 
 
 def gen_typed_filler(
-    rng: random.Random,
-    cfg: GeneratorConfig,
-    tstar: TypedStar,
-    domains: Sequence[ValueDomain],
+    rng: random.Random, tstar: TypedStar, domains: Sequence[ValueDomain]
 ) -> TypedWiringDiagram:
     """A random typed diagram with the given outer typed star.
 
@@ -445,12 +425,12 @@ def gen_typed_filler(
     cable of its own domain; inner wires take whatever domain their cable
     carries.
     """
-    inner_stars = [gen_star(rng, cfg) for _ in range(rng.randint(0, cfg.max_stars))]
+    inner_stars = [gen_star(rng) for _ in range(rng.randint(0, MAX_STARS))]
     needed = []
     for w in tstar.wires:
         if tstar.domain(w) not in needed:
             needed.append(tstar.domain(w))
-    count = max(len(needed), rng.randint(1 if (tstar.wires or inner_stars) else 0, cfg.max_cables))
+    count = max(len(needed), rng.randint(1 if (tstar.wires or inner_stars) else 0, MAX_CABLES))
     pool = list(domains) + needed
     cables = tuple(range(count))
     cable_types = {
@@ -469,13 +449,11 @@ def gen_typed_filler(
     return TypedWiringDiagram(wd, cable_types)
 
 
-def _typed_stack(rng: random.Random, cfg: GeneratorConfig):
+def _typed_stack(rng: random.Random):
     """A two-level typed stack with matching interface typings."""
-    domains = gen_domains(rng, cfg)
-    top = gen_typed(rng, cfg, domains=domains)
-    fillers = tuple(
-        gen_typed_filler(rng, cfg, tstar, domains) for tstar in top.inner
-    )
+    domains = gen_domains(rng)
+    top = gen_typed(rng, domains)
+    fillers = tuple(gen_typed_filler(rng, tstar, domains) for tstar in top.inner)
     return top, fillers
 
 
@@ -487,7 +465,7 @@ def check_algebra_naturality(cfg: GeneratorConfig, algebra: str = "rel") -> Suit
     failures: list[LawFailure] = []
     for case_index in range(cfg.cases):
         if algebra == "rel":
-            top, fillers = _typed_stack(rng, cfg)
+            top, fillers = _typed_stack(rng)
             rels = [
                 [gen_relation(rng, tstar) for tstar in f.inner] for f in fillers
             ]
@@ -503,7 +481,7 @@ def check_algebra_naturality(cfg: GeneratorConfig, algebra: str = "rel") -> Suit
                     LawFailure("rel-naturality", case_index, repr((top, fillers, rels)))
                 )
         else:
-            stack = gen_stack(rng, cfg, 2)
+            stack = gen_stack(rng, 2)
             fillers = [f.diagram for f in stack.fillers]
             parts = [[gen_partition(rng, s) for s in f.inner] for f in fillers]
             composite = stack.compose()

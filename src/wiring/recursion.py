@@ -6,10 +6,14 @@ that hom star.  One step applies the setup relation to a candidate
 relation on ``Z`` through the evaluation diagram: ``step`` is
 :func:`wiring.closed.apply_hom`.  The step is monotone; its least fixed
 point is therefore empty, and its greatest is the set of states reachable
-from a cycle of the transition graph, found by pruning states of
-in-degree 0.  A result keeps the fixed point and the states each pruning
-round dropped, which are disjoint, so it is linear in the first iterate;
-the chain of iterates is rebuilt from them only when asked for.
+from a cycle of the transition graph, the setup relation read from its
+argument copy to its result.  Pruning finds it: it starts from the
+transition targets, the step of the complete relation, and each round
+drops the states of in-degree 0, so ``r`` rounds leave the step applied
+``r + 1`` times to the complete relation, until no state has in-degree 0.
+A result keeps the fixed point and the states each pruning round dropped,
+which are disjoint, so it is linear in the first iterate; the chain of
+iterates is rebuilt from them only when asked for.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class FixedPointResult(NamedTuple):
         states = self.relation.tuples
         for dropped in reversed(self.pruned):
             states = states | dropped
-            chain.append(Relation._trusted(self.relation.star, states))
+            chain.append(Relation._trusted(star=self.relation.star, tuples=states))
         chain.reverse()
         chain.append(self.relation)
         return tuple(chain)
@@ -89,22 +93,10 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
     """The extreme fixed point of the step function, with the states each
     round of its chain dropped.
 
-    ``mode="least"`` returns the empty relation at once, since the step of
-    the empty relation is empty; nothing is pruned, and its trace is
-    ``(empty, empty)``.
-
-    ``mode="greatest"`` indexes the setup relation by its argument-copy
-    readout, starts from the targets of that transition relation, which
-    are the step of the complete relation, and counts each target's
-    in-degree from targets only.  Each round drops the states whose
-    in-degree is 0 and lowers the in-degree of their successors, so the
-    states left after ``r`` rounds are the step applied ``r + 1`` times to
-    the complete relation; ``trace[r]`` is that set.  When no state has
-    in-degree 0 the rest is the greatest fixed point: every state on it is
-    reachable from a cycle.  Only the states each round dropped are kept,
-    as ``pruned``; the trace, rebuilt from them on request, ends with the
-    fixed point repeated, so ``iterations`` counts the pruning rounds plus
-    one.
+    ``mode="least"`` returns the empty relation and prunes nothing.
+    ``mode="greatest"`` prunes as the module docstring says, so that
+    ``trace[r]`` is the step applied ``r + 1`` times to the complete
+    relation.
     """
     if mode not in ("least", "greatest"):
         raise ValidationError(f"unknown mode {mode!r}, expected 'least' or 'greatest'")
@@ -124,6 +116,5 @@ def fixed_point(setup: RecursiveSetup, mode: str = "greatest") -> FixedPointResu
         successors = [t for s in dropped for t in transition.get(s, ())]
         indegree.subtract(successors)
         dropped = frozenset([t for t in successors if not indegree[t]])
-    return FixedPointResult(
-        relation=Relation._trusted(setup.z, frozenset(live)), pruned=tuple(pruned), mode=mode
-    )
+    relation = Relation._trusted(star=setup.z, tuples=frozenset(live))
+    return FixedPointResult(relation=relation, pruned=tuple(pruned), mode=mode)

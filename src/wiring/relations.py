@@ -157,7 +157,8 @@ class Relation(Frozen):
     given (:func:`_first_misfit`), whatever the process's hash seed.  A
     relation is immutable (:class:`~wiring.stars.Frozen`), so the hash
     tries and the join record it keeps outside its fields cannot go stale;
-    one built by ``_trusted``, a copy or a pickle starts without them.
+    one built by :meth:`~wiring.stars.Frozen._trusted`, a copy or a pickle
+    starts without them.
     """
 
     star: TypedStar
@@ -182,24 +183,13 @@ class Relation(Frozen):
 
     @classmethod
     def empty(cls, star: TypedStar) -> "Relation":
-        return cls._trusted(star, frozenset())
+        return cls._trusted(star=star, tuples=frozenset())
 
     @classmethod
     def complete(cls, star: TypedStar) -> "Relation":
         """Every well-typed assignment of the star's wires."""
         domains = [star.domain(w).values for w in star.wires]
-        return cls._trusted(star, frozenset(product(*domains)))
-
-    @classmethod
-    def _trusted(cls, star: TypedStar, tuples: frozenset[tuple[Value, ...]]) -> "Relation":
-        """A relation on tuples known to fit ``star`` in the order of its
-        wires, without the checks of ``__init__``: for tuples taken from
-        validated relations or from the cable domains of a validated typed
-        diagram."""
-        rel = object.__new__(cls)
-        object.__setattr__(rel, "star", star)
-        object.__setattr__(rel, "tuples", tuples)
-        return rel
+        return cls._trusted(star=star, tuples=frozenset(product(*domains)))
 
     def _trie_at(
         self, positions: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
@@ -236,8 +226,8 @@ class Relation(Frozen):
         """The tuple set re-expressed in the given wire order."""
         if tuple(wire_order) == self.star.wires:
             return self.tuples
-        idx = [self.star.wires.index(w) for w in wire_order]
-        return frozenset(tuple(t[i] for i in idx) for t in self.tuples)
+        idx = tuple([self.star.wires.index(w) for w in wire_order])
+        return frozenset(map(_getter(idx), self.tuples))
 
     @property
     def is_empty(self) -> bool:
@@ -302,7 +292,7 @@ def union(a: Relation, b: Relation) -> Relation:
     """Set union of two relations on the same typed star."""
     if a.star != b.star:
         raise InterfaceError("union requires relations on the same typed star")
-    return Relation._trusted(a.star, a.tuples | b.aligned_tuples(a.star.wires))
+    return Relation._trusted(star=a.star, tuples=a.tuples | b.aligned_tuples(a.star.wires))
 
 
 def _check_inputs(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> None:
@@ -517,8 +507,10 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
 
     if not plan.free:
         if plan.output == tuple(range(len(plan.output))):
-            return Relation._trusted(twd.outer, frozenset(partials))
-        return Relation._trusted(twd.outer, frozenset(map(_getter(plan.output), partials)))
+            return Relation._trusted(star=twd.outer, tuples=frozenset(partials))
+        return Relation._trusted(
+            star=twd.outer, tuples=frozenset(map(_getter(plan.output), partials))
+        )
     domains = [twd.cable_types[c].values for c in plan.free]
     size = len(partials) * math.prod(len(values) for values in domains)
     if size > ENUMERATION_LIMIT:
@@ -529,7 +521,7 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     # The output reads every slot of a partial tuple and every free cable.
     expand = _step_loop(plan.output, len(set(plan.output)) - len(plan.free))
     tuples = expand({(): partials}, product(*domains), _getter(()))
-    return Relation._trusted(twd.outer, frozenset(tuples))
+    return Relation._trusted(star=twd.outer, tuples=frozenset(tuples))
 
 
 def _joined_before(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> bool:
@@ -712,12 +704,9 @@ def _trie(
         node = {t[head] for t in rows}
         return node, (len(node),)
     if len(rest) > 1:
-        groups: dict[Value, list[tuple]] = {}
-        for t in rows:
-            groups.setdefault(t[head], []).append(t)
         children: dict[Value, KeysView | set] = {}
         fanouts = []
-        for v, group in groups.items():
+        for v, group in _group(rows, itemgetter(head)).items():
             children[v], fanout = _trie(group, rest)
             fanouts.append(fanout)
         return children.keys(), (len(children), *map(max, zip(*fanouts)))

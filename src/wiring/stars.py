@@ -5,11 +5,17 @@ A star is a finite set of named wires.  A wiring diagram from inner stars
 ``C`` together with total solder maps ``f : X1 + ... + Xn -> C`` and
 ``g : Y -> C``.  Two diagrams are the same morphism when they differ only
 by a renaming of cables, so semantic equality always goes through
-:func:`canonicalize`.
+:func:`canonicalize`.  Its canonical form numbers the cables from 1: the
+attached ones by their sorted lists of soldered wires, which is the order
+of their least wires, inner ``(i, w)`` before outer ``w``, then the
+floating ones, which only their count tells apart.
 
 Composition substitutes a diagram into each inner star of another and is
-computed as a quotient of the union of the cable sets (a pushout).  An
-inner diagram's cable is identified only with the outer cables that its
+computed as a quotient of the union of the cable sets (a pushout): for
+each wire ``y`` of an intermediary star, the cable the inner diagram
+solders ``y`` to is identified with the cable the outer diagram solders
+it to.  Intermediary stars vanish, and floating cables survive.  An inner
+diagram's cable is identified only with the outer cables that its
 interface wires meet, so the union-find runs over the outer diagram's
 cables alone and does not go through :func:`quotient`, the general cable
 quotient with which query compilation and the partition algebra divide
@@ -42,6 +48,15 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _trusted(cls, **fields: Any):
+        """An instance with ``fields`` as its fields, without the checks of
+        ``__init__``: for values built from validated ones, well formed by
+        construction."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields)
+        return obj
 
 
 class Star(Frozen):
@@ -156,26 +171,6 @@ class WiringDiagram(Frozen):
         object.__setattr__(self, "cables", cables)
         object.__setattr__(self, "inner_map", inner_map)
         object.__setattr__(self, "outer_map", outer_map)
-
-    @classmethod
-    def _trusted(
-        cls,
-        inner: tuple[Star, ...],
-        outer: Star,
-        cables: tuple[Cable, ...],
-        inner_map: dict[InnerWire, Cable],
-        outer_map: dict[str, Cable],
-    ) -> "WiringDiagram":
-        """A diagram known to be well formed, without the checks of
-        ``__init__``: for diagrams built from validated ones, with fresh
-        cables and solder maps that are total by construction."""
-        wd = object.__new__(cls)
-        object.__setattr__(wd, "inner", inner)
-        object.__setattr__(wd, "outer", outer)
-        object.__setattr__(wd, "cables", cables)
-        object.__setattr__(wd, "inner_map", inner_map)
-        object.__setattr__(wd, "outer_map", outer_map)
-        return wd
 
     @property
     def arity(self) -> int:
@@ -311,14 +306,7 @@ def compose_with_classes(
 
 
 def compose(outer_wd: WiringDiagram, inner_wds: Sequence[WiringDiagram]) -> WiringDiagram:
-    """Substitute ``inner_wds[i]`` into the i-th inner star of ``outer_wd``.
-
-    The cables of the composite are the disjoint union of all cable sets,
-    quotiented by identifying, for every intermediary wire ``y`` of the i-th
-    interface star, the cable ``inner_wds[i]`` solders ``y`` to with the
-    cable ``outer_wd`` solders it to.  Intermediary stars vanish; floating
-    cables survive the quotient.
-    """
+    """Substitute ``inner_wds[i]`` into the i-th inner star of ``outer_wd``."""
     composite, _ = compose_with_classes(outer_wd, inner_wds)
     return composite
 
@@ -332,8 +320,7 @@ def canonicalize_with_renaming(
     keep their order in ``wd.cables``.
     """
     # Two attached cables have disjoint wire sets, so their sorted wire
-    # lists already differ at their least wires: the cables come in the
-    # order of their least wire, inner ``(i, w)`` before outer ``w``.
+    # lists already differ at their least wires.
     inner_map, outer_map = wd.inner_map, wd.outer_map
     attached = dict.fromkeys(map(inner_map.__getitem__, sorted(inner_map)))
     attached.update(dict.fromkeys(map(outer_map.__getitem__, sorted(outer_map))))
@@ -353,13 +340,7 @@ def canonicalize_with_renaming(
 
 
 def canonicalize(wd: WiringDiagram) -> WiringDiagram:
-    """Rename cables deterministically so equal morphisms coincide on the nose.
-
-    Attached cables are keyed by the sorted list of wires soldered to them,
-    sorted by that key and numbered from 1; floating cables are
-    indistinguishable and receive the remaining indices, so only their count
-    matters.
-    """
+    """``wd``'s canonical form: equal morphisms coincide on the nose."""
     canonical, _ = canonicalize_with_renaming(wd)
     return canonical
 

@@ -44,13 +44,6 @@ class ValueDomain(Frozen):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_members", members)
 
-    @classmethod
-    def int_range(cls, name: str, lo: int, hi: int) -> "ValueDomain":
-        """Sugar for the integer domain ``{lo, ..., hi}``."""
-        if hi < lo:
-            raise ValidationError(f"empty range {lo}..{hi}")
-        return cls(name, tuple(range(lo, hi + 1)))
-
     def __contains__(self, value) -> bool:
         return value in self._members
 

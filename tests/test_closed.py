@@ -9,7 +9,7 @@ from wiring.closed import (
     internalize,
 )
 from wiring.errors import InterfaceError, ValidationError
-from wiring.laws import GeneratorConfig, gen_domains, gen_relation, gen_star, gen_typed_filler
+from wiring.laws import gen_domains, gen_relation, gen_star, gen_typed_filler
 from wiring.relations import Relation, union
 from wiring.stars import Star, identity_diagram
 from wiring.typed import (
@@ -21,12 +21,12 @@ from wiring.typed import (
 )
 
 
-def random_hom(rng, cfg, domains, max_args=2):
+def random_hom(rng, domains, max_args=2):
     args = [
-        TypedStar.uniform(gen_star(rng, cfg), rng.choice(domains))
+        TypedStar.uniform(gen_star(rng), rng.choice(domains))
         for _ in range(rng.randint(0, max_args))
     ]
-    ret = TypedStar.uniform(gen_star(rng, cfg), rng.choice(domains))
+    ret = TypedStar.uniform(gen_star(rng), rng.choice(domains))
     return internal_hom(args, ret)
 
 
@@ -95,37 +95,36 @@ class TestEvaluationDiagram:
 
 
 class TestExternalization:
-    def test_round_trips_both_ways(self):
+    def test_round_trips_both_ways(self, monkeypatch):
         rng = random.Random(71)
-        cfg = GeneratorConfig(seed=71, max_wires=3)
+        monkeypatch.setattr("wiring.laws.MAX_WIRES", 3)
         for _ in range(500):
-            domains = gen_domains(rng, cfg)
-            hom = random_hom(rng, cfg, domains)
-            phi = gen_typed_filler(rng, cfg, hom.star, domains)
+            domains = gen_domains(rng)
+            hom = random_hom(rng, domains)
+            phi = gen_typed_filler(rng, hom.star, domains)
             psi = externalize(phi, hom)
             assert typed_diagrams_equal(internalize(psi, len(hom.args)), phi)
 
-    def test_equals_evaluation_composite(self):
+    def test_equals_evaluation_composite(self, monkeypatch):
         rng = random.Random(72)
-        cfg = GeneratorConfig(seed=72, max_wires=3)
+        monkeypatch.setattr("wiring.laws.MAX_WIRES", 3)
         for _ in range(200):
-            domains = gen_domains(rng, cfg)
-            hom = random_hom(rng, cfg, domains)
-            phi = gen_typed_filler(rng, cfg, hom.star, domains)
+            domains = gen_domains(rng)
+            hom = random_hom(rng, domains)
+            phi = gen_typed_filler(rng, hom.star, domains)
             ev = internal_hom(hom.args, hom.ret).evaluation
             composite = typed_compose(
                 ev, [phi] + [typed_identity(a) for a in hom.args]
             )
             assert typed_diagrams_equal(externalize(phi, hom), composite)
 
-    def test_zero_ary_morphism_externalizes(self, bool_domain):
+    def test_zero_ary_morphism_externalizes(self, bool_domain, monkeypatch):
         y = TypedStar.uniform(["u"], bool_domain)
         z = TypedStar.uniform(["w"], bool_domain)
         hom = internal_hom([y], z)
         rng = random.Random(73)
-        phi = gen_typed_filler(
-            rng, GeneratorConfig(max_stars=0), hom.star, [bool_domain]
-        )
+        monkeypatch.setattr("wiring.laws.MAX_STARS", 0)
+        phi = gen_typed_filler(rng, hom.star, [bool_domain])
         assert phi.arity == 0
         psi = externalize(phi, hom)
         assert psi.arity == 1
@@ -161,12 +160,12 @@ class TestApplyHom:
         S = Relation.complete(hom.star)
         assert apply_hom(hom, S, [Relation.empty(wire)]).is_empty
 
-    def test_agrees_with_direct_formula(self):
+    def test_agrees_with_direct_formula(self, monkeypatch):
         rng = random.Random(81)
-        cfg = GeneratorConfig(seed=81, max_wires=3)
+        monkeypatch.setattr("wiring.laws.MAX_WIRES", 3)
         for _ in range(500):
-            domains = gen_domains(rng, cfg)
-            hom = random_hom(rng, cfg, domains)
+            domains = gen_domains(rng)
+            hom = random_hom(rng, domains)
             S = gen_relation(rng, hom.star)
             args = [gen_relation(rng, a) for a in hom.args]
             got = apply_hom(hom, S, args)
@@ -183,12 +182,12 @@ class TestApplyHom:
                     direct.add(t[pos:])
             assert got == Relation(hom.ret, direct)
 
-    def test_monotone_in_setup_and_arguments(self):
+    def test_monotone_in_setup_and_arguments(self, monkeypatch):
         rng = random.Random(91)
-        cfg = GeneratorConfig(seed=91, max_wires=2)
+        monkeypatch.setattr("wiring.laws.MAX_WIRES", 2)
         for _ in range(100):
-            domains = gen_domains(rng, cfg)
-            hom = random_hom(rng, cfg, domains, max_args=1)
+            domains = gen_domains(rng)
+            hom = random_hom(rng, domains, max_args=1)
             S = gen_relation(rng, hom.star)
             S_more = union(S, gen_relation(rng, hom.star))
             args = [gen_relation(rng, a) for a in hom.args]

@@ -7,8 +7,10 @@ hash seed.  Everything runs in-process through ``run_cli`` except the
 scripts and the hash-seed pairs, which need a fresh interpreter, and the
 refusals at the real limit, which run in one under a timeout."""
 
+import ast
 import os
 import pathlib
+import re
 import subprocess
 import shutil
 import sys
@@ -242,3 +244,16 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path, argv):
         assert done.returncode == 0, done.stderr
         seen.append((done.stdout, done.stderr, summary.read_bytes() if summary.exists() else None))
     assert seen[0] == seen[1]
+
+
+def test_every_source_file_parses_at_the_least_python_version_supported():
+    """No file under ``src``, ``scripts``, ``tests`` or ``perfbench`` uses
+    syntax newer than ``requires-python`` allows, whatever interpreter runs
+    the tests."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    paths = [p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert len(paths) > 20
+    for path in sorted(paths):
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(int(major), int(minor)))

@@ -119,7 +119,7 @@ class TestCsvLoad:
             load_csv_relation(path, nand_star)
 
     def test_integer_tokens_become_ints(self, tmp_path):
-        dom = ValueDomain.int_range("N", -2, 9)
+        dom = ValueDomain("N", range(-2, 10))
         star = TypedStar.uniform(["n"], dom)
         path = tmp_path / "r.csv"
         path.write_text("n\n3\n-2\n")
@@ -130,7 +130,7 @@ class TestCsvLoad:
         path.write_text("n\n²\n", encoding="utf-8")
         text = TypedStar.uniform(["n"], ValueDomain("T", ("²", "2")))
         assert load_csv_relation(path, text).tuples == frozenset({("²",)})
-        numbers = TypedStar.uniform(["n"], ValueDomain.int_range("N", 0, 9))
+        numbers = TypedStar.uniform(["n"], ValueDomain("N", range(10)))
         with pytest.raises(CsvFormatError, match="row 1, column 'n'"):
             load_csv_relation(path, numbers)
 
@@ -138,11 +138,16 @@ class TestCsvLoad:
         star = TypedStar.uniform(["x"], bool_domain)
         with pytest.raises(CsvFormatError, match="absent.csv: cannot read"):
             load_csv_relation(tmp_path / "absent.csv", star)
-        latin1 = tmp_path / "latin1.csv"
-        latin1.write_bytes(b"x\nTr\xfce\n")
-        with pytest.raises(CsvFormatError) as err:
-            load_csv_relation(latin1, star)
-        assert str(err.value) == f"{latin1}: not UTF-8 text: invalid start byte"
+        # lines are counted from the header, blank ones and any line ending too
+        for data, position in [
+            (b"x\nTr\xfce\n", "2:3"),
+            (b"\xef\xbb\xbfx\r\n\r\n\xffalse\r\n", "3:1"),
+        ]:
+            latin1 = tmp_path / "latin1.csv"
+            latin1.write_bytes(data)
+            with pytest.raises(CsvFormatError) as err:
+                load_csv_relation(latin1, star)
+            assert str(err.value) == f"{latin1}:{position}: not UTF-8 text: invalid start byte"
 
     def test_byte_order_mark_is_ignored(self, tmp_path, nand_star):
         text = "out,A,B\nTrue,False,False\nFalse,True,True\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import declarations_oracle, tokens_oracle
 from wiring.csvio import survives_csv
 from wiring import dsl
-from wiring.dsl import parse_query_text, parse_script, tokenize
+from wiring.dsl import parse_script, parse_select_text, resolve_query_text, tokenize
 from wiring.errors import ScriptError
 from wiring.typed import typed_diagrams_equal
 
@@ -373,7 +373,7 @@ class TestErrorMessages:
     )
     def test_query(self, text, message):
         with pytest.raises(ScriptError) as err:
-            parse_query_text(text, parse_script(_REL))
+            resolve_query_text(text, parse_select_text(text), parse_script(_REL))
         assert str(err.value) == message
 
 
@@ -505,15 +505,17 @@ class TestParseGivesWhatWasWritten:
 
 
 class TestInlineQuery:
-    def test_parse_query_text(self):
+    def test_inline_query_resolves_against_the_script(self):
         script = parse_script(NAND_SCRIPT)
-        q = parse_query_text("SELECT n.out FROM nand n WHERE n.A = 'True'", script)
+        text = "SELECT n.out FROM nand n WHERE n.A = 'True'"
+        q = resolve_query_text(text, parse_select_text(text), script)
         assert q.conditions[0].literal == "True"
 
     def test_trailing_garbage_rejected(self):
         script = parse_script(NAND_SCRIPT)
         with pytest.raises(ScriptError, match="trailing"):
-            parse_query_text("SELECT n.out FROM nand n extra", script)
+            text = "SELECT n.out FROM nand n extra"
+            resolve_query_text(text, parse_select_text(text), script)
 
 
 # Soups shaped like scripts: a keyword, or sometimes another word, then
@@ -710,7 +712,11 @@ class TestParseOnDemand:
         [
             lambda text: parse_script(text, {"q"}),
             lambda text: parse_script(text, {"u"}),
-            lambda text: parse_query_text("SELECT s.w FROM r s", parse_script(text, {"r"})),
+            lambda text: resolve_query_text(
+                "SELECT s.w FROM r s",
+                parse_select_text("SELECT s.w FROM r s"),
+                parse_script(text, {"r"}),
+            ),
         ],
         ids=["query", "union", "inline-query"],
     )

@@ -7,6 +7,8 @@ from oracles import is_connected
 import wiring.relations as relations_mod
 import wiring.stars as stars_mod
 from wiring.laws import (
+    MAX_CABLES,
+    MAX_STARS,
     GeneratorConfig,
     check_operad_laws,
     check_prop_witnesses,
@@ -28,7 +30,7 @@ class TestGenerators:
         cfg = GeneratorConfig(seed=77)
         a, b = cfg.rng(), cfg.rng()
         for _ in range(50):
-            x, y = gen_diagram(a, cfg), gen_diagram(b, cfg)
+            x, y = gen_diagram(a), gen_diagram(b)
             assert x.inner_map == y.inner_map and x.outer_map == y.outer_map
 
     def test_generated_diagrams_validate(self):
@@ -36,15 +38,15 @@ class TestGenerators:
         cfg = GeneratorConfig(seed=78)
         rng = cfg.rng()
         for _ in range(200):
-            wd = gen_diagram(rng, cfg)
-            assert wd.arity <= cfg.max_stars
-            assert len(wd.cables) <= cfg.max_cables
+            wd = gen_diagram(rng)
+            assert wd.arity <= MAX_STARS
+            assert len(wd.cables) <= MAX_CABLES
 
     def test_generated_relations_are_well_typed(self):
         cfg = GeneratorConfig(seed=79)
         rng = cfg.rng()
         for _ in range(100):
-            twd = gen_typed(rng, cfg)
+            twd = gen_typed(rng)
             for tstar in twd.inner:
                 gen_relation(rng, tstar)  # constructor validates
 
@@ -87,7 +89,7 @@ class TestGeneratorPin:
         cfg = GeneratorConfig(seed=0)
         rng = cfg.rng()
         stacks = [
-            _layout(gen_stack(rng, cfg, depth)) for _ in range(30) for depth in (3, 2)
+            _layout(gen_stack(rng, depth)) for _ in range(30) for depth in (3, 2)
         ]
         digest = hashlib.sha256(repr(stacks).encode()).hexdigest()
         assert digest == "8952fd33ece41bccf3c7db0a8ab3360c73d33e52bf4309b3f00eac75da81a16f"
@@ -98,7 +100,7 @@ class TestGeneratorPin:
         rng = cfg.rng()
         cases = []
         for _ in range(cfg.cases):
-            top, fillers = _typed_stack(rng, cfg)
+            top, fillers = _typed_stack(rng)
             rels = [
                 [sorted(gen_relation(rng, tstar).tuples) for tstar in f.inner]
                 for f in fillers
@@ -114,7 +116,7 @@ class TestGeneratorPin:
         rng = cfg.rng()
         cases = []
         for _ in range(cfg.cases):
-            stack = gen_stack(rng, cfg, 2)
+            stack = gen_stack(rng, 2)
             parts = [
                 [gen_partition(rng, s).blocks for s in f.diagram.inner]
                 for f in stack.fillers
@@ -225,7 +227,7 @@ class TestShrinker:
 
         found = None
         for _ in range(200):
-            stack = gen_stack(rng, cfg, 2)
+            stack = gen_stack(rng, 2)
             if fails(stack):
                 found = stack
                 break
@@ -282,10 +284,10 @@ class TestIsConnected:
         cfg = GeneratorConfig(seed=37)
         checked = 0
         while checked < 120:
-            outer = gen_diagram(rng, cfg)
+            outer = gen_diagram(rng)
             if any(len(s) == 0 for s in outer.inner) or not is_connected(outer):
                 continue
-            fillers = [gen_diagram(rng, cfg, outer=y) for y in outer.inner]
+            fillers = [gen_diagram(rng, outer=y) for y in outer.inner]
             if not all(is_connected(f) for f in fillers):
                 continue
             assert is_connected(compose(outer, fillers))

@@ -122,13 +122,13 @@ class TestOracleAgreement:
             wd, parts
         )
 
-    def test_thousand_seeded_instances(self):
+    def test_thousand_seeded_instances(self, monkeypatch):
         rng = random.Random(17)
-        cfg = GeneratorConfig(seed=17, max_wires=6)
+        monkeypatch.setattr("wiring.laws.MAX_WIRES", 6)
         from wiring.laws import gen_diagram
 
         for _ in range(1000):
-            wd = gen_diagram(rng, cfg)
+            wd = gen_diagram(rng)
             parts = [gen_partition(rng, s) for s in wd.inner]
             assert partitions.evaluate(wd, parts) == connectivity_oracle(
                 wd, parts
@@ -142,7 +142,7 @@ class TestCoarsening:
         from wiring.laws import gen_diagram
 
         for _ in range(200):
-            wd = gen_diagram(rng, cfg)
+            wd = gen_diagram(rng)
             fine = [gen_partition(rng, s) for s in wd.inner]
             coarse = []
             for p in fine:

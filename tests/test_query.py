@@ -5,7 +5,7 @@ import pytest
 
 from oracles import sql_oracle
 from wiring.csvio import load_csv_relation
-from wiring.dsl import parse_query_text, parse_script
+from wiring.dsl import parse_script, parse_select_text, resolve_query_text
 from wiring.errors import ScriptError
 from wiring.query import (
     AttrRef,
@@ -303,13 +303,13 @@ class TestCyclicQueriesAgainstOracle:
             relations[name] = load_csv_relation(str(base / decl.path), decl.star)
             with open(base / decl.path, newline="") as handle:
                 rows[name] = list(csv.DictReader(handle))
-        query = parse_query_text(
+        text = (
             "SELECT a1.student, a3.student "
             "FROM attends a1, attends a2, attends a3, attends a4 "
             "WHERE a1.course = a2.course AND a2.student = a3.student "
-            "AND a3.course = a4.course AND a4.student = a1.student",
-            script,
+            "AND a3.course = a4.course AND a4.student = a1.student"
         )
+        query = resolve_query_text(text, parse_select_text(text), script)
         compiled = compile_query(query, script)
         assert _executor(compiled, relations) == "generic"
         got = evaluate_query(compiled, relations)

@@ -126,7 +126,7 @@ class TestStep:
 def test_setup_relation_is_read_by_wire_name_not_position():
     # The setup relation lives on a reordered copy of the hom star, with a
     # different domain on each wire of z.
-    n = ValueDomain.int_range("N", 0, 2)
+    n = ValueDomain("N", range(3))
     t = ValueDomain("T", ["x", "y"])
     z = TypedStar(["a", "b"], {"a": n, "b": t})
     hom = internal_hom([z], z).star
@@ -260,7 +260,7 @@ class TestToyEnumeration:
 def random_sparse_setup(rng: random.Random):
     """A setup on ``{p, q}`` whose transition graph has few edges per
     state, so it mixes long chains, dead ends and several cycles."""
-    dp = ValueDomain.int_range("P", 0, rng.randint(0, 6))
+    dp = ValueDomain("P", range(rng.randint(0, 6) + 1))
     dq = ValueDomain("Q", [f"v{i}" for i in range(rng.randint(1, 7))])
     z = TypedStar(["p", "q"], {"p": dp, "q": dq})
     hom = internal_hom([z], z)

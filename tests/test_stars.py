@@ -240,7 +240,7 @@ class TestComposeOracle:
             cfg = GeneratorConfig(seed=seed)
             rng = cfg.rng()
             for _ in range(100):
-                stack = gen_stack(rng, cfg, 2)
+                stack = gen_stack(rng, 2)
                 fillers = [f.diagram for f in stack.fillers]
                 fast = compose(stack.diagram, fillers)
                 slow = compose_by_closure(stack.diagram, fillers)
@@ -254,7 +254,7 @@ class TestComposeOracle:
         cfg = GeneratorConfig(seed=3)
         rng = cfg.rng()
         for _ in range(200):
-            stack = gen_stack(rng, cfg, 2)
+            stack = gen_stack(rng, 2)
             fillers = [f.diagram for f in stack.fillers]
             outer = _renamed(stack.diagram, lambda c: None if c == 0 else ("o", c))
             inners = [
@@ -277,7 +277,7 @@ class TestCanonicalize:
             cfg = GeneratorConfig(seed=seed)
             rng = cfg.rng()
             for _ in range(100):
-                wd = _renamed(gen_diagram(rng, cfg), lambda c: f"c{9 - c}")
+                wd = _renamed(gen_diagram(rng), lambda c: f"c{9 - c}")
                 fast, fast_renamed = canonicalize_with_renaming(wd)
                 slow, slow_renamed = canonicalize_by_wire_lists(wd)
                 assert _fields(fast) == _fields(slow)

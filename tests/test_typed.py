@@ -32,8 +32,8 @@ from wiring.typed import (
 
 
 class TestValueDomain:
-    def test_int_range_sugar(self):
-        dom = ValueDomain.int_range("N", 0, 3)
+    def test_range_domain_keeps_its_values(self):
+        dom = ValueDomain("N", range(4))
         assert dom.values == (0, 1, 2, 3)
         assert 2 in dom and 4 not in dom
 
@@ -76,7 +76,7 @@ class TestTypecheck:
         assert twd.arity == 1
 
     def test_wire_domains_are_read_off_cable_types(self, bool_domain):
-        digits = ValueDomain.int_range("N0_9", 0, 9)
+        digits = ValueDomain("N0_9", range(10))
         wd = WiringDiagram(
             inner=(Star(["x", "y"]),),
             outer=Star(["u", "v"]),
@@ -107,7 +107,7 @@ class TestFunctors:
         cfg = GeneratorConfig(seed=11)
         dom = ValueDomain("D", (0, 1))
         for _ in range(100):
-            wd = gen_diagram(rng, cfg)
+            wd = gen_diagram(rng)
             assert lift_uniform(wd, dom).diagram is wd
 
     def test_lift_of_identity_is_typed_identity(self, bool_domain):
@@ -121,8 +121,8 @@ class TestFunctors:
         rng = random.Random(12)
         cfg = GeneratorConfig(seed=12)
         for _ in range(50):
-            outer = gen_diagram(rng, cfg)
-            fillers = [gen_diagram(rng, cfg, outer=y) for y in outer.inner]
+            outer = gen_diagram(rng)
+            fillers = [gen_diagram(rng, outer=y) for y in outer.inner]
             lifted = typed_compose(
                 lift_uniform(outer, bool_domain),
                 [lift_uniform(f, bool_domain) for f in fillers],
@@ -133,8 +133,8 @@ class TestFunctors:
         rng = random.Random(13)
         cfg = GeneratorConfig(seed=13)
         for _ in range(50):
-            outer = gen_diagram(rng, cfg)
-            fillers = [gen_diagram(rng, cfg, outer=y) for y in outer.inner]
+            outer = gen_diagram(rng)
+            fillers = [gen_diagram(rng, outer=y) for y in outer.inner]
             composed_then_lifted = lift_uniform(compose(outer, fillers), bool_domain)
             lifted_then_composed = typed_compose(
                 lift_uniform(outer, bool_domain),
@@ -161,7 +161,7 @@ class TestTypedCompose:
         )
 
     def test_merged_cables_share_their_domain(self):
-        dom = ValueDomain.int_range("D", 0, 3)
+        dom = ValueDomain("D", range(4))
         mid = TypedStar.uniform(["m"], dom)
         inner = TypedWiringDiagram(
             WiringDiagram(
@@ -179,7 +179,7 @@ class TestTypedCompose:
         assert all(d == dom for d in composite.cable_types.values())
 
     def test_interface_typing_mismatch_rejected(self, bool_domain):
-        digits = ValueDomain.int_range("N", 0, 1)
+        digits = ValueDomain("N", range(2))
         mid_bool = TypedStar.uniform(["m"], bool_domain)
         mid_digit = TypedStar.uniform(["m"], digits)
         inner = typed_identity(mid_digit)
@@ -217,7 +217,7 @@ class TestTypedComposeOracle:
             cfg = GeneratorConfig(seed=seed)
             rng = cfg.rng()
             for _ in range(50):
-                top, fillers = _typed_stack(rng, cfg)
+                top, fillers = _typed_stack(rng)
                 composite = typed_compose(top, fillers)
                 plain = [f.diagram for f in fillers]
                 closure = compose_by_closure(top.diagram, plain)
@@ -255,7 +255,7 @@ class TestTypedCanonicalize:
             cfg = GeneratorConfig(seed=seed)
             rng = cfg.rng()
             for _ in range(100):
-                twd = gen_typed(rng, cfg)
+                twd = gen_typed(rng)
                 types = twd.cable_types
                 fast = canonicalize_typed(twd)
                 slow, renamed = canonicalize_by_wire_lists(
@@ -267,7 +267,7 @@ class TestTypedCanonicalize:
 
 class TestTypedCanonicalEquality:
     def test_floating_cables_compare_by_domain(self, bool_domain):
-        digits = ValueDomain.int_range("N", 0, 1)
+        digits = ValueDomain("N", range(2))
         base = identity_diagram(Star(["a"]))
 
         def with_floats(first, second):
