@@ -8,18 +8,21 @@ star's wires, in any order; duplicate data rows collapse.
 :func:`survives_csv` tells whether a value is written as a token that
 reads back as the same value; script types admit no other values.
 
+A file is read a column at a time: its data lines are split into cells
+once, each distinct cell text is parsed once, and each wire's column is
+a stride slice of the parsed cells.  A file whose cells are all distinct
+costs about what one parse per cell did.
+
 A row must fit the star as a :class:`~wiring.relations.Relation`'s tuple
-must, and the loader checks its rows and the columns it parses with the
-same function: an error names the first row, in file order, with the
-wrong number of cells or a value outside its wire's domain.
+must, and the loader checks its rows and columns with the same function:
+an error names the first row, in file order, with the wrong number of
+cells or a value outside its wire's domain.
 """
 
 from __future__ import annotations
 
 import os
-from functools import cache
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
 from typing import IO, Iterable
 
 from .errors import CsvFormatError, not_utf8
@@ -44,12 +47,13 @@ def survives_csv(value: Value) -> bool:
 
 
 def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
-    """Load the relation on ``star`` stored at ``path``.
-
-    Rows are checked against the wire domains; errors carry the 1-based
-    data row number and the offending column, or for a file that is not
-    UTF-8 text the line and column of its first bad byte, the header being
-    line 1.
+    """Load the relation on ``star`` stored at ``path``: its cells split
+    once and each distinct text parsed once, which for a file of distinct
+    cells costs what a parse per cell did.  Rows are checked against the
+    wire domains; errors carry the 1-based data row number and the
+    offending column, the header's line, or for a file that is not UTF-8
+    text the line and column of its first bad byte, the file's first line
+    being line 1.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -58,13 +62,14 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
         raise CsvFormatError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise CsvFormatError(not_utf8(path, exc)) from exc
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = text.split("\n")
     del text
-    if not lines:
+    top = next((k for k, line in enumerate(lines) if line.strip()), None)
+    if top is None:
         raise CsvFormatError(f"{path}: missing header row")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[top].split(",")]
     if len(set(header)) != len(header):
-        raise CsvFormatError(f"{path}: header repeats a column")
+        raise CsvFormatError(f"{path}:{top + 1}: header repeats a column")
     if set(header) != set(star.wires):
         missing = sorted(set(star.wires) - set(header))
         extra = sorted(set(header) - set(star.wires))
@@ -73,33 +78,37 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
             detail.append(f"missing columns {missing}")
         if extra:
             detail.append(f"unexpected columns {extra}")
-        raise CsvFormatError(f"{path}: {'; '.join(detail)}")
+        raise CsvFormatError(f"{path}:{top + 1}: {'; '.join(detail)}")
 
-    rows = [line.split(",") for line in islice(lines, 1, None)]
-    del lines  # only the cells are read from here on
-    positions = [header.index(w) for w in star.wires]
+    lines = list(filter(str.strip, islice(lines, top + 1, None)))
+    commas = list(map(str.count, lines, repeat(",")))
+    cells = ",".join(lines)
+    del lines  # once joined, to keep the peak low
+    cells = cells.split(",") if cells else []
+    distinct = dict.fromkeys(cells)  # in file order, which parses faster than hash order
+    parsed = list(map(_parse_token, distinct))
+    # when no text repeats, the parsed texts are the cells' values
+    if len(parsed) < len(cells):
+        cells = list(map(dict(zip(distinct, parsed)).__getitem__, cells))
+    else:
+        cells = parsed
+    # rows before the first of the wrong width fill the columns' heads
+    width = len(header)
+    columns = [cells[header.index(w) :: width] for w in star.wires]
+    del cells, distinct
 
-    @cache
-    def column(j: int, n: int) -> list[Value]:
-        return list(map(_parse_token, map(itemgetter(positions[j]), islice(rows, n))))
-
-    misfit = _first_misfit(star, rows, column)
+    # a line has one cell more than it has commas
+    misfit = _first_misfit(star, commas, columns.__getitem__, width=(1).__add__, cover=parsed)
     if misfit is not None:
         k, w = misfit
+        row = f"{path}: row {k + 1}"
         if w is None:
-            raise CsvFormatError(
-                f"{path}: row {k + 1} has {len(rows[k])} cells, expected {len(header)}"
-            )
+            raise CsvFormatError(f"{row} has {commas[k] + 1} cells, expected {width}")
         raise CsvFormatError(
-            f"{path}: row {k + 1}, column {w!r}: value "
-            f"{_parse_token(rows[k][header.index(w)])!r} is outside domain {star.domain(w).name!r}"
+            f"{row}, column {w!r}: value {columns[star.wires.index(w)][k]!r} "
+            f"is outside domain {star.domain(w).name!r}"
         )
-    n = len(rows)
-    del rows  # before the tuples are built, to keep the peak low
-    # every row fits, so each column of all n rows is parsed and cached
-    return Relation._trusted(
-        star=star, tuples=frozenset(zip(*(column(j, n) for j in range(len(positions)))))
-    )
+    return Relation._trusted(star=star, tuples=frozenset(zip(*columns)))
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

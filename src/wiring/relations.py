@@ -127,6 +127,7 @@ from itertools import compress, islice, product
 from operator import and_, itemgetter
 from weakref import ref
 from typing import (
+    Any,
     Callable,
     Collection,
     Hashable,
@@ -135,7 +136,6 @@ from typing import (
     Literal,
     NamedTuple,
     Sequence,
-    Sized,
 )
 
 from .errors import EnumerationLimitError, InterfaceError, ValidationError
@@ -166,7 +166,7 @@ class Relation(Frozen):
 
     def __init__(self, star: TypedStar, tuples: Iterable[tuple[Value, ...]] = ()):
         rows = list(map(tuple, tuples))
-        misfit = _first_misfit(star, rows, lambda j, n: map(itemgetter(j), islice(rows, n)))
+        misfit = _first_misfit(star, rows, lambda j: map(itemgetter(j), rows))
         if misfit is not None:
             k, w = misfit
             t = rows[k]
@@ -260,32 +260,38 @@ class Relation(Frozen):
 
 
 def _first_misfit(
-    star: TypedStar, rows: Sequence[Sized], column: Callable[[int, int], Iterable[Value]]
+    star: TypedStar,
+    rows: Sequence,
+    column: Callable[[int], Iterable[Value]],
+    width: Callable[[Any], int] = len,
+    cover: Collection[Value] | None = None,
 ) -> tuple[int, str | None] | None:
     """The index of the first of ``rows`` that does not fit ``star``, and
     the wire of its first value outside that wire's domain in the order of
-    ``star.wires``, or ``None`` for the wire when the row has the wrong
-    width; ``None`` when every row fits.  ``column(j, n)`` gives the values
-    of wire ``star.wires[j]`` in the first ``n`` rows, which all have the
-    right width.
+    ``star.wires``, or ``None`` for the wire when the row's ``width`` is
+    wrong; ``None`` when every row fits.  ``column(j)`` gives the values of
+    wire ``star.wires[j]`` in row order; only rows before the first of the
+    wrong width are read.  A wire whose domain holds all of ``cover``, a
+    superset of every column and shorter than one, fits unread.
 
     One width test over the rows and one subset test per wire; only when
     one fails are the rows walked one by one, so the first misfit in the
     order given is named whatever the hash seed, at no extra pass over
     rows that fit."""
-    width = len(star.wires)
+    size = len(star.wires)
     n = len(rows)
-    if not set(map(len, rows)) <= {width}:
-        n = next(k for k, row in enumerate(rows) if len(row) != width)
+    if not set(map(width, rows)) <= {size}:
+        n = next(k for k, row in enumerate(rows) if width(row) != size)
     for j, w in enumerate(star.wires):
-        if not star.domain(w).contains_all(column(j, n)):
-            break
-    else:
-        return None if n == len(rows) else (n, None)
-    for k, row in enumerate(zip(*(column(j, n) for j in range(width)))):
-        for w, v in zip(star.wires, row):
-            if v not in star.domain(w):
-                return k, w
+        domain = star.domain(w)
+        if cover is not None and len(cover) < n and domain.contains_all(cover):
+            continue
+        if not domain.contains_all(islice(column(j), n)):
+            for k, row in enumerate(islice(zip(*map(column, range(size))), n)):
+                for w, v in zip(star.wires, row):
+                    if v not in star.domain(w):
+                        return k, w
+    return None if n == len(rows) else (n, None)
 
 
 def union(a: Relation, b: Relation) -> Relation:

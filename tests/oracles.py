@@ -352,18 +352,40 @@ def canonicalize_by_wire_lists(
     return canonical, renamed
 
 
-def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:
-    """The tuples ``load_csv_relation`` must return for a file at ``path``
-    holding ``text`` with a valid header, or the message it must raise:
-    data row by data row in file order, each row's cells in the order of
-    ``star.wires``."""
-    lines = [line for line in text.split("\n") if line.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
+def csv_relation_oracle(text: str, star: TypedStar) -> frozenset | str:
+    """The tuples ``load_csv_relation`` must return for a file holding
+    ``text``, or the message it must raise with the file's path left off
+    its front: cell by cell, a line and then a data row at a time in file
+    order, each row's cells in the order of ``star.wires``, and each value
+    against a linear scan of its domain."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    numbered = [
+        (number, line)
+        for number, line in enumerate(text.split("\n"), start=1)
+        if line.strip() != ""
+    ]
+    if not numbered:
+        return ": missing header row"
+    header_line, header_text = numbered[0]
+    header = [name.strip() for name in header_text.split(",")]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            return f":{header_line}: header repeats a column"
+    missing = sorted(w for w in star.wires if w not in header)
+    extra = sorted(name for name in header if name not in star.wires)
+    details = []
+    if missing:
+        details.append(f"missing columns {missing}")
+    if extra:
+        details.append(f"unexpected columns {extra}")
+    if details:
+        return f":{header_line}: " + "; ".join(details)
     tuples = set()
-    for row_number, line in enumerate(lines[1:], start=1):
+    for row_number, (_, line) in enumerate(numbered[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
-            return f"{path}: row {row_number} has {len(cells)} cells, expected {len(header)}"
+            return f": row {row_number} has {len(cells)} cells, expected {len(header)}"
         row = []
         for w in star.wires:
             token = cells[header.index(w)].strip()
@@ -371,12 +393,18 @@ def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:
             domain = star.domain(w)
             if not any(v == member for member in domain.values):
                 return (
-                    f"{path}: row {row_number}, column {w!r}: value {v!r} is "
+                    f": row {row_number}, column {w!r}: value {v!r} is "
                     f"outside domain {domain.name!r}"
                 )
             row.append(v)
         tuples.add(tuple(row))
     return frozenset(tuples)
+
+
+def csv_oracle(path, text: str, star: TypedStar) -> frozenset | str:
+    """:func:`csv_relation_oracle`, with its message placed at ``path``."""
+    expected = csv_relation_oracle(text, star)
+    return expected if isinstance(expected, frozenset) else f"{path}{expected}"
 
 
 _LITERAL_TOKEN_RE = re.compile(

@@ -1,10 +1,11 @@
 import io
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_oracle
+from oracles import csv_oracle, csv_relation_oracle
 from strategies import typed_and_relations
 from wiring.csvio import load_csv_relation, write_relation_csv
 from wiring.dot import emit_dot
@@ -157,6 +158,67 @@ class TestCsvLoad:
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         got = load_csv_relation(marked, nand_star)
         assert got == load_csv_relation(plain, nand_star) and len(got) == 2
+
+
+DOMAINS = [
+    ValueDomain("Range", range(-1, 8)),
+    ValueDomain("Text", ("a", "b", "True", "²", "+1", "1_0", "-")),
+    ValueDomain("Mixed", (0, 7, "a", "+1")),
+]
+# cells that read as a value of each domain; ANY_CELL mixes in misfits
+FITTING_CELLS = {
+    "Range": ["0", "7", "007", "-0", "-1", " 3 ", "5\t"],
+    "Text": ["a", "b", " True", "²", "+1", "1_0", "-"],
+    "Mixed": ["0", "-0", "007", "a", "+1", " 7"],
+}
+ANY_CELL = ["0", "7", "-1", "+1", "1_0", "²", "a", "b", "True", "-", "", "9", "x y"]
+
+
+def _csv_case(rng):
+    """A star of one to three wires and the text of a file for it: its
+    header sometimes wrong, its rows sometimes of the wrong width or with
+    a misfit cell, between blank lines, after a byte-order mark and with
+    either line ending."""
+    wires = rng.sample("xyz", rng.randint(1, 3))
+    star = TypedStar(Star(wires), {w: rng.choice(DOMAINS) for w in wires})
+    header = rng.sample(wires, len(wires))
+    if rng.random() < 0.1:
+        header[rng.randrange(len(header))] = rng.choice(["x", "y", "z", "", "w"])
+    if rng.random() < 0.06:
+        header.append(rng.choice([*header, "w"]))
+    lines = [" , ".join(header) if rng.random() < 0.2 else ",".join(header)]
+    for _ in range(rng.randint(0, 12)):
+        cells = [
+            rng.choice(ANY_CELL if rng.random() < 0.03 else FITTING_CELLS[star.domain(w).name])
+            if w in wires
+            else rng.choice(ANY_CELL)
+            for w in header
+        ]
+        if rng.random() < 0.05:  # a short row, kept nonblank, or a long one
+            short = rng.random() < 0.5
+            cells = (cells[: rng.randint(0, len(cells) - 1)] or [""]) if short else cells + ["a"]
+        lines.extend([rng.choice(["", "  ", "\r"])] * (rng.random() < 0.1))
+        lines.append(",".join(cells))
+        lines.extend(lines[-1:] * (rng.random() < 0.15))  # a duplicate row
+    lines[:0] = [""] * (rng.random() < 0.1) * rng.randint(1, 2)
+    end = rng.choice(["\n", "\r\n"])
+    text = end.join(lines) + end * (rng.random() < 0.8)
+    return star, "\ufeff" * (rng.random() < 0.2) + text
+
+
+def test_loader_matches_the_literal_oracle_on_generated_files(tmp_path):
+    rng = random.Random(30)
+    path = tmp_path / "r.csv"
+    for _ in range(600):
+        star, text = _csv_case(rng)
+        path.write_bytes(text.encode("utf-8"))
+        expected = csv_relation_oracle(text, star)
+        if isinstance(expected, frozenset):
+            assert load_csv_relation(path, star).tuples == expected, text
+        else:
+            with pytest.raises(CsvFormatError) as err:
+                load_csv_relation(path, star)
+            assert str(err.value) == f"{path}{expected}", text
 
 
 class TestCsvWrite:

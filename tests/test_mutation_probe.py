@@ -59,7 +59,7 @@ CSV_BYTES = [b"\xef\xbb\xbf", b"\x00", b"\xff", b"\r", b'"', b","]
 SCRIPT_PLACE = r"\d+:\d+: .*"
 CSV_PLACE = (
     r"{csv}(:\d+:\d+: not UTF-8 text: .*|: row \d+.*|: cannot read: .*"
-    r"|: missing header row|: header repeats a column|: (missing|unexpected) columns .*)"
+    r"|: missing header row|:\d+: header repeats a column|:\d+: (missing|unexpected) columns .*)"
 )
 NAME_ERROR = r"no (query or union|diagram or query|setup) named '.*'"
 
