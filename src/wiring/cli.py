@@ -12,9 +12,15 @@ FROM; ``fixpoint`` the setup's; ``dot`` none.  A missing or malformed CSV
 that a command does not read is not an error for that command.
 
 In the same way ``check`` parses the whole script, and the other commands
-pass :func:`wiring.dsl.parse_script` the names they read: the name they are
-given, or the inline query's FROM names.  Which declarations that parses,
-and so whose errors a command raises, is stated in :mod:`wiring.dsl`.
+pass :func:`wiring.dsl.parse_script` the names they read, each with the
+keywords of the declarations they look it up in: ``eval`` its name as a
+``query`` or ``union``, ``dot`` as a ``diagram`` or ``query``, ``fixpoint``
+as a ``setup``, and ``query`` the inline query's FROM names as a ``rel`` or
+``const``.  A declaration of the name with another keyword is not chosen
+by the name, so when it is broken and no declaration with one of those
+keywords has the name, the command reports that it has no such name.
+Which declarations the chosen ones lead to, and so whose errors a command
+raises, is stated in :mod:`wiring.dsl`.
 ``query`` parses its inline SELECT before the script, so the SELECT's own
 syntax errors come first.
 
@@ -33,7 +39,7 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from typing import IO, Collection, Iterable, Iterator, Mapping
+from typing import IO, Collection, Iterator, Mapping
 
 from . import csvio, dsl, relations
 from .dot import emit_dot
@@ -45,7 +51,7 @@ from .relations import Relation
 
 
 def _load_script(
-    path: str, reads: Iterable[str] | None = None
+    path: str, reads: Mapping[str, Collection[str]] | None = None
 ) -> tuple[dsl.Script, str]:
     """The script at ``path``, read as UTF-8 with an optional leading
     byte-order mark like the CSV files and parsed, only as far as ``reads``
@@ -128,7 +134,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    script, base_dir = _load_script(args.script, {args.name})
+    script, base_dir = _load_script(args.script, {args.name: ("query", "union")})
     rels = _load_relations(script, base_dir, _result_reads(script, args.name))
     result = _resolve_result(script, rels, args.name)
     with _output(args.out) as handle:
@@ -138,7 +144,8 @@ def cmd_eval(args) -> int:
 
 def cmd_query(args) -> int:
     query = dsl.parse_select_text(args.text)
-    script, base_dir = _load_script(args.script, {pred for pred, _alias in query.tables})
+    reads = {pred: ("rel", "const") for pred, _alias in query.tables}
+    script, base_dir = _load_script(args.script, reads)
     compiled = compile_query(dsl.resolve_query_text(args.text, query, script), script)
     rels = _load_relations(script, base_dir, compiled.inputs)
     result = evaluate_query(compiled, rels)
@@ -148,7 +155,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    script, _base_dir = _load_script(args.script, {args.name})
+    script, _base_dir = _load_script(args.script, {args.name: ("diagram", "query")})
     if args.name in script.diagrams:
         diagram = script.diagrams[args.name].typed
     elif args.name in script.queries:
@@ -162,7 +169,7 @@ def cmd_dot(args) -> int:
 
 
 def cmd_fixpoint(args) -> int:
-    script, base_dir = _load_script(args.script, {args.name})
+    script, base_dir = _load_script(args.script, {args.name: ("setup",)})
     if args.name not in script.setups:
         raise WiringError(f"no setup named {args.name!r}")
     decl = script.setups[args.name]

@@ -21,31 +21,38 @@ parsed (declaration before use, names unique per kind; ``rel`` and
 The query keywords ``select``, ``from``, ``where`` and ``and`` (in any case)
 cannot name a wire, rel or const, which a query could then not refer to.
 Comments run from ``#`` to end of line.  Wire and cable identifiers may
-carry trailing primes (``A'``).  The lexer makes one regular-expression
-match per token: each match skips the whitespace and comments before its
-token, and the last match is the ``eof`` token at the end of the text.
-Tokens carry their offset in the text; a line and column are computed only
-when an error is raised.
+carry trailing primes (``A'``).  The lexer is one ``findall`` of a pattern
+with one capture group: each match skips the whitespace and comments before
+its token, a token is its text, and the end of the text is the empty
+string.  The parser reads a token's kind from its text and keeps token
+indices; only an error finds its token's offset, by lexing again from the
+start of the text, or of the declaration that the token came from when the
+text is read by parts.
 
-:func:`parse_script` parses the whole text, or with ``reads`` only the
-declarations of those names and, until no more is added, every declaration
+:func:`parse_script` parses the whole text, or with ``reads``, a mapping
+from names to keywords, only the declarations of each name made with one of
+its keywords and, until no more is added, every declaration, of any kind,
 whose name is an identifier inside one already chosen (an alias,
 attribute, wire or cable among them).  Every name a declaration looks up
 is an identifier of its own, so the chosen declarations, parsed in text
 order, each give what they give in the whole text, or their error there;
 an error in a declaration that is not chosen is not raised.  ``wd check``
-passes no names, and the other commands pass those they read (see
-:mod:`wiring.cli`).  A cheap pass, :func:`split_declarations`, finds where
-each declaration starts and ends, with its keyword and name, by skipping
-strings, comments and primes as the lexer does but without making tokens;
-the chosen declarations' tokens, in text order, go through the one parse
-loop, and a text it cannot split is parsed whole.
+passes no names, and the other commands pass those they read, each with the
+keywords they look it up by (see :mod:`wiring.cli`).  A cheap pass,
+:func:`split_declarations`, finds where each declaration starts and ends,
+with its keyword and name, by skipping strings, comments and primes by the
+lexer's rules but without making tokens; the chosen declarations' tokens,
+in text order, go through the one parse loop, and a text it cannot split is
+parsed whole.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from functools import reduce
+from itertools import islice
+from operator import getitem
+from typing import Callable, Collection, Mapping, NamedTuple, TypeVar
 
 from .closed import HomStar, internal_hom
 from .csvio import survives_csv
@@ -54,6 +61,7 @@ from .query import (
     AttrRef,
     Condition,
     ConjunctiveQuery,
+    QueryError,
     const_relation,
     result_star,
 )
@@ -61,28 +69,31 @@ from .relations import Relation
 from .stars import Star, WiringDiagram
 from .typed import TypedStar, TypedWiringDiagram, Value, ValueDomain
 
-# Each match is one token: the whitespace and comments before it are skipped
-# inside the same match.  Some alternative always matches after the skip
-# (``eof`` at the end, ``bad`` on any other character), so the skip group is
-# never backtracked into.
+# Lexical rules stated once: strings, comments and identifiers for the lexer
+# and the split pass, punctuation for the lexer and its one-character tokens.
+_STRING = r"'[^'\n]*'|" + r'"[^"\n]*"'
+_COMMENT = r"\#[^\n]*"
+_WORD_CHAR = "[A-Za-z0-9_]"
+_WORD = f"[A-Za-z_]{_WORD_CHAR}*"  # an identifier before its primes, as in ``A'``
+_PUNCT = "(){}[],:;.=|"
+
+# Each match is one token, the one group: the whitespace and comments before
+# it are skipped inside the same match.  Some alternative always matches
+# after the skip (the empty string at the end, and any other character
+# alone), so the skip group is never backtracked into.
 _TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|\#[^\n]*)*
-    (?:
-      (?P<arrow>->)
-    | (?P<darrow>=>)
-    | (?P<range>\.\.)
-    | (?P<int>-?[0-9]+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-    | (?P<string>'[^'\n]*'|"[^"\n]*")
-    | (?P<punct>[(){}\[\],:;.=|])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
-    )
+    rf"""
+    (?:\s+|{_COMMENT})*
+    ( -> | => | \.\. | -?[0-9]+ | {_WORD}'* | {_STRING} | [{re.escape(_PUNCT)}] | \Z | . )
     """,
     re.VERBOSE,
 )
-_LAST_KINDS = frozenset({"eof", "bad"})
+# a token of one character is one of these, or a character no token starts with
+_ONE_CHARACTER_TOKENS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_" + _PUNCT
+)
+# the names that messages give the tokens of more than one character
+_TOKEN_NAMES = {"->": "arrow", "=>": "darrow", "..": "range"}
 
 _Item = TypeVar("_Item")
 
@@ -96,10 +107,17 @@ _QUERY_KEYWORDS = frozenset({"select", "from", "where", "and"})
 MAX_RANGE_VALUES = 1_000_000
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int  # index of the token's first character in the script text
+# A token's kind, read from its first characters; the end of the text is "".
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isidentifier()
+
+
+def _is_int(tok: str) -> bool:
+    return tok.lstrip("-")[:1].isdigit()
+
+
+def _is_string(tok: str) -> bool:
+    return tok[:1] in ("'", '"')
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -108,20 +126,22 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def tokenize(text: str, start: int = 0, end: int | None = None) -> list[Token]:
-    """The tokens of ``text[start:end]``, ending with one ``eof`` token at
-    ``end``; offsets count from the start of ``text``."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # Token(...) through NamedTuple.__new__ costs more
-    for m in _TOKEN_RE.finditer(text, start, len(text) if end is None else end):
-        kind = m.lastgroup
-        append(new(Token, (kind, m[kind], m.start(kind))))
-        if kind in _LAST_KINDS:
-            break
-    last = tokens[-1]
-    if last.kind == "bad":
-        raise ScriptError(f"unexpected character {last.text!r}", *_position(text, last.offset))
+def _token_position(text: str, start: int, index: int) -> tuple[int, int]:
+    """The line and column of token ``index`` of ``text`` lexed from ``start``."""
+    match = next(islice(_TOKEN_RE.finditer(text, start), index, None))
+    return _position(text, match.start(1))
+
+
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[str]:
+    """The tokens of ``text[start:end]``, ending with ``""`` at ``end``."""
+    tokens = _TOKEN_RE.findall(text, start, len(text) if end is None else end)
+    del tokens[tokens.index("") + 1 :]  # after trailing whitespace the end matches twice
+    bad = [tok for tok in set(tokens) - _ONE_CHARACTER_TOKENS if len(tok) == 1]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise ScriptError(
+            f"unexpected character {tokens[index]!r}", *_token_position(text, start, index)
+        )
     return tokens
 
 
@@ -171,64 +191,66 @@ class Script:
 
 
 class _Parser:
-    def __init__(self, text: str, script: Script, tokens: list[Token]):
+    def __init__(self, text: str, tokens: list[str], spans: Collection = ((0, 0),)):
+        """A parser of ``tokens``; each ``(first, start)`` of ``spans`` says
+        that the tokens from index ``first`` to the next span's were lexed
+        from offset ``start`` of ``text``."""
         self.text = text
         self.tokens = tokens
+        self.spans = spans
         self.pos = 0
-        self.script = script
+        self.name_at = 0  # where the declaration being parsed has its name
+        self.script = Script()
 
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None) -> ScriptError:
-        """The error ``message`` at ``tok``, by default at the next token."""
-        offset = (self.peek() if tok is None else tok).offset
-        return ScriptError(message, *_position(self.text, offset))
+    def fail(self, message: str, at: int | None = None) -> ScriptError:
+        """The error ``message`` at token ``at``, by default the next token."""
+        at = self.pos if at is None else at
+        first, start = max(span for span in self.spans if span[0] <= at)
+        return ScriptError(message, *_token_position(self.text, start, at - first))
 
     def unexpected(self, want: str) -> ScriptError:
-        return self.fail(f"expected {want}, found {self.peek().text or 'end of file'!r}")
+        return self.fail(f"expected {want}, found {self.peek() or 'end of file'!r}")
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self.unexpected(repr(text or kind))
+    def expect(self, text: str) -> str:
+        if self.peek() != text:
+            raise self.unexpected(repr(_TOKEN_NAMES.get(text, text)))
         return self.next()
 
-    def expect_keyword(self, word: str) -> Token:
+    def take(self, is_kind: Callable[[str], bool], want: str) -> str:
+        """The next token, which ``is_kind`` must accept."""
+        if not is_kind(self.peek()):
+            raise self.unexpected(want)
+        return self.next()
+
+    def expect_keyword(self, word: str) -> str:
         if not self.at_keyword(word):
             raise self.unexpected(repr(word))
         return self.next()
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.lower() == word
+        return self.peek().lower() == word
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def ident(self, what: str) -> Token:
-        if self.peek().kind != "ident":
-            raise self.unexpected(what)
-        return self.next()
+    def ident(self, what: str) -> str:
+        return self.take(_is_ident, what)
 
     def literal(self) -> Value:
         tok = self.peek()
-        if tok.kind not in ("int", "string", "ident"):
+        if not (_is_int(tok) or _is_string(tok) or _is_ident(tok)):
             raise self.unexpected("a literal value")
         self.next()
-        if tok.kind == "int":
-            return int(tok.text)
-        if tok.kind == "string":
-            return tok.text[1:-1]
-        return tok.text
+        if _is_int(tok):
+            return int(tok)
+        return tok[1:-1] if _is_string(tok) else tok
 
     def items(
         self, item: Callable[[], _Item], sep: str = ",", close: str | None = None
@@ -238,33 +260,33 @@ class _Parser:
         more, for as long as ``sep`` follows."""
         if close is None:
             found = [item()]
-            while self.at_punct(sep):
+            while self.peek() == sep:
                 self.next()
                 found.append(item())
             return found
         found = []
-        while not self.at_punct(close):
+        while self.peek() != close:
             if found:
-                self.expect("punct", sep)
+                self.expect(sep)
             found.append(item())
         self.next()
         return found
 
     # -- name resolution helpers
 
-    def new_name(self, what: str, kind: str, *tables: dict) -> Token:
+    def new_name(self, what: str, kind: str, *tables: dict) -> str:
         """The name being declared, which none of ``tables`` may hold."""
-        tok = self.ident(what)
-        if any(tok.text in table for table in tables):
-            raise self.fail(f"duplicate {kind} name {tok.text!r}", tok)
-        return tok
+        name = self.ident(what)
+        if any(name in table for table in tables):
+            raise self.fail(f"duplicate {kind} name {name!r}", self.pos - 1)
+        return name
 
     def ref(self, what: str, kind: str, *tables: dict) -> str:
         """A name that one of ``tables`` declares."""
-        tok = self.ident(what)
-        if not any(tok.text in table for table in tables):
-            raise self.fail(f"unknown {kind} {tok.text!r}", tok)
-        return tok.text
+        name = self.ident(what)
+        if not any(name in table for table in tables):
+            raise self.fail(f"unknown {kind} {name!r}", self.pos - 1)
+        return name
 
     def type_ref(self) -> str:
         return self.ref("type name", "type", self.script.domains)
@@ -276,188 +298,187 @@ class _Parser:
 
     def parse(self) -> Script:
         decls = []
-        while self.peek().kind != "eof":
+        while self.peek():
             tok = self.peek()
-            if tok.kind != "ident":
+            if not _is_ident(tok):
                 raise self.fail("expected a declaration")
-            handler = _HANDLERS.get(tok.text.lower())
+            handler = _HANDLERS.get(tok.lower())
             if handler is None:
-                raise self.fail(f"unknown declaration {tok.text!r}")
+                raise self.fail(f"unknown declaration {tok!r}")
             self.next()
+            self.name_at = self.pos
             decls.append(handler(self))
         self.script.decls = tuple(decls)
         return self.script
 
     def parse_type(self) -> ValueDomain:
-        name = self.new_name("type name", "type", self.script.domains).text
-        self.expect("punct", "=")
+        name = self.new_name("type name", "type", self.script.domains)
+        self.expect("=")
         if self.at_keyword("range"):
             self.next()
-            lo_tok = self.expect("int")
-            lo = int(lo_tok.text)
-            self.expect("range")
-            hi = int(self.expect("int").text)
+            lo_at = self.pos
+            lo = int(self.take(_is_int, "'int'"))
+            self.expect("..")
+            hi = int(self.take(_is_int, "'int'"))
             if hi < lo:
-                raise self.fail(f"empty range {lo}..{hi}", lo_tok)
+                raise self.fail(f"empty range {lo}..{hi}", lo_at)
             if hi - lo + 1 > MAX_RANGE_VALUES:
                 raise self.fail(
                     f"range {lo}..{hi} has {hi - lo + 1} values, bound is {MAX_RANGE_VALUES}",
-                    lo_tok,
+                    lo_at,
                 )
             values = range(lo, hi + 1)
         else:
             seen: set[Value] = set()
 
             def value() -> Value:
-                tok = self.peek()
+                at = self.pos
                 v = self.literal()
                 if not survives_csv(v):
                     raise self.fail(
                         f"type {name!r}: value {v!r} would not read back from CSV unchanged",
-                        tok,
+                        at,
                     )
                 if v in seen:
-                    raise self.fail(f"type {name!r} repeats a value", tok)
+                    raise self.fail(f"type {name!r} repeats a value", at)
                 seen.add(v)
                 return v
 
-            self.expect("punct", "{")
+            self.expect("{")
             values = self.items(value, close="}")
-        self.expect("punct", ";")
+        self.expect(";")
         domain = ValueDomain(name, tuple(values))
         self.script.domains[name] = domain
         return domain
 
     def _wire(self) -> tuple[str, str]:
         wire = self._query_name("wire name")
-        self.expect("punct", ":")
+        self.expect(":")
         return wire, self.type_ref()
 
     def parse_star(self) -> TypedStar:
-        tok = self.new_name("star name", "star", self.script.stars)
-        self.expect("punct", "(")
+        name = self.new_name("star name", "star", self.script.stars)
+        self.expect("(")
         wires = self.items(self._wire, close=")")
-        self.expect("punct", ";")
+        self.expect(";")
         try:
             tstar = TypedStar(
                 Star(w for w, _t in wires),
                 {w: self.script.domains[t] for w, t in wires},
             )
         except WiringError as exc:
-            raise self.fail(str(exc), tok) from exc
-        self.script.stars[tok.text] = tstar
+            raise self.fail(str(exc), self.name_at) from exc
+        self.script.stars[name] = tstar
         return tstar
 
     def _predicate_name(self, what: str) -> str:
         """A new rel or const name, which a query's FROM must be able to name."""
         self._reject_query_keyword(what)
-        return self.new_name(what, "rel/const", self.script.relations, self.script.consts).text
+        return self.new_name(what, "rel/const", self.script.relations, self.script.consts)
 
     def parse_rel(self) -> RelDecl:
         name = self._predicate_name("relation name")
-        self.expect("punct", ":")
+        self.expect(":")
         star_name = self.star_ref()
         self.expect_keyword("from")
-        path = self.expect("string").text[1:-1]
-        self.expect("punct", ";")
+        path = self.take(_is_string, "'string'")[1:-1]
+        self.expect(";")
         decl = RelDecl(name, path, self.script.stars[star_name])
         self.script.relations[name] = decl
         return decl
 
     def parse_const(self) -> Relation:
         name = self._predicate_name("constant name")
-        self.expect("punct", ":")
+        self.expect(":")
         type_name = self.type_ref()
         dom = self.script.domains[type_name]
-        self.expect("punct", "=")
-        value_tok = self.peek()
+        self.expect("=")
+        value_at = self.pos
         value = self.literal()
-        self.expect("punct", ";")
+        self.expect(";")
         if value not in dom:
-            raise self.fail(f"constant {value!r} is outside type {type_name!r}", value_tok)
+            raise self.fail(f"constant {value!r} is outside type {type_name!r}", value_at)
         rel = const_relation(value, dom)
         self.script.consts[name] = rel
         return rel
 
     def _parse_codomain(self) -> tuple[TypedStar, HomStar | None]:
-        if self.at_punct("["):
+        if self.peek() == "[":
             self.next()
             arg_names = self.items(self.star_ref)
-            self.expect("darrow")
+            self.expect("=>")
             ret_name = self.star_ref()
-            self.expect("punct", "]")
+            self.expect("]")
             stars = self.script.stars
             hom = internal_hom([stars[n] for n in arg_names], stars[ret_name])
             return hom.star, hom
         return self.script.stars[self.star_ref()], None
 
     def parse_diagram(self) -> DiagramDecl:
-        tok = self.new_name("diagram name", "diagram", self.script.diagrams)
-        name = tok.text
-        self.expect("punct", "(")
+        name = self.new_name("diagram name", "diagram", self.script.diagrams)
+        self.expect("(")
         inner_names = self.items(self.star_ref, close=")")
-        self.expect("arrow")
+        self.expect("->")
         outer, hom = self._parse_codomain()
-        self.expect("punct", "{")
+        self.expect("{")
 
         inner = tuple(self.script.stars[n] for n in inner_names)
         cable_types: dict[str, ValueDomain] = {}
         inner_map: dict = {}
         outer_map: dict = {}
-        while not self.at_punct("}"):
+        while self.peek() != "}":
             if self.at_keyword("cable"):
                 self.next()
-                cable_tok = self.ident("cable name")
-                cable = cable_tok.text
+                cable = self.ident("cable name")
                 if cable in cable_types:
-                    raise self.fail(f"duplicate cable {cable!r}", cable_tok)
-                self.expect("punct", ":")
+                    raise self.fail(f"duplicate cable {cable!r}", self.pos - 1)
+                self.expect(":")
                 cable_types[cable] = self.script.domains[self.type_ref()]
-                self.expect("punct", ";")
+                self.expect(";")
             elif self.at_keyword("solder"):
                 self.next()
-                head_tok = self.ident("solder endpoint")
-                head = head_tok.text
+                head_at = self.pos
+                head = self.ident("solder endpoint")
                 parts = [head]
-                while self.at_punct("."):
+                while self.peek() == ".":
                     self.next()
-                    parts.append(self.ident("wire name").text)
+                    parts.append(self.ident("wire name"))
                 if len(parts) < 2:
                     raise self.fail("solder endpoint needs a wire, like inner1.w or out.w")
                 wire = ".".join(parts[1:])
-                self.expect("arrow")
+                self.expect("->")
                 cable = self.ref("cable name", "cable", cable_types)
-                self.expect("punct", ";")
+                self.expect(";")
                 if head == "out":
                     if wire not in outer.star:
-                        raise self.fail(f"outer star has no wire {wire!r}", head_tok)
+                        raise self.fail(f"outer star has no wire {wire!r}", head_at)
                     endpoints, key = outer_map, wire
                 else:
                     m = re.fullmatch(r"inner([0-9]+)", head)
                     if m is None:
                         raise self.fail(
                             f"endpoint must start with 'out' or 'inner<k>', got {head!r}",
-                            head_tok,
+                            head_at,
                         )
                     index = int(m.group(1)) - 1
                     if not 0 <= index < len(inner):
                         raise self.fail(
-                            f"no inner star {head!r} (diagram has {len(inner)})", head_tok
+                            f"no inner star {head!r} (diagram has {len(inner)})", head_at
                         )
                     if wire not in inner[index].star:
                         raise self.fail(
-                            f"inner star {index + 1} has no wire {wire!r}", head_tok
+                            f"inner star {index + 1} has no wire {wire!r}", head_at
                         )
                     endpoints, key = inner_map, (index, wire)
                 if key in endpoints:
                     raise self.fail(
                         f"{head}.{wire} is already soldered to cable {endpoints[key]!r}",
-                        head_tok,
+                        head_at,
                     )
                 endpoints[key] = cable
             else:
                 raise self.fail("expected 'cable' or 'solder'")
-        self.expect("punct", "}")
+        self.expect("}")
 
         try:
             wd = WiringDiagram(
@@ -469,7 +490,7 @@ class _Parser:
             )
             typed = TypedWiringDiagram(wd, cable_types)
         except WiringError as exc:
-            raise self.fail(f"diagram {name!r}: {exc}", tok) from exc
+            raise self.fail(f"diagram {name!r}: {exc}", self.name_at) from exc
         # A wire's type is its cable's; the star declarations must agree.
         soldered = [
             (f"wire {w!r} of inner star {i}", inner[i].domain(w), c)
@@ -481,24 +502,24 @@ class _Parser:
                 raise self.fail(
                     f"diagram {name!r}: {wire} has domain {declared.name!r} "
                     f"but its cable {c!r} has {cable_types[c].name!r}",
-                    tok,
+                    self.name_at,
                 )
         decl = DiagramDecl(name, typed, hom)
         self.script.diagrams[name] = decl
         return decl
 
     def _reject_query_keyword(self, what: str) -> None:
-        if self.peek().text.lower() in _QUERY_KEYWORDS:
+        if self.peek().lower() in _QUERY_KEYWORDS:
             raise self.unexpected(what)
 
     def _query_name(self, what: str) -> str:
         """An identifier a query reads, which may not be a query keyword."""
         self._reject_query_keyword(what)
-        return self.ident(what).text
+        return self.ident(what)
 
     def _attr_ref(self) -> AttrRef:
         alias = self._query_name("alias")
-        self.expect("punct", ".")
+        self.expect(".")
         return AttrRef(alias, self._query_name("attribute"))
 
     def _table(self) -> tuple[str, str]:
@@ -506,21 +527,20 @@ class _Parser:
 
     def _condition(self) -> Condition:
         left = self._attr_ref()
-        self.expect("punct", "=")
-        if self.peek().kind == "ident" and self.tokens[self.pos + 1].text == ".":
+        self.expect("=")
+        if _is_ident(self.peek()) and self.tokens[self.pos + 1] == ".":
             return Condition(left, right=self._attr_ref())
         return Condition(left, literal=self.literal())
 
     def parse_query(self) -> ConjunctiveQuery:
-        tok = self.new_name("query name", "query", self.script.queries, self.script.unions)
-        name = tok.text
-        self.expect("punct", "=")
+        name = self.new_name("query name", "query", self.script.queries, self.script.unions)
+        self.expect("=")
         query = self.parse_select()
-        self.expect("punct", ";")
+        self.expect(";")
         try:
             self.script.shapes[name] = result_star(query, self.script)
         except ScriptError as exc:
-            raise self.fail(f"query {name!r}: {exc}", tok) from exc
+            raise self.fail(f"query {name!r}: {exc}", self.name_at) from exc
         self.script.queries[name] = query
         return query
 
@@ -539,25 +559,24 @@ class _Parser:
         return ConjunctiveQuery(tuple(select), tuple(tables), tuple(conditions))
 
     def parse_union(self) -> UnionDecl:
-        tok = self.new_name("union name", "union", self.script.unions, self.script.queries)
-        name = tok.text
-        self.expect("punct", "=")
-        part_toks = self.items(lambda: self.ident("result name"), sep="|")
-        parts = tuple(t.text for t in part_toks)
-        self.expect("punct", ";")
+        name = self.new_name("union name", "union", self.script.unions, self.script.queries)
+        self.expect("=")
+        first_part = self.pos
+        parts = tuple(self.items(lambda: self.ident("result name"), sep="|"))
+        self.expect(";")
         if len(parts) < 2:
-            raise self.fail("a union needs at least two results", tok)
+            raise self.fail("a union needs at least two results", self.name_at)
         for part in parts:
             if part not in self.script.shapes:
-                raise self.fail(f"union {name!r} references unknown result {part!r}", tok)
+                raise self.fail(f"union {name!r} references unknown result {part!r}", self.name_at)
         first = self.script.shapes[parts[0]]
-        for part_tok in part_toks[1:]:
-            shape = self.script.shapes[part_tok.text]
+        for k, part in enumerate(parts):
+            shape = self.script.shapes[part]
             if shape != first:
                 raise self.fail(
-                    f"union {name!r}: {part_tok.text!r} gives {_columns(shape)} "
+                    f"union {name!r}: {part!r} gives {_columns(shape)} "
                     f"but {parts[0]!r} gives {_columns(first)}",
-                    part_tok,
+                    first_part + 2 * k,  # the parts and the bars between them
                 )
         self.script.shapes[name] = first
         decl = UnionDecl(name, parts)
@@ -565,26 +584,25 @@ class _Parser:
         return decl
 
     def parse_setup(self) -> SetupDecl:
-        tok = self.new_name("setup name", "setup", self.script.setups)
-        name = tok.text
-        self.expect("punct", "=")
+        name = self.new_name("setup name", "setup", self.script.setups)
+        self.expect("=")
         diagram_name = self.ref("diagram name", "diagram", self.script.diagrams)
         decl = self.script.diagrams[diagram_name]
-        self.expect("punct", "(")
+        self.expect("(")
         relations, consts = self.script.relations, self.script.consts
         rel_names = self.items(
             lambda: self.ref("relation name", "relation", relations, consts), close=")"
         )
-        self.expect("punct", ";")
+        self.expect(";")
 
         hom = decl.hom
         if hom is None or len(hom.args) != 1 or hom.args[0] != hom.ret:
-            raise self.fail(f"setup {name!r}: diagram codomain must be [Z => Z]", tok)
+            raise self.fail(f"setup {name!r}: diagram codomain must be [Z => Z]", self.name_at)
         if len(rel_names) != decl.typed.arity:
             raise self.fail(
                 f"setup {name!r}: diagram has {decl.typed.arity} inner stars, "
                 f"got {len(rel_names)} relations",
-                tok,
+                self.name_at,
             )
         for i, rel_name in enumerate(rel_names):
             rel = relations[rel_name] if rel_name in relations else consts[rel_name]
@@ -592,11 +610,24 @@ class _Parser:
                 raise self.fail(
                     f"setup {name!r}: relation {rel_name!r} does not match "
                     f"inner star {i + 1}",
-                    tok,
+                    self.name_at,
                 )
         setup = SetupDecl(name, diagram_name, tuple(rel_names), hom.ret)
         self.script.setups[name] = setup
         return setup
+
+
+class _Places(_Parser):
+    """A parser whose queries hold, for each name and literal, its token
+    index."""
+
+    def _query_name(self, what: str) -> int:
+        super()._query_name(what)
+        return self.pos - 1
+
+    def literal(self) -> int:
+        super().literal()
+        return self.pos - 1
 
 
 def _columns(star: TypedStar) -> str:
@@ -625,15 +656,16 @@ _HANDLERS = {
 # quote as a prime, as in ``A'``, and no string starts there.  Every
 # character but the three is skipped by some alternative, so the skip is
 # never backtracked into.
+_RUN = r"""[^;{}'"\#]"""  # a character that no mark, string or comment starts with
 _SPLIT_RE = re.compile(
-    r"""
+    rf"""
     (?:
-      [^;{}'"\#]+(?![A-Za-z0-9_]*')
-    | [^;{}'"\#]*[A-Za-z_][A-Za-z0-9_]*'+
-    | [^;{}'"\#]+
-    | '[^'\n]*' | "[^"\n]*" | \#[^\n]* | ['"]
+      {_RUN}+(?!{_WORD_CHAR}*')
+    | {_RUN}*{_WORD}'+
+    | {_RUN}+
+    | {_STRING} | {_COMMENT} | ['"]
     )*
-    ([;{}]|\Z)
+    ([;{{}}]|\Z)
     """,
     re.VERBOSE,
 )
@@ -664,11 +696,10 @@ def split_declarations(text: str) -> list[Declaration] | None:
         pos = m.end()
         if head is None:  # ``m`` starts a declaration
             head = match(text, m.start())
-            kind = head.lastgroup
-            if kind == "eof":
+            keyword = head[1].lower()
+            if not keyword:
                 return decls
-            keyword = head[kind].lower()
-            if kind != "ident" or keyword not in _HANDLERS:
+            if keyword not in _HANDLERS:
                 return None
             braced = False
         mark = m[1]
@@ -687,12 +718,11 @@ def split_declarations(text: str) -> list[Declaration] | None:
             return None
         elif braced:
             continue
-        name = match(text, head.end())
-        decls.append(Declaration(keyword, name[name.lastgroup], head.start(kind), pos))
+        decls.append(Declaration(keyword, match(text, head.end())[1], head.start(1), pos))
         head = None
 
 
-def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
+def parse_script(text: str, reads: Mapping[str, Collection[str]] | None = None) -> Script:
     """Parse and resolve a script, or with ``reads`` the declarations that
     the module docstring names; raise :class:`ScriptError` with position
     information on the first problem.  A second declaration of a chosen
@@ -700,17 +730,18 @@ def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
     declarations' objects."""
     decls = None if reads is None else split_declarations(text)
     if decls is None:
-        return _Parser(text, Script(), tokenize(text)).parse()
+        return _Parser(text, tokenize(text)).parse()
     named: dict[str, list[int]] = {}
     for index, decl in enumerate(decls):
         named.setdefault(decl.name, []).append(index)
-    seen = set(reads)
-    pending = [index for name in seen for index in named.get(name, ())]
-    # a name enters ``seen`` once, so each declaration is taken up once
-    chosen: dict[int, list[Token]] = {}
+    pending = [i for name in reads for i in named.get(name, ()) if decls[i].keyword in reads[name]]
+    seen: set[str] = set()  # an identifier enters once, so it adds its declarations once
+    chosen: dict[int, list[str]] = {}
     failed: dict[int, ScriptError] = {}
     while pending:
         index = pending.pop()
+        if index in chosen or index in failed:  # pending twice: read, and named in one read
+            continue
         _keyword, _name, start, end = decls[index]
         try:
             chosen[index] = found = tokenize(text, start, end)
@@ -718,36 +749,42 @@ def parse_script(text: str, reads: Iterable[str] | None = None) -> Script:
             failed[index] = exc
             continue
         for tok in found:
-            if tok.kind == "ident" and tok.text not in seen:
-                seen.add(tok.text)
-                pending += named.get(tok.text, ())
+            if tok not in seen and _is_ident(tok):
+                seen.add(tok)
+                pending += named.get(tok, ())
     if failed:  # as in the whole text, a bad character comes before parse errors
         raise failed[min(failed)]
-    tokens: list[Token] = []
+    tokens: list[str] = []
+    spans = []
     for index in sorted(chosen):
+        spans.append((len(tokens), decls[index].start))
         tokens += chosen[index][:-1]
-    tokens.append(Token("eof", "", len(text)))
-    return _Parser(text, Script(), tokens).parse()
+    spans.append((len(tokens), len(text)))
+    tokens.append("")
+    return _Parser(text, tokens, spans).parse()
 
 
 def parse_select_text(text: str) -> ConjunctiveQuery:
     """Parse a standalone SELECT expression, with an optional final ``;``,
     without resolving its names."""
-    parser = _Parser(text, Script(), tokenize(text))
+    parser = _Parser(text, tokenize(text))
     query = parser.parse_select()
-    if parser.at_punct(";"):
+    if parser.peek() == ";":
         parser.next()
-    if parser.peek().kind != "eof":
+    if parser.peek():
         raise parser.fail("unexpected trailing input after query")
     return query
 
 
 def resolve_query_text(text: str, query: ConjunctiveQuery, script: Script) -> ConjunctiveQuery:
     """``query``, parsed from ``text`` by :func:`parse_select_text`, once it
-    resolves against ``script``; an error is placed at its ``SELECT``."""
+    resolves against ``script``.  An error is placed at the name or literal
+    at fault, found by parsing ``text`` again for token indices, or else at
+    the ``SELECT``."""
     try:
         result_star(query, script)
-    except ScriptError as exc:
-        select = _TOKEN_RE.match(text)
-        raise ScriptError(str(exc), *_position(text, select.start(select.lastgroup))) from exc
+    except QueryError as exc:
+        parser = _Places(text, tokenize(text))
+        at = reduce(getitem, exc.at, parser.parse_select()) if exc.at else 0
+        raise parser.fail(str(exc), at) from exc
     return query

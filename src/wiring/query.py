@@ -72,48 +72,59 @@ class CompiledQuery(NamedTuple):
         return rels
 
 
-def _predicate_star(script: "Script", name: str) -> TypedStar:
+class QueryError(ScriptError):
+    """A query that does not resolve against a script.  ``at`` is the path
+    to the name or literal at fault, ``query[at[0]][at[1]]...``, or empty
+    when no one name is at fault."""
+
+    def __init__(self, message: str, *at: int):
+        super().__init__(message)
+        self.at = at
+
+
+def _predicate_star(script: "Script", name: str, *at: int) -> TypedStar:
     if name in script.relations:
         return script.relations[name].star
     if name in script.consts:
         return script.consts[name].star
-    raise ScriptError(f"FROM references unknown predicate {name!r}")
+    raise QueryError(f"FROM references unknown predicate {name!r}", *at)
 
 
 def validate_query(query: ConjunctiveQuery, script: "Script") -> dict[str, TypedStar]:
     """Resolve aliases to typed stars; reject bad references and mixed domains."""
     by_alias: dict[str, TypedStar] = {}
-    for pred, alias in query.tables:
+    for k, (pred, alias) in enumerate(query.tables):
         if alias in by_alias:
-            raise ScriptError(f"duplicate FROM alias {alias!r}")
-        by_alias[alias] = _predicate_star(script, pred)
+            raise QueryError(f"duplicate FROM alias {alias!r}", 1, k, 1)
+        by_alias[alias] = _predicate_star(script, pred, 1, k, 0)
 
-    def domain_of(ref: AttrRef) -> ValueDomain:
+    def domain_of(ref: AttrRef, *at: int) -> ValueDomain:
         if ref.alias not in by_alias:
-            raise ScriptError(f"reference {ref} names unknown alias {ref.alias!r}")
+            raise QueryError(f"reference {ref} names unknown alias {ref.alias!r}", *at, 0)
         star = by_alias[ref.alias]
         if ref.attr not in star.star:
-            raise ScriptError(f"alias {ref.alias!r} has no attribute {ref.attr!r}")
+            raise QueryError(f"alias {ref.alias!r} has no attribute {ref.attr!r}", *at, 1)
         return star.domain(ref.attr)
 
-    for ref in query.select:
-        domain_of(ref)
-    for cond in query.conditions:
-        left_dom = domain_of(cond.left)
+    for i, ref in enumerate(query.select):
+        domain_of(ref, 0, i)
+    for j, cond in enumerate(query.conditions):
+        left_dom = domain_of(cond.left, 2, j, 0)
         if cond.right is not None:
-            if domain_of(cond.right) != left_dom:
-                raise ScriptError(
+            if domain_of(cond.right, 2, j, 1) != left_dom:
+                raise QueryError(
                     f"cannot equate {cond.left} ({left_dom.name}) with "
                     f"{cond.right} ({domain_of(cond.right).name})"
                 )
         else:
             if cond.literal not in left_dom:
-                raise ScriptError(
+                raise QueryError(
                     f"constant {cond.literal!r} is outside domain {left_dom.name!r} "
-                    f"of {cond.left}"
+                    f"of {cond.left}",
+                    2, j, 2,
                 )
     if not query.select:
-        raise ScriptError("SELECT list must not be empty")
+        raise QueryError("SELECT list must not be empty")
     return by_alias
 
 
@@ -130,7 +141,7 @@ def _result_star(
         for ref in select
     ]
     if len(set(names)) != len(names):
-        raise ScriptError("SELECT list repeats a column")
+        raise QueryError("SELECT list repeats a column")
     return TypedStar(
         Star(names),
         {name: by_alias[ref.alias].domain(ref.attr) for name, ref in zip(names, select)},

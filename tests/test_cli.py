@@ -510,15 +510,20 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("SELECT n.nosuch FROM nand n", "1:1: alias 'n' has no attribute 'nosuch'"),
-        ("SELECT n.out FROM ghost n", "1:1: FROM references unknown predicate 'ghost'"),
+        ("SELECT n.nosuch FROM nand n", "1:10: alias 'n' has no attribute 'nosuch'"),
+        ("SELECT n.out FROM ghost n", "1:19: FROM references unknown predicate 'ghost'"),
+        ("SELECT z.out FROM nand n", "1:8: reference z.out names unknown alias 'z'"),
         (
             "SELECT n.out FROM nand n\n WHERE n.A = 'maybe'",
-            "1:1: constant 'maybe' is outside domain 'Bool' of n.A",
+            "2:14: constant 'maybe' is outside domain 'Bool' of n.A",
         ),
+        ("SELECT n.out FROM nand n, nand n", "1:32: duplicate FROM alias 'n'"),
         ("  SELECT n.out, n.out FROM nand n", "1:3: SELECT list repeats a column"),
     ],
-    ids=["unknown-attribute", "unknown-predicate", "constant-outside-domain", "repeated-column"],
+    ids=[
+        "unknown-attribute", "unknown-predicate", "unknown-alias", "constant-outside-domain",
+        "repeated-alias", "repeated-column",
+    ],
 )
 def test_inline_query_errors_carry_a_position(project, capsys, text, message):
     assert run_cli(["query", str(project / "circuits.wd"), text]) == 1
@@ -600,7 +605,7 @@ def test_query_is_parsed_before_relations_load(ghost, capsys):
     argv = ["query", "ghosts.wd", "SELECT g.nosuch FROM ghost g"]
     status, _out, err = _run_in(ghost, capsys, argv)
     assert status == 1
-    assert "error: 1:1: alias 'g' has no attribute 'nosuch'" in err
+    assert "error: 1:10: alias 'g' has no attribute 'nosuch'" in err
 
 
 def test_run_cli_can_be_reused_in_one_process(project, capsys, monkeypatch):
@@ -732,3 +737,24 @@ def test_query_reports_its_own_syntax_error_before_the_script_s(project, capsys)
     argv = ["query", "lost.wd", "SELECT s.w FROM r s WHERE"]
     err = "error: 1:26: expected alias, found 'end of file'\n"
     assert _run_in(project, capsys, argv) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("eval", "no query or union named 'lives'"),
+        ("dot", "no diagram or query named 'lives'"),
+        ("fixpoint", "no setup named 'lives'"),
+    ],
+)
+def test_a_name_is_looked_up_only_among_the_kinds_a_command_reads(
+    tmp_path, fixtures_dir, capsys, command, message
+):
+    # line 15 of the fixture declares ``rel lives``, here with a typo
+    lines = (fixtures_dir / "wiki" / "wiki.wd").read_text().split("\n")
+    assert lines[14] == 'rel lives : LIVES from "lives.csv";'
+    lines[14] = 'rel lives : LIVES frm "lives.csv";'
+    (tmp_path / "w.wd").write_text("\n".join(lines))
+    err = "error: 15:19: expected 'from', found 'frm'\n"
+    assert _run_in(tmp_path, capsys, ["check", "w.wd"]) == (1, "", err)
+    assert _run_in(tmp_path, capsys, [command, "w.wd", "lives"]) == (1, "", f"error: {message}\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import declarations_oracle, tokens_oracle
+from oracles import DECLARATION_KEYWORDS, declarations_oracle, tokens_oracle
 from wiring.csvio import survives_csv
 from wiring import dsl
 from wiring.dsl import parse_script, parse_select_text, resolve_query_text, tokenize
@@ -338,7 +338,7 @@ ERROR_QUERIES = [
     ("query-trailing-after-semicolon", "SELECT n.w FROM r n; more",
      '1:22: unexpected trailing input after query'),
     ("query-unknown-alias", "SELECT z.w FROM r n",
-     "1:1: reference z.w names unknown alias 'z'"),
+     "1:8: reference z.w names unknown alias 'z'"),
     ("query-bad-character", "SELECT n.w FROM r n WHERE n.w = $", "1:33: unexpected character '$'"),
     ("query-ends-early", "SELECT n.w FROM", "1:16: expected predicate name, found 'end of file'"),
     ("query-literal-at-eof", "SELECT n.w FROM r n WHERE n.w =",
@@ -349,9 +349,13 @@ ERROR_QUERIES = [
     ("query-condition-needs-equals", "SELECT n.w FROM r n WHERE n.w 'a'",
      '1:31: expected \'=\', found "\'a\'"'),
     ("query-second-line", "SELECT n.w\nFROM r n\nWHERE n.w = 'z'",
-     "1:1: constant 'z' is outside domain 'T' of n.w"),
+     "3:13: constant 'z' is outside domain 'T' of n.w"),
     ("query-unknown-predicate", "  SELECT n.w FROM ghost n",
-     "1:3: FROM references unknown predicate 'ghost'"),
+     "1:19: FROM references unknown predicate 'ghost'"),
+    ("query-unknown-attribute", "SELECT n.v FROM r n", "1:10: alias 'n' has no attribute 'v'"),
+    ("query-unknown-alias-in-where", "SELECT n.w FROM r n WHERE n.w = m.w",
+     "1:33: reference m.w names unknown alias 'm'"),
+    ("query-repeated-alias", "SELECT n.w FROM r n, r n", "1:24: duplicate FROM alias 'n'"),
     ("query-repeated-column", "SELECT n.w, n.w FROM r n", "1:1: SELECT list repeats a column"),
 ]
 
@@ -461,7 +465,8 @@ _SOUP_PIECES = st.one_of(
 
 class TestTokenizer:
     """``tokenize`` makes one match per token; the oracle matches every
-    whitespace run and comment too, then drops them."""
+    whitespace run and comment too, then drops them.  A token is its text;
+    the oracle's offsets are checked through the parser's positions below."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_SOUP_PIECES, max_size=30).map("".join))
@@ -477,7 +482,7 @@ class TestTokenizer:
                 tokenize(text)
             assert str(err.value) == expected
         else:
-            assert [tuple(t) for t in tokenize(text)] == expected
+            assert tokenize(text) == [tok for _kind, tok, _offset in expected]
 
     @pytest.mark.parametrize("skip", [" ", "\n", "# c\n"])
     def test_long_skip_before_a_bad_character_is_quick(self, skip):
@@ -561,31 +566,97 @@ class TestSplitDeclarations:
         assert time.perf_counter() - start < 1.0
 
 
-# the tables of a ``Script``, with the typed star of each result first
-_TABLES = (
-    "shapes", "domains", "stars", "relations", "consts", "diagrams", "queries", "unions",
-    "setups",
-)
+def _offset(text, line, column):
+    """The offset in ``text`` of the 1-based ``line`` and ``column``."""
+    return sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
+
+
+def _lexing(text):
+    """``text`` with the characters that the oracle finds unexpected taken
+    out, one at a time, until it lexes."""
+    while isinstance(message := tokens_oracle(text), str):
+        offset = _offset(text, *map(int, message.split(":")[:2]))
+        text = text[:offset] + text[offset + 1 :]
+    return text
+
+
+def _assert_placed_by_index(parser, expected):
+    """``parser.fail`` at each index of ``expected``, the oracle's tokens,
+    gives the line and column of the token's offset."""
+    text = parser.text
+    assert parser.tokens == [tok for _kind, tok, _offset in expected]
+    for index, (_kind, _tok, offset) in enumerate(expected):
+        err = parser.fail("here", index)
+        line = text.count("\n", 0, offset) + 1
+        assert (err.line, err.column) == (line, offset - _offset(text, line, 1) + 1)
+
+
+class TestPositionsFromIndices:
+    """The parser keeps token indices; ``fail`` finds the line and column of
+    any of them by lexing again, from the start of the whole text or of the
+    declaration read by parts that holds the token."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_SOUP_PIECES, max_size=30).map("".join), _DECLARATION_SOUPS))
+    @example("a\r\n  b # c\n\n\td")
+    @example("  \n")
+    def test_every_token_of_a_whole_text(self, text):
+        text = _lexing(text)
+        _assert_placed_by_index(dsl._Parser(text, tokenize(text)), tokens_oracle(text))
+
+    def test_every_token_of_a_text_read_by_parts(self, monkeypatch):
+        # S reads T, so both are chosen; X and k, before and between them, are not
+        text = (
+            "type T = {a, b};\n# X\nstar X(v:T);\n  star S(w:T, v\n: T) ;"
+            "\nconst k : T = b;\n\n"
+        )
+        parsers = []
+        parse = dsl._Parser.parse
+        monkeypatch.setattr(dsl._Parser, "parse", lambda self: parsers.append(self) or parse(self))
+        parse_script(text, {"S": ("star",)})
+        chosen = [d for d in dsl.split_declarations(text) if d.name in ("T", "S")]
+        expected = [
+            token
+            for token in tokens_oracle(text)
+            if token[0] == "eof" or any(d.start <= token[2] < d.end for d in chosen)
+        ]
+        assert [kind for kind, _tok, _offset in expected].count("eof") == 1
+        (parser,) = parsers
+        _assert_placed_by_index(parser, expected)
+
+
+# the tables of a ``Script``, with the typed star of each result first, and
+# the keywords that declare the names in each
+_TABLES = {
+    "shapes": ("query", "union"),
+    "domains": ("type",),
+    "stars": ("star",),
+    "relations": ("rel",),
+    "consts": ("const",),
+    "diagrams": ("diagram",),
+    "queries": ("query",),
+    "unions": ("union",),
+    "setups": ("setup",),
+}
 
 
 def _assert_on_demand_equals_eager(text):
     """Every name that ``parse_script`` resolves resolves to an equal value
-    when it alone is read, and reading every name gives every table."""
+    when it alone is read with the keywords of its table, and reading every
+    name with every keyword gives every table."""
     eager = parse_script(text)
-    reading: dict[str, dsl.Script] = {}
-    for attr in _TABLES:
+    for attr, keywords in _TABLES.items():
         want = getattr(eager, attr)
         for name in want:
-            if name not in reading:
-                reading[name] = parse_script(text, {name})
-            got = getattr(reading[name], attr)
+            got = getattr(parse_script(text, {name: keywords}), attr)
             if attr == "diagrams":
                 assert (got[name].name, got[name].hom) == (want[name].name, want[name].hom)
                 assert typed_diagrams_equal(got[name].typed, want[name].typed)
             else:
                 assert got[name] == want[name]
-    assert parse_script(text, {"no-such-name"}).decls == ()
-    every = parse_script(text, reading)
+    assert parse_script(text, {"no-such-name": DECLARATION_KEYWORDS}).decls == ()
+    names = {name for attr in _TABLES for name in getattr(eager, attr)}
+    every = parse_script(text, dict.fromkeys(names, DECLARATION_KEYWORDS))
     assert len(every.decls) == len(eager.decls)
     for attr in _TABLES:
         assert list(getattr(every, attr)) == list(getattr(eager, attr))
@@ -670,11 +741,11 @@ class TestParseOnDemand:
     def test_errors(self, text, message):
         decls = dsl.split_declarations(text)
         if decls is None:  # an error outside any declaration: parsed whole
-            reads = {"no-such-name"}
+            reads = {"no-such-name": DECLARATION_KEYWORDS}
         else:
-            line, column = map(int, message.split(":")[:2])
-            offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
-            reads = {next(d for d in decls if d.start <= offset < d.end).name}
+            offset = _offset(text, *map(int, message.split(":")[:2]))
+            decl = next(d for d in decls if d.start <= offset < d.end)
+            reads = {decl.name: (decl.keyword,)}
         with pytest.raises(ScriptError) as err:
             parse_script(text, reads)
         assert str(err.value) == message
@@ -685,7 +756,7 @@ class TestParseOnDemand:
     )
     def test_decls_are_the_chosen_declarations_in_text_order(self, name, indices):
         eager = parse_script(NAND_SCRIPT)
-        chosen = parse_script(NAND_SCRIPT, {name}).decls
+        chosen = parse_script(NAND_SCRIPT, {name: DECLARATION_KEYWORDS}).decls
         assert chosen[:-1] == tuple(eager.decls[i] for i in indices[:-1])
         if name == "notgate":
             assert typed_diagrams_equal(chosen[-1].typed, eager.decls[4].typed)
@@ -698,24 +769,24 @@ class TestParseOnDemand:
         with pytest.raises(ScriptError) as eager:
             parse_script(text)
         with pytest.raises(ScriptError) as err:
-            parse_script(text, {"q"})
+            parse_script(text, {"q": ("query",)})
         assert str(err.value) == str(eager.value) == "5:11: unexpected character '$'"
 
     def test_a_declaration_sees_only_those_before_it(self):
         text = _STAR + "query q = SELECT s.w FROM r s;\n" + 'rel r : S from "r.csv";\n'
-        assert parse_script(text, {"r"}).relations["r"].path == "r.csv"
+        assert parse_script(text, {"r": ("rel",)}).relations["r"].path == "r.csv"
         with pytest.raises(ScriptError, match="^3:7: query 'q': FROM references unknown"):
-            parse_script(text, {"q"})
+            parse_script(text, {"q": ("query",)})
 
     @pytest.mark.parametrize(
         "read",
         [
-            lambda text: parse_script(text, {"q"}),
-            lambda text: parse_script(text, {"u"}),
+            lambda text: parse_script(text, {"q": ("query",)}),
+            lambda text: parse_script(text, {"u": ("union",)}),
             lambda text: resolve_query_text(
                 "SELECT s.w FROM r s",
                 parse_select_text("SELECT s.w FROM r s"),
-                parse_script(text, {"r"}),
+                parse_script(text, {"r": ("rel",)}),
             ),
         ],
         ids=["query", "union", "inline-query"],

@@ -7,8 +7,10 @@ characters; one of its CSV files, by inserting a byte-order mark, a NUL, a
 inline ``wd query``.  Whatever the mutation, the command exits 0 or 1
 with no traceback, and on exit 1 it prints exactly one ``error:`` line,
 which places the error: a script's at its ``line:col``, a CSV file's at its
-path and a row, its header's columns or a ``line:col``.  The counts and
-seeds are fixed; a case that breaks a rule is a fault of the program.
+path and a row, its header's columns or a ``line:col``.  An inline query
+whose names do not resolve is placed at the name or literal that its
+message quotes.  The counts and seeds are fixed; a case that breaks a rule
+is a fault of the program.
 
 What ``eval --out`` and ``query --out`` write, ``wd check`` reads back
 through a ``rel`` declared on the result's star.
@@ -22,6 +24,7 @@ import string
 
 import pytest
 
+from oracles import _LITERAL_TOKEN_RE
 from wiring.cli import run_cli
 from wiring.dsl import parse_script, parse_select_text, resolve_query_text
 from wiring.query import compile_query
@@ -62,6 +65,14 @@ CSV_PLACE = (
     r"|: missing header row|:\d+: header repeats a column|:\d+: (missing|unexpected) columns .*)"
 )
 NAME_ERROR = r"no (query or union|diagram or query|setup) named '.*'"
+# an inline query's resolve errors, each with the name or literal it quotes
+RESOLVE_ERRORS = [
+    r"FROM references unknown predicate '(.*)'",
+    r"reference \S+ names unknown alias '(.*)'",
+    r"alias '.*' has no attribute '(.*)'",
+    r"duplicate FROM alias '(.*)'",
+    r"constant (.*) is outside domain '.*' of \S+",
+]
 
 
 def _mutate_text(rng, text):
@@ -172,13 +183,31 @@ def _round_trip(copies, capsys, fixture, out_path, star):
     assert ": ok (" in out
 
 
+def _placed_at_what_it_quotes(text, err):
+    """Whether ``err`` is a resolve error of the inline query ``text``,
+    which must then be placed at the token of the name or literal that it
+    quotes."""
+    line, column, message = re.fullmatch(r"error: (\d+):(\d+): (.*)\n", err).groups()
+    quoted = next(filter(None, (re.fullmatch(p, message) for p in RESOLVE_ERRORS)), None)
+    if quoted is None:
+        return False
+    offset = sum(len(row) + 1 for row in text.split("\n")[: int(line) - 1]) + int(column) - 1
+    m = _LITERAL_TOKEN_RE.match(text, offset)
+    value = {"int": int, "string": lambda tok: tok[1:-1]}.get(m.lastgroup, str)(m.group())
+    assert quoted[1] in (m.group(), repr(value)), (text, err)
+    return True
+
+
 def test_mutated_inline_queries_fail_with_one_placed_error(copies, capsys):
     rng = random.Random(20262)
+    placed = 0
     for _ in range(120):
         fixture = rng.choice(sorted(CASES))
         text = _mutate_text(rng, rng.choice(CASES[fixture][2]))
         status, out, err = _run(capsys, _query_argv(copies, fixture, text))
         _check_result(status, out, err, SCRIPT_PLACE)
+        placed += status == 1 and _placed_at_what_it_quotes(text, err)
+    assert placed >= 10
 
 
 def _literal(value):
