@@ -18,9 +18,10 @@ keywords of the declarations they look it up in: ``eval`` its name as a
 as a ``setup``, and ``query`` the inline query's FROM names as a ``rel`` or
 ``const``.  A declaration of the name with another keyword is not chosen
 by the name, so when it is broken and no declaration with one of those
-keywords has the name, the command reports that it has no such name.
-Which declarations the chosen ones lead to, and so whose errors a command
-raises, is stated in :mod:`wiring.dsl`.
+keywords has the name, the command reports that it has no such name; nor
+is it chosen by the own name of a declaration that is, unless the two
+share a name space.  Which declarations the chosen ones lead to, and so
+whose errors a command raises, is stated in :mod:`wiring.dsl`.
 ``query`` parses its inline SELECT before the script, so the SELECT's own
 syntax errors come first.
 

@@ -24,25 +24,30 @@ Comments run from ``#`` to end of line.  Wire and cable identifiers may
 carry trailing primes (``A'``).  The lexer is one ``findall`` of a pattern
 with one capture group: each match skips the whitespace and comments before
 its token, a token is its text, and the end of the text is the empty
-string.  The parser reads a token's kind from its text and keeps token
-indices; only an error finds its token's offset, by lexing again from the
-start of the text, or of the declaration that the token came from when the
-text is read by parts.
+string.  The parser is a cursor over the tokens that reads a token's kind
+from its text, a keyword in any case, and keeps token indices; only an
+error finds its token's offset, by lexing again from where the parser's
+tokens were lexed from: the start of the text, or of one declaration when
+the text is read by parts.
 
 :func:`parse_script` parses the whole text, or with ``reads``, a mapping
 from names to keywords, only the declarations of each name made with one of
-its keywords and, until no more is added, every declaration, of any kind,
-whose name is an identifier inside one already chosen (an alias,
-attribute, wire or cable among them).  Every name a declaration looks up
-is an identifier of its own, so the chosen declarations, parsed in text
-order, each give what they give in the whole text, or their error there;
-an error in a declaration that is not chosen is not raised.  ``wd check``
-passes no names, and the other commands pass those they read, each with the
-keywords they look it up by (see :mod:`wiring.cli`).  A cheap pass,
-:func:`split_declarations`, finds where each declaration starts and ends,
-with its keyword and name, by skipping strings, comments and primes by the
-lexer's rules but without making tokens; the chosen declarations' tokens,
-in text order, go through the one parse loop, and a text it cannot split is
+its keywords and, until no more is added, those that the chosen ones name.
+A chosen declaration's own name chooses the declarations of that name in
+its name space (``query`` and ``union``, ``rel`` and ``const``, else its
+keyword alone), and every other identifier inside it (an alias, attribute,
+wire or cable among them) chooses every declaration of that name, of any
+kind.  A declaration looks its own name up only in its name space, and
+every other name it looks up is an identifier of its own, so the chosen
+declarations, parsed in text order, each give what they give in the whole
+text, or their error there; an error in a declaration that is not chosen is
+not raised.  ``wd check`` passes no names, and the other commands pass
+those they read, each with the keywords they look it up by (see
+:mod:`wiring.cli`).  A cheap pass, :func:`split_declarations`, finds where
+each declaration starts and ends, with its keyword and name, by skipping
+strings, comments and primes by the lexer's rules but without making
+tokens; each chosen declaration's tokens go through a parser of their own,
+in text order, all adding to one script, and a text it cannot split is
 parsed whole.
 """
 
@@ -120,6 +125,10 @@ def _is_string(tok: str) -> bool:
     return tok[:1] in ("'", '"')
 
 
+def _is_literal(tok: str) -> bool:
+    return _is_int(tok) or _is_string(tok) or _is_ident(tok)
+
+
 def _position(text: str, offset: int) -> tuple[int, int]:
     """The 1-based line and column of ``text[offset]``."""
     line_start = text.rfind("\n", 0, offset) + 1
@@ -191,63 +200,53 @@ class Script:
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[str], spans: Collection = ((0, 0),)):
-        """A parser of ``tokens``; each ``(first, start)`` of ``spans`` says
-        that the tokens from index ``first`` to the next span's were lexed
-        from offset ``start`` of ``text``."""
+    def __init__(
+        self, text: str, tokens: list[str], start: int = 0, script: Script | None = None
+    ):
+        """A parser of ``tokens``, lexed from offset ``start`` of ``text``,
+        that adds what it declares to ``script``."""
         self.text = text
         self.tokens = tokens
-        self.spans = spans
+        self.start = start
         self.pos = 0
         self.name_at = 0  # where the declaration being parsed has its name
-        self.script = Script()
+        self.script = Script() if script is None else script
 
-    # -- token plumbing
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    # -- the cursor: every token is read by ``at``, ``expect`` or ``take``
 
     def fail(self, message: str, at: int | None = None) -> ScriptError:
         """The error ``message`` at token ``at``, by default the next token."""
         at = self.pos if at is None else at
-        first, start = max(span for span in self.spans if span[0] <= at)
-        return ScriptError(message, *_token_position(self.text, start, at - first))
+        return ScriptError(message, *_token_position(self.text, self.start, at))
 
     def unexpected(self, want: str) -> ScriptError:
-        return self.fail(f"expected {want}, found {self.peek() or 'end of file'!r}")
+        return self.fail(f"expected {want}, found {self.tokens[self.pos] or 'end of file'!r}")
 
-    def expect(self, text: str) -> str:
-        if self.peek() != text:
+    def at(self, text: str) -> bool:
+        """Whether the next token is ``text``, a keyword in any case or
+        punctuation exactly, which is then read."""
+        if self.tokens[self.pos].lower() != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str) -> None:
+        if not self.at(text):
             raise self.unexpected(repr(_TOKEN_NAMES.get(text, text)))
-        return self.next()
 
-    def take(self, is_kind: Callable[[str], bool], want: str) -> str:
-        """The next token, which ``is_kind`` must accept."""
-        if not is_kind(self.peek()):
+    def take(
+        self, is_kind: Callable[[str], bool], want: str, reserved: Collection[str] = ()
+    ) -> str:
+        """The next token, which ``is_kind`` must accept and which, in any
+        case, may not be one of ``reserved``."""
+        tok = self.tokens[self.pos]
+        if not is_kind(tok) or tok.lower() in reserved:
             raise self.unexpected(want)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> str:
-        if not self.at_keyword(word):
-            raise self.unexpected(repr(word))
-        return self.next()
-
-    def at_keyword(self, word: str) -> bool:
-        return self.peek().lower() == word
-
-    def ident(self, what: str) -> str:
-        return self.take(_is_ident, what)
+        self.pos += 1
+        return tok
 
     def literal(self) -> Value:
-        tok = self.peek()
-        if not (_is_int(tok) or _is_string(tok) or _is_ident(tok)):
-            raise self.unexpected("a literal value")
-        self.next()
+        tok = self.take(_is_literal, "a literal value")
         if _is_int(tok):
             return int(tok)
         return tok[1:-1] if _is_string(tok) else tok
@@ -255,35 +254,33 @@ class _Parser:
     def items(
         self, item: Callable[[], _Item], sep: str = ",", close: str | None = None
     ) -> list[_Item]:
-        """``item``s separated by the punctuation ``sep``: with ``close``, any
-        number of them up to ``close``, which is consumed; without, one or
-        more, for as long as ``sep`` follows."""
+        """``item``s separated by ``sep``: with ``close``, any number of them
+        up to ``close``, which is read; without, one or more, for as long as
+        ``sep`` follows."""
         if close is None:
             found = [item()]
-            while self.peek() == sep:
-                self.next()
+            while self.at(sep):
                 found.append(item())
             return found
         found = []
-        while self.peek() != close:
+        while not self.at(close):
             if found:
                 self.expect(sep)
             found.append(item())
-        self.next()
         return found
 
     # -- name resolution helpers
 
-    def new_name(self, what: str, kind: str, *tables: dict) -> str:
+    def new_name(self, what: str, kind: str, *tables: dict, reserved: Collection[str] = ()) -> str:
         """The name being declared, which none of ``tables`` may hold."""
-        name = self.ident(what)
+        name = self.take(_is_ident, what, reserved)
         if any(name in table for table in tables):
             raise self.fail(f"duplicate {kind} name {name!r}", self.pos - 1)
         return name
 
     def ref(self, what: str, kind: str, *tables: dict) -> str:
         """A name that one of ``tables`` declares."""
-        name = self.ident(what)
+        name = self.take(_is_ident, what)
         if not any(name in table for table in tables):
             raise self.fail(f"unknown {kind} {name!r}", self.pos - 1)
         return name
@@ -296,26 +293,23 @@ class _Parser:
 
     # -- declarations
 
-    def parse(self) -> Script:
+    def parse(self) -> list:
+        """The objects of the declarations up to the end of the tokens."""
         decls = []
-        while self.peek():
-            tok = self.peek()
+        while tok := self.tokens[self.pos]:
             if not _is_ident(tok):
                 raise self.fail("expected a declaration")
             handler = _HANDLERS.get(tok.lower())
             if handler is None:
                 raise self.fail(f"unknown declaration {tok!r}")
-            self.next()
-            self.name_at = self.pos
+            self.name_at = self.pos = self.pos + 1
             decls.append(handler(self))
-        self.script.decls = tuple(decls)
-        return self.script
+        return decls
 
     def parse_type(self) -> ValueDomain:
         name = self.new_name("type name", "type", self.script.domains)
         self.expect("=")
-        if self.at_keyword("range"):
-            self.next()
+        if self.at("range"):
             lo_at = self.pos
             lo = int(self.take(_is_int, "'int'"))
             self.expect("..")
@@ -373,14 +367,15 @@ class _Parser:
 
     def _predicate_name(self, what: str) -> str:
         """A new rel or const name, which a query's FROM must be able to name."""
-        self._reject_query_keyword(what)
-        return self.new_name(what, "rel/const", self.script.relations, self.script.consts)
+        return self.new_name(
+            what, "rel/const", self.script.relations, self.script.consts, reserved=_QUERY_KEYWORDS
+        )
 
     def parse_rel(self) -> RelDecl:
         name = self._predicate_name("relation name")
         self.expect(":")
         star_name = self.star_ref()
-        self.expect_keyword("from")
+        self.expect("from")
         path = self.take(_is_string, "'string'")[1:-1]
         self.expect(";")
         decl = RelDecl(name, path, self.script.stars[star_name])
@@ -403,8 +398,7 @@ class _Parser:
         return rel
 
     def _parse_codomain(self) -> tuple[TypedStar, HomStar | None]:
-        if self.peek() == "[":
-            self.next()
+        if self.at("["):
             arg_names = self.items(self.star_ref)
             self.expect("=>")
             ret_name = self.star_ref()
@@ -426,23 +420,20 @@ class _Parser:
         cable_types: dict[str, ValueDomain] = {}
         inner_map: dict = {}
         outer_map: dict = {}
-        while self.peek() != "}":
-            if self.at_keyword("cable"):
-                self.next()
-                cable = self.ident("cable name")
+        while not self.at("}"):
+            if self.at("cable"):
+                cable = self.take(_is_ident, "cable name")
                 if cable in cable_types:
                     raise self.fail(f"duplicate cable {cable!r}", self.pos - 1)
                 self.expect(":")
                 cable_types[cable] = self.script.domains[self.type_ref()]
                 self.expect(";")
-            elif self.at_keyword("solder"):
-                self.next()
+            elif self.at("solder"):
                 head_at = self.pos
-                head = self.ident("solder endpoint")
+                head = self.take(_is_ident, "solder endpoint")
                 parts = [head]
-                while self.peek() == ".":
-                    self.next()
-                    parts.append(self.ident("wire name"))
+                while self.at("."):
+                    parts.append(self.take(_is_ident, "wire name"))
                 if len(parts) < 2:
                     raise self.fail("solder endpoint needs a wire, like inner1.w or out.w")
                 wire = ".".join(parts[1:])
@@ -478,7 +469,6 @@ class _Parser:
                 endpoints[key] = cable
             else:
                 raise self.fail("expected 'cable' or 'solder'")
-        self.expect("}")
 
         try:
             wd = WiringDiagram(
@@ -508,14 +498,9 @@ class _Parser:
         self.script.diagrams[name] = decl
         return decl
 
-    def _reject_query_keyword(self, what: str) -> None:
-        if self.peek().lower() in _QUERY_KEYWORDS:
-            raise self.unexpected(what)
-
     def _query_name(self, what: str) -> str:
         """An identifier a query reads, which may not be a query keyword."""
-        self._reject_query_keyword(what)
-        return self.ident(what)
+        return self.take(_is_ident, what, _QUERY_KEYWORDS)
 
     def _attr_ref(self) -> AttrRef:
         alias = self._query_name("alias")
@@ -528,7 +513,7 @@ class _Parser:
     def _condition(self) -> Condition:
         left = self._attr_ref()
         self.expect("=")
-        if _is_ident(self.peek()) and self.tokens[self.pos + 1] == ".":
+        if _is_ident(self.tokens[self.pos]) and self.tokens[self.pos + 1] == ".":
             return Condition(left, right=self._attr_ref())
         return Condition(left, literal=self.literal())
 
@@ -545,24 +530,18 @@ class _Parser:
         return query
 
     def parse_select(self) -> ConjunctiveQuery:
-        self.expect_keyword("select")
+        self.expect("select")
         select = self.items(self._attr_ref)
-        self.expect_keyword("from")
+        self.expect("from")
         tables = self.items(self._table)
-        conditions: list[Condition] = []
-        if self.at_keyword("where"):
-            self.next()
-            conditions.append(self._condition())
-            while self.at_keyword("and"):
-                self.next()
-                conditions.append(self._condition())
+        conditions = self.items(self._condition, sep="and") if self.at("where") else []
         return ConjunctiveQuery(tuple(select), tuple(tables), tuple(conditions))
 
     def parse_union(self) -> UnionDecl:
         name = self.new_name("union name", "union", self.script.unions, self.script.queries)
         self.expect("=")
         first_part = self.pos
-        parts = tuple(self.items(lambda: self.ident("result name"), sep="|"))
+        parts = tuple(self.items(lambda: self.take(_is_ident, "result name"), sep="|"))
         self.expect(";")
         if len(parts) < 2:
             raise self.fail("a union needs at least two results", self.name_at)
@@ -644,6 +623,8 @@ _HANDLERS = {
     "union": _Parser.parse_union,
     "setup": _Parser.parse_setup,
 }
+# the name space each keyword declares a name in
+_NAME_SPACES = {**{keyword: keyword for keyword in _HANDLERS}, "const": "rel", "union": "query"}
 
 
 # --------------------------------------------------------------------------
@@ -729,8 +710,10 @@ def parse_script(text: str, reads: Mapping[str, Collection[str]] | None = None) 
     name raises the duplicate name error, and ``decls`` holds the chosen
     declarations' objects."""
     decls = None if reads is None else split_declarations(text)
+    script = Script()
     if decls is None:
-        return _Parser(text, tokenize(text)).parse()
+        script.decls = tuple(_Parser(text, tokenize(text), 0, script).parse())
+        return script
     named: dict[str, list[int]] = {}
     for index, decl in enumerate(decls):
         named.setdefault(decl.name, []).append(index)
@@ -742,26 +725,26 @@ def parse_script(text: str, reads: Mapping[str, Collection[str]] | None = None) 
         index = pending.pop()
         if index in chosen or index in failed:  # pending twice: read, and named in one read
             continue
-        _keyword, _name, start, end = decls[index]
+        keyword, name, start, end = decls[index]
         try:
             chosen[index] = found = tokenize(text, start, end)
         except ScriptError as exc:
             failed[index] = exc
             continue
-        for tok in found:
+        space = _NAME_SPACES[keyword]
+        pending += [i for i in named[name] if _NAME_SPACES[decls[i].keyword] == space]
+        for tok in found[:1] + found[2:]:  # every token but the name
             if tok not in seen and _is_ident(tok):
                 seen.add(tok)
                 pending += named.get(tok, ())
     if failed:  # as in the whole text, a bad character comes before parse errors
         raise failed[min(failed)]
-    tokens: list[str] = []
-    spans = []
-    for index in sorted(chosen):
-        spans.append((len(tokens), decls[index].start))
-        tokens += chosen[index][:-1]
-    spans.append((len(tokens), len(text)))
-    tokens.append("")
-    return _Parser(text, tokens, spans).parse()
+    script.decls = tuple(
+        decl
+        for index in sorted(chosen)
+        for decl in _Parser(text, chosen[index], decls[index].start, script).parse()
+    )
+    return script
 
 
 def parse_select_text(text: str) -> ConjunctiveQuery:
@@ -769,9 +752,8 @@ def parse_select_text(text: str) -> ConjunctiveQuery:
     without resolving its names."""
     parser = _Parser(text, tokenize(text))
     query = parser.parse_select()
-    if parser.peek() == ";":
-        parser.next()
-    if parser.peek():
+    parser.at(";")
+    if parser.tokens[parser.pos]:
         raise parser.fail("unexpected trailing input after query")
     return query
 

@@ -114,7 +114,8 @@ def validate_query(query: ConjunctiveQuery, script: "Script") -> dict[str, Typed
             if domain_of(cond.right, 2, j, 1) != left_dom:
                 raise QueryError(
                     f"cannot equate {cond.left} ({left_dom.name}) with "
-                    f"{cond.right} ({domain_of(cond.right).name})"
+                    f"{cond.right} ({domain_of(cond.right).name})",
+                    2, j, 1, 1,
                 )
         else:
             if cond.literal not in left_dom:
@@ -140,8 +141,9 @@ def _result_star(
         ref.attr if counts[ref.attr] == 1 else f"{ref.alias}_{ref.attr}"
         for ref in select
     ]
-    if len(set(names)) != len(names):
-        raise QueryError("SELECT list repeats a column")
+    for i, name in enumerate(names):
+        if names.index(name) < i:  # at the first column that repeats one before it
+            raise QueryError("SELECT list repeats a column", 0, i, 1)
     return TypedStar(
         Star(names),
         {name: by_alias[ref.alias].domain(ref.attr) for name, ref in zip(names, select)},

@@ -14,10 +14,9 @@ cable sets, the diagram is acyclic and gets binary joins: the smallest
 relation first, then always the smallest relation that shares a cable with
 those already joined, ties going to the lower star index, so a cross
 product happens only between disconnected parts of the diagram.  Partial
-results are tuples with one slot per cable still needed; each step drops
-the relation's tuples that give one cable two values, indexes the partial
-tuples on the shared cables, all under the empty key when there are
-none, and probes the index with the relation's tuples.
+results are tuples with one slot per cable still needed, and each step
+(:func:`_join_step`) drops the relation's tuples that give one cable two
+values before it joins them to the partials on the shared cables.
 
 On a cyclic diagram every binary plan can build intermediate results far
 larger than the answer: a triangle query joins all 2-paths before it
@@ -27,27 +26,16 @@ Re and Rudra, "Worst-case optimal join algorithms", PODS 2012; Veldhuizen,
 cable that touches the most stars, then always one that shares a star with
 a bound cable, ties going to the cable whose smallest relation is
 smallest, then to the one met first in star order.  Each input is a hash
-trie over its rows that give no cable two values, with one level per cable
-it touches, in that order, and the join is one set comprehension with a
-loop per cable.  A cable's values are the intersection of the nodes that
-the tries touching it have reached, smallest first when there are three
-or more, and each of those tries steps one level down once per value, as
-in ``{(v0, v1, v2) for v0 in n0_0 & n2_0
-for n0_1 in [n0_0.mapping[v0]] for n2_2 in [n2_0.mapping[v0]] for v1 in
-n0_1 & n1_1 ...}`` for a triangle.  When the last cable is not an output,
-its loop is an ``if`` on the intersection.  The work stays within the
-largest output that inputs of the given sizes can have for the full join,
-over every cable (the AGM bound); it does not merge partial assignments
-that differ only on cables the rest of the join no longer reads, so such a
-cable still multiplies the work by its values.
-
-The generic join's tries are built once per relation and per key (the
-trie's level positions and the positions one cable must give equal
-values) and kept in a cache on the relation, so evaluating the same
-relations again, or one relation twice in a self-join, does not rebuild
-them.  A relation is immutable, so its tries cannot go stale.  They cost
-about 70-100 bytes per two-column tuple, and a relation used under k level
-orders keeps k tries.
+trie (:meth:`Relation._trie_at`) with one level per cable it touches, in
+that order, and a cable's values are the intersection of the nodes that
+the tries touching it have reached (:func:`_join_loop`).  The work stays
+within the largest output that inputs of the given sizes can have for the
+full join (the AGM bound); it does not merge partial assignments that
+differ only on cables the rest of the join no longer reads, so such a
+cable still multiplies the work by its values.  A relation keeps its tries,
+one per key, so evaluating the same relations again, or one relation twice
+in a self-join, does not rebuild them; used under k level orders, it keeps
+k tries.
 
 A join of two or more inputs records on each input the diagram it ran
 through, as the input's last join.  When every input's last join ran
@@ -56,36 +44,24 @@ generic join, on an acyclic diagram too, as a database answers a repeated
 query from the indexes it keeps: from tries once built, the generic join
 beats the binary steps, which rebuild their indexes on every call
 (Freitag et al., "Adopting worst-case optimal joins in relational
-database systems", VLDB 2020).  So an acyclic diagram fed the same
-relations runs the binary steps once, builds the tries on its second
-join, and reads them from then on.  Where the generic join would build
-tries only to read them once, the binary steps stay: on an input whose
-last join ran through another diagram, and on a diagram of fewer than
-two inputs, whose one input passes on as it is.  Only a caller that
-evaluates the same diagram on the same :class:`Relation` objects again in
-one process gains; one that loads its relations anew for each query, as
-the ``wd`` commands do, makes first joins only.
+database systems", VLDB 2020).  Where the generic join would build tries
+only to read them once, the binary steps stay: on an input whose last
+join ran through another diagram, and on a diagram of fewer than two
+inputs, whose one input passes on as it is.  Only a caller that evaluates
+the same diagram on the same :class:`Relation` objects again in one
+process gains; the ``wd`` commands load their relations anew for each
+query, and so make first joins only.
 
-Each joined tuple is built once.  Every binary step runs one loop, a set
-comprehension that names each kept slot outright, as in ``{(p[0], p[1],
-t[1]) for t in rows for p in index[key(t)]}`` for partial tuples ``p``
-and relation tuples ``t``.  Both kinds of loop are generated with
-``eval`` once per shape and cached: a binary step's per kept positions
-and partial width, the generic join's per trie levels and output cables,
-given as ranks in the cable order, so that diagrams differing only in
-cable names share one loop.  One helper evaluates both: the source holds
-fixed text and the shape's ``int``s, and nothing else, any other value is
-refused before ``eval``, and the code runs without builtins.  No name,
-value or text from a script or a CSV file reaches it.  A first step that
-keeps its relation's wires in order, with no cable on two of them, hands
-the relation's tuples on as they are.
-
-The joins leave one slot per output cable; when the outer wires read
-those slots in order and no cable is free, the tuples become the outer
-relation as they are, and they are re-picked only when the output order
-needs it.  Outer cables that no inner wire touches are filled in last
-with every value of their domain, by the step loop with every partial
-tuple under the empty key.
+Each joined tuple is built once, by a loop generated with ``eval`` once per
+shape and cached (:func:`_step_loop`, :func:`_join_loop`), so that
+diagrams differing only in cable names share one loop.  :func:`_generated`
+evaluates both from fixed text and the shape's ``int``s alone, without
+builtins: no name, value or text from a script or a CSV file reaches it.
+A first step that keeps its relation's wires in order, with no cable on
+two of them, hands the relation's tuples on as they are.  When the outer
+wires read the joins' slots in order and no cable is free, the tuples
+become the outer relation as they are.  Outer cables that no inner wire
+touches are filled in last with every value of their domain.
 
 Every enumeration in :func:`evaluate` is bounded by ``ENUMERATION_LIMIT``
 before it starts.  The generic join runs only when one of two bounds is
@@ -93,29 +69,23 @@ within the limit.  Each bounds the assignments of every prefix of the
 cable order, and so the work of each cable's loop, which takes one pass
 over the smallest node it meets per assignment of the cables before it:
 
-- The fan-out product.  A trie records its fan-out, the size of its
-  largest node at each level, when it is built.  A cable's values under
-  any prefix are at most the smallest fan-out among the tries that touch
-  it, so the product of these minima over the cables is a bound.  It is
-  the tight one on the benchmark's joins: 27,750 for a three-way star of
-  300, 400 and 500 tuples, whose sizes multiply to 6x10^7.
+- The fan-out product.  A cable's values under any prefix are at most the
+  smallest fan-out, the size of the largest node at its level, among the
+  tries that touch it.  It is the tighter bound on stars, whose inputs'
+  sizes multiply but whose fan-outs stay small.
 - The AGM bound (Atserias, Grohe and Marx, FOCS 2008) of one fractional
   edge cover: the product of the inputs' sizes, each to the power one
   half, or one for an input that alone touches some cable.  The generic
   join's work stays within this product for every fractional cover (Ngo,
-  Re and Rudra, "Skew strikes back", SIGMOD Record 2013).  It is the tight
-  one on skewed cyclic joins: a hub graph's triangle over 8,000 edges is
-  within 8,000^1.5 = 7.2x10^5, where the fan-outs multiply to 6.4x10^10.
+  Re and Rudra, "Skew strikes back", SIGMOD Record 2013).  It is the
+  tighter bound on skewed cyclic joins, where a hub's fan-outs multiply.
 
 When both are over the limit, the diagram runs the binary steps instead,
-whatever its shape, and their exact bounds answer or refuse.  Both are
-upper bounds, so a join they refuse to the generic join, and whose binary
-steps are over the limit, might still have fit the generic join.  Before a
-binary step after the first builds anything, the pairs of a partial tuple
-and a relation tuple it would enumerate are counted against the limit, a
-keyed step's only when the product of its two sides is over the limit;
-before the free-cable expansion, the tuples it would build.  The first
-step only reads its relation.
+whatever its shape, and their exact counts answer or refuse: a step after
+the first counts its pairs (:func:`_join_step`), and the free-cable
+expansion its tuples, before building anything.  Both bounds are upper
+bounds, so a join they refuse to the generic join, and whose binary steps
+are over the limit, might still have fit the generic join.
 """
 
 from __future__ import annotations
@@ -201,9 +171,8 @@ class Relation(Frozen):
         the pair is ``None`` when no tuple agrees.  Both are positions in
         ``star.wires``.
 
-        Built on the first request for a key and kept in the relation's
-        trie cache, outside its fields: a relation is immutable, so a trie
-        can never go stale, and equality, hashing and ``repr`` never see it.
+        Built on the first request for a key and kept outside the
+        relation's fields, so equality, hashing and ``repr`` never see it.
         """
         tries = self.__dict__.setdefault("_tries", {})
         key = (positions, pairs)

@@ -518,7 +518,7 @@ def test_module_entry_point_runs_the_cli(tmp_path):
             "2:14: constant 'maybe' is outside domain 'Bool' of n.A",
         ),
         ("SELECT n.out FROM nand n, nand n", "1:32: duplicate FROM alias 'n'"),
-        ("  SELECT n.out, n.out FROM nand n", "1:3: SELECT list repeats a column"),
+        ("  SELECT n.out, n.out FROM nand n", "1:19: SELECT list repeats a column"),
     ],
     ids=[
         "unknown-attribute", "unknown-predicate", "unknown-alias", "constant-outside-domain",
@@ -758,3 +758,25 @@ def test_a_name_is_looked_up_only_among_the_kinds_a_command_reads(
     err = "error: 15:19: expected 'from', found 'frm'\n"
     assert _run_in(tmp_path, capsys, ["check", "w.wd"]) == (1, "", err)
     assert _run_in(tmp_path, capsys, [command, "w.wd", "lives"]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "dot"])
+def test_a_read_declaration_s_own_name_does_not_choose_other_name_spaces(
+    tmp_path, fixtures_dir, capsys, command
+):
+    # ``query lives`` reads only its own name space, not the broken ``rel lives``
+    lines = (fixtures_dir / "wiki" / "wiki.wd").read_text().rstrip("\n").split("\n")
+    assert lines[14] == 'rel lives : LIVES from "lives.csv";'
+    query = "query lives = SELECT a.student FROM attends a;"
+    (tmp_path / "attends.csv").write_text((fixtures_dir / "wiki" / "attends.csv").read_text())
+    (tmp_path / "clean.wd").write_text("\n".join(lines + [query, ""]))
+    lines[14] = 'rel lives : LIVES frm "lives.csv";'
+    (tmp_path / "w.wd").write_text("\n".join(lines + [query, ""]))
+    clean = _run_in(tmp_path, capsys, [command, "clean.wd", "lives"])
+    assert clean[0] == 0 and clean[1]
+    assert _run_in(tmp_path, capsys, [command, "w.wd", "lives"]) == clean
+    err = "error: 15:19: expected 'from', found 'frm'\n"
+    assert _run_in(tmp_path, capsys, ["check", "w.wd"]) == (1, "", err)
+    (tmp_path / "w.wd").write_text("\n".join(lines + [query, query, ""]))
+    status, _out, err = _run_in(tmp_path, capsys, [command, "w.wd", "lives"])
+    assert (status, err) == (1, f"error: {len(lines) + 2}:7: duplicate query name 'lives'\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -64,6 +65,24 @@ class TestParsing:
             "query q = select s.w from r s;  # trailing\n"
         )
         assert list(script.queries) == ["q"]
+        # every keyword in another case; the heads ``out`` and ``inner<k>`` keep theirs
+        lower = _HOM_DIAGRAM + (
+            "type N = range 0..2;\nconst k : T = a;\n"
+            "query q = select s.w from r s, k t where s.w = t.value and s.w = 'a';\n"
+            "union u = q | q;\nsetup z = h(r);\n"
+        )
+        cases = itertools.cycle([str.upper, str.title, lambda w: w[:-1] + w[-1].upper()])
+        words = DECLARATION_KEYWORDS + ("range", "from", "cable", "solder")
+        words += ("select", "where", "and")
+        keyword = re.compile(rf"\b({'|'.join(words)})\b")
+        text = keyword.sub(lambda m: next(cases)(m[1]), lower)
+        assert not keyword.search(text)
+        got, want = parse_script(text), parse_script(lower)
+        assert len(got.decls) == len(want.decls)
+        for attr in _TABLES:
+            assert list(getattr(got, attr)) == list(getattr(want, attr))
+            _assert_entries_equal(attr, got, want, getattr(want, attr))
+        _assert_on_demand_equals_eager(text)  # and read by parts, name by name
 
     def test_full_script_resolves(self):
         script = parse_script(NAND_SCRIPT)
@@ -356,8 +375,14 @@ ERROR_QUERIES = [
     ("query-unknown-alias-in-where", "SELECT n.w FROM r n WHERE n.w = m.w",
      "1:33: reference m.w names unknown alias 'm'"),
     ("query-repeated-alias", "SELECT n.w FROM r n, r n", "1:24: duplicate FROM alias 'n'"),
-    ("query-repeated-column", "SELECT n.w, n.w FROM r n", "1:1: SELECT list repeats a column"),
+    ("query-repeated-column", "SELECT n.w, n.w FROM r n", "1:15: SELECT list repeats a column"),
+    ("query-column-repeated-later", "SELECT n.w, m.w, n.w FROM r n, r m",
+     "1:20: SELECT list repeats a column"),
+    ("query-cannot-equate", "SELECT n.w FROM r n, rv m WHERE n.w = m.v",
+     "1:41: cannot equate n.w (T) with m.v (N)"),
 ]
+# the script that ERROR_QUERIES resolve against
+_QUERY_SCRIPT = _REL + 'type N = range 0..3;\nstar V(v:N);\nrel rv : V from "v.csv";\n'
 
 
 
@@ -377,7 +402,7 @@ class TestErrorMessages:
     )
     def test_query(self, text, message):
         with pytest.raises(ScriptError) as err:
-            resolve_query_text(text, parse_select_text(text), parse_script(_REL))
+            resolve_query_text(text, parse_select_text(text), parse_script(_QUERY_SCRIPT))
         assert str(err.value) == message
 
 
@@ -615,14 +640,13 @@ class TestPositionsFromIndices:
         monkeypatch.setattr(dsl._Parser, "parse", lambda self: parsers.append(self) or parse(self))
         parse_script(text, {"S": ("star",)})
         chosen = [d for d in dsl.split_declarations(text) if d.name in ("T", "S")]
-        expected = [
-            token
-            for token in tokens_oracle(text)
-            if token[0] == "eof" or any(d.start <= token[2] < d.end for d in chosen)
-        ]
-        assert [kind for kind, _tok, _offset in expected].count("eof") == 1
-        (parser,) = parsers
-        _assert_placed_by_index(parser, expected)
+        assert len(parsers) == len(chosen) == 2  # one parser per chosen declaration
+        oracle = tokens_oracle(text)
+        for parser, decl in zip(parsers, chosen):
+            # the end of a declaration's tokens follows its last ``;`` or ``}``,
+            # which its handler reads last, so no error is placed there
+            assert parser.tokens.pop() == ""
+            _assert_placed_by_index(parser, [t for t in oracle if decl.start <= t[2] < decl.end])
 
 
 # the tables of a ``Script``, with the typed star of each result first, and
@@ -640,20 +664,26 @@ _TABLES = {
 }
 
 
+def _assert_entries_equal(attr, got, want, names):
+    """Table ``attr`` of the scripts ``got`` and ``want`` holds equal values
+    under each of ``names``."""
+    got, want = getattr(got, attr), getattr(want, attr)
+    for name in names:
+        if attr == "diagrams":
+            assert (got[name].name, got[name].hom) == (want[name].name, want[name].hom)
+            assert typed_diagrams_equal(got[name].typed, want[name].typed)
+        else:
+            assert got[name] == want[name]
+
+
 def _assert_on_demand_equals_eager(text):
     """Every name that ``parse_script`` resolves resolves to an equal value
     when it alone is read with the keywords of its table, and reading every
     name with every keyword gives every table."""
     eager = parse_script(text)
     for attr, keywords in _TABLES.items():
-        want = getattr(eager, attr)
-        for name in want:
-            got = getattr(parse_script(text, {name: keywords}), attr)
-            if attr == "diagrams":
-                assert (got[name].name, got[name].hom) == (want[name].name, want[name].hom)
-                assert typed_diagrams_equal(got[name].typed, want[name].typed)
-            else:
-                assert got[name] == want[name]
+        for name in getattr(eager, attr):
+            _assert_entries_equal(attr, parse_script(text, {name: keywords}), eager, [name])
     assert parse_script(text, {"no-such-name": DECLARATION_KEYWORDS}).decls == ()
     names = {name for attr in _TABLES for name in getattr(eager, attr)}
     every = parse_script(text, dict.fromkeys(names, DECLARATION_KEYWORDS))
@@ -771,6 +801,22 @@ class TestParseOnDemand:
         with pytest.raises(ScriptError) as err:
             parse_script(text, {"q": ("query",)})
         assert str(err.value) == str(eager.value) == "5:11: unexpected character '$'"
+
+    def test_a_declaration_s_own_name_chooses_only_its_name_space(self):
+        # the rel and the query share the name q, in two name spaces
+        text = _STAR + 'rel q : S frm "q.csv";\nrel r : S from "r.csv";\n'
+        query = "query q = SELECT s.w FROM r s;\n"
+        assert list(parse_script(text + query, {"q": ("query",)}).queries) == ["q"]
+        for second, message in [
+            (query, "6:7: duplicate query name 'q'"),
+            ("union q = x | x;\n", "6:7: duplicate union name 'q'"),
+            ("query p = SELECT q.w FROM r q;\n", "3:11: expected 'from', found 'frm'"),
+        ]:
+            # a second q in the query's name space is chosen, and so is every
+            # declaration of q once another chosen declaration reads it
+            with pytest.raises(ScriptError) as err:
+                parse_script(text + query + second, {"q": ("query",), "p": ("query",)})
+            assert str(err.value) == message
 
     def test_a_declaration_sees_only_those_before_it(self):
         text = _STAR + "query q = SELECT s.w FROM r s;\n" + 'rel r : S from "r.csv";\n'
