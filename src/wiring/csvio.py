@@ -16,7 +16,8 @@ costs about what one parse per cell did.
 A row must fit the star as a :class:`~wiring.relations.Relation`'s tuple
 must, and the loader checks its rows and columns with the same function:
 an error names the first row, in file order, with the wrong number of
-cells or a value outside its wire's domain.
+cells or a value outside its wire's domain, and the row's line, which
+only the error path reads the file again to find.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     """Load the relation on ``star`` stored at ``path``: its cells split
     once and each distinct text parsed once, which for a file of distinct
     cells costs what a parse per cell did.  Rows are checked against the
-    wire domains; errors carry the 1-based data row number and the
-    offending column, the header's line, or for a file that is not UTF-8
-    text the line and column of its first bad byte, the file's first line
-    being line 1.
+    wire domains; a row's error carries its line, its 1-based data row
+    number and the offending column, a header error the header's line, and
+    a file that is not UTF-8 text the line and column of its first bad
+    byte, the file's first line being line 1.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -101,7 +102,7 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     misfit = _first_misfit(star, commas, columns.__getitem__, width=(1).__add__, cover=parsed)
     if misfit is not None:
         k, w = misfit
-        row = f"{path}: row {k + 1}"
+        row = f"{path}:{_row_line(path, top, k)}: row {k + 1}"
         if w is None:
             raise CsvFormatError(f"{row} has {commas[k] + 1} cells, expected {width}")
         raise CsvFormatError(
@@ -109,6 +110,16 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
             f"is outside domain {star.domain(w).name!r}"
         )
     return Relation._trusted(star=star, tuples=frozenset(zip(*columns)))
+
+
+def _row_line(path: str | os.PathLike, top: int, k: int) -> int:
+    """The line of data row ``k + 1`` of the file at ``path``, whose header
+    is on line ``top + 1``: the file is read again, as only an error needs
+    it."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        lines = handle.read().split("\n")
+    rows = (n for n in range(top + 1, len(lines)) if lines[n].strip())
+    return next(islice(rows, k, None)) + 1
 
 
 def write_relation_csv(relation: Relation, handle: IO[str]) -> None:

@@ -35,20 +35,20 @@ from names to keywords, only the declarations of each name made with one of
 its keywords and, until no more is added, those that the chosen ones name.
 A chosen declaration's own name chooses the declarations of that name in
 its name space (``query`` and ``union``, ``rel`` and ``const``, else its
-keyword alone), and every other identifier inside it (an alias, attribute,
+keyword alone), and every identifier after the name (an alias, attribute,
 wire or cable among them) chooses every declaration of that name, of any
-kind.  A declaration looks its own name up only in its name space, and
-every other name it looks up is an identifier of its own, so the chosen
-declarations, parsed in text order, each give what they give in the whole
-text, or their error there; an error in a declaration that is not chosen is
-not raised.  ``wd check`` passes no names, and the other commands pass
-those they read, each with the keywords they look it up by (see
-:mod:`wiring.cli`).  A cheap pass, :func:`split_declarations`, finds where
-each declaration starts and ends, with its keyword and name, by skipping
-strings, comments and primes by the lexer's rules but without making
-tokens; each chosen declaration's tokens go through a parser of their own,
-in text order, all adding to one script, and a text it cannot split is
-parsed whole.
+kind; its keyword chooses nothing.  A declaration looks its own name up
+only in its name space, and every other name it looks up is an identifier
+after its name, so the chosen declarations, parsed in text order, each
+give what they give in the whole text, or their error there; an error in a
+declaration that is not chosen is not raised.  ``wd check`` passes no
+names, and the other commands pass those they read, each with the keywords
+they look it up by (see :mod:`wiring.cli`).  A cheap pass,
+:func:`split_declarations`, finds where each declaration starts and ends,
+with its keyword and name, by skipping strings, comments and primes by the
+lexer's rules but without making tokens; each chosen declaration's tokens
+go through a parser of their own, in text order, all adding to one script,
+and a text it cannot split is parsed whole.
 """
 
 from __future__ import annotations
@@ -733,7 +733,7 @@ def parse_script(text: str, reads: Mapping[str, Collection[str]] | None = None) 
             continue
         space = _NAME_SPACES[keyword]
         pending += [i for i in named[name] if _NAME_SPACES[decls[i].keyword] == space]
-        for tok in found[:1] + found[2:]:  # every token but the name
+        for tok in found[2:]:  # the tokens after the keyword and the name
             if tok not in seen and _is_ident(tok):
                 seen.add(tok)
                 pending += named.get(tok, ())

@@ -7,10 +7,14 @@ cable assignment ``c`` whose restriction ``c . f_i`` lies in the i-th input
 relation.
 
 :func:`evaluate` computes this as a conjunctive query, by one of two
-executors.  :func:`plan_join` chooses one from the shape of the diagram;
-a repeat join, below, runs the generic join whatever the shape.
+executors, and chooses between them in one place:
+
+- the generic join runs a repeat join, below, and a cyclic diagram;
+- the binary steps run an acyclic first join, and any join for which both
+  of the generic join's bounds, below, are over the limit.
+
 When GYO ear removal empties the hypergraph whose edges are the stars'
-cable sets, the diagram is acyclic and gets binary joins: the smallest
+cable sets, the diagram is acyclic.  The binary steps join the smallest
 relation first, then always the smallest relation that shares a cable with
 those already joined, ties going to the lower star index, so a cross
 product happens only between disconnected parts of the diagram.  Partial
@@ -20,15 +24,15 @@ values before it joins them to the partials on the shared cables.
 
 On a cyclic diagram every binary plan can build intermediate results far
 larger than the answer: a triangle query joins all 2-paths before it
-closes a single cycle.  Such a diagram gets the generic join (Ngo, Porat,
-Re and Rudra, "Worst-case optimal join algorithms", PODS 2012; Veldhuizen,
-"Leapfrog Triejoin", ICDT 2014).  It binds one cable at a time: first the
-cable that touches the most stars, then always one that shares a star with
-a bound cable, ties going to the cable whose smallest relation is
-smallest, then to the one met first in star order.  Each input is a hash
-trie (:meth:`Relation._trie_at`) with one level per cable it touches, in
-that order, and a cable's values are the intersection of the nodes that
-the tries touching it have reached (:func:`_join_loop`).  The work stays
+closes a single cycle.  The generic join (Ngo, Porat, Re and Rudra,
+"Worst-case optimal join algorithms", PODS 2012; Veldhuizen, "Leapfrog
+Triejoin", ICDT 2014) binds one cable at a time: first the cable that
+touches the most stars, then always one that shares a star with a bound
+cable, ties going to the cable whose smallest relation is smallest, then
+to the one met first in star order.  Each input is a hash trie
+(:meth:`Relation._trie_at`) with one level per cable it touches, in that
+order, and a cable's values are the intersection of the nodes that the
+tries touching it have reached (:func:`_join_loop`).  The work stays
 within the largest output that inputs of the given sizes can have for the
 full join (the AGM bound); it does not merge partial assignments that
 differ only on cables the rest of the join no longer reads, so such a
@@ -39,15 +43,13 @@ k tries.
 
 A join of two or more inputs records on each input the diagram it ran
 through, as the input's last join.  When every input's last join ran
-through the same diagram object, the join is a repeat join and runs the
-generic join, on an acyclic diagram too, as a database answers a repeated
-query from the indexes it keeps: from tries once built, the generic join
-beats the binary steps, which rebuild their indexes on every call
-(Freitag et al., "Adopting worst-case optimal joins in relational
-database systems", VLDB 2020).  Where the generic join would build tries
-only to read them once, the binary steps stay: on an input whose last
-join ran through another diagram, and on a diagram of fewer than two
-inputs, whose one input passes on as it is.  Only a caller that evaluates
+through the same diagram object, the join is a repeat join, and the
+generic join answers it from the tries it built before, as a database
+answers a repeated query from the indexes it keeps; the binary steps
+rebuild their indexes on every call (Freitag et al., "Adopting worst-case
+optimal joins in relational database systems", VLDB 2020).  A first join
+would build tries only to read them once, and a diagram of fewer than two
+inputs passes its one input on as it is.  Only a caller that evaluates
 the same diagram on the same :class:`Relation` objects again in one
 process gains; the ``wd`` commands load their relations anew for each
 query, and so make first joins only.
@@ -64,10 +66,10 @@ become the outer relation as they are.  Outer cables that no inner wire
 touches are filled in last with every value of their domain.
 
 Every enumeration in :func:`evaluate` is bounded by ``ENUMERATION_LIMIT``
-before it starts.  The generic join runs only when one of two bounds is
-within the limit.  Each bounds the assignments of every prefix of the
-cable order, and so the work of each cable's loop, which takes one pass
-over the smallest node it meets per assignment of the cables before it:
+before it starts.  The generic join first checks two bounds.  Each bounds
+the assignments of every prefix of the cable order, and so the work of
+each cable's loop, which takes one pass over the smallest node it meets
+per assignment of the cables before it:
 
 - The fan-out product.  A cable's values under any prefix are at most the
   smallest fan-out, the size of the largest node at its level, among the
@@ -80,9 +82,8 @@ over the smallest node it meets per assignment of the cables before it:
   Re and Rudra, "Skew strikes back", SIGMOD Record 2013).  It is the
   tighter bound on skewed cyclic joins, where a hub's fan-outs multiply.
 
-When both are over the limit, the diagram runs the binary steps instead,
-whatever its shape, and their exact counts answer or refuse: a step after
-the first counts its pairs (:func:`_join_step`), and the free-cable
+Where the binary steps run, their exact counts answer or refuse: a step
+after the first counts its pairs (:func:`_join_step`), and the free-cable
 expansion its tuples, before building anything.  Both bounds are upper
 bounds, so a join they refuse to the generic join, and whose binary steps
 are over the limit, might still have fit the generic join.
@@ -103,7 +104,6 @@ from typing import (
     Hashable,
     Iterable,
     KeysView,
-    Literal,
     NamedTuple,
     Sequence,
 )
@@ -297,64 +297,6 @@ class JoinStep(NamedTuple):
     cables: tuple[Cable, ...]
 
 
-class JoinPlan(NamedTuple):
-    """How :func:`evaluate` joins the inputs of one typed diagram.
-
-    ``executor`` is ``"binary"`` when GYO ear removal shows the diagram
-    acyclic, and ``"generic"`` otherwise, unless :func:`plan_join` was
-    asked for one of them.  A binary plan runs ``steps`` in
-    order, starting from the one empty partial tuple, and has no
-    ``cable_order``.  A generic plan has no steps: it binds the cables in
-    ``cable_order``, and its answers hold the output cables in that order.
-
-    ``free`` lists the outer cables that no inner wire touches; the output
-    tuple is ``partial + combo`` read at ``output``, where ``combo`` is one
-    assignment of the free cables.  When nothing is free and ``output``
-    is ``0, 1, ...``, the partial tuples are the output tuples.
-    """
-
-    steps: tuple[JoinStep, ...]
-    free: tuple[Cable, ...]
-    output: tuple[int, ...]
-    executor: Literal["binary", "generic"]
-    cable_order: tuple[Cable, ...]
-
-
-def plan_join(
-    twd: TypedWiringDiagram,
-    sizes: Sequence[int],
-    executor: Literal["binary", "generic"] | None = None,
-) -> JoinPlan:
-    """The join plan for inputs of the given sizes: by default binary
-    steps for an acyclic diagram and a generic cable order for a cyclic
-    one, each chosen as the module docstring says; ``executor`` asks for
-    one of them whatever the shape.  A binary step keeps the cables a
-    later step or the output needs."""
-    wd = twd.diagram
-    inner_map, outer_map = wd.inner_map, wd.outer_map
-    star_cables = [
-        tuple([inner_map[i, w] for w in star.wires]) for i, star in enumerate(wd.inner)
-    ]
-    out_cables = tuple(map(outer_map.__getitem__, wd.outer.wires))
-
-    if executor is None:
-        executor = "binary" if _is_acyclic(star_cables) else "generic"
-    if executor == "binary":
-        order = ()
-        steps, slots = _binary_steps(star_cables, out_cables, sizes)
-    else:
-        steps = ()
-        order = _cable_order(star_cables, sizes)
-        outputs = set(out_cables)
-        slots = tuple([c for c in order if c in outputs])
-
-    bound = set().union(*star_cables)
-    free = tuple(dict.fromkeys([c for c in out_cables if c not in bound]))
-    position = {c: k for k, c in enumerate(slots + free)}
-    output = tuple(map(position.__getitem__, out_cables))
-    return JoinPlan(steps, free, output, executor, order)
-
-
 def _is_acyclic(star_cables: Sequence[tuple[Cable, ...]]) -> bool:
     """Whether GYO ear removal empties the hypergraph whose edges are the
     stars' cable sets.  An edge is an ear when the cables it shares with
@@ -425,7 +367,7 @@ def _binary_steps(
 def _cable_order(
     star_cables: Sequence[tuple[Cable, ...]], sizes: Sequence[int]
 ) -> tuple[Cable, ...]:
-    """The generic join's cable order; see :func:`plan_join`."""
+    """The generic join's cable order; see the module docstring."""
     touching: dict[Cable, set[int]] = {}
     for i, cables in enumerate(star_cables):
         for c in cables:
@@ -458,16 +400,21 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     if any(len(dom) == 0 for dom in twd.cable_types.values()):
         return Relation.empty(twd.outer)
 
-    repeat = len(rels) > 1 and _joined_before(twd, rels)
+    wd = twd.diagram
+    star_cables = [
+        tuple([wd.inner_map[i, w] for w in star.wires]) for i, star in enumerate(wd.inner)
+    ]
+    out_cables = tuple(map(wd.outer_map.__getitem__, wd.outer.wires))
     sizes = [len(rel) for rel in rels]
-    plan = plan_join(twd, sizes, "generic" if repeat else None)
-    if plan.executor == "generic":
-        partials = _generic_join(twd, rels, plan.cable_order)
-        if partials is None:  # over both bounds
-            plan = plan_join(twd, sizes, "binary")
-    if plan.executor == "binary":
+    partials = None
+    if (len(rels) > 1 and _joined_before(twd, rels)) or not _is_acyclic(star_cables):
+        order = _cable_order(star_cables, sizes)
+        partials = _generic_join(twd, rels, order)
+        slots = tuple([c for c in order if c in out_cables])
+    if partials is None:  # an acyclic first join, or over both bounds
+        steps, slots = _binary_steps(star_cables, out_cables, sizes)
         partials, width = {()}, 0
-        for step in plan.steps:
+        for step in steps:
             wires = twd.inner[step.star].wires
             rows = rels[step.star].aligned_tuples(wires)
             if width or step.equal_pairs or step.keep != tuple(range(len(wires))):
@@ -480,21 +427,25 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     if not partials:
         return Relation.empty(twd.outer)
 
-    if not plan.free:
-        if plan.output == tuple(range(len(plan.output))):
+    # The output tuple is ``partial + combo`` read at ``output``, where
+    # ``combo`` assigns the outer cables that no inner wire touches.
+    bound = set().union(*star_cables)
+    free = tuple(dict.fromkeys([c for c in out_cables if c not in bound]))
+    position = {c: k for k, c in enumerate(slots + free)}
+    output = tuple(map(position.__getitem__, out_cables))
+    if not free:
+        if output == tuple(range(len(output))):
             return Relation._trusted(star=twd.outer, tuples=frozenset(partials))
-        return Relation._trusted(
-            star=twd.outer, tuples=frozenset(map(_getter(plan.output), partials))
-        )
-    domains = [twd.cable_types[c].values for c in plan.free]
+        return Relation._trusted(star=twd.outer, tuples=frozenset(map(_getter(output), partials)))
+    domains = [twd.cable_types[c].values for c in free]
     size = len(partials) * math.prod(len(values) for values in domains)
     if size > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"expanding {len(partials)} partial tuples over {len(plan.free)} free "
+            f"expanding {len(partials)} partial tuples over {len(free)} free "
             f"cables gives {size} tuples, bound is {ENUMERATION_LIMIT}"
         )
     # The output reads every slot of a partial tuple and every free cable.
-    expand = _step_loop(plan.output, len(set(plan.output)) - len(plan.free))
+    expand = _step_loop(output, len(set(output)) - len(free))
     tuples = expand({(): partials}, product(*domains), _getter(()))
     return Relation._trusted(star=twd.outer, tuples=frozenset(tuples))
 

@@ -34,3 +34,20 @@ def nand_relation(nand_star) -> Relation:
             ("False", "False", "True"),
         ],
     )
+
+
+@pytest.fixture()
+def generic_calls(monkeypatch):
+    """What each generic join of :func:`wiring.relations.evaluate` returned:
+    ``None`` when both of its bounds were over the limit."""
+    import wiring.relations as relations_mod
+
+    calls = []
+    generic_join = relations_mod._generic_join
+
+    def spy(twd, rels, order):
+        calls.append(generic_join(twd, rels, order))
+        return calls[-1]
+
+    monkeypatch.setattr(relations_mod, "_generic_join", spy)
+    return calls

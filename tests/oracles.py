@@ -356,13 +356,14 @@ def csv_relation_oracle(text: str, star: TypedStar) -> frozenset | str:
     """The tuples ``load_csv_relation`` must return for a file holding
     ``text``, or the message it must raise with the file's path left off
     its front: cell by cell, a line and then a data row at a time in file
-    order, each row's cells in the order of ``star.wires``, and each value
-    against a linear scan of its domain."""
+    order, lines ending as text mode reads them, each row's cells in the
+    order of ``star.wires``, and each value against a linear scan of its
+    domain."""
     if text.startswith("\ufeff"):
         text = text[1:]
     numbered = [
         (number, line)
-        for number, line in enumerate(text.split("\n"), start=1)
+        for number, line in enumerate(re.split("\r\n|\r|\n", text), start=1)
         if line.strip() != ""
     ]
     if not numbered:
@@ -382,10 +383,11 @@ def csv_relation_oracle(text: str, star: TypedStar) -> frozenset | str:
     if details:
         return f":{header_line}: " + "; ".join(details)
     tuples = set()
-    for row_number, (_, line) in enumerate(numbered[1:], start=1):
+    for row_number, (line_number, line) in enumerate(numbered[1:], start=1):
+        row_at = f":{line_number}: row {row_number}"
         cells = line.split(",")
         if len(cells) != len(header):
-            return f": row {row_number} has {len(cells)} cells, expected {len(header)}"
+            return f"{row_at} has {len(cells)} cells, expected {len(header)}"
         row = []
         for w in star.wires:
             token = cells[header.index(w)].strip()
@@ -393,7 +395,7 @@ def csv_relation_oracle(text: str, star: TypedStar) -> frozenset | str:
             domain = star.domain(w)
             if not any(v == member for member in domain.values):
                 return (
-                    f": row {row_number}, column {w!r}: value {v!r} is "
+                    f"{row_at}, column {w!r}: value {v!r} is "
                     f"outside domain {domain.name!r}"
                 )
             row.append(v)

@@ -152,14 +152,14 @@ BAD_CSV_SCRIPT = 'type B = {yes, no};\nstar S(x:B, y:B);\nrel r : S from "%s.csv
                 "bad_value.wd": BAD_CSV_SCRIPT % "bad_value",
                 "bad_value.csv": "x,y\nyes,no\nno,maybe\n",
             },
-            "{dir}/bad_value.csv: row 2, column 'y': value 'maybe' is outside domain 'B'",
+            "{dir}/bad_value.csv:3: row 2, column 'y': value 'maybe' is outside domain 'B'",
         ),
         (
             {
                 "bad_count.wd": BAD_CSV_SCRIPT % "bad_count",
                 "bad_count.csv": "x,y\nyes,no\nno\n",
             },
-            "{dir}/bad_count.csv: row 2 has 1 cells, expected 2",
+            "{dir}/bad_count.csv:3: row 2 has 1 cells, expected 2",
         ),
         (
             {"wide_range.wd": "type N = range 0..999999999999;\n"},

@@ -52,21 +52,32 @@ class TestCsvLoad:
         star = TypedStar.uniform(["x"], bool_domain)
         path = tmp_path / "r.csv"
         assert self._error(path, "x\nTrue\nFalse\nmaybe\n", star) == (
-            f"{path}: row 3, column 'x': value 'maybe' is outside domain 'Bool'"
+            f"{path}:4: row 3, column 'x': value 'maybe' is outside domain 'Bool'"
         )
 
     def test_cell_count_error_before_later_domain_error(self, tmp_path, bool_domain):
         star = TypedStar.uniform(["x"], bool_domain)
         path = tmp_path / "r.csv"
         assert self._error(path, "x\nTrue\nTrue,False\nmaybe\n", star) == (
-            f"{path}: row 2 has 2 cells, expected 1"
+            f"{path}:3: row 2 has 2 cells, expected 1"
         )
 
     def test_domain_error_before_later_cell_count_error(self, tmp_path, bool_domain):
         star = TypedStar.uniform(["x"], bool_domain)
         path = tmp_path / "r.csv"
         assert self._error(path, "x\nTrue\nmaybe\nTrue,False\n", star) == (
-            f"{path}: row 2, column 'x': value 'maybe' is outside domain 'Bool'"
+            f"{path}:3: row 2, column 'x': value 'maybe' is outside domain 'Bool'"
+        )
+
+    def test_row_error_gives_the_row_s_line(self, tmp_path):
+        # blank lines before the header and between the rows count
+        star = TypedStar.uniform(["x"], ValueDomain("T", ("a", "b")))
+        path = tmp_path / "r.csv"
+        assert self._error(path, "\nx\n\na\n\nc\n", star) == (
+            f"{path}:6: row 2, column 'x': value 'c' is outside domain 'T'"
+        )
+        assert self._error(path, "\r\nx\r\n\ra\r\na,b\n", star) == (
+            f"{path}:5: row 2 has 2 cells, expected 1"
         )
 
     def test_domain_error_names_the_star_wire_in_a_reordered_file(
@@ -77,7 +88,7 @@ class TestCsvLoad:
         path = tmp_path / "r.csv"
         text = "out,B,A\nFalse,True,True\nmaybe,maybe,False\n"
         assert self._error(path, text, nand_star) == (
-            f"{path}: row 2, column 'B': value 'maybe' is outside domain 'Bool'"
+            f"{path}:3: row 2, column 'B': value 'maybe' is outside domain 'Bool'"
         )
 
     @settings(max_examples=200, deadline=None)

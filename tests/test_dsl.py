@@ -818,6 +818,17 @@ class TestParseOnDemand:
                 parse_script(text + query + second, {"q": ("query",), "p": ("query",)})
             assert str(err.value) == message
 
+    def test_a_declaration_s_keyword_chooses_nothing(self, fixtures_dir):
+        # a type named query is not read by any query
+        wiki = (fixtures_dir / "wiki" / "wiki.wd").read_text()
+        text = wiki + "type query = {a, a};\n"
+        with pytest.raises(ScriptError) as err:
+            parse_script(text)
+        assert str(err.value) == "22:18: type 'query' repeats a value"
+        reads = {"shared_course": ("query", "union")}
+        got, want = parse_script(text, reads), parse_script(wiki, reads)
+        assert got.decls == want.decls and "query" not in got.domains
+
     def test_a_declaration_sees_only_those_before_it(self):
         text = _STAR + "query q = SELECT s.w FROM r s;\n" + 'rel r : S from "r.csv";\n'
         assert parse_script(text, {"r": ("rel",)}).relations["r"].path == "r.csv"

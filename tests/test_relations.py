@@ -25,12 +25,14 @@ from wiring.laws import (
 )
 from wiring.relations import (
     Relation,
+    _binary_steps,
+    _cable_order,
     _cover_bound,
+    _is_acyclic,
     _join_loop,
     _meet,
     _step_loop,
     evaluate,
-    plan_join,
     union,
 )
 from wiring.stars import Star, WiringDiagram, identity_diagram
@@ -423,16 +425,45 @@ def _path(rng, dom, sizes):
     return twd, rels
 
 
-class TestJoinPlan:
+def _cables(twd):
+    """Each inner star's cables in its wire order, and the outer cables in
+    the outer wire order, as :func:`evaluate` reads them."""
+    wd = twd.diagram
+    inner = [tuple(wd.inner_map[i, w] for w in star.wires) for i, star in enumerate(wd.inner)]
+    return inner, tuple(wd.outer_map[w] for w in wd.outer.wires)
+
+
+def _steps(twd, sizes):
+    """The binary steps for inputs of the given sizes."""
+    return _binary_steps(*_cables(twd), sizes)[0]
+
+
+def _order(twd, sizes):
+    """The generic join's cable order for inputs of the given sizes."""
+    return _cable_order(_cables(twd)[0], sizes)
+
+
+def _cyclic(twd):
+    """Whether a first join through ``twd`` runs the generic join."""
+    return not _is_acyclic(_cables(twd)[0])
+
+
+def _free(twd):
+    """The outer cables that no inner wire touches."""
+    inner, outer = _cables(twd)
+    return set(outer) - set().union(*inner)
+
+
+class TestBinarySteps:
     def test_path_order_follows_shared_cables(self):
         # The two smallest relations, the ends of the path, share no cable.
         dom = ValueDomain("N", range(8))
         twd, rels = _path(random.Random(3), dom, [5, 40, 30, 6])
-        plan = plan_join(twd, [len(r) for r in rels])
-        assert [step.star for step in plan.steps] == [0, 1, 2, 3]
-        for step in plan.steps[1:]:
+        steps = _steps(twd, [len(r) for r in rels])
+        assert [step.star for step in steps] == [0, 1, 2, 3]
+        for step in steps[1:]:
             assert step.key_slots
-        assert plan.steps[-1].cables == ("c0", "c4")
+        assert steps[-1].cables == ("c0", "c4")
         assert evaluate(twd, rels) == evaluate_naive(twd, rels)
 
     def test_disconnected_stars_fall_back_to_smallest(self, bool_domain):
@@ -445,10 +476,10 @@ class TestJoinPlan:
             outer_map={"p": "x", "q": "y"},
         )
         twd = TypedWiringDiagram(wd, {"x": bool_domain, "y": bool_domain})
-        plan = plan_join(twd, [1, 2, 2])
+        steps = _steps(twd, [1, 2, 2])
         # star 2 shares cable x with star 0; star 1 is a cross product
-        assert [step.star for step in plan.steps] == [0, 2, 1]
-        assert plan.steps[2].key_slots == ()
+        assert [step.star for step in steps] == [0, 2, 1]
+        assert steps[2].key_slots == ()
 
     def test_cable_on_two_wires_of_one_star(self, nand_star):
         io = TypedStar.uniform(["in", "out"], nand_star.domain("A"))
@@ -460,7 +491,7 @@ class TestJoinPlan:
             outer_map={"in": "i", "out": "o"},
         )
         twd = TypedWiringDiagram(wd, {c: nand_star.domain("A") for c in "io"})
-        (step,) = plan_join(twd, [4]).steps
+        (step,) = _steps(twd, [4])
         assert step.equal_pairs == ((0, 1),)
         assert step.cables == ("i", "o")
 
@@ -494,26 +525,10 @@ def _random_instance(rng):
     return twd, rels
 
 
-@pytest.fixture()
-def generic_calls(monkeypatch):
-    """What each generic join returned: ``None`` when over the fan-out bound."""
-    import wiring.relations as relations_mod
-
-    calls = []
-    generic_join = relations_mod._generic_join
-
-    def spy(twd, rels, order):
-        calls.append(generic_join(twd, rels, order))
-        return calls[-1]
-
-    monkeypatch.setattr(relations_mod, "_generic_join", spy)
-    return calls
-
-
 def test_plan_matches_naive_on_seeded_instances(generic_calls):
     # Each instance is evaluated twice on the same relations: the first
-    # evaluation runs the plan and records the join on its inputs, the
-    # second runs the generic join on their tries.
+    # evaluation runs the executor its shape chooses and records the join
+    # on its inputs, the second runs the generic join on their tries.
     # Then twice more on fresh copies, some of them shared between equal
     # stars: a self-join.
     seen = dict.fromkeys(
@@ -523,7 +538,8 @@ def test_plan_matches_naive_on_seeded_instances(generic_calls):
     twins = random.Random(72)
     for _ in range(300):
         twd, rels = _random_instance(rng)
-        plan = plan_join(twd, [len(r) for r in rels])
+        cyclic = _cyclic(twd)
+        steps = () if cyclic else _steps(twd, [len(r) for r in rels])
         fresh = [Relation._trusted(star=r.star, tuples=r.tuples) for r in rels]
         shared = [
             fresh[min(i for i, q in enumerate(rels) if q.star == r.star)]
@@ -535,18 +551,18 @@ def test_plan_matches_naive_on_seeded_instances(generic_calls):
             generic_calls.clear()
             got = evaluate(twd, inputs)
             assert got == want
-            assert len(generic_calls) == (plan.executor == "generic")
+            assert len(generic_calls) == cyclic
             assert evaluate(twd, inputs) == want
-            assert len(generic_calls) == 1 + (plan.executor == "generic")
+            assert len(generic_calls) == 1 + cyclic
             assert generic_calls[-1] is not None
-        seen["cross"] += any(not s.key_slots for s in plan.steps[1:])
-        seen["equal"] += any(s.equal_pairs for s in plan.steps)
-        seen["free"] += bool(plan.free)
+        seen["cross"] += any(not s.key_slots for s in steps[1:])
+        seen["equal"] += any(s.equal_pairs for s in steps)
+        seen["free"] += bool(_free(twd))
         seen["emptied"] += got.is_empty and all(rels)
         seen["self-join"] += len(set(map(id, shared))) < len(shared)
         seen["empty-input"] += not all(rels)
-        if plan.steps:
-            first = plan.steps[0]
+        if steps:
+            first = steps[0]
             wires = twd.inner[first.star].wires
             whole = first.keep == tuple(range(len(wires))) and not first.equal_pairs
             seen["pass-through"] += whole and not got.is_empty
@@ -634,7 +650,7 @@ class TestCrossProductBound:
 
     def test_keyless_step_above_the_bound_is_refused(self, monkeypatch):
         twd, rels = self._pairs(monkeypatch, 1000, 40)
-        assert not plan_join(twd, [40, 40]).steps[1].key_slots
+        assert not _steps(twd, [40, 40])[1].key_slots
         with pytest.raises(EnumerationLimitError) as info:
             evaluate(twd, rels)
         assert "40 partial tuples and 40 tuples" in str(info.value)
@@ -662,7 +678,7 @@ class TestKeyedStepBound:
     def test_keyed_step_above_the_bound_is_refused(self, monkeypatch):
         monkeypatch.setattr("wiring.relations.ENUMERATION_LIMIT", 1000)
         twd, rels = self._self_join([(0, x) for x in range(200)])
-        assert plan_join(twd, [200, 200]).steps[1].key_slots
+        assert _steps(twd, [200, 200])[1].key_slots
         with pytest.raises(EnumerationLimitError) as info:
             evaluate(twd, rels)
         assert "joining 200 partial tuples with 200 matching tuples" in str(info.value)
@@ -792,10 +808,10 @@ class TestGenericJoin:
         rng = random.Random(97)
         dom = ValueDomain("D", range(6))
         twd, inner = _wired(dom, stars, outer)
+        assert _cyclic(twd)
         for _ in range(12):
             hubs = (0, 1) if rng.random() < 0.5 else ()
             rels = [_draw(rng, s, rng.randint(1, 40), hubs) for s in inner]
-            assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
             want = evaluate_naive(twd, rels)
             assert evaluate(twd, rels) == want
             first = len(built)
@@ -841,20 +857,20 @@ class TestGenericJoin:
                 space = list(product(dom.values, repeat=len(star.wires)))
                 size = round(len(space) * rng.choice([0.3, 0.6, 0.9]))
                 rels.append(Relation(star, rng.sample(space, size)))
-            plan = plan_join(twd, [len(r) for r in rels])
-            if plan.executor != "generic":
+            if not _cyclic(twd):
                 continue
             cyclic += 1
             got = evaluate(twd, rels)
             assert got == evaluate_naive(twd, rels), (stars, outer)
 
-            *_head, second, last = plan.cable_order
-            ranks = [plan.cable_order.index(c) for c in outer if c in plan.cable_order]
+            order = _order(twd, [len(r) for r in rels])
+            *_head, second, last = order
+            ranks = [order.index(c) for c in outer if c in order]
             seen["last-not-output"] += last not in outer
             seen["second-not-output"] += second not in outer
             seen["outputs-out-of-order"] += ranks != sorted(ranks)
             seen["cable-on-two-outer-wires"] += len(set(outer)) < len(outer)
-            seen["free"] += bool(plan.free)
+            seen["free"] += bool(_free(twd))
             seen["self-join"] += len(set(map(id, rels))) < len(rels)
             seen["one-input-holds-both"] += any({second, last} <= set(s) for s in stars)
             seen["nonempty"] += not got.is_empty
@@ -870,9 +886,8 @@ class TestGenericJoin:
         twd, inner = _wired(dom, TRIANGLE + [("c", "y"), ("y", "x")], ("x", "a"))
         for _ in range(8):
             rels = [_draw(rng, s, k) for s, k in zip(inner, (6, 6, 6, 12, 12))]
-            plan = plan_join(twd, [len(r) for r in rels])
-            assert plan.executor == "generic"
-            assert plan.cable_order[-2:] == ("y", "x")
+            assert _cyclic(twd)
+            assert _order(twd, [len(r) for r in rels])[-2:] == ("y", "x")
             assert evaluate(twd, rels) == evaluate_naive(twd, rels)
 
     def test_self_join_keeps_one_trie_per_level_order(self):
@@ -884,7 +899,7 @@ class TestGenericJoin:
         twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
         for hubs in ((), (0, 1)):
             e = _draw(rng, inner[0], 50, hubs)
-            assert plan_join(twd, [len(e)] * 3).cable_order == ("a", "b", "c")
+            assert _order(twd, [len(e)] * 3) == ("a", "b", "c")
             want = evaluate_naive(twd, [e, e, e])
             assert evaluate(twd, [e, e, e]) == want
             assert set(_tries(e)) == {((0, 1), ()), ((1, 0), ())}
@@ -897,8 +912,7 @@ class TestGenericJoin:
         dom = ValueDomain("D", range(12))
         twd, inner = _wired(dom, TRIANGLE, ("a", "b", "c"))
         rels = [_draw(rng, s, 60, hubs=(0, 1)) for s in inner]
-        plan = plan_join(twd, [len(r) for r in rels])
-        assert plan.executor == "generic" and plan.steps == ()
+        assert _cyclic(twd)
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels)
         assert {(0, 0, 0), (1, 1, 1)} & got.tuples
@@ -909,7 +923,7 @@ class TestGenericJoin:
         dom = ValueDomain("D", range(4))
         twd, inner = _wired(dom, TRIANGLE + [()], ("a", "c"))
         rels = [_draw(rng, s, 10) for s in inner[:3]] + [Relation(inner[3], nullary)]
-        assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
+        assert _cyclic(twd)
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels)
         assert got.is_empty == (not nullary)
@@ -936,7 +950,7 @@ class TestGenericJoin:
         flipped = TypedStar(["w1", "w0"], {"w0": n, "w1": t})
         first = Relation(flipped, [("x", 0), ("y", 1), ("y", 2)])
         rels = [first, Relation(v, [("x", 1), ("y", 2)]), Relation(w, [(1, 0), (2, 1)])]
-        assert plan_join(twd, [len(r) for r in rels]).executor == "generic"
+        assert _cyclic(twd)
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels)
         assert got.aligned_tuples(("o0", "o1", "o2")) == {(0, "x", 1), (1, "y", 2)}
@@ -953,8 +967,8 @@ class TestGenericJoin:
         )
         twd_flipped = TypedWiringDiagram(wd_flipped, twd.cable_types)
         assert twd_flipped.inner[0].wires == ("w1", "w0")
-        assert plan_join(twd, [3, 2, 2]).cable_order[:2] == ("a", "b")
-        assert plan_join(twd_flipped, [3, 2, 2]).cable_order[:2] == ("b", "a")
+        assert _order(twd, [3, 2, 2])[:2] == ("a", "b")
+        assert _order(twd_flipped, [3, 2, 2])[:2] == ("b", "a")
         for diagrams in ((twd, twd_flipped), (twd_flipped, twd)):
             fresh = [Relation(r.star, r.tuples) for r in rels]
             for diagram in diagrams + diagrams:
@@ -982,7 +996,7 @@ class TestGenericJoin:
         s, t = (_draw(rng, star, 10) for star in inner[1:])
         for twd, _inner in diagrams + diagrams:
             rels = [r, s, t]
-            assert plan_join(twd, [len(x) for x in rels]).executor == "generic"
+            assert _cyclic(twd)
             assert evaluate(twd, rels) == evaluate_naive(twd, rels)
         assert len(_tries(r)) == 3
 
@@ -1020,8 +1034,7 @@ class TestGenericJoin:
     def test_frontier_empties_midway(self):
         dom = ValueDomain("D", range(6))
         twd, (r, s, t) = _wired(dom, TRIANGLE, ("a", "b", "c"))
-        plan = plan_join(twd, [1, 1, 1])
-        assert plan.executor == "generic" and plan.cable_order == ("a", "b", "c")
+        assert _cyclic(twd) and _order(twd, [1, 1, 1]) == ("a", "b", "c")
         # a = 0 survives the first cable; no b follows it in s.
         rels = [Relation(r, [(0, 1)]), Relation(s, [(5, 5)]), Relation(t, [(2, 0)])]
         assert evaluate(twd, rels).is_empty
@@ -1033,12 +1046,10 @@ class TestGenericJoin:
         # smallest relation; e, on one star, comes last though it is linked
         # once d is bound.
         twd, _inner = _wired(dom, TRIANGLE + [("c", "d"), ("d", "e")], ("a",))
-        plan = plan_join(twd, [9, 9, 9, 2, 9])
-        assert plan.cable_order == ("c", "d", "a", "b", "e")
+        assert _order(twd, [9, 9, 9, 2, 9]) == ("c", "d", "a", "b", "e")
         # x ranks above c, but comes only when no linked cable is left.
         twd, _inner = _wired(dom, TRIANGLE + [("x",), ("x",)], ("x",))
-        plan = plan_join(twd, [1, 9, 9, 5, 5])
-        assert plan.cable_order == ("a", "b", "c", "x")
+        assert _order(twd, [1, 9, 9, 5, 5]) == ("a", "b", "c", "x")
 
     @pytest.mark.parametrize(
         "stars",
@@ -1057,9 +1068,8 @@ class TestGenericJoin:
         outer = tuple(dict.fromkeys(c for s in stars for c in s))[:3]
         twd, inner = _wired(dom, stars, outer)
         rels = [_draw(rng, s, 8) if s.wires else Relation(s, [()]) for s in inner]
-        plan = plan_join(twd, [len(r) for r in rels])
-        assert plan.executor == "binary" and plan.cable_order == ()
-        assert len(plan.steps) == len(stars)
+        assert not _cyclic(twd)
+        assert len(_steps(twd, [len(r) for r in rels])) == len(stars)
         assert evaluate(twd, rels) == evaluate_naive(twd, rels)
 
 
@@ -1104,21 +1114,19 @@ class TestGenericJoin:
                 space = list(product(dom.values, repeat=len(star.wires)))
                 size = round(len(space) * rng.choice([0.4, 0.7, 0.9]))
                 rels.append(Relation(star, rng.sample(space, size)))
-            plan = plan_join(twd, [len(r) for r in rels])
-            if plan.executor != "generic":
+            if not _cyclic(twd):
                 continue
             cyclic += 1
             got = evaluate(twd, rels)
             assert got == evaluate_naive(twd, rels), (stars, outer)
 
-            ranks = [plan.cable_order.index(c) for c in outer if c in plan.cable_order]
-            seen["cable-on-three-stars"] += any(
-                sum(c in s for s in stars) >= 3 for c in plan.cable_order
-            )
+            order = _order(twd, [len(r) for r in rels])
+            ranks = [order.index(c) for c in outer if c in order]
+            seen["cable-on-three-stars"] += any(sum(c in s for s in stars) >= 3 for c in order)
             seen["outputs-out-of-order"] += ranks != sorted(ranks)
             seen["cable-on-two-outer-wires"] += len(set(outer)) < len(outer)
-            seen["last-not-output"] += plan.cable_order[-1] not in outer
-            seen["free"] += bool(plan.free)
+            seen["last-not-output"] += order[-1] not in outer
+            seen["free"] += bool(_free(twd))
             seen["self-join"] += len(set(map(id, rels))) < len(rels)
             seen["equal-pairs"] += any(len(set(s)) < len(s) for s in stars)
             seen["nonempty"] += not got.is_empty
@@ -1406,8 +1414,8 @@ def test_binary_steps_with_few_matches_agree_with_naive(rows_indexed, monkeypatc
     rng = random.Random(83)
     for _ in range(10):
         twd, rels = _sparse_path(rng, rows_indexed)
-        plan = plan_join(twd, [len(r) for r in rels])
-        assert plan.executor == "binary" and [s.star for s in plan.steps] == list(range(len(rels)))
+        assert not _cyclic(twd)
+        assert [s.star for s in _steps(twd, [len(r) for r in rels])] == list(range(len(rels)))
         probes.clear()
         got = evaluate(twd, rels)
         assert got == evaluate_naive(twd, rels) and not got.is_empty
