@@ -4,7 +4,9 @@ Dialect: UTF-8 text, a leading byte-order mark ignored, comma separator,
 first line is the header, values are atomic tokens with no quoting.
 Tokens of ASCII digits, with an optional leading minus sign, are read as
 integers, everything else as text.  The header must name exactly the
-star's wires, in any order; duplicate data rows collapse.
+star's wires, in any order; duplicate data rows collapse.  Blank lines are
+skipped, except in the file of a star with no wires: its header is the
+empty first line, and an empty line after it is the row ``()``.
 :func:`survives_csv` tells whether a value is written as a token that
 reads back as the same value; script types admit no other values.
 
@@ -67,7 +69,11 @@ def load_csv_relation(path: str | os.PathLike, star: TypedStar) -> Relation:
     del text
     top = next((k for k, line in enumerate(lines) if line.strip()), None)
     if top is None:
-        raise CsvFormatError(f"{path}: missing header row")
+        # a star with no wires has an empty header, and holds ``()`` when a
+        # line follows it
+        if star.wires or len(lines) < 2:
+            raise CsvFormatError(f"{path}: missing header row")
+        return Relation._trusted(star=star, tuples=frozenset({()} if len(lines) > 2 else ()))
     header = [h.strip() for h in lines[top].split(",")]
     if len(set(header)) != len(header):
         raise CsvFormatError(f"{path}:{top + 1}: header repeats a column")

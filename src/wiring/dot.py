@@ -8,8 +8,23 @@ same morphism render byte-identically.
 
 from __future__ import annotations
 
+import re
+
 from .stars import WiringDiagram, canonicalize
 from .typed import TypedWiringDiagram, canonicalize_typed
+
+
+# DOT reads these as plain IDs; its keywords, in any case, it does not
+_PLAIN_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_id(name: str) -> str:
+    """``name`` as a DOT ID: as it is when DOT reads it as a plain one,
+    else quoted, with each ``"`` escaped."""
+    if _PLAIN_ID.fullmatch(name) and name.lower() not in _KEYWORDS:
+        return name
+    return '"' + name.replace('"', '\\"') + '"'
 
 
 def emit_dot(diagram: WiringDiagram | TypedWiringDiagram, name: str = "wiring") -> str:
@@ -21,7 +36,7 @@ def emit_dot(diagram: WiringDiagram | TypedWiringDiagram, name: str = "wiring") 
         wd = canonicalize(diagram)
         cable_label = str
 
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {_dot_id(name)} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [fontsize=10, height=0.25];')
     for i, star in enumerate(wd.inner):

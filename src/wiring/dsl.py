@@ -443,7 +443,7 @@ class _Parser:
                 if head == "out":
                     if wire not in outer.star:
                         raise self.fail(f"outer star has no wire {wire!r}", head_at)
-                    endpoints, key = outer_map, wire
+                    endpoints, key, star = outer_map, wire, outer
                 else:
                     m = re.fullmatch(r"inner([0-9]+)", head)
                     if m is None:
@@ -461,40 +461,36 @@ class _Parser:
                             f"inner star {index + 1} has no wire {wire!r}", head_at
                         )
                     endpoints, key = inner_map, (index, wire)
+                    star = inner[index]
                 if key in endpoints:
                     raise self.fail(
                         f"{head}.{wire} is already soldered to cable {endpoints[key]!r}",
+                        head_at,
+                    )
+                # A wire's type is its cable's; the star declaration must agree.
+                if star.domain(wire) != cable_types[cable]:
+                    raise self.fail(
+                        f"{head}.{wire} has domain {star.domain(wire).name!r} "
+                        f"but cable {cable!r} has {cable_types[cable].name!r}",
                         head_at,
                     )
                 endpoints[key] = cable
             else:
                 raise self.fail("expected 'cable' or 'solder'")
 
-        try:
-            wd = WiringDiagram(
-                inner=tuple(t.star for t in inner),
-                outer=outer.star,
-                cables=tuple(cable_types),
-                inner_map=inner_map,
-                outer_map=outer_map,
-            )
-            typed = TypedWiringDiagram(wd, cable_types)
-        except WiringError as exc:
-            raise self.fail(f"diagram {name!r}: {exc}", self.name_at) from exc
-        # A wire's type is its cable's; the star declarations must agree.
-        soldered = [
-            (f"wire {w!r} of inner star {i}", inner[i].domain(w), c)
-            for (i, w), c in inner_map.items()
-        ]
-        soldered += [(f"outer wire {w!r}", outer.domain(w), c) for w, c in outer_map.items()]
-        for wire, declared, c in soldered:
-            if declared != cable_types[c]:
-                raise self.fail(
-                    f"diagram {name!r}: {wire} has domain {declared.name!r} "
-                    f"but its cable {c!r} has {cable_types[c].name!r}",
-                    self.name_at,
-                )
-        decl = DiagramDecl(name, typed, hom)
+        soldered = {f"inner{i + 1}.{w}" for i, w in inner_map} | {f"out.{w}" for w in outer_map}
+        ends = [f"inner{i + 1}.{w}" for i, t in enumerate(inner) for w in t.wires]
+        for end in ends + [f"out.{w}" for w in outer.wires]:
+            if end not in soldered:
+                raise self.fail(f"diagram {name!r}: {end} is not soldered", self.name_at)
+        wd = WiringDiagram(
+            inner=tuple(t.star for t in inner),
+            outer=outer.star,
+            cables=tuple(cable_types),
+            inner_map=inner_map,
+            outer_map=outer_map,
+        )
+        decl = DiagramDecl(name, TypedWiringDiagram(wd, cable_types), hom)
         self.script.diagrams[name] = decl
         return decl
 

@@ -4,8 +4,8 @@ The suites here exercise the identity, associativity, and equivariance laws
 of diagram composition, the naturality of the relation and partition
 algebras, and the concrete witness computations behind the triviality
 results for algebra morphisms out of the relational algebra.  All of these
-encode theorems: a failure indicates an implementation bug, and each
-failure is greedily shrunk to a minimal case that still fails.
+encode theorems, so a failure is an implementation bug; an operad or
+pushout failure is greedily shrunk to a minimal case that still fails.
 
 Nested cases are :class:`Stack` values of any depth (a diagram with a stack
 substituted into each inner star), drawn level by level by
@@ -273,12 +273,24 @@ def shrink(case, variants: Callable, still_fails: Callable) -> object:
 # ---------------------------------------------------------------------------
 # law suites
 
+def _run_laws(cfg: GeneratorConfig, laws: Sequence[tuple]) -> list[SuiteReport]:
+    """One report per law ``(report name, failure name, draw, fails,
+    variants)``: each case index draws every law's case in turn from one
+    ``cfg.rng()`` stream; a failing case shrinks unless ``variants`` is None."""
+    rng = cfg.rng()
+    failures: list[list[LawFailure]] = [[] for _ in laws]
+    for case_index in range(cfg.cases):
+        for (_suite, law, draw, fails, variants), found in zip(laws, failures):
+            case = draw(rng)
+            if fails(case):
+                if variants is not None:
+                    case = shrink(case, variants, fails)
+                found.append(LawFailure(law, case_index, repr(case)))
+    return [SuiteReport(law[0], cfg.cases, tuple(found)) for law, found in zip(laws, failures)]
+
+
 def check_operad_laws(cfg: GeneratorConfig) -> list[SuiteReport]:
     """Identity, associativity, and equivariance on seeded random stacks."""
-    rng = cfg.rng()
-    identity_failures: list[LawFailure] = []
-    assoc_failures: list[LawFailure] = []
-    equiv_failures: list[LawFailure] = []
 
     def identity_fails(stack: Stack) -> bool:
         wd = stack.diagram
@@ -293,6 +305,12 @@ def check_operad_laws(cfg: GeneratorConfig) -> list[SuiteReport]:
         left = stars_mod.compose(stack.compose(), bottoms)
         right = stars_mod.compose(stack.diagram, [mid.compose() for mid in stack.fillers])
         return not stars_mod.diagrams_equal(left, right)
+
+    def equivariance_case(rng: random.Random) -> tuple[Stack, tuple[int, ...]]:
+        stack = gen_stack(rng, 2)
+        perm = list(range(stack.diagram.arity))
+        rng.shuffle(perm)
+        return stack, tuple(perm)
 
     def equivariance_fails(case: tuple[Stack, tuple[int, ...]]) -> bool:
         stack, perm = case
@@ -320,48 +338,30 @@ def check_operad_laws(cfg: GeneratorConfig) -> list[SuiteReport]:
             else:
                 yield smaller, perm
 
-    for case_index in range(cfg.cases):
-        stack1 = gen_stack(rng, 1)
-        if identity_fails(stack1):
-            small = shrink(stack1, _stack_variants, identity_fails)
-            identity_failures.append(LawFailure("identity", case_index, repr(small)))
-
-        stack3 = gen_stack(rng, 3)
-        if assoc_fails(stack3):
-            small = shrink(stack3, _stack_variants, assoc_fails)
-            assoc_failures.append(LawFailure("associativity", case_index, repr(small)))
-
-        stack2 = gen_stack(rng, 2)
-        perm = list(range(stack2.diagram.arity))
-        rng.shuffle(perm)
-        case = (stack2, tuple(perm))
-        if equivariance_fails(case):
-            small = shrink(case, equivariance_variants, equivariance_fails)
-            equiv_failures.append(LawFailure("equivariance", case_index, repr(small)))
-
-    return [
-        SuiteReport("operad-identity", cfg.cases, tuple(identity_failures)),
-        SuiteReport("operad-associativity", cfg.cases, tuple(assoc_failures)),
-        SuiteReport("operad-equivariance", cfg.cases, tuple(equiv_failures)),
-    ]
+    return _run_laws(
+        cfg,
+        [
+            ("operad-identity", "identity", lambda rng: gen_stack(rng, 1),
+             identity_fails, _stack_variants),
+            ("operad-associativity", "associativity", lambda rng: gen_stack(rng, 3),
+             assoc_fails, _stack_variants),
+            ("operad-equivariance", "equivariance", equivariance_case,
+             equivariance_fails, equivariance_variants),
+        ],
+    )
 
 
 def check_pushout_oracle(cfg: GeneratorConfig) -> SuiteReport:
     """Composition agrees with brute-force quotient enumeration."""
-    rng = cfg.rng()
-    failures: list[LawFailure] = []
 
     def pushout_fails(stack: Stack) -> bool:
         fast = stack.compose()
         slow = compose_by_closure(stack.diagram, [f.diagram for f in stack.fillers])
         return not stars_mod.diagrams_equal(fast, slow)
 
-    for case_index in range(cfg.cases):
-        stack = gen_stack(rng, 2)
-        if pushout_fails(stack):
-            small = shrink(stack, _stack_variants, pushout_fails)
-            failures.append(LawFailure("pushout-oracle", case_index, repr(small)))
-    return SuiteReport("pushout-oracle", cfg.cases, tuple(failures))
+    draw = lambda rng: gen_stack(rng, 2)
+    law = ("pushout-oracle", "pushout-oracle", draw, pushout_fails, _stack_variants)
+    return _run_laws(cfg, [law])[0]
 
 
 def compose_by_closure(
@@ -459,43 +459,41 @@ def _typed_stack(rng: random.Random):
 
 def check_algebra_naturality(cfg: GeneratorConfig, algebra: str = "rel") -> SuiteReport:
     """Evaluating a composite equals evaluating stagewise."""
-    if algebra not in ("rel", "eq"):
-        raise ValueError(f"unknown algebra {algebra!r}")
-    rng = cfg.rng()
-    failures: list[LawFailure] = []
-    for case_index in range(cfg.cases):
-        if algebra == "rel":
+    if algebra == "rel":
+
+        def draw(rng: random.Random):
             top, fillers = _typed_stack(rng)
-            rels = [
-                [gen_relation(rng, tstar) for tstar in f.inner] for f in fillers
-            ]
+            return top, fillers, [[gen_relation(rng, tstar) for tstar in f.inner] for f in fillers]
+
+        def fails(case) -> bool:
+            top, fillers, rels = case
             composite = typed_mod.typed_compose(top, fillers)
-            flat = [r for row in rels for r in row]
-            direct = relations_mod.evaluate(composite, flat)
+            direct = relations_mod.evaluate(composite, [r for row in rels for r in row])
             staged = relations_mod.evaluate(
-                top,
-                [relations_mod.evaluate(f, row) for f, row in zip(fillers, rels)],
+                top, [relations_mod.evaluate(f, row) for f, row in zip(fillers, rels)]
             )
-            if direct != staged:
-                failures.append(
-                    LawFailure("rel-naturality", case_index, repr((top, fillers, rels)))
-                )
-        else:
+            return direct != staged
+
+    elif algebra == "eq":
+
+        def draw(rng: random.Random):
             stack = gen_stack(rng, 2)
+            return stack, [[gen_partition(rng, s) for s in f.diagram.inner] for f in stack.fillers]
+
+        def fails(case) -> bool:
+            stack, parts = case
             fillers = [f.diagram for f in stack.fillers]
-            parts = [[gen_partition(rng, s) for s in f.inner] for f in fillers]
-            composite = stack.compose()
-            flat = [p for row in parts for p in row]
-            direct = partitions_mod.evaluate(composite, flat)
+            direct = partitions_mod.evaluate(stack.compose(), [p for row in parts for p in row])
             staged = partitions_mod.evaluate(
                 stack.diagram,
                 [partitions_mod.evaluate(f, row) for f, row in zip(fillers, parts)],
             )
-            if direct != staged:
-                failures.append(
-                    LawFailure("eq-naturality", case_index, repr((stack, parts)))
-                )
-    return SuiteReport(f"{algebra}-naturality", cfg.cases, tuple(failures))
+            return direct != staged
+
+    else:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    name = f"{algebra}-naturality"
+    return _run_laws(cfg, [(name, name, draw, fails, None)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InterfaceError, ValidationError
-from .stars import Frozen, Star, WiringDiagram, quotient
+from .errors import ValidationError
+from .stars import Frozen, Star, WiringDiagram, check_interface, quotient
 
 
 class Partition(Frozen):
@@ -56,18 +56,10 @@ class Partition(Frozen):
         return f"Partition({body})"
 
 
-def _check_parts(wd: WiringDiagram, parts: Sequence[Partition]) -> None:
-    if len(parts) != wd.arity:
-        raise InterfaceError(f"expected {wd.arity} partitions, got {len(parts)}")
-    for i, part in enumerate(parts):
-        if part.star != wd.inner[i]:
-            raise InterfaceError(f"partition {i} does not match inner star {i}")
-
-
 def evaluate(wd: WiringDiagram, parts: Sequence[Partition]) -> Partition:
     """Merge cables along inner blocks; group outer wires by cable class."""
     parts = tuple(parts)
-    _check_parts(wd, parts)
+    check_interface("partition", wd.inner, parts)
     class_of = quotient(
         wd.cables,
         (

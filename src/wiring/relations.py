@@ -56,14 +56,13 @@ query, and so make first joins only.
 
 Each joined tuple is built once, by a loop generated with ``eval`` once per
 shape and cached (:func:`_step_loop`, :func:`_join_loop`), so that
-diagrams differing only in cable names share one loop.  :func:`_generated`
-evaluates both from fixed text and the shape's ``int``s alone, without
-builtins: no name, value or text from a script or a CSV file reaches it.
-A first step that keeps its relation's wires in order, with no cable on
-two of them, hands the relation's tuples on as they are.  When the outer
-wires read the joins' slots in order and no cable is free, the tuples
-become the outer relation as they are.  Outer cables that no inner wire
-touches are filled in last with every value of their domain.
+diagrams differing only in cable names share one loop; no name, value or
+text from a script or a CSV file reaches :func:`_generated`.  A first step
+that keeps its relation's wires in order, with no cable on two of them,
+hands the relation's tuples on as they are, and the output does so when
+the outer wires read the slots in order and no cable is free.  Outer
+cables that no inner wire touches are filled in last with every value of
+their domain.
 
 Every enumeration in :func:`evaluate` is bounded by ``ENUMERATION_LIMIT``
 before it starts.  The generic join first checks two bounds.  Each bounds
@@ -109,7 +108,7 @@ from typing import (
 )
 
 from .errors import EnumerationLimitError, InterfaceError, ValidationError
-from .stars import Cable, Frozen
+from .stars import Cable, Frozen, check_interface
 from .typed import TypedStar, TypedWiringDiagram, Value
 
 ENUMERATION_LIMIT = 10_000_000  # tuples an evaluation may enumerate
@@ -270,14 +269,6 @@ def union(a: Relation, b: Relation) -> Relation:
     return Relation._trusted(star=a.star, tuples=a.tuples | b.aligned_tuples(a.star.wires))
 
 
-def _check_inputs(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> None:
-    if len(rels) != twd.arity:
-        raise InterfaceError(f"expected {twd.arity} relations, got {len(rels)}")
-    for i, rel in enumerate(rels):
-        if rel.star != twd.inner[i]:
-            raise InterfaceError(f"relation {i} does not match inner star {i}")
-
-
 class JoinStep(NamedTuple):
     """One join of the partial tuples with the tuples of inner star ``star``.
 
@@ -396,28 +387,28 @@ def evaluate(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relation:
     would enumerate more than ``ENUMERATION_LIMIT`` pairs or tuples.
     """
     rels = tuple(rels)
-    _check_inputs(twd, rels)
+    check_interface("relation", twd.inner, rels)
     if any(len(dom) == 0 for dom in twd.cable_types.values()):
         return Relation.empty(twd.outer)
 
+    # each input's cables in the order of its tuples' entries
     wd = twd.diagram
     star_cables = [
-        tuple([wd.inner_map[i, w] for w in star.wires]) for i, star in enumerate(wd.inner)
+        tuple([wd.inner_map[i, w] for w in rel.star.wires]) for i, rel in enumerate(rels)
     ]
     out_cables = tuple(map(wd.outer_map.__getitem__, wd.outer.wires))
     sizes = [len(rel) for rel in rels]
     partials = None
     if (len(rels) > 1 and _joined_before(twd, rels)) or not _is_acyclic(star_cables):
         order = _cable_order(star_cables, sizes)
-        partials = _generic_join(twd, rels, order)
+        partials = _generic_join(rels, star_cables, order, out_cables)
         slots = tuple([c for c in order if c in out_cables])
     if partials is None:  # an acyclic first join, or over both bounds
         steps, slots = _binary_steps(star_cables, out_cables, sizes)
         partials, width = {()}, 0
         for step in steps:
-            wires = twd.inner[step.star].wires
-            rows = rels[step.star].aligned_tuples(wires)
-            if width or step.equal_pairs or step.keep != tuple(range(len(wires))):
+            rows = rels[step.star].tuples
+            if width or step.equal_pairs or step.keep != tuple(range(len(star_cables[step.star]))):
                 partials = _join_step(partials, width, rows, step)
             else:  # the partials are {()}, and the step keeps each row whole
                 partials = rows
@@ -466,40 +457,33 @@ def _join_step(
     partials: Collection[tuple], width: int, tuples: frozenset[tuple], step: JoinStep
 ) -> set[tuple]:
     """The partial tuples, ``width`` slots each, after joining ``tuples``
-    as ``step`` says, by the step loop over an index of the partials; a
-    keyed step filters the relation's tuples against the index in C
-    before Python visits one.
+    as ``step`` says, by the step loop over an index of the partials on the
+    key cables, all under ``()`` on a keyless step; the relation's tuples
+    are filtered against it in C before Python visits one.
 
-    After the first step (``width`` > 0) the pairs it would enumerate are
-    counted against ``ENUMERATION_LIMIT`` before anything is built: a
-    keyless step's are the product of its two sides; a keyed step, only
-    when that product is over the limit, sums the partials each matching
-    tuple meets.
-    """
+    After the first step (``width`` > 0), when the product of the two sides
+    is over ``ENUMERATION_LIMIT``, the pairs it would enumerate, the partials
+    each matching tuple meets, are counted against that limit first."""
     rows = _agreeing(tuples, step.equal_pairs)
-    loop = _step_loop(step.keep, width)
-    if not step.key_slots:
-        size = len(partials) * len(rows)
-        if width and size > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"the cross product of {len(partials)} partial tuples and "
-                f"{len(rows)} tuples enumerates {size} pairs, bound is {ENUMERATION_LIMIT}"
-            )
-        return loop({(): partials}, rows, _getter(()))
     # One itemgetter per side: the entry itself on one key cable, a tuple on
     # more, so a one-cable step builds no 1-tuple key per row.
-    partial_key, row_key = itemgetter(*step.key_slots), itemgetter(*step.key_positions)
+    partial_key, row_key = [
+        itemgetter(*key) if key else _getter(()) for key in (step.key_slots, step.key_positions)
+    ]
     index = _group(partials, partial_key)
     hits = compress(rows, map(index.__contains__, map(row_key, rows)))
-    if len(partials) * len(rows) > ENUMERATION_LIMIT:
+    if width and len(partials) * len(rows) > ENUMERATION_LIMIT:
         hits = list(hits)
         size = sum(map(len, map(index.__getitem__, map(row_key, hits))))
         if size > ENUMERATION_LIMIT:
+            if step.key_slots:
+                pairs = f"joining {len(partials)} partial tuples with {len(hits)} matching"
+            else:
+                pairs = f"the cross product of {len(partials)} partial tuples and {len(hits)}"
             raise EnumerationLimitError(
-                f"joining {len(partials)} partial tuples with {len(hits)} matching "
-                f"tuples enumerates {size} pairs, bound is {ENUMERATION_LIMIT}"
+                f"{pairs} tuples enumerates {size} pairs, bound is {ENUMERATION_LIMIT}"
             )
-    return loop(index, hits, row_key)
+    return _step_loop(step.keep, width)(index, hits, row_key)
 
 
 def _generated(ints: Sequence, write: Callable[[], str]) -> Callable[..., set[tuple]]:
@@ -564,20 +548,22 @@ def _join_loop(
 
 
 def _generic_join(
-    twd: TypedWiringDiagram, rels: Sequence[Relation], order: tuple[Cable, ...]
+    rels: Sequence[Relation],
+    star_cables: Sequence[tuple[Cable, ...]],
+    order: tuple[Cable, ...],
+    out_cables: tuple[Cable, ...],
 ) -> Collection[tuple] | None:
-    """The output cables, in ``order``, of every assignment of the cables
-    in ``order`` that every input admits; ``None``, before anything is
-    enumerated, when both bounds of the module docstring are over
-    ``ENUMERATION_LIMIT``."""
-    wd = twd.diagram
+    """The ``out_cables``, in ``order``, of every assignment of the cables
+    in ``order`` that every input admits, its cables in ``star_cables``;
+    ``None``, before anything is enumerated, when both bounds of the
+    module docstring are over ``ENUMERATION_LIMIT``."""
     rank = {c: k for k, c in enumerate(order)}
     levels: list[tuple[int, ...]] = []
     tries: list[KeysView | set] = []
     sizes: list[int] = []
     widths: dict[int, int] = {}  # the smallest fan-out at each rank
-    for i, rel in enumerate(rels):
-        first, pairs = _first_positions([wd.inner_map[i, w] for w in rel.star.wires])
+    for rel, cables in zip(rels, star_cables):
+        first, pairs = _first_positions(cables)
         own = tuple(sorted([rank[c] for c in first]))
         found = rel._trie_at(tuple([first[order[k]] for k in own]), tuple(pairs))
         if found is None:
@@ -592,8 +578,7 @@ def _generic_join(
     limit = ENUMERATION_LIMIT
     if math.prod(widths.values()) > limit and _cover_bound(levels, sizes) > limit:
         return None
-    outer = map(wd.outer_map.__getitem__, twd.outer.wires)
-    outputs = sorted({rank[c] for c in outer if c in rank})
+    outputs = sorted({rank[c] for c in out_cables if c in rank})
     return _join_loop(tuple(levels), tuple(outputs))(_meet, *tries)
 
 

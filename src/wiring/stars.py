@@ -202,6 +202,15 @@ def identity_diagram(star: Star) -> WiringDiagram:
     )
 
 
+def check_interface(noun: str, stars: Sequence[Star], values: Sequence) -> None:
+    """Refuse the ``values`` fed to inner ``stars`` unless one lies on each."""
+    if len(values) != len(stars):
+        raise InterfaceError(f"expected {len(stars)} {noun}s, got {len(values)}")
+    for i, (star, value) in enumerate(zip(stars, values)):
+        if value.star != star:
+            raise InterfaceError(f"{noun} {i} does not match inner star {i}")
+
+
 def quotient(
     nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
 ) -> dict[Hashable, int]:

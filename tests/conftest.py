@@ -45,8 +45,8 @@ def generic_calls(monkeypatch):
     calls = []
     generic_join = relations_mod._generic_join
 
-    def spy(twd, rels, order):
-        calls.append(generic_join(twd, rels, order))
+    def spy(*args):
+        calls.append(generic_join(*args))
         return calls[-1]
 
     monkeypatch.setattr(relations_mod, "_generic_join", spy)

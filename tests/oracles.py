@@ -21,8 +21,8 @@ from wiring.errors import EnumerationLimitError
 from wiring.partitions import Partition
 from wiring.query import ConjunctiveQuery
 from wiring.recursion import RecursiveSetup, build_setup, step
-from wiring.relations import Relation, _check_inputs
-from wiring.stars import Star, WiringDiagram
+from wiring.relations import Relation
+from wiring.stars import Star, WiringDiagram, check_interface
 from wiring.typed import TypedStar, TypedWiringDiagram
 
 
@@ -54,7 +54,7 @@ def evaluate_naive(twd: TypedWiringDiagram, rels: Sequence[Relation]) -> Relatio
     space exceeds ``relations.ENUMERATION_LIMIT``, read at each call.
     """
     rels = tuple(rels)
-    _check_inputs(twd, rels)
+    check_interface("relation", twd.inner, rels)
     wd = twd.diagram
 
     limit = relations_mod.ENUMERATION_LIMIT

@@ -124,6 +124,35 @@ def test_dot_subcommand(project, capsys):
     assert run_cli(["dot", str(project / "circuits.wd"), "notq"]) == 0
 
 
+# DOT's grammar: an unquoted ID is a plain name that is not a keyword, in
+# any case; any other ID is a quoted string
+DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _is_dot_id(text):
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+        return text.lower() not in DOT_KEYWORDS
+    return re.fullmatch(r'"(\\"|[^"])*"', text) is not None
+
+
+@pytest.mark.parametrize(
+    "name, graph_id",
+    [("q7", "q7"), ("node", '"node"'), ("Subgraph", '"Subgraph"'), ("STRICT", '"STRICT"'),
+     ("edge_1", "edge_1"), ("q'", '"q\'"')],
+)
+def test_dot_names_a_graph_by_a_valid_dot_id(fixtures_dir, tmp_path, capsys, name, graph_id):
+    wiki = (fixtures_dir / "wiki" / "wiki.wd").read_text(encoding="utf-8")
+    assert run_cli(["dot", str(fixtures_dir / "wiki" / "wiki.wd"), "shared_course"]) == 0
+    plain = capsys.readouterr().out
+    renamed = tmp_path / "wiki.wd"
+    renamed.write_text(wiki.replace("query shared_course", f"query {name}"), encoding="utf-8")
+    assert run_cli(["dot", str(renamed), name]) == 0
+    out = capsys.readouterr().out
+    head, rest = out.split("\n", 1)
+    assert head == f"graph {graph_id} {{" and _is_dot_id(graph_id)
+    assert rest == plain.split("\n", 1)[1]
+
+
 @pytest.mark.parametrize(
     "script, name, digest",
     [

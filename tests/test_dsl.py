@@ -285,15 +285,17 @@ ERROR_SCRIPTS = [
     ("cable-or-solder", _OPEN_DIAGRAM + " wire e : T;\n}\n", "6:2: expected 'cable' or 'solder'"),
     ("cable-or-solder-at-eof", _OPEN_DIAGRAM, "6:1: expected 'cable' or 'solder'"),
     ("unsoldered-wire", _OPEN_DIAGRAM + " solder out.w -> c;\n}\n",
-     "4:9: diagram 'd': inner wire 'w' of star 0 is not soldered"),
+     "4:9: diagram 'd': inner1.w is not soldered"),
+    ("unsoldered-outer-wire", _OPEN_DIAGRAM + " solder inner1.w -> c;\n}\n",
+     "4:9: diagram 'd': out.w is not soldered"),
     ("cable-type-mismatch",
      _REL + "type U = {x};\ndiagram d(S) -> S {\n cable c : U;\n"
      " solder inner1.w -> c;\n solder out.w -> c;\n}\n",
-     "5:9: diagram 'd': wire 'w' of inner star 0 has domain 'T' but its cable 'c' has 'U'"),
+     "7:9: inner1.w has domain 'T' but cable 'c' has 'U'"),
     ("outer-cable-type-mismatch",
      _REL + "type U = {x};\ndiagram d(S) -> S {\n cable c : T;\n cable e : U;\n"
      " solder inner1.w -> c;\n solder out.w -> e;\n}\n",
-     "5:9: diagram 'd': outer wire 'w' has domain 'T' but its cable 'e' has 'U'"),
+     "9:9: out.w has domain 'T' but cable 'e' has 'U'"),
     ("codomain-unknown-star", _REL + "diagram d(S) -> GHOST {}\n", "4:17: unknown star 'GHOST'"),
     ("codomain-unknown-argument", _REL + "diagram d(S) -> [S, GHOST => S] {}\n",
      "4:21: unknown star 'GHOST'"),

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from oracles import is_connected
+from oracles import discrete, is_connected
+import wiring.partitions as partitions_mod
 import wiring.relations as relations_mod
 import wiring.stars as stars_mod
 from wiring.laws import (
     MAX_CABLES,
     MAX_STARS,
     GeneratorConfig,
+    check_algebra_naturality,
     check_operad_laws,
     check_prop_witnesses,
     check_pushout_oracle,
@@ -21,6 +23,7 @@ from wiring.laws import (
     run_all,
     _typed_stack,
 )
+from wiring.relations import Relation
 from wiring.stars import Star, WiringDiagram, compose, identity_diagram
 from wiring.typed import ValueDomain
 
@@ -204,6 +207,32 @@ class TestMutationSensitivity:
         monkeypatch.setattr(relations_mod, "evaluate", corrupted)
         report = check_prop_witnesses(ValueDomain("A", (0, 1)))
         assert not report.ok
+
+    def test_failure_reports_are_pinned(self, monkeypatch):
+        # Each suite draws its laws' cases in turn from one seeded stream and
+        # shrinks the operad and pushout failures; the reports of corrupted
+        # operations pin both, case by case.
+        real_evaluate, real_part = relations_mod.evaluate, partitions_mod.evaluate
+
+        def evaluate(twd, rels):
+            result = real_evaluate(twd, rels)
+            return Relation.complete(result.star) if result.is_empty and twd.arity else result
+
+        def part(wd, parts):
+            result = real_part(wd, parts)
+            return discrete(result.star) if wd.arity == 1 else result
+
+        monkeypatch.setattr(stars_mod, "compose", corrupted_compose)
+        monkeypatch.setattr(relations_mod, "evaluate", evaluate)
+        monkeypatch.setattr(partitions_mod, "evaluate", part)
+        cfg = GeneratorConfig(seed=2, cases=40)
+        reports = check_operad_laws(cfg) + [check_pushout_oracle(cfg)]
+        reports += [check_algebra_naturality(cfg, "rel"), check_algebra_naturality(cfg, "eq")]
+        assert [len(r.failures) for r in reports] == [33, 27, 2, 38, 10, 9]
+        text = "\n".join(r.format() for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0f21697af54a32aa7e36a83e5d534481ff01c2a9346e35624766469af8d9be8e"
+        )
 
     def test_shrunk_counterexample_still_fails(self, monkeypatch):
         monkeypatch.setattr(stars_mod, "compose", corrupted_compose)

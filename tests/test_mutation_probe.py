@@ -12,8 +12,8 @@ whose names do not resolve is placed at the name or literal that its
 message quotes.  The counts and seeds are fixed; a case that breaks a rule
 is a fault of the program.
 
-What ``eval --out`` and ``query --out`` write, ``wd check`` reads back
-through a ``rel`` declared on the result's star.
+What ``eval --out``, ``query --out`` and ``fixpoint --out`` write, ``wd
+check`` reads back through a ``rel`` declared on the result's star.
 """
 
 import pathlib
@@ -26,6 +26,7 @@ import pytest
 
 from oracles import _LITERAL_TOKEN_RE
 from wiring.cli import run_cli
+from wiring.csvio import load_csv_relation
 from wiring.dsl import parse_script, parse_select_text, resolve_query_text
 from wiring.query import compile_query
 
@@ -167,12 +168,11 @@ def test_mutated_csv_files_fail_with_one_placed_error(copies, capsys):
         path.write_bytes(original)
 
 
-def _round_trip(copies, capsys, fixture, out_path, star):
-    """``wd check`` of the fixture script with a ``rel`` on ``star`` read
-    from ``out_path``."""
-    script = copies / fixture / CASES[fixture][0]
+def _round_trip(capsys, script, out_path, star):
+    """``wd check`` of ``script`` with a ``rel`` on ``star`` read from
+    ``out_path``, which lies beside it."""
     columns = ", ".join(f"{w}:{star.domain(w).name}" for w in star.wires)
-    back = copies / fixture / "back.wd"
+    back = script.parent / "back.wd"
     back.write_text(
         script.read_text(encoding="utf-8")
         + f"\nstar BACK_STAR({columns});\nrel back : BACK_STAR from {out_path.name!r};\n",
@@ -245,9 +245,28 @@ def test_every_result_written_reads_back(copies, capsys, fixture):
     for name, query in script.queries.items():
         status, _out, err = _run(capsys, ["eval", str(script_path), name, "--out", str(out_path)])
         assert (status, err) == (0, "")
-        _round_trip(copies, capsys, fixture, out_path, compile_query(query, script).diagram.outer)
+        _round_trip(capsys, script_path, out_path, compile_query(query, script).diagram.outer)
     for text in CASES[fixture][2] + [_random_query(rng, script) for _ in range(20)]:
         status, _out, err = _run(capsys, _query_argv(copies, fixture, text, "--out", str(out_path)))
         assert (status, err) == (0, ""), text
         query = resolve_query_text(text, parse_select_text(text), script)
-        _round_trip(copies, capsys, fixture, out_path, compile_query(query, script).diagram.outer)
+        _round_trip(capsys, script_path, out_path, compile_query(query, script).diagram.outer)
+    for name, setup in script.setups.items():
+        for mode in ("gfp", "lfp"):
+            argv = ["fixpoint", str(script_path), name, "--mode", mode, "--out", str(out_path)]
+            assert _run(capsys, argv)[0] == 0
+            _round_trip(capsys, script_path, out_path, setup.z)
+
+
+def test_both_relations_on_the_empty_star_read_back(tmp_path, capsys):
+    # the greatest fixed point holds ``()``, the least holds nothing
+    script_path = tmp_path / "z.wd"
+    script_path.write_text("star Z();\ndiagram d() -> [Z => Z] { }\nsetup s = d();\n")
+    z = parse_script(script_path.read_text()).setups["s"].z
+    out_path = tmp_path / "out.csv"
+    for mode, written, tuples in (("gfp", "\n\n", {()}), ("lfp", "\n", set())):
+        argv = ["fixpoint", str(script_path), "s", "--mode", mode, "--out", str(out_path)]
+        assert _run(capsys, argv)[0] == 0
+        assert out_path.read_text() == written
+        assert load_csv_relation(out_path, z).tuples == tuples
+        _round_trip(capsys, script_path, out_path, z)
